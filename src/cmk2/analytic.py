@@ -24,6 +24,11 @@ import mpmath as mp
 from .qfield import QuadElement, QuadField
 
 GUARD_BITS = 48
+MIN_PREC = 64
+
+# the default numeric tolerance, held well past the 53-bit default context
+with mp.workprec(256):
+    DEFAULT_TOL = mp.mpf(10) ** -25
 
 
 def _divisor_power_sum(n: int, k: int) -> int:
@@ -38,8 +43,8 @@ class AnalyticLattice:
     """C/O_K at a fixed binary precision."""
 
     def __init__(self, field: QuadField, prec: int = 256):
-        if prec < 64:
-            raise ValueError("precision below 64 bits is not supported")
+        if prec < MIN_PREC:
+            raise ValueError(f"precision below {MIN_PREC} bits is not supported")
         self.field = field
         self.prec = prec
         self._cache: dict = {}
@@ -109,8 +114,7 @@ class AnalyticLattice:
 
     def embed(self, elem: QuadElement):
         """Complex embedding x + y*tau (exact coordinates honored)."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self._frac(elem.x) + self._frac(elem.y) * self.tau
+        return self.embed_coords(elem.x, elem.y)
 
     def embed_coords(self, r, s):
         """r + s*tau for rational (or float) plane coordinates."""
@@ -150,33 +154,25 @@ class AnalyticLattice:
             th = mp.jtheta(1, mp.pi * z, self._cache["q"])
             return mp.exp(self.eta1 * z * z / 2) * th / (mp.pi * self._cache["th1p"])
 
+    def _thetas(self, z, n: int):
+        """z and the derivatives theta_1^(k)(pi z), k = 0..n, at the nome."""
+        z = mp.mpmathify(z)
+        u, q = mp.pi * z, self._cache["q"]
+        return z, [mp.jtheta(1, u, q, k) for k in range(n + 1)]
+
     def zeta(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
-            u = mp.pi * z
-            t0 = mp.jtheta(1, u, self._cache["q"])
-            t1 = mp.jtheta(1, u, self._cache["q"], 1)
+            z, (t0, t1) = self._thetas(z, 1)
             return self.eta1 * z + mp.pi * t1 / t0
 
     def wp(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
-            u = mp.pi * z
-            q = self._cache["q"]
-            t0 = mp.jtheta(1, u, q)
-            t1 = mp.jtheta(1, u, q, 1)
-            t2 = mp.jtheta(1, u, q, 2)
+            _, (t0, t1, t2) = self._thetas(z, 2)
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
     def wp_prime(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
-            u = mp.pi * z
-            q = self._cache["q"]
-            t0 = mp.jtheta(1, u, q)
-            t1 = mp.jtheta(1, u, q, 1)
-            t2 = mp.jtheta(1, u, q, 2)
-            t3 = mp.jtheta(1, u, q, 3)
+            _, (t0, t1, t2, t3) = self._thetas(z, 3)
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3
 

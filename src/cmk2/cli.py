@@ -4,17 +4,18 @@ Certificates stream as JSON lines with sorted keys and fixed-digit
 decimal renderings, so a repeated run with the same configuration and
 seed produces identical bytes.  Exit codes: 0 when every verdict
 passes, 1 when a verification fails, 2 when the configuration is
-rejected before any computation.
+rejected, with an `error:` message and no traceback.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from .analytic import AnalyticLattice
+from .analytic import GUARD_BITS, MIN_PREC, AnalyticLattice
 from .finitefield import frobenius_equals_cm
 from .hecke import HeckeCharacter, point_count_check
 from .qfield import (
@@ -31,6 +32,7 @@ from .torsion import TorsionSystem
 
 SCHEMA = "k2-certificates/1"
 DIGITS = 30
+CURVE = "--curve-a/--curve-b"
 
 
 class ConfigError(Exception):
@@ -58,59 +60,16 @@ def _render(x):
     return str(x)
 
 
-def _base(args):
-    if args.prec < 32:
-        raise ConfigError("--prec: need at least 32 bits of working precision")
-    if args.samples < 1:
-        raise ConfigError("--samples: need at least one sample point")
-    if args.a < 1:
-        raise ConfigError("--a: need a positive integer")
-    if args.bound < 1:
-        raise ConfigError("--bound: need a positive norm bound")
+def _checked(prefix: str, fn, *args):
+    """fn(*args), with a ValueError turned into a rejected configuration."""
     try:
-        field = QuadField(args.d)
-    except (ValueError, AssertionError) as e:
-        raise ConfigError(f"--d: {e}")
-    try:
-        gen = field.parse(args.conductor)
+        return fn(*args)
     except ValueError as e:
-        raise ConfigError(f"--conductor: {e}")
-    if gen.is_zero():
-        raise ConfigError("--conductor: generator must be nonzero")
-    try:
-        chi = HeckeCharacter(field, field.ideal(gen))
-    except ValueError as e:
-        raise ConfigError(f"--conductor: {e}")
-    return field, chi
-
-
-def _ideal(field: QuadField, text: str, flag: str) -> QuadIdeal:
-    try:
-        gen = field.parse(text)
-    except ValueError as e:
-        raise ConfigError(f"{flag}: {e}")
-    if gen.is_zero():
-        raise ConfigError(f"{flag}: ideal generator must be nonzero")
-    return field.ideal(gen)
-
-
-def _prime_ideal(field: QuadField, text: str, flag: str) -> QuadIdeal:
-    ideal = _ideal(field, text, flag)
-    fac = factor_ideal(ideal)
-    if len(fac) != 1 or fac[0][1] != 1:
-        raise ConfigError(f"{flag}: {text!r} is not a prime ideal")
-    return ideal
-
-
-def _split_pair(chi: HeckeCharacter, p: int):
-    try:
-        return chi.split_primes_above(p)
-    except ValueError as e:
-        raise ConfigError(f"--p: {e}")
+        raise ConfigError(f"{prefix}: {e}") from None
 
 
 def _tol(args):
-    with mp.workprec(args.prec + 48):
+    with mp.workprec(args.prec + GUARD_BITS):
         try:
             t = mp.mpf(args.tol)
         except ValueError:
@@ -120,16 +79,59 @@ def _tol(args):
         return t
 
 
-def cmd_enumerate(args) -> list[dict]:
-    field, chi = _base(args)
-    pbar = _split_pair(chi, args.p)[1]
-    try:
-        L, R = enumerate_L_R(field, args.bound, chi.conductor, pbar, args.a)
-    except ValueError as e:
-        raise ConfigError(f"enumeration rejected: {e}")
-    return [{
-        "schema": SCHEMA,
-        "id": "enumerate",
+class Context:
+    """What a command renders its record from, built once from the shared
+    flags: the field and the character always; the torsion system and the
+    analytic lattice with its tolerance when `needs` names them."""
+
+    def __init__(self, args, needs):
+        if args.prec < MIN_PREC:
+            raise ConfigError(f"--prec: need at least {MIN_PREC} bits of "
+                              "working precision")
+        if args.samples < 1:
+            raise ConfigError("--samples: need at least one sample point")
+        if args.a < 1:
+            raise ConfigError("--a: need a positive integer")
+        if args.bound < 1:
+            raise ConfigError("--bound: need a positive norm bound")
+        self.args = args
+        self.field = _checked("--d", QuadField, args.d)
+        conductor = self.ideal(args.conductor, "--conductor")
+        self.chi = _checked("--conductor", HeckeCharacter, self.field, conductor)
+        if "system" in needs:
+            if args.a < 2:
+                raise ConfigError("--a: division functions need a >= 2")
+            self.system = TorsionSystem(self.chi)
+        if "lattice" in needs:
+            self.lattice = AnalyticLattice(self.field, args.prec)
+            self.tol = _tol(args)
+
+    def ideal(self, text: str, flag: str, prime: bool = False) -> QuadIdeal:
+        gen = _checked(flag, self.field.parse, text)
+        if gen.is_zero():
+            raise ConfigError(f"{flag}: ideal generator must be nonzero")
+        ideal = self.field.ideal(gen)
+        if prime:
+            fac = factor_ideal(ideal)
+            if len(fac) != 1 or fac[0][1] != 1:
+                raise ConfigError(f"{flag}: {text!r} is not a prime ideal")
+        return ideal
+
+    def split_pair(self):
+        """(distinguished, conjugate) primes above --p."""
+        return _checked("--p", self.chi.split_primes_above, self.args.p)
+
+
+# Each command renders one record from the shared context and its own
+# options (--m, --l, --u-scale); the handler adds the schema and the id.
+
+
+def _enumerate(ctx: Context, opts: dict) -> dict:
+    args, chi = ctx.args, ctx.chi
+    pbar = ctx.split_pair()[1]
+    L, R = _checked("enumeration rejected", enumerate_L_R, ctx.field, args.bound,
+                    chi.conductor, pbar, args.a)
+    return {
         "a": args.a,
         "bound": args.bound,
         "conductor": str(chi.conductor),
@@ -139,261 +141,240 @@ def cmd_enumerate(args) -> list[dict]:
         "ray_products": [str(I) for I in R],
         "ray_norms": [I.norm for I in R],
         "pass": True,
-    }]
+    }
 
 
-def cmd_hecke_check(args) -> list[dict]:
-    field, chi = _base(args)
-    rows = []
-    ok = True
-    for p in range(3, args.bound + 1):
-        if not is_rational_prime(p):
-            continue
-        if chi.conductor.norm % p == 0:
-            continue
-        kind, _ = split_rational_prime(field, p)
-        if kind != "split":
-            continue
-        row = point_count_check(chi, p, args.curve_a, args.curve_b)
-        ok = ok and row["match"]
-        rows.append(row)
-    return [{
-        "schema": SCHEMA,
-        "id": "hecke-check",
+def _hecke_check(ctx: Context, opts: dict) -> dict:
+    args, chi = ctx.args, ctx.chi
+    if 4 * args.curve_a ** 3 + 27 * args.curve_b ** 2 == 0:
+        raise ConfigError(f"{CURVE}: the curve is singular")
+    primes = [p for p in range(3, args.bound + 1)
+              if is_rational_prime(p) and chi.conductor.norm % p != 0
+              and split_rational_prime(ctx.field, p)[0] == "split"]
+    # bad reduction at a counted prime is rejected
+    rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b)
+            for p in primes]
+    return {
         "bound": args.bound,
         "curve": [args.curve_a, args.curve_b],
         "checks": rows,
-        "pass": ok,
-    }]
+        "pass": all(row["match"] for row in rows),
+    }
 
 
-def cmd_build_alpha(args) -> list[dict]:
-    field, chi = _base(args)
-    system = TorsionSystem(chi)
-    m = _ideal(field, args.m, "--m")
-    p_ideal = _split_pair(chi, args.p)[0]
-    try:
-        built = build_alpha(system, m, args.a, p_ideal)
-    except ValueError as e:
-        raise ConfigError(f"construction rejected: {e}")
-    inner = built["inner"]
-    return [{
-        "schema": SCHEMA,
-        "id": "build-alpha",
-        "m": str(m),
-        "a": args.a,
-        "p": args.p,
-        "annotations": built["annotations"],
-        "term_count": inner.term_count(),
-        "support": [str(P) for P in inner.support_points()],
-        "meta": inner.meta,
-        "pass": True,
-    }]
-
-
-def cmd_certify_tame(args) -> list[dict]:
-    field, chi = _base(args)
-    system = TorsionSystem(chi)
-    m = _ideal(field, args.m, "--m")
-    lat = AnalyticLattice(field, args.prec)
-    tol = _tol(args)
-    try:
-        sym = build_alpha_prime(system, m, args.a)
-    except ValueError as e:
-        raise ConfigError(f"construction rejected: {e}")
-    cert = certify_tame_kernel(sym, lat, tol=tol)
-    return [{
-        "schema": SCHEMA,
-        "id": "certify-tame",
-        "m": str(m),
-        "a": args.a,
-        "precision_bits": args.prec,
-        "seed": args.seed,
-        "certificate": cert,
-        "pass": cert["pass"],
-    }]
-
-
-def cmd_verify_e1(args) -> list[dict]:
-    field, chi = _base(args)
-    system = TorsionSystem(chi)
-    m = _ideal(field, args.m, "--m")
-    ell = _prime_ideal(field, args.l, "--l")
-    if not ell.divides(m):
-        raise ConfigError("--l: the plain norm relation needs the prime "
-                          "to divide the level")
-    if args.u_scale is not None and args.u_scale < 1:
-        raise ConfigError("--u-scale: need a positive integer")
-    lat = AnalyticLattice(field, args.prec)
-    tol = _tol(args)
-    rep = verify_E1(system, m, ell, args.a, lat, samples=args.samples,
-                    tol=tol, seed=args.seed, u_scale=args.u_scale,
-                    p_ideal=ell)
-    return [{
-        "schema": SCHEMA,
-        "id": "verify-e1",
-        "m": str(m),
-        "l": str(ell),
-        "a": args.a,
-        "precision_bits": args.prec,
-        "samples": args.samples,
-        "seed": args.seed,
-        "report": rep,
-        "pass": rep["pass"],
-    }]
-
-
-def cmd_verify_e2(args) -> list[dict]:
-    field, chi = _base(args)
-    system = TorsionSystem(chi)
-    m = _ideal(field, args.m, "--m")
-    ell = _prime_ideal(field, args.l, "--l")
-    if not m.is_coprime(ell):
-        raise ConfigError("--l: the twisted relation needs a prime coprime "
-                          "to the level")
-    if not ell.is_coprime(system.f_level):
-        raise ConfigError("--l: the prime must be coprime to the fixed level")
-    lat = AnalyticLattice(field, args.prec)
-    tol = _tol(args)
-    rep = verify_E2(system, m, ell, args.a, lat, samples=args.samples,
-                    tol=tol, seed=args.seed)
-    return [{
-        "schema": SCHEMA,
-        "id": "verify-e2",
-        "m": str(m),
-        "l": str(ell),
-        "a": args.a,
-        "precision_bits": args.prec,
-        "samples": args.samples,
-        "seed": args.seed,
-        "report": rep,
-        "pass": rep["pass"],
-    }]
-
-
-def cmd_frobenius_check(args) -> list[dict]:
-    field, chi = _base(args)
-    if field.d != -4:
+def _frobenius_check(ctx: Context, opts: dict) -> dict:
+    args = ctx.args
+    if ctx.field.d != -4:
         raise ConfigError("--d: the frobenius comparison is implemented "
                           "for discriminant -4 only")
-    p_ideal = _split_pair(chi, args.p)[0]
+    p_ideal = ctx.split_pair()[0]
     # Frobenius acts as the ray-normalized character value, which need not
     # be the canonical ideal generator
-    pi = chi.evaluate(p_ideal)
-    rep = frobenius_equals_cm(args.p, args.curve_a, args.curve_b, pi)
-    return [{
-        "schema": SCHEMA,
-        "id": "frobenius-check",
+    pi = ctx.chi.evaluate(p_ideal)
+    # rejects B != 0 and bad reduction at p
+    rep = _checked(CURVE, frobenius_equals_cm, args.p, args.curve_a, args.curve_b, pi)
+    return {
         "p": args.p,
         "curve": [args.curve_a, args.curve_b],
         "distinguished": str(p_ideal),
         "endomorphism": str(pi),
         "report": rep,
         "pass": rep["exactly_one"],
-    }]
+    }
 
 
-def _clone(args, **overrides) -> argparse.Namespace:
-    merged = dict(vars(args))
-    merged.update(overrides)
-    return argparse.Namespace(**merged)
+def _build_alpha(ctx: Context, opts: dict) -> dict:
+    m = ctx.ideal(opts["m"], "--m")
+    p_ideal = ctx.split_pair()[0]
+    built = _checked("construction rejected", build_alpha, ctx.system, m,
+                     ctx.args.a, p_ideal)
+    inner = built["inner"]
+    return {
+        "m": str(m),
+        "a": ctx.args.a,
+        "p": ctx.args.p,
+        "annotations": built["annotations"],
+        "term_count": inner.term_count(),
+        "support": [str(P) for P in inner.support_points()],
+        "meta": inner.meta,
+        "pass": True,
+    }
+
+
+def _certify_tame(ctx: Context, opts: dict) -> dict:
+    m = ctx.ideal(opts["m"], "--m")
+    sym = _checked("construction rejected", build_alpha_prime, ctx.system, m,
+                   ctx.args.a)
+    cert = certify_tame_kernel(sym, ctx.lattice, tol=ctx.tol)
+    return {
+        "m": str(m),
+        "a": ctx.args.a,
+        "precision_bits": ctx.args.prec,
+        "seed": ctx.args.seed,
+        "certificate": cert,
+        "pass": cert["pass"],
+    }
+
+
+def _relation_levels(ctx: Context, opts: dict):
+    """The level --m and the prime --l of a norm relation."""
+    m = ctx.ideal(opts["m"], "--m")
+    ell = ctx.ideal(opts["l"], "--l", prime=True)
+    if not ell.is_coprime(ctx.field.ideal(ctx.args.a)):
+        raise ConfigError("--a: the prime divides a, so no conjugating unit "
+                          "fixes the a-torsion")
+    return m, ell
+
+
+def _relation_record(ctx: Context, m, ell, rep: dict) -> dict:
+    args = ctx.args
+    return {"m": str(m), "l": str(ell), "a": args.a, "precision_bits": args.prec,
+            "samples": args.samples, "seed": args.seed, "report": rep,
+            "pass": rep["pass"]}
+
+
+def _verify_e1(ctx: Context, opts: dict) -> dict:
+    args = ctx.args
+    m, ell = _relation_levels(ctx, opts)
+    if not ell.divides(m):
+        raise ConfigError("--l: the plain norm relation needs the prime "
+                          "to divide the level")
+    u_scale = opts["u_scale"]
+    if u_scale is not None and u_scale < 1:
+        raise ConfigError("--u-scale: need a positive integer")
+    rep = verify_E1(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
+                    tol=ctx.tol, seed=args.seed, u_scale=u_scale, p_ideal=ell)
+    return _relation_record(ctx, m, ell, rep)
+
+
+def _verify_e2(ctx: Context, opts: dict) -> dict:
+    args = ctx.args
+    m, ell = _relation_levels(ctx, opts)
+    if not m.is_coprime(ell):
+        raise ConfigError("--l: the twisted relation needs a prime coprime "
+                          "to the level")
+    if not ell.is_coprime(ctx.system.f_level):
+        raise ConfigError("--l: the prime must be coprime to the fixed level")
+    rep = verify_E2(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
+                    tol=ctx.tol, seed=args.seed)
+    return _relation_record(ctx, m, ell, rep)
+
+
+class Command(NamedTuple):
+    render: Callable[[Context, dict], dict]
+    needs: tuple            # the optional context parts it renders from
+    help: str
+    options: tuple = ()     # its own flags, as (flag, type, default, help)
+
+
+COMMANDS = {
+    "enumerate": Command(
+        _enumerate, (),
+        "list admissible primes and their products up to the norm bound"),
+    "hecke-check": Command(
+        _hecke_check, (),
+        "compare character traces against exhaustive point counts for split "
+        "primes up to the bound"),
+    "build-alpha": Command(
+        _build_alpha, ("system",),
+        "construct the symbol sum at a level and report its shape",
+        (("--m", str, "2-i", "level ideal"),)),
+    "certify-tame": Command(
+        _certify_tame, ("system", "lattice"),
+        "certify that every tame value of the symbol sum is a root of unity",
+        (("--m", str, "1", "level ideal"),)),
+    "verify-e1": Command(
+        _verify_e1, ("system", "lattice"),
+        "verify the plain norm relation one level down",
+        (("--m", str, "(2+i)^2", "level ideal, divisible by the prime"),
+         ("--l", str, "2+i", "prime ideal"),
+         ("--u-scale", int, None,
+          "override the comparison scale in the parity stage"))),
+    "verify-e2": Command(
+        _verify_e2, ("system", "lattice"),
+        "verify the twisted norm relation at a new prime",
+        (("--m", str, "2-i", "level ideal, coprime to the prime"),
+         ("--l", str, "2+i", "prime ideal"))),
+    "frobenius-check": Command(
+        _frobenius_check, (),
+        "match Frobenius against the distinguished endomorphism on the "
+        "extension group"),
+}
+
+# the default grid that `all` runs: (command, its options)
+GRID = (
+    ("enumerate", {}),
+    ("hecke-check", {}),
+    ("frobenius-check", {}),
+    ("build-alpha", {"m": "2-i"}),
+    ("certify-tame", {"m": "1"}),
+    ("certify-tame", {"m": "2-i"}),
+    ("certify-tame", {"m": "(2+i)*(2-i)"}),
+    ("verify-e1", {"m": "(2+i)^2", "l": "2+i", "u_scale": None}),
+    ("verify-e2", {"m": "2-i", "l": "2+i"}),
+)
+
+
+def _record(name: str, ctx: Context, opts: dict) -> dict:
+    return {"schema": SCHEMA, "id": name, **COMMANDS[name].render(ctx, opts)}
+
+
+def _handler(name: str):
+    def handler(args) -> list[dict]:
+        return [_record(name, Context(args, COMMANDS[name].needs), vars(args))]
+    return handler
 
 
 def cmd_all(args) -> list[dict]:
-    records = []
-    records += cmd_enumerate(args)
-    records += cmd_hecke_check(args)
-    records += cmd_frobenius_check(args)
-    records += cmd_build_alpha(_clone(args, m="2-i"))
-    for m_text in ("1", "2-i", "(2+i)*(2-i)"):
-        records += cmd_certify_tame(_clone(args, m=m_text))
-    records += cmd_verify_e1(_clone(args, m="(2+i)^2", l="2+i", u_scale=None))
-    records += cmd_verify_e2(_clone(args, m="2-i", l="2+i"))
+    """The default grid over one shared context, sorted by id."""
+    ctx = Context(args, {need for cmd in COMMANDS.values() for need in cmd.needs})
+    records = [_record(name, ctx, opts) for name, opts in GRID]
     records.sort(key=lambda r: (r["id"], r.get("m", ""), r.get("a", 0)))
     return records
 
 
-HANDLERS = {
-    "enumerate": cmd_enumerate,
-    "hecke-check": cmd_hecke_check,
-    "build-alpha": cmd_build_alpha,
-    "certify-tame": cmd_certify_tame,
-    "verify-e1": cmd_verify_e1,
-    "verify-e2": cmd_verify_e2,
-    "frobenius-check": cmd_frobenius_check,
-    "all": cmd_all,
-}
+HANDLERS = {name: _handler(name) for name in COMMANDS}
+HANDLERS["all"] = cmd_all
+
+# flags every command shares, as (flag, type, default, help)
+COMMON = (
+    ("--d", int, -4, "field discriminant"),
+    ("--curve-a", int, -1, "short Weierstrass a coefficient"),
+    ("--curve-b", int, 0, "short Weierstrass b coefficient"),
+    ("--conductor", str, "(1+i)^3", "character conductor"),
+    ("--a", int, 2, "auxiliary integer for the division function"),
+    ("--p", int, 13, "split rational prime"),
+    ("--bound", int, 50, "norm bound for enumerations"),
+    ("--prec", int, 256, "working precision in bits"),
+    ("--tol", str, "1e-25", "numeric tolerance"),
+    ("--samples", int, 20, "sample points per scan"),
+    ("--seed", int, 20240801, "sample generator seed"),
+    ("--out", str, None, "write certificates to this file instead of stdout"),
+)
+
+
+def _add_options(parser, options) -> None:
+    for flag, kind, default, text in options:
+        if default is not None:
+            text = f"{text} (default {default})"
+        parser.add_argument(flag, type=kind, default=default, help=text)
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("configuration")
-    g.add_argument("--d", type=int, default=-4,
-                   help="field discriminant (default -4)")
-    g.add_argument("--curve-a", type=int, default=-1,
-                   help="short Weierstrass a coefficient (default -1)")
-    g.add_argument("--curve-b", type=int, default=0,
-                   help="short Weierstrass b coefficient (default 0)")
-    g.add_argument("--conductor", default="(1+i)^3",
-                   help="character conductor (default (1+i)^3)")
-    g.add_argument("--a", type=int, default=2,
-                   help="auxiliary integer for the division function "
-                        "(default 2)")
-    g.add_argument("--p", type=int, default=13,
-                   help="split rational prime (default 13)")
-    g.add_argument("--bound", type=int, default=50,
-                   help="norm bound for enumerations (default 50)")
-    g.add_argument("--prec", type=int, default=256,
-                   help="working precision in bits (default 256)")
-    g.add_argument("--tol", default="1e-25",
-                   help="numeric tolerance (default 1e-25)")
-    g.add_argument("--samples", type=int, default=20,
-                   help="sample points per scan (default 20)")
-    g.add_argument("--seed", type=int, default=20240801,
-                   help="sample generator seed (default 20240801)")
-    g.add_argument("--out", default=None,
-                   help="write certificates to this file instead of stdout")
-
+    _add_options(common.add_argument_group("configuration"), COMMON)
     p = argparse.ArgumentParser(
         prog="cmk2",
         description="Construct division-function symbol sums on CM lattices "
                     "and certify their norm, tame-kernel, and point-count "
                     "consequences.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enumerate", parents=[common],
-                        help="list admissible primes and their products "
-                             "up to the norm bound")
-    sp = sub.add_parser("hecke-check", parents=[common],
-                        help="compare character traces against exhaustive "
-                             "point counts for split primes up to the bound")
-    sp = sub.add_parser("build-alpha", parents=[common],
-                        help="construct the symbol sum at a level and report "
-                             "its shape")
-    sp.add_argument("--m", default="2-i", help="level ideal (default 2-i)")
-    sp = sub.add_parser("certify-tame", parents=[common],
-                        help="certify that every tame value of the symbol "
-                             "sum is a root of unity")
-    sp.add_argument("--m", default="1", help="level ideal (default 1)")
-    sp = sub.add_parser("verify-e1", parents=[common],
-                        help="verify the plain norm relation one level down")
-    sp.add_argument("--m", default="(2+i)^2",
-                    help="level ideal, divisible by the prime "
-                         "(default (2+i)^2)")
-    sp.add_argument("--l", default="2+i", help="prime ideal (default 2+i)")
-    sp.add_argument("--u-scale", type=int, default=None,
-                    help="override the comparison scale in the parity stage")
-    sp = sub.add_parser("verify-e2", parents=[common],
-                        help="verify the twisted norm relation at a new prime")
-    sp.add_argument("--m", default="2-i",
-                    help="level ideal, coprime to the prime (default 2-i)")
-    sp.add_argument("--l", default="2+i", help="prime ideal (default 2+i)")
-    sp = sub.add_parser("frobenius-check", parents=[common],
-                        help="match Frobenius against the distinguished "
-                             "endomorphism on the extension group")
-    sp = sub.add_parser("all", parents=[common],
-                        help="run the whole default grid and stream "
-                             "certificates sorted by id")
+    for name, command in COMMANDS.items():
+        _add_options(sub.add_parser(name, parents=[common], help=command.help),
+                     command.options)
+    sub.add_parser("all", parents=[common],
+                   help="run the whole default grid and stream certificates "
+                        "sorted by id")
     return p
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import AnalyticLattice
+from .analytic import DEFAULT_TOL, AnalyticLattice
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import (
     TorsionPoint,
@@ -264,6 +264,7 @@ class EllFunction:
     # --- numerics --------------------------------------------------------------
 
     def _norm_constant(self, lat: AnalyticLattice):
+        """The normalization constant times the extra constant factors."""
         # exact quadratic form of the lifts, evaluated against eta at runtime
         A = sum((Fraction(e) * r * r for r, s, e in self.lifts), Fraction(0))
         B = sum((Fraction(e) * r * s for r, s, e in self.lifts), Fraction(0))
@@ -272,7 +273,10 @@ class EllFunction:
             mixed = lat.eta1 * lat.tau + lat.eta_omega
             expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
                      + lat._frac(C) * lat.eta_omega * lat.tau) / 2
-            return mp.exp(expo)
+            out = mp.exp(expo)
+            for atom in self.extra:
+                out = out * atom.evaluate(lat)
+            return out
 
     def evaluate(self, lat: AnalyticLattice, z, pole_tol=DEFAULT_POLE_TOL):
         """Value at z (complex, or exact TorsionPoint)."""
@@ -284,8 +288,6 @@ class EllFunction:
             else:
                 zc = mp.mpmathify(z)
             out = self._norm_constant(lat)
-            for atom in self.extra:
-                out = out * atom.evaluate(lat)
             for r, s, e in self.lifts:
                 w = zc - lat.embed_coords(r, s)
                 if lat.distance_to_lattice(w) < pole_tol:
@@ -299,8 +301,6 @@ class EllFunction:
         never numerically."""
         with lat.context():
             out = self._norm_constant(lat)
-            for atom in self.extra:
-                out = out * atom.evaluate(lat)
             zc = lat.embed_coords(P.r, P.s)
             for r, s, e in self.lifts:
                 mu_r = P.r - r
@@ -386,14 +386,6 @@ def build_s_m(sys: TorsionSystem, m: QuadIdeal, scale: int | None = None) -> Ell
     return build_s_point(sys.y(m), scale)
 
 
-def build_s_n(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
-              scale: int | None = None) -> EllFunction:
-    """The two-point function at the extra fiber point of the (m, ell) pair."""
-    if scale is None:
-        scale = (m * sys.f_level).norm
-    return build_s_point(sys.e2_point(m, ell), scale)
-
-
 # --- comparison ----------------------------------------------------------------
 
 
@@ -420,15 +412,14 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
 
 
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
-                         seed: int = 20240801, tol=None, require_modulus_one=False):
+                         seed: int = 20240801, tol=DEFAULT_TOL,
+                         require_modulus_one=False):
     """Ratio-constancy scan of two evaluators at seeded sample points.
 
     Returns a report dict with the mean constant, the relative spread,
-    and pass/fail under tol (default 1e-25).
+    and pass/fail under tol.
     """
     with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
         coords = sample_points(lat, seed, samples, avoid)
         ratios = []
         for rs in coords:

@@ -86,9 +86,6 @@ class Fp2:
             for b in range(self.p):
                 yield (a, b)
 
-    def in_prime_field(self, x):
-        return x[1] == 0
-
 
 class CurveOverFp2:
     """y^2 = x^3 + A x + B with A, B in the prime subfield; group law over F_p^2."""
@@ -102,13 +99,13 @@ class CurveOverFp2:
         self.a = self.F.make(a)
         self.b = self.F.make(b)
 
+    def rhs(self, x):
+        """x^3 + A x + B."""
+        F = self.F
+        return F.add(F.add(F.mul(F.mul(x, x), x), F.mul(self.a, x)), self.b)
+
     def on_curve(self, P) -> bool:
-        if P is None:
-            return True
-        F, (x, y) = self.F, P
-        lhs = F.mul(y, y)
-        rhs = F.add(F.add(F.mul(F.mul(x, x), x), F.mul(self.a, x)), self.b)
-        return lhs == rhs
+        return P is None or self.F.mul(P[1], P[1]) == self.rhs(P[0])
 
     def neg(self, P):
         if P is None:
@@ -159,8 +156,7 @@ class CurveOverFp2:
         for a in range(F.p):
             for b in range(F.p):
                 x = (a, b)
-                rhs = F.add(F.add(F.mul(F.mul(x, x), x), F.mul(self.a, x)), self.b)
-                for y in sq.get(rhs, []):
+                for y in sq.get(self.rhs(x), []):
                     pts.append((x, y))
         return pts
 

@@ -13,6 +13,7 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -458,16 +459,9 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         xs.append(x - (y // by) * bx)
     A = 0
     for x in xs:
-        A = _int_gcd(A, x)
+        A = math.gcd(A, x)
     assert A > 0, "lattice is not of full rank"
     return A, bx % A, by
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _gauss_shortest(field: QuadField, v1: tuple[int, int], v2: tuple[int, int]):
@@ -639,7 +633,7 @@ def _norm_form_solution(field: QuadField, p: int) -> QuadElement:
         disc = t * t * y * y - 4 * (n * y * y - p)
         if disc < 0:
             continue
-        r = _isqrt(disc)
+        r = math.isqrt(disc)
         if r * r != disc:
             continue
         for sgn in (1, -1):
@@ -651,10 +645,15 @@ def _norm_form_solution(field: QuadField, p: int) -> QuadElement:
     raise AssertionError(f"no norm-form solution for p={p}; splitting logic is wrong")
 
 
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
+def valuation(ideal: QuadIdeal, prime: QuadIdeal) -> tuple[int, QuadIdeal]:
+    """(v, rest) with ideal = prime^v * rest and prime not dividing rest."""
+    if prime.is_one():
+        raise ValueError("the unit ideal has no valuation")
+    v, rest = 0, ideal
+    while prime.divides(rest):
+        rest = QuadIdeal(rest.gen.exact_div(prime.gen))
+        v += 1
+    return v, rest
 
 
 def factor_ideal(ideal: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
@@ -664,10 +663,7 @@ def factor_ideal(ideal: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
     for p, _e in factor_int(ideal.norm):
         kind, primes = split_rational_prime(ideal.field, p)
         for pr in primes:
-            v = 0
-            while pr.divides(rest):
-                rest = QuadIdeal(rest.gen.exact_div(pr.gen))
-                v += 1
+            v, rest = valuation(rest, pr)
             if v:
                 out.append((pr, v))
     assert rest.is_one(), "factorization left a nontrivial part"
@@ -723,29 +719,15 @@ class ResidueRing:
 
     def __init__(self, modulus: QuadIdeal):
         self.modulus = modulus
-        self.field = modulus.field
-
-    @property
-    def size(self) -> int:
-        return self.modulus.norm
-
-    def reduce(self, elem: QuadElement) -> QuadElement:
-        return self.modulus.reduce(elem)
-
-    def representatives(self) -> list[QuadElement]:
-        return list(self.modulus.residues())
-
-    def is_unit(self, elem: QuadElement) -> bool:
-        return gcd_elements(elem, self.modulus.gen).norm() == 1 if not elem.is_zero() else False
 
     def units(self) -> list[QuadElement]:
-        return [r for r in self.representatives() if self.is_unit(r)]
+        """The canonical representatives coprime to the modulus."""
+        gen = self.modulus.gen
+        return [r for r in self.modulus.residues()
+                if not r.is_zero() and gcd_elements(r, gen).norm() == 1]
 
     def unit_count(self) -> int:
         return euler_phi_ideal(self.modulus)
-
-    def invert(self, elem: QuadElement) -> QuadElement:
-        return residue_invert(elem, self.modulus)
 
 
 # --- the prime pool L and the ideal pool R ----------------------------------

@@ -14,10 +14,11 @@ integers.  The same multipliers transport whole symbol sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, cached_property
 
 import mpmath as mp
 
-from .analytic import AnalyticLattice
+from .analytic import DEFAULT_TOL, AnalyticLattice
 from .divisors import (
     ConstAtom,
     EllFunction,
@@ -29,7 +30,7 @@ from .divisors import (
     evaluator,
     wp_route_evaluator,
 )
-from .qfield import QuadElement, QuadIdeal, ResidueRing, bezout
+from .qfield import QuadElement, QuadIdeal, ResidueRing, bezout, valuation
 from .symbols import (
     SymbolSum,
     build_alpha,
@@ -38,7 +39,7 @@ from .symbols import (
     build_pair_B,
     certify_tame_kernel,
     difference_is_constant,
-    normal_form,
+    normal_form_signature,
     tame_symbol_at,
 )
 from .torsion import (
@@ -50,15 +51,6 @@ from .torsion import (
 )
 
 
-def _ell_valuation(ideal: QuadIdeal, ell: QuadIdeal) -> int:
-    v = 0
-    rest = ideal
-    while ell.divides(rest):
-        rest = QuadIdeal(rest.gen.exact_div(ell.gen))
-        v += 1
-    return v
-
-
 def conjugating_units(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
                       a: int) -> tuple[str, list[QuadElement]]:
     """Unit multipliers realizing Gal(level m*ell / level m) on torsion.
@@ -66,18 +58,16 @@ def conjugating_units(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     Each u is congruent to 1 modulo everything at the lower level (the
     m*f part away from ell, and the auxiliary (a)), while running over
     the translations (ell dividing the lower level) or the prime residue
-    classes (ell new) on the ell-part.  Exactness is asserted on the
-    spot: u fixes the lower-level point and the auxiliary torsion, and
-    u * y_{m ell} enumerates the conjugate orbit once.
+    classes (ell new) on the ell-part.  Exactness is checked on the spot,
+    raising ArithmeticError otherwise: u fixes the lower-level point and
+    the auxiliary torsion, and u * y_{m ell} enumerates the conjugate
+    orbit once.
     """
     field = sys.field
     ml = m * ell
-    full = ml * sys.f_level * field.ideal(field.element(a))
-    v = _ell_valuation(full, ell)
+    v, other = valuation(ml * sys.f_level * field.ideal(a), ell)
     q = ell.gen
     ell_part = ell ** v
-    other = QuadIdeal(full.gen.exact_div(ell_part.gen))
-    assert ell_part.is_coprime(other)
     # co_other = 1 mod ell-part, 0 mod other; co_ell = the complement
     u_ell, _v_other = bezout(ell_part.gen, other.gen)
     co_ell = u_ell * ell_part.gen          # 1 mod other, 0 mod ell-part
@@ -96,14 +86,14 @@ def conjugating_units(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
             units.append(co_ell + co_other * xi)
     y_ml = sys.y(ml)
     y_m = sys.y(m)
+    aux = torsion_of_integer(field, a)
     orbit = {y_ml}
     for u in units:
-        assert y_m.act(u) == y_m
-        for gm in torsion_of_integer(field, a):
-            assert gm.act(u) == gm
+        if y_m.act(u) != y_m or any(gm.act(u) != gm for gm in aux):
+            raise ArithmeticError(f"unit multiplier {u} moves the lower-level torsion")
         orbit.add(y_ml.act(u))
-    expected = set(galois_conjugates(y_ml, ell, kind))
-    assert orbit == expected, "unit multipliers must enumerate the conjugate orbit"
+    if orbit != set(galois_conjugates(y_ml, ell, kind)):
+        raise ArithmeticError("unit multipliers must enumerate the conjugate orbit")
     return kind, units
 
 
@@ -112,13 +102,6 @@ def _norm_sum(sym: SymbolSum, units: list[QuadElement]) -> SymbolSum:
     for u in units:
         total = total + sym.map_points(lambda P, u=u: P.act(u))
     return total
-
-
-def _stage(stages, sid: str, description: str, ok: bool, **data) -> bool:
-    entry = {"id": sid, "description": description, "pass": bool(ok)}
-    entry.update(data)
-    stages.append(entry)
-    return bool(ok)
 
 
 def _product_evaluator(lat: AnalyticLattice, fns: list[EllFunction]):
@@ -133,7 +116,8 @@ def _product_evaluator(lat: AnalyticLattice, fns: list[EllFunction]):
 
 def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
                                relation: str, lat: AnalyticLattice, *, a: int = 2,
-                               samples: int = 20, tol=None, seed: int = 20240801) -> dict:
+                               samples: int = 20, tol=DEFAULT_TOL,
+                               seed: int = 20240801) -> dict:
     """Divisor-exact and numerically-constant form of the norm identity.
 
     At the common scale k = N(m ell f) the conjugate product of the
@@ -142,28 +126,20 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     times the kernel function to the k-th power.
     """
     with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
-        field = sys.field
-        ml = m * ell
-        k = (ml * sys.f_level).norm
-        phi_ell = sys.chi.evaluate(ell)
-        kind, units = conjugating_units(sys, m, ell, a)
-        y_ml = sys.y(ml)
-        pts = sorted({y_ml} | {y_ml.act(u) for u in units}, key=TorsionPoint.key)
-        lhs_fns = [build_s_point(P, k) for P in pts]
+        r = _Run(relation, sys, m, ell, a, lat, samples, tol, seed)
+        k = r.k
+        lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit, key=TorsionPoint.key)]
         if relation == "E2":
-            n = sys.e2_point(m, ell)
-            lhs_fns.append(build_s_point(n, k))
-        s_m = build_s_point(sys.y(m), k)
+            lhs_fns.append(build_s_point(r.twist, k))
+        s_m = build_s_point(r.y_m, k)
         g_l = build_g_l(ell)
         lhs_div = lhs_fns[0].divisor
         for fn in lhs_fns[1:]:
             lhs_div = lhs_div + fn.divisor
-        rhs_div = s_m.divisor.pullback(phi_ell) + g_l.divisor.scale(k)
+        rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
         divisors_match = lhs_div == rhs_div
 
-        phi_c = lat.embed(phi_ell)
+        phi_c = lat.embed(r.phi_ell)
         lhs = _product_evaluator(lat, lhs_fns)
         rhs = lambda z: s_m.evaluate(lat, phi_c * z) * g_l.evaluate(lat, z) ** k
         avoid = set(lhs_div.support()) | set(rhs_div.support())
@@ -172,50 +148,137 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         return {
             "identity": relation,
             "scale": k,
-            "conjugates": [str(P) for P in pts],
+            "conjugates": r.orbit_strs,
             "divisors_match": bool(divisors_match),
             "scan": scan,
             "pass": bool(divisors_match and scan["pass"]),
         }
 
 
-def _distribution_stage(sys: TorsionSystem, ell: QuadIdeal, a: int,
-                        lat: AnalyticLattice, y_point: TorsionPoint,
+# --- stages -----------------------------------------------------------------
+#
+# A stage reads one _Run and returns its payload with a "pass" flag, or
+# None when it does not apply.  The two stages that depend only on
+# (phi_ell, ell, a, lattice, samples, tol, seed, u_scale) and not on the
+# level are memoized: both relations run them with the same inputs.
+# Their reports are shared between callers and must not be mutated.
+
+
+class _Run:
+    """One verification: the configuration and the exact data the stages
+    read (conjugating units, the conjugate orbit, the fiber)."""
+
+    def __init__(self, relation, sys, m, ell, a, lat, samples, tol, seed,
+                 u_scale=None, p_ideal=None):
+        self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
+        self.lat, self.samples, self.tol, self.seed = lat, samples, tol, seed
+        self.u_scale, self.p_ideal = u_scale, p_ideal
+        self.ml = m * ell
+        self.k = (self.ml * sys.f_level).norm
+        self.phi_ell = sys.chi.evaluate(ell)
+        self.kind, self.units = conjugating_units(sys, m, ell, a)
+        self.y_m, y_ml = sys.y(m), sys.y(self.ml)
+        self.orbit = {y_ml} | {y_ml.act(u) for u in self.units}
+        self.orbit_strs = [str(P) for P in sorted(self.orbit, key=TorsionPoint.key)]
+
+    @cached_property
+    def fiber(self) -> set:
+        return set(preimage_set(self.y_m, self.phi_ell))
+
+    @cached_property
+    def twist(self) -> TorsionPoint:
+        """The extra fiber point of the twisted relation."""
+        return self.sys.e2_point(self.m, self.ell)
+
+
+def _e1_set_identity(r: _Run) -> dict:
+    return {"kind": r.kind, "orbit": r.orbit_strs,
+            "pass": r.fiber == r.orbit and r.kind == "additive"}
+
+
+def _e2_set_identity(r: _Run) -> dict:
+    n = r.twist
+    ok = r.kind == "multiplicative" and r.fiber == r.orbit | {n} and n not in r.orbit
+    return {"kind": r.kind, "twist_point": str(n), "orbit": r.orbit_strs, "pass": ok}
+
+
+def _twist_point_level(r: _Run) -> dict:
+    ann = r.twist.annihilator()
+    base_level = r.m * r.sys.f_level
+    return {"annihilator": str(ann), "base_level": str(base_level),
+            "pass": ann.divides(base_level)}
+
+
+def _twisted_element(r: _Run) -> dict:
+    twisted = build_alpha_prime(r.sys, r.m, r.a, y_point=r.twist, scale=r.k)
+    cert = certify_tame_kernel(twisted, r.lat, tol=r.tol)
+    return {"certificate": cert, "pass": cert["pass"]}
+
+
+def _without(report: dict, *keys) -> dict:
+    return {k: v for k, v in report.items() if k not in keys}
+
+
+def _function_identity(r: _Run) -> dict:
+    rep = verify_function_identities(r.sys, r.m, r.ell, r.relation, r.lat, a=r.a,
+                                     samples=r.samples, tol=r.tol, seed=r.seed)
+    return _without(rep, "identity", "conjugates")
+
+
+def _twisted_function_identity(r: _Run) -> dict:
+    """The function identity with the twist factor, and the twist function
+    pushing forward to the base function."""
+    rep = _function_identity(r)
+    s_n = build_s_point(r.twist, r.k)
+    s_m = build_s_point(r.y_m, r.k)
+    push_ok = s_n.divisor.pushforward(r.phi_ell) == s_m.divisor
+    push_scan = equal_up_to_constant(
+        s_n.pushforward_evaluator(r.lat, r.phi_ell), evaluator(s_m, r.lat), r.lat,
+        avoid=set(s_m.divisor.support()) | set(s_n.divisor.support()),
+        samples=max(4, r.samples // 2), seed=r.seed + 2, tol=r.tol,
+        require_modulus_one=True)
+    return {**rep, "push_divisor_match": bool(push_ok), "push_scan": push_scan,
+            "pass": rep["pass"] and push_ok and push_scan["pass"]}
+
+
+@cache
+def _distribution_scans(phi_ell: QuadElement, a: int, lat: AnalyticLattice,
                         samples: int, tol, seed: int) -> dict:
-    """[phi_ell]_* g_a = g_a: exact divisor transport, constant scan of
-    the fiber product, the projection step, and the same constant showing
-    up at the special point."""
+    """The level-independent part of [phi_ell]_* g_a = g_a: exact divisor
+    transport, the constant scan of the fiber product, and the projection
+    step against the canonical image build."""
     with lat.context():
-        field = sys.field
-        phi_ell = sys.chi.evaluate(ell)
-        g = build_g_a(field, a)
-        push_div_ok = g.divisor.pushforward(phi_ell) == g.divisor
+        g = build_g_a(phi_ell.field, a)
         push = g.pushforward_evaluator(lat, phi_ell)
         scan = equal_up_to_constant(push, evaluator(g, lat), lat,
                                     avoid=g.divisor.support(), samples=samples,
                                     seed=seed, tol=tol, require_modulus_one=True)
-        # projection step: fiber product against the canonical image build
         image = g.pushforward_function(phi_ell)
         proj = equal_up_to_constant(push, evaluator(image, lat), lat,
                                     avoid=image.divisor.support(),
                                     samples=max(4, samples // 2), seed=seed + 1,
                                     tol=tol, require_modulus_one=True)
-        # the same constant at the level point: product of g over the fiber
-        fiber = preimage_set(y_point, phi_ell)
-        prod = mp.mpc(1)
-        for u in fiber:
-            prod = prod * g.evaluate(lat, u)
-        at_point = prod / g.evaluate(lat, y_point)
-        point_dev = abs(at_point - scan["constant"])
-        ok = bool(push_div_ok and scan["pass"] and proj["pass"] and point_dev < tol)
-        return {"push_divisor_fixed": bool(push_div_ok), "scan": scan,
-                "projection": proj, "point_constant_deviation": point_dev,
-                "pass": ok}
+        return {"push_divisor_fixed": g.divisor.pushforward(phi_ell) == g.divisor,
+                "scan": scan, "projection": proj}
 
 
-def _parity_stage(sys: TorsionSystem, ell: QuadIdeal, a: int,
-                  lat: AnalyticLattice, u_scale: int | None,
-                  tol) -> dict:
+def _distribution(r: _Run) -> dict:
+    """The distribution relation, with the scanned constant showing up at
+    the level point as the product of g over its fiber."""
+    shared = _distribution_scans(r.phi_ell, r.a, r.lat, r.samples, r.tol, r.seed)
+    g = build_g_a(r.sys.field, r.a)
+    prod = mp.mpc(1)
+    for u in preimage_set(r.y_m, r.phi_ell):
+        prod = prod * g.evaluate(r.lat, u)
+    point_dev = abs(prod / g.evaluate(r.lat, r.y_m) - shared["scan"]["constant"])
+    ok = (shared["push_divisor_fixed"] and shared["scan"]["pass"]
+          and shared["projection"]["pass"] and point_dev < r.tol)
+    return {**shared, "point_constant_deviation": point_dev, "pass": ok}
+
+
+@cache
+def _parity_checks(ell: QuadIdeal, a: int, lat: AnalyticLattice,
+                   u_scale: int | None, tol) -> dict:
     """[-1]-symmetry and the unit-pair comparison.
 
     Checks: the a-division function is [-1]-stable structurally and up to
@@ -223,7 +286,7 @@ def _parity_stage(sys: TorsionSystem, ell: QuadIdeal, a: int,
     negatives; the scaled pair sums A and B have matching tame moduli and
     an exactly [-1]-invariant difference."""
     with lat.context():
-        field = sys.field
+        field = ell.field
         g = build_g_a(field, a)
         neg = field.element(-1)
         structural = g.pullback(neg) == g
@@ -252,11 +315,8 @@ def _parity_stage(sys: TorsionSystem, ell: QuadIdeal, a: int,
             dev = abs(abs(mp.mpc(tA) / mp.mpc(tB)) - 1)
             rows.append({"point": str(P), "modulus_ratio_deviation": dev})
             moduli_ok = moduli_ok and dev < tol
-        nf = normal_form(diff)
-        nf_neg = normal_form(diff.map_points(lambda P: -P))
-        sig = [(c, repr(L.signature()), repr(R.signature())) for c, L, R in nf]
-        sig_neg = [(c, repr(L.signature()), repr(R.signature())) for c, L, R in nf_neg]
-        invariant = sig == sig_neg
+        invariant = (normal_form_signature(diff)
+                     == normal_form_signature(diff.map_points(lambda P: -P)))
         diff_cert = certify_tame_kernel(diff, lat, tol=tol)
         ok = bool(structural and sign_dev < tol and t_ok and moduli_ok
                   and invariant and diff_cert["pass"])
@@ -270,8 +330,101 @@ def _parity_stage(sys: TorsionSystem, ell: QuadIdeal, a: int,
                 "pass": ok}
 
 
+def _parity(r: _Run) -> dict:
+    return _parity_checks(r.ell, r.a, r.lat, r.u_scale, r.tol)
+
+
+def _distribution_parity(r: _Run) -> dict:
+    dist, par = _distribution(r), _parity(r)
+    return {"distribution": _without(dist, "pass"), "parity": _without(par, "pass"),
+            "pass": dist["pass"] and par["pass"]}
+
+
+def _tame_certificates(r: _Run) -> dict:
+    cert_norm = certify_tame_kernel(_norm_sum(build_alpha_prime(r.sys, r.ml, r.a), r.units),
+                                    r.lat, tol=r.tol)
+    cert_base = certify_tame_kernel(build_alpha_prime(r.sys, r.m, r.a, scale=r.k),
+                                    r.lat, tol=r.tol)
+    return {"norm_sum_certificate": cert_norm, "base_certificate": cert_base,
+            "pass": cert_norm["pass"] and cert_base["pass"]}
+
+
+def _definitional_branch(r: _Run) -> dict | None:
+    p = r.p_ideal
+    if p is None or p != r.ell or not p.divides(r.ml):
+        return None
+    rec_hi = build_alpha(r.sys, r.ml, r.a, p)
+    rec_lo = build_alpha(r.sys, r.m, r.a, p) if p.divides(r.m) else None
+    same = (normal_form_signature(rec_hi["inner"])
+            == normal_form_signature(build_alpha_prime(r.sys, r.ml, r.a)))
+    return {"annotations": rec_hi["annotations"],
+            "lower_case": None if rec_lo is None else rec_lo["annotations"]["case"],
+            "pass": rec_hi["annotations"]["case"] == "p-divides-m" and same}
+
+
+_TAME = ("transported norm sum and scaled base element have unit tame values",
+         _tame_certificates)
+
+# (stage id, description, stage) in report order
+STAGES = {
+    "E1": (
+        ("E1.1-set-identity",
+         "fiber of the level point equals the additive conjugate orbit",
+         _e1_set_identity),
+        ("E1.2-function-identity",
+         "conjugate product equals pulled-back function times kernel power",
+         _function_identity),
+        ("E1.3-distribution",
+         "the a-division function is its own pushforward", _distribution),
+        ("E1.4-parity", "[-1]-symmetry and unit-pair comparison", _parity),
+        ("E1.5-tame-certificates", *_TAME),
+        ("E1.6-definitional-branch",
+         "at levels the distinguished prime divides, the packaged "
+         "element is definitionally the plain corestriction",
+         _definitional_branch),
+    ),
+    "E2": (
+        ("E2.1-set-identity",
+         "fiber splits into the multiplicative orbit plus the twist point",
+         _e2_set_identity),
+        ("E2.2-twist-point-level",
+         "the twist point already lives at the base level", _twist_point_level),
+        ("E2.3-twisted-element",
+         "the element rebuilt at the twist point has unit tame values",
+         _twisted_element),
+        ("E2.4-function-identity",
+         "conjugate product times twist factor matches, and the twist "
+         "function pushes to the base function", _twisted_function_identity),
+        ("E2.5-distribution-parity",
+         "distribution and [-1]/pair symmetry at the new prime",
+         _distribution_parity),
+        ("E2.6-tame-certificates", *_TAME),
+    ),
+}
+
+
+def _verify(run: _Run) -> dict:
+    """The verifier body shared by both relations: run the relation's
+    stages in order and wrap their verdicts in one report."""
+    with run.lat.context():
+        stages = []
+        for sid, description, stage in STAGES[run.relation]:
+            data = stage(run)
+            if data is not None:
+                stages.append({"id": sid, "description": description, **data,
+                               "pass": bool(data["pass"])})
+        return {
+            "identity": run.relation,
+            "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
+                       "scale": run.k, "prec": run.lat.prec, "samples": run.samples,
+                       "tolerance": run.tol, "conjugation": run.kind},
+            "stages": stages,
+            "pass": all(s["pass"] for s in stages),
+        }
+
+
 def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
-              lat: AnalyticLattice, *, samples: int = 20, tol=None,
+              lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
               seed: int = 20240801, u_scale: int | None = None,
               p_ideal: QuadIdeal | None = None) -> dict:
     """Norm compatibility one level down when ell already divides the level.
@@ -282,77 +435,11 @@ def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     distinguished prime is supplied and divides the level) the
     definitional packaging branch.
     """
-    with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
-        field = sys.field
-        ml = m * ell
-        k = (ml * sys.f_level).norm
-        phi_ell = sys.chi.evaluate(ell)
-        stages: list[dict] = []
-
-        kind, units = conjugating_units(sys, m, ell, a)
-        y_m, y_ml = sys.y(m), sys.y(ml)
-        fiber = set(preimage_set(y_m, phi_ell))
-        orbit = {y_ml} | {y_ml.act(u) for u in units}
-        ok1 = fiber == orbit and kind == "additive"
-        _stage(stages, "E1.1-set-identity",
-               "fiber of the level point equals the additive conjugate orbit",
-               ok1, kind=kind, orbit=[str(P) for P in sorted(orbit, key=TorsionPoint.key)])
-
-        fn_rep = verify_function_identities(sys, m, ell, "E1", lat, a=a,
-                                            samples=samples, tol=tol, seed=seed)
-        _stage(stages, "E1.2-function-identity",
-               "conjugate product equals pulled-back function times kernel power",
-               fn_rep["pass"], scale=fn_rep["scale"],
-               divisors_match=fn_rep["divisors_match"], scan=fn_rep["scan"])
-
-        dist = _distribution_stage(sys, ell, a, lat, y_m, samples, tol, seed)
-        _stage(stages, "E1.3-distribution",
-               "the a-division function is its own pushforward", dist["pass"],
-               **{kk: vv for kk, vv in dist.items() if kk != "pass"})
-
-        par = _parity_stage(sys, ell, a, lat, u_scale, tol)
-        _stage(stages, "E1.4-parity",
-               "[-1]-symmetry and unit-pair comparison", par["pass"],
-               **{kk: vv for kk, vv in par.items() if kk != "pass"})
-
-        alpha_ml = build_alpha_prime(sys, ml, a)
-        norm_sum = _norm_sum(alpha_ml, units)
-        cert_norm = certify_tame_kernel(norm_sum, lat, tol=tol)
-        alpha_m_scaled = build_alpha_prime(sys, m, a, scale=k)
-        cert_base = certify_tame_kernel(alpha_m_scaled, lat, tol=tol)
-        ok5 = cert_norm["pass"] and cert_base["pass"]
-        _stage(stages, "E1.5-tame-certificates",
-               "transported norm sum and scaled base element have unit tame values",
-               ok5, norm_sum_certificate=cert_norm, base_certificate=cert_base)
-
-        if p_ideal is not None and p_ideal == ell and p_ideal.divides(ml):
-            rec_hi = build_alpha(sys, ml, a, p_ideal)
-            rec_lo = build_alpha(sys, m, a, p_ideal) if p_ideal.divides(m) else None
-            nf_inner = normal_form(rec_hi["inner"])
-            nf_fresh = normal_form(build_alpha_prime(sys, ml, a))
-            same = [(c, repr(L.signature()), repr(R.signature())) for c, L, R in nf_inner] == \
-                   [(c, repr(L.signature()), repr(R.signature())) for c, L, R in nf_fresh]
-            ok6 = rec_hi["annotations"]["case"] == "p-divides-m" and same
-            _stage(stages, "E1.6-definitional-branch",
-                   "at levels the distinguished prime divides, the packaged "
-                   "element is definitionally the plain corestriction",
-                   ok6, annotations=rec_hi["annotations"],
-                   lower_case=None if rec_lo is None else rec_lo["annotations"]["case"])
-
-        return {
-            "identity": "E1",
-            "config": {"m": str(m), "ell": str(ell), "a": a, "scale": k,
-                       "prec": lat.prec, "samples": samples,
-                       "tolerance": tol, "conjugation": kind},
-            "stages": stages,
-            "pass": all(s["pass"] for s in stages),
-        }
+    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed, u_scale, p_ideal))
 
 
 def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
-              lat: AnalyticLattice, *, samples: int = 20, tol=None,
+              lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
               seed: int = 20240801, u_scale: int | None = None) -> dict:
     """Twisted norm compatibility when ell is new to the level.
 
@@ -361,84 +448,7 @@ def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     its tame certificate, the function identity with the extra factor and
     the pushforward of the twist function, then distribution/parity.
     """
-    with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
-        field = sys.field
-        ml = m * ell
-        k = (ml * sys.f_level).norm
-        phi_ell = sys.chi.evaluate(ell)
-        stages: list[dict] = []
-
-        kind, units = conjugating_units(sys, m, ell, a)
-        y_m, y_ml = sys.y(m), sys.y(ml)
-        n = sys.e2_point(m, ell)
-        fiber = set(preimage_set(y_m, phi_ell))
-        orbit = {y_ml} | {y_ml.act(u) for u in units}
-        ok1 = kind == "multiplicative" and fiber == orbit | {n} and n not in orbit
-        _stage(stages, "E2.1-set-identity",
-               "fiber splits into the multiplicative orbit plus the twist point",
-               ok1, kind=kind, twist_point=str(n),
-               orbit=[str(P) for P in sorted(orbit, key=TorsionPoint.key)])
-
-        ann_n = n.annihilator()
-        base_level = m * sys.f_level
-        ok2 = ann_n.divides(base_level)
-        _stage(stages, "E2.2-twist-point-level",
-               "the twist point already lives at the base level", ok2,
-               annihilator=str(ann_n), base_level=str(base_level))
-
-        twisted = build_alpha_prime(sys, m, a, y_point=n, scale=k)
-        cert_twist = certify_tame_kernel(twisted, lat, tol=tol)
-        _stage(stages, "E2.3-twisted-element",
-               "the element rebuilt at the twist point has unit tame values",
-               cert_twist["pass"], certificate=cert_twist)
-
-        fn_rep = verify_function_identities(sys, m, ell, "E2", lat, a=a,
-                                            samples=samples, tol=tol, seed=seed)
-        s_n = build_s_point(n, k)
-        push_div = s_n.divisor.pushforward(phi_ell)
-        s_m_k = build_s_point(y_m, k)
-        push_ok = push_div == s_m_k.divisor
-        push_scan = equal_up_to_constant(
-            s_n.pushforward_evaluator(lat, phi_ell), evaluator(s_m_k, lat), lat,
-            avoid=set(s_m_k.divisor.support()) | set(s_n.divisor.support()),
-            samples=max(4, samples // 2), seed=seed + 2, tol=tol,
-            require_modulus_one=True)
-        ok4 = fn_rep["pass"] and push_ok and push_scan["pass"]
-        _stage(stages, "E2.4-function-identity",
-               "conjugate product times twist factor matches, and the twist "
-               "function pushes to the base function", ok4,
-               scale=fn_rep["scale"], divisors_match=fn_rep["divisors_match"],
-               scan=fn_rep["scan"], push_divisor_match=bool(push_ok),
-               push_scan=push_scan)
-
-        dist = _distribution_stage(sys, ell, a, lat, y_m, samples, tol, seed)
-        par = _parity_stage(sys, ell, a, lat, u_scale, tol)
-        ok5 = dist["pass"] and par["pass"]
-        _stage(stages, "E2.5-distribution-parity",
-               "distribution and [-1]/pair symmetry at the new prime", ok5,
-               distribution={kk: vv for kk, vv in dist.items() if kk != "pass"},
-               parity={kk: vv for kk, vv in par.items() if kk != "pass"})
-
-        alpha_ml = build_alpha_prime(sys, ml, a)
-        norm_sum = _norm_sum(alpha_ml, units)
-        cert_norm = certify_tame_kernel(norm_sum, lat, tol=tol)
-        alpha_m_scaled = build_alpha_prime(sys, m, a, scale=k)
-        cert_base = certify_tame_kernel(alpha_m_scaled, lat, tol=tol)
-        ok6 = cert_norm["pass"] and cert_base["pass"]
-        _stage(stages, "E2.6-tame-certificates",
-               "transported norm sum and scaled base element have unit tame values",
-               ok6, norm_sum_certificate=cert_norm, base_certificate=cert_base)
-
-        return {
-            "identity": "E2",
-            "config": {"m": str(m), "ell": str(ell), "a": a, "scale": k,
-                       "prec": lat.prec, "samples": samples,
-                       "tolerance": tol, "conjugation": kind},
-            "stages": stages,
-            "pass": all(s["pass"] for s in stages),
-        }
+    return _verify(_Run("E2", sys, m, ell, a, lat, samples, tol, seed, u_scale))
 
 
 def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
@@ -463,14 +473,12 @@ def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
 
 
 def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
-                               lat: AnalyticLattice, *, tol=None) -> dict:
+                               lat: AnalyticLattice, *, tol=DEFAULT_TOL) -> dict:
     """Rebuild the level element under allowed alternative choices and
     check the difference is carried entirely by constant entries, with
     the tame certificate values literally unchanged.  A deliberately
     non-constant fault must be flagged."""
     with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
         field = sys.field
         base = build_alpha_prime(sys, m, a)
         points = base.support_points()

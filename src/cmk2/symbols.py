@@ -11,8 +11,9 @@ Tame certificates: for a function pair with vanishing orders m, n at P
 the tame value is (-1)^(m n) lead(left)^n lead(right)^(-m); order-(0,0)
 pairs contribute the exact integer 1 without touching numerics.  For
 the assembled Euler-system sums every tame value must be a root of
-unity, so the certified claim is modulus one within tolerance, with the
-root-of-unity order reported as a bounded diagnostic.
+unity, so a certificate passes only when every non-exact value has
+modulus one within tolerance and a root-of-unity order k <= lcm(24, w_K),
+found with |value^k - 1| < sqrt(tolerance).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import lcm
 
 import mpmath as mp
 
-from .analytic import AnalyticLattice
+from .analytic import DEFAULT_TOL, AnalyticLattice
 from .divisors import (
     ConstAtom,
     Divisor,
@@ -194,14 +195,17 @@ def normal_form(sym: SymbolSum) -> list:
     return out
 
 
-def difference_atoms(sym_a: SymbolSum, sym_b: SymbolSum) -> list:
-    return normal_form(sym_a - sym_b)
+def normal_form_signature(sym: SymbolSum) -> list:
+    """The normal form as (coefficient, left, right) signature triples,
+    which compare structurally across independently built sums."""
+    return [(c, repr(L.signature()), repr(R.signature()))
+            for c, L, R in normal_form(sym)]
 
 
 def difference_is_constant(sym_a: SymbolSum, sym_b: SymbolSum) -> tuple[bool, list]:
     """True when the normal-form difference only involves pairs with a
     constant on at least one side."""
-    left = difference_atoms(sym_a, sym_b)
+    left = normal_form(sym_a - sym_b)
     bad = [t for t in left
            if isinstance(t[1], EllFunction) and isinstance(t[2], EllFunction)]
     return (not bad, left)
@@ -238,7 +242,7 @@ def tame_symbol_at(sym: SymbolSum, lat: AnalyticLattice, P: TorsionPoint):
 
 
 def unity_order(value, bound: int, tol) -> int | None:
-    """Smallest k <= bound with value^k close to 1, else None (diagnostic)."""
+    """Smallest k <= bound with value^k close to 1, else None."""
     if value == 1:
         return 1
     v = mp.mpc(value)
@@ -250,17 +254,16 @@ def unity_order(value, bound: int, tol) -> int | None:
     return None
 
 
-def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=None,
+def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL,
                         points=None) -> dict:
     """Check that every tame value of the sum is a root of unity.
 
-    The certified inequality is |abs(value) - 1| < tol at every support
-    point; the reported unity order (bounded by lcm(24, unit group)) is
-    a diagnostic and never gates the result.
+    Each non-exact value must satisfy |abs(value) - 1| < tol and have a
+    unity order, the least k <= lcm(24, unit group) with
+    |value^k - 1| < sqrt(tol); a value of modulus one that is not a root
+    of unity of bounded order fails the certificate.
     """
     with lat.context():
-        if tol is None:
-            tol = mp.mpf(10) ** -25
         bound = lcm(24, sym.field.unit_order)
         if points is None:
             points = sym.support_points()
@@ -273,13 +276,14 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=None,
                              "modulus_deviation": 0, "unity_order": 1})
                 continue
             dev = abs(abs(v) - 1)
-            ok = ok and dev < tol
+            order = unity_order(v, bound, mp.sqrt(tol))
+            ok = ok and dev < tol and order is not None
             rows.append({
                 "point": str(P),
                 "exact": False,
                 "value": v,
                 "modulus_deviation": dev,
-                "unity_order": unity_order(v, bound, mp.sqrt(tol)),
+                "unity_order": order,
             })
         return {"kind": "tame-kernel", "points": rows, "tolerance": tol,
                 "unity_bound": bound, "pass": bool(ok)}

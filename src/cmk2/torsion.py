@@ -20,9 +20,10 @@ from .qfield import (
     QuadElement,
     QuadField,
     QuadIdeal,
-    factor_ideal,
+    ResidueRing,
     gcd_elements,
     residue_invert,
+    valuation,
 )
 
 
@@ -141,20 +142,15 @@ def preimage_set(Q: TorsionPoint, alpha: QuadElement) -> list[TorsionPoint]:
     I = QuadIdeal(alpha)
     lift = Q.lift()
     pts = [torsion_from_element(K, (lift + rep) / alpha) for rep in I.residues()]
-    assert len(set(pts)) == I.norm, "fiber points must be pairwise distinct"
-    for u in pts:
-        assert u.act(alpha) == Q
+    if len(set(pts)) != I.norm or any(u.act(alpha) != Q for u in pts):
+        raise ArithmeticError(f"the fiber of {Q} under {alpha} is not "
+                              f"{I.norm} distinct solutions")
     return sorted(pts, key=TorsionPoint.key)
 
 
 def crt_split(P: TorsionPoint, ell: QuadIdeal) -> tuple[TorsionPoint, TorsionPoint]:
     """(ell-primary component, prime-to-ell component) with sum P."""
-    ann = P.annihilator()
-    v = 0
-    rest = ann
-    while ell.divides(rest):
-        rest = QuadIdeal(rest.gen.exact_div(ell.gen))
-        v += 1
+    v, rest = valuation(P.annihilator(), ell)
     if v == 0:
         return TorsionPoint(P.field, 0, 0), P
     lpart_gen = ell.gen ** v
@@ -163,9 +159,9 @@ def crt_split(P: TorsionPoint, ell: QuadIdeal) -> tuple[TorsionPoint, TorsionPoi
     co = P.field.one() - u * lpart_gen
     P_l = P.act(co)          # killed by ell^v
     P_rest = P.act(u * lpart_gen)  # killed by rest
-    assert P_l + P_rest == P
-    assert P_l.annihilator() == QuadIdeal(lpart_gen)
-    assert P_rest.annihilator() == rest
+    if (P_l + P_rest != P or P_l.annihilator() != QuadIdeal(lpart_gen)
+            or P_rest.annihilator() != rest):
+        raise ArithmeticError(f"CRT components of {P} at {ell} do not split it")
     return P_l, P_rest
 
 
@@ -177,21 +173,12 @@ def galois_conjugates(P: TorsionPoint, ell: QuadIdeal, kind: str) -> list[Torsio
     additive (ell divides at least twice): translate by the full
     ell-torsion, N(ell) points.  Both fix the prime-to-ell component.
     """
-    ann = P.annihilator()
-    v = 0
-    rest = ann
-    while ell.divides(rest):
-        rest = QuadIdeal(rest.gen.exact_div(ell.gen))
-        v += 1
+    v, _ = valuation(P.annihilator(), ell)
     if kind == "multiplicative":
         if v != 1:
             raise ValueError(f"multiplicative orbit needs an exactly-once factor, got v={v}")
         P_l, P_rest = crt_split(P, ell)
-        ring_units = [
-            rep for rep in ell.residues()
-            if gcd_elements(rep, ell.gen).norm() == 1 and not rep.is_zero()
-        ]
-        orbit = [P_rest + P_l.act(u) for u in ring_units]
+        orbit = [P_rest + P_l.act(u) for u in ResidueRing(ell).units()]
         assert len(set(orbit)) == ell.norm - 1
         return sorted(orbit, key=TorsionPoint.key)
     if kind == "additive":

@@ -129,6 +129,14 @@ def test_config_errors_exit_2():
         ("enumerate", "--bound", "0"),
         ("frobenius-check", "--p", "7"),          # inert prime
         ("enumerate", "--d", "-5"),               # class number > 1
+        ("certify-tame", "--prec", "40"),         # below the lattice minimum
+        ("verify-e1", "--a", "1"),                # division functions need a >= 2
+        ("verify-e1", "--a", "5"),                # the prime divides a
+        ("verify-e2", "--a", "5", "--m", "1", "--l", "2+i"),
+        ("hecke-check", "--curve-a", "0", "--curve-b", "0"),   # singular
+        ("hecke-check", "--curve-a", "0", "--curve-b", "0", "--bound", "4"),
+        ("hecke-check", "--curve-a", "-5", "--bound", "30"),   # bad at 5
+        ("frobenius-check", "--curve-b", "1"),    # needs B = 0
     ]
     for argv in cases:
         code, _, err = run(*argv)

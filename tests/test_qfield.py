@@ -19,6 +19,7 @@ from cmk2.qfield import (
     ray_one_generator,
     residue_invert,
     split_rational_prime,
+    valuation,
 )
 
 GAUSS = QuadField(-4)
@@ -436,6 +437,20 @@ def test_factor_random_ideals_roundtrip():
                 )
                 prod = prod * pr.gen ** e
             assert QuadIdeal(prod) == I
+    # the valuation helper agrees with the factorization in all nine fields
+    for d in CLASS_NUMBER_ONE_DISCRIMINANTS:
+        K = QuadField(d)
+        for _ in range(6):
+            g = rand_elem(K, rng, 10)
+            if g.is_zero() or g.norm() == 1:
+                continue
+            I = QuadIdeal(g)
+            for pr, e in factor_ideal(I):
+                v, rest = valuation(I, pr)
+                assert v == e and rest.is_coprime(pr)
+                assert QuadIdeal(pr.gen ** v * rest.gen) == I
+    with pytest.raises(ValueError):
+        valuation(GAUSS.ideal(5), GAUSS.ideal(1))
 
 
 def _isqrt_exact(n):

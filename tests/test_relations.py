@@ -6,9 +6,14 @@ conjugation) and (2-i) -> (2-i)(2+i) for the twisted one (new prime,
 multiplicative conjugation plus a twist point).
 """
 
+import subprocess
+import sys
+import textwrap
+
 import mpmath as mp
 import pytest
 
+from cmk2 import relations
 from cmk2.analytic import AnalyticLattice
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
@@ -50,6 +55,67 @@ def test_conjugating_units_multiplicative():
     # the auxiliary torsion is genuinely fixed, also for a = 3
     kind3, units3 = conjugating_units(SYS, M_NEW, ELL, 3)
     assert kind3 == "multiplicative" and len(units3) == 3
+
+
+def test_exactness_checks_survive_python_O():
+    # under -O every assert is stripped; the orbit, fiber and CRT checks
+    # must still raise when their exact data is wrong
+    script = textwrap.dedent("""
+        from cmk2 import relations, torsion
+        from cmk2.hecke import HeckeCharacter
+        from cmk2.qfield import QuadField
+        from cmk2.torsion import TorsionPoint, TorsionSystem
+        F4 = QuadField(-4)
+        SYS = TorsionSystem(HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3"))))
+        ELL, M = F4.ideal(F4.parse("2+i")), F4.ideal(F4.parse("2-i"))
+        caught = []
+
+        def expect_raise(label, fn, *args):
+            try:
+                fn(*args)
+            except ArithmeticError:
+                caught.append(label)
+
+        relations.galois_conjugates = lambda P, ell, kind: [P]
+        expect_raise("orbit", relations.conjugating_units, SYS, M, ELL, 2)
+        P = SYS.y(M * ELL)
+        torsion.residue_invert = lambda alpha, modulus: F4.one()
+        expect_raise("crt", torsion.crt_split, P, ELL)
+        torsion.torsion_from_element = lambda field, elem: P
+        expect_raise("fiber", torsion.preimage_set, P, ELL.gen)
+        print(" ".join(caught))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["orbit", "crt", "fiber"]
+
+
+def test_shared_stages_run_once_across_relations(monkeypatch):
+    # the `all` grid: E1 at (2+i)^2 and E2 at 2-i, both at the prime 2+i
+    calls = []
+    scan = relations.equal_up_to_constant
+    monkeypatch.setattr(relations, "equal_up_to_constant",
+                        lambda *a, **k: calls.append(1) or scan(*a, **k))
+
+    def run_pair(lat_e1, lat_e2):
+        calls.clear()
+        e1 = verify_E1(SYS, M_TOWER, ELL, 2, lat_e1, samples=4, tol=TOL, p_ideal=ELL)
+        e2 = verify_E2(SYS, M_NEW, ELL, 2, lat_e2, samples=4, tol=TOL)
+        assert e1["pass"] and e2["pass"]
+        return len(calls), e1["stages"], e2["stages"]
+
+    cold, _, cold_e2 = run_pair(AnalyticLattice(F4, 128), AnalyticLattice(F4, 128))
+    lat = AnalyticLattice(F4, 128)
+    shared, e1, e2 = run_pair(lat, lat)
+    assert shared == cold - 2
+    dist, par, e25 = e1[2], e1[3], e2[4]
+    assert dist["scan"] == e25["distribution"]["scan"]
+    assert dist["projection"] == e25["distribution"]["projection"]
+    assert {k: v for k, v in par.items() if k not in ("id", "description", "pass")} \
+        == e25["parity"]
+    # a memoized stage reports what a cold run computes
+    assert e25 == cold_e2[4]
 
 
 def test_function_identity_reports():

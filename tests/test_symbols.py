@@ -130,6 +130,15 @@ def test_tame_certificate_fault_controls_fail():
                          sym.meta)
     rep2 = certify_tame_kernel(tampered, lat, tol=mp.mpf(10) ** -25)
     assert not rep2["pass"]
+    # adding {e^i, s_m} keeps every modulus at one, but e^(ik) is no root
+    # of unity: the unity order, not the modulus, must fail it
+    e_i = ConstAtom(evaluator=lambda lat: mp.exp(mp.mpc(0, 1)), tag="e^i")
+    drift = SymbolSum(F4, [(1, Entry.of_const(e_i), Entry.of_fn(build_s_m(SYS, M_SPLIT)))])
+    rep3 = certify_tame_kernel(sym + drift, lat, tol=mp.mpf(10) ** -25)
+    assert not rep3["pass"]
+    with lat.context():
+        assert all(r["modulus_deviation"] < mp.mpf(10) ** -25 for r in rep3["points"])
+    assert any(r["unity_order"] is None for r in rep3["points"])
 
 
 def test_tame_certificate_reports_unity_orders():
