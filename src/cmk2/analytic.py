@@ -1,13 +1,37 @@
 """Arbitrary-precision analytic layer for the lattice model C/O_K.
 
-All transcendental evaluation funnels through theta functions at the
-period ratio tau = omega_hat, the complex embedding of the integral
-basis generator.  The lattice is always normalized to Z + Z*tau, which
-is exactly the ring of integers for the nine class-number-one fields.
+The lattice is always normalized to Z + Z*tau, tau = omega_hat the
+complex embedding of the integral basis generator, which is exactly the
+ring of integers for the nine class-number-one fields.  Quantities
+provided: Weierstrass sigma, p, p', zeta, the quasi-periods eta(1) and
+eta(omega), the invariants g2 and g3, and the sign character eps(mu) +
+exponential factor governing sigma under lattice translation.
 
-Quantities provided: Weierstrass sigma, p, p', zeta, the quasi-periods
-eta(1) and eta(omega), the invariants g2 and g3, and the sign character
-eps(mu) + exponential factor governing sigma under lattice translation.
+One theta kernel serves sigma, zeta, p, p' and eta(1).  Each lattice
+computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at the
+fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
+
+- Reduction: z = z0 + m + n*tau with m + n*tau the nearest lattice
+  point by coordinate rounding, so |Re z0| <= 1/2 and
+  |Im z0| <= Im(tau)/2.  sigma folds eps(mu) exp(eta(mu)(z0 + mu/2))
+  and exp(eta1 z0^2 / 2) into one exp; zeta adds eta(mu); p and p' are
+  periodic.
+- Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
+  c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
+  fixed point from the powers of exp(i pi Re z0) and exp(pi Im z0).
+  The q^(1/4) cancels in every quotient (sigma divides by
+  theta_1'(0) / (2 q^(1/4)) = sum k c_n), so no branch of it is chosen,
+  and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.  A real z0 gives an
+  exactly real sine series.
+- Guard bits: N is fixed per lattice by the worst case
+  |Im z0| = Im(tau)/2, where term n is at most
+  (2n+1)^3 exp(-nu (n^2 - 1/2)), nu = pi Im(tau); the series stops once
+  the next term falls below 2^-(prec + GUARD_BITS).  The fixed point
+  runs at prec + GUARD_BITS + g bits, g covering the largest term
+  exp(nu/2) and the rounding of N+1 weighted terms.  Each c_n keeps
+  that many significant bits whatever its size, and an argument within
+  2^-b of 0 gets b more bits, so sigma keeps its relative precision
+  near its zero.
 
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
@@ -17,9 +41,11 @@ workprec block.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .qfield import QuadElement, QuadField
 
@@ -62,12 +88,48 @@ class AnalyticLattice:
             t = self.field.trace_omega
             tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
             q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
-            th1p = mp.jtheta(1, 0, q, 1)
-            th1ppp = mp.jtheta(1, 0, q, 3)
-            eta1 = -(mp.pi ** 2 / 3) * th1ppp / th1p
+            self._init_table(t, tau.imag)
+            d1, d3 = (self._table_moment(j) for j in (1, 3))
+            eta1 = (mp.pi ** 2 / 3) * d3 / d1
             eta_om = eta1 * tau - 2 * mp.pi * mp.mpc(0, 1)
-            self._cache.update(tau=tau, q=q, th1p=th1p, eta1=eta1, eta_om=eta_om)
+            self._cache.update(tau=tau, pi_d1=mp.pi * d1, eta1=eta1, eta_om=eta_om)
             self._cache["g2"], self._cache["g3"] = self._eisenstein_invariants(q)
+
+    def _init_table(self, t: int, im_tau):
+        """The table of (k, C_n, s_n), k = 2n+1, with c_n = C_n / 2^s_n.
+
+        c_n = (-1)^(n + t n(n+1)/2) exp(-nu n(n+1)), nu = pi Im(tau), is
+        stored to W significant bits (s_n = W + e_n, e_n ~ log2 1/|c_n|),
+        so the growth exp(nu k/2) of the k-th power of a reduced argument
+        never meets an absolute rounding of c_n.  N and W follow the
+        guard-bit rule of the module docstring.
+        """
+        target = self.prec + GUARD_BITS
+        nu_bits = float(mp.pi * im_tau) / math.log(2)
+
+        def term_bits(n):  # -log2 of the bound on term n
+            return nu_bits * (n * n - 0.5) - 3 * math.log2(2 * n + 1)
+
+        top = 0
+        while term_bits(top + 1) < target + 1:  # the tail is < 2x its head
+            top += 1
+        g = math.ceil(nu_bits / 2 + math.log2((top + 1) * (2 * top + 1) ** 3)) + 4
+        self._wbits = target + g
+        table = []
+        with mp.workprec(self._wbits + 16):
+            nu = mp.pi * im_tau
+            for n in range(top + 1):
+                e = math.floor(nu_bits * n * (n + 1))
+                mag = to_fixed(mp.exp(-nu * n * (n + 1))._mpf_, self._wbits + e)
+                sign = -1 if (n + t * n * (n + 1) // 2) % 2 else 1
+                table.append((2 * n + 1, sign * mag, self._wbits + e))
+        self._table = tuple(table)
+
+    def _table_moment(self, j: int):
+        """sum over the table of (2n+1)^j c_n, exactly, as an mpf."""
+        top = max(shift for _k, _c, shift in self._table)
+        acc = sum(k ** j * c << (top - shift) for k, c, shift in self._table)
+        return mp.mpf((acc, -top))
 
     def _eisenstein_invariants(self, q):
         # g2 = (4 pi^4 / 3) E4, g3 = (8 pi^6 / 27) E6 in the nome q2 = q^2
@@ -148,31 +210,78 @@ class AnalyticLattice:
 
     # --- transcendental functions ----------------------------------------------
 
-    def sigma(self, z):
-        with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
-            th = mp.jtheta(1, mp.pi * z, self._cache["q"])
-            return mp.exp(self.eta1 * z * z / 2) * th / (mp.pi * self._cache["th1p"])
-
-    def _thetas(self, z, n: int):
-        """z and the derivatives theta_1^(k)(pi z), k = 0..n, at the nome."""
+    def _reduce(self, z):
+        """(z0, m, n): z = z0 + m + n*tau, m + n*tau the nearest lattice point."""
         z = mp.mpmathify(z)
-        u, q = mp.pi * z, self._cache["q"]
-        return z, [mp.jtheta(1, u, q, k) for k in range(n + 1)]
+        m, n = self.nearest_lattice_point(z)
+        return z - (m + n * self.tau), m, n
+
+    def _series(self, z0, derivs: int) -> list:
+        """theta_1^(j)(pi z0) for j = 0..derivs, each divided by 2 q^(1/4).
+
+        With x = exp(i pi z0) = u/r, u = exp(i pi Re z0), r = exp(pi Im z0),
+        the j-th derivative is sum c_n k^j (d/dv)^j sin(k v) at
+        v = pi z0 = a + i b, k = 2n+1, summed in integer fixed point from the powers u^k and
+        r^(+-k); sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b).  A
+        real z0 has r = 1 exactly, so its sine sums are exactly real.
+        Near the zero at z0 = 0 the powers carry -log2|z0| more bits, so
+        the result keeps its relative precision.
+        """
+        bits = self._wbits + (max(0, -mp.mag(z0)) if z0 else 0)
+        with mp.workprec(bits + 16):
+            cos_a, sin_a = mp.cos_sin(mp.pi * z0.real)
+            r = mp.exp(mp.pi * z0.imag)
+        uc, us = to_fixed(cos_a._mpf_, bits), to_fixed(sin_a._mpf_, bits)
+        rp = to_fixed(r._mpf_, bits)
+        rm = (1 << 2 * bits) // rp
+        uc2, us2 = (uc * uc - us * us) >> bits, (2 * uc * us) >> bits
+        rp2, rm2 = (rp * rp) >> bits, (rm * rm) >> bits
+        sums = [[0, 0] for _ in range(derivs + 1)]
+        for k, c, shift in self._table:
+            shift += bits
+            ch, sh = rp + rm, rp - rm  # 2 cosh(k b), 2 sinh(k b)
+            # 2 c_n sin(k v), and 2 c_n cos(k v) once a derivative needs it;
+            # derivative j takes (-1)^(j//2) k^j times the sine (even j) or
+            # the cosine (odd j)
+            trig = [(c * (us * ch) >> shift, c * (uc * sh) >> shift)]
+            if derivs:
+                trig.append((c * (uc * ch) >> shift, -(c * (us * sh) >> shift)))
+            w = 1
+            for j in range(derivs + 1):
+                re, im = trig[j % 2]
+                sign = -w if j & 2 else w
+                sums[j][0] += sign * re
+                sums[j][1] += sign * im
+                w *= k
+            uc, us = (uc * uc2 - us * us2) >> bits, (uc * us2 + us * uc2) >> bits
+            rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
+        return [mp.mpc(mp.mpf((re, -bits - 1)), mp.mpf((im, -bits - 1)))
+                for re, im in sums]
+
+    def sigma(self, z):
+        """Weierstrass sigma: the reduced series times one exponential
+        eps(mu) exp(eta(mu) (z0 + mu/2) + eta1 z0^2 / 2), mu = m + n*tau."""
+        with mp.workprec(self.prec + GUARD_BITS):
+            z0, m, n = self._reduce(z)
+            (t0,) = self._series(z0, 0)
+            mu = m + n * self.tau
+            expo = self.eta_linear(m, n) * (z0 + mu / 2) + self.eta1 * z0 * z0 / 2
+            return self.translation_sign(m, n) * mp.exp(expo) * t0 / self._cache["pi_d1"]
 
     def zeta(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            z, (t0, t1) = self._thetas(z, 1)
-            return self.eta1 * z + mp.pi * t1 / t0
+            z0, m, n = self._reduce(z)
+            t0, t1 = self._series(z0, 1)
+            return self.eta1 * z0 + mp.pi * t1 / t0 + self.eta_linear(m, n)
 
     def wp(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            _, (t0, t1, t2) = self._thetas(z, 2)
+            t0, t1, t2 = self._series(self._reduce(z)[0], 2)
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
     def wp_prime(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            _, (t0, t1, t2, t3) = self._thetas(z, 3)
+            t0, t1, t2, t3 = self._series(self._reduce(z)[0], 3)
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3
 

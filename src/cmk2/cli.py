@@ -151,6 +151,8 @@ def _hecke_check(ctx: Context, opts: dict) -> dict:
     primes = [p for p in range(3, args.bound + 1)
               if is_rational_prime(p) and chi.conductor.norm % p != 0
               and split_rational_prime(ctx.field, p)[0] == "split"]
+    if not primes:
+        raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
     # bad reduction at a counted prime is rejected
     rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b)
             for p in primes]

@@ -160,12 +160,12 @@ class CurveOverFp2:
                     pts.append((x, y))
         return pts
 
-    def points_prime(self):
-        """E(F_p) as the Frobenius-fixed subgroup (b-coordinates zero)."""
-        return [
-            P for P in self.points_ext()
-            if P is None or (P[0][1] == 0 and P[1][1] == 0)
-        ]
+    def points_prime(self, pts=None):
+        """E(F_p) as the Frobenius-fixed subgroup (b-coordinates zero) of
+        `pts`, an enumeration of E(F_p^2); by default a fresh points_ext()."""
+        if pts is None:
+            pts = self.points_ext()
+        return [P for P in pts if P is None or (P[0][1] == 0 and P[1][1] == 0)]
 
     def frobenius(self, P):
         if P is None:
@@ -210,7 +210,7 @@ def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
         "p": p,
         "i_mod_p": i_val,
         "ext_count": len(pts),
-        "prime_count": len(curve.points_prime()),
+        "prime_count": len(curve.points_prime(pts)),
     }
     for tag, cand in (("pi", pi), ("pi_bar", pi.conjugate())):
         ok = True

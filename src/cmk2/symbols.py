@@ -258,10 +258,12 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL,
                         points=None) -> dict:
     """Check that every tame value of the sum is a root of unity.
 
-    Each non-exact value must satisfy |abs(value) - 1| < tol and have a
-    unity order, the least k <= lcm(24, unit group) with
-    |value^k - 1| < sqrt(tol); a value of modulus one that is not a root
-    of unity of bounded order fails the certificate.
+    A point is exact when every term has orders (0, 0) there, whatever
+    value the numerics would give.  Each non-exact value must satisfy
+    |abs(value) - 1| < tol and have a unity order, the least
+    k <= lcm(24, unit group) with |value^k - 1| < sqrt(tol); a value of
+    modulus one that is not a root of unity of bounded order fails the
+    certificate.
     """
     with lat.context():
         bound = lcm(24, sym.field.unit_order)
@@ -270,11 +272,13 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL,
         rows = []
         ok = True
         for P in points:
-            v = tame_symbol_at(sym, lat, P)
-            if v == 1:
+            if all(L.order_at(P) == 0 and R.order_at(P) == 0
+                   for _c, L, R in sym.terms):
                 rows.append({"point": str(P), "exact": True, "value": 1,
                              "modulus_deviation": 0, "unity_order": 1})
                 continue
+            # a computed value that happens to equal 1 is still numeric
+            v = mp.mpc(tame_symbol_at(sym, lat, P))
             dev = abs(abs(v) - 1)
             order = unity_order(v, bound, mp.sqrt(tol))
             ok = ok and dev < tol and order is not None

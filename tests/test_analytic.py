@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cmk2.qfield import QuadField
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
+DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +208,75 @@ def test_eta_linear_matches_lattice_values(lat):
         got = lat.eta_linear(Fraction(1, 2), Fraction(-3, 4))
         want = lat.eta1 / 2 - 3 * lat.eta_omega / 4
         assert abs(got - want) < mp.mpf(10) ** -70
+
+
+# --- the fixed-nome kernel against the theta formula ---------------------------
+
+
+def _theta_formula(field, prec):
+    """(sigma, zeta, wp) by mp.jtheta at the nome of the field's lattice,
+    evaluated at `prec` bits; the kernel's reference."""
+    with mp.workprec(prec):
+        tau = (field.trace_omega + mp.mpc(0, 1) * mp.sqrt(-field.d)) / 2
+        q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
+        th1p = mp.jtheta(1, 0, q, 1)
+        eta1 = -(mp.pi ** 2 / 3) * mp.jtheta(1, 0, q, 3) / th1p
+
+    def at(z):
+        with mp.workprec(prec):
+            t0, t1, t2 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(3))
+            return (mp.exp(eta1 * z * z / 2) * t0 / (mp.pi * th1p),
+                    eta1 * z + mp.pi * t1 / t0,
+                    -eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0))
+
+    return at
+
+
+@functools.cache
+def _agreement_data(d, prec, count=100):
+    # seeded points: half in the cell around 0, half up to 7 lattice units out
+    lat = AnalyticLattice(QuadField(d), prec)
+    rng = random.Random(1000 * -d + prec)
+    points = []
+    for i in range(count):
+        far = 7 if i % 2 else 0
+        points.append(lat.embed_coords(rng.uniform(-0.5, 0.5) + rng.randint(-far, far),
+                                       rng.uniform(-0.5, 0.5) + rng.randint(-far, far)))
+    formula = _theta_formula(lat.field, prec + 256)
+    return tuple(points), tuple(formula(z) for z in points)
+
+
+def _worst_log2_error(lat, points, wants):
+    """log2 of the largest relative error of sigma, zeta and wp."""
+    worst = mp.mpf(0)
+    for z, want in zip(points, wants):
+        got = (lat.sigma(z), lat.zeta(z), lat.wp(z))
+        with mp.workprec(lat.prec + 256):
+            for g, w in zip(got, want):
+                worst = max(worst, abs(g - w) / abs(w))
+    with mp.workprec(64):
+        return mp.log(worst, 2) if worst else -mp.inf
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_kernel_agrees_with_theta_formula(prec):
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), prec)
+        assert _worst_log2_error(lat, *_agreement_data(d, prec)) < -prec, d
+
+
+def test_kernel_agreement_fails_without_last_term():
+    # fault control: a table one term short must miss 2^-prec somewhere
+    worst = []
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), 512)
+        lat._table = lat._table[:-1]
+        worst.append(_worst_log2_error(lat, *_agreement_data(d, 512)))
+    assert max(worst) >= -512
+
+
+def test_real_argument_gives_real_values(lat):
+    with lat.context():
+        for x in (mp.mpf("0.3"), mp.mpf("-0.45"), mp.mpf("3.3")):
+            for value in (lat.sigma(x), lat.zeta(x), lat.wp(x)):
+                assert mp.im(value) == 0

@@ -136,6 +136,7 @@ def test_config_errors_exit_2():
         ("hecke-check", "--curve-a", "0", "--curve-b", "0"),   # singular
         ("hecke-check", "--curve-a", "0", "--curve-b", "0", "--bound", "4"),
         ("hecke-check", "--curve-a", "-5", "--bound", "30"),   # bad at 5
+        ("hecke-check", "--bound", "4"),          # no split prime to check
         ("frobenius-check", "--curve-b", "1"),    # needs B = 0
     ]
     for argv in cases:

@@ -113,6 +113,20 @@ def test_frobenius_equals_cm_exactly_one():
         assert rep["norm_of_pi_minus_1"] == count_points(p, -1, 0)
 
 
+def test_frobenius_check_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_ext = CurveOverFp2.points_ext
+
+    def counted(self):
+        calls.append(self.F.p)
+        return enumerate_ext(self)
+
+    monkeypatch.setattr(CurveOverFp2, "points_ext", counted)
+    rep = frobenius_equals_cm(13, -1, 0, GAUSS.parse("3+2*i"))
+    assert calls == [13]
+    assert rep["prime_count"] == count_points(13, -1, 0)
+
+
 def test_frobenius_restricted_to_prime_field_is_trivial():
     # over F_p alone both candidates act as the identity: the reason the
     # check must run over the quadratic extension

@@ -153,6 +153,25 @@ def test_tame_certificate_reports_unity_orders():
     assert y_row and y_row[0]["unity_order"] == 1
 
 
+def test_tame_exact_flag_follows_orders(monkeypatch):
+    # a computed value of exactly 1 at a point where some term has a
+    # nonzero order is still a numeric value with a decimal residual
+    lat = AnalyticLattice(F4, 128)
+    sym = build_alpha_prime(SYS, M_SPLIT, 2)
+    monkeypatch.setattr("cmk2.symbols.tame_symbol_at", lambda *args: 1)
+    rep = certify_tame_kernel(sym, lat)
+    numeric = 0
+    for row, P in zip(rep["points"], sym.support_points()):
+        structural = all(L.order_at(P) == 0 and R.order_at(P) == 0
+                         for _c, L, R in sym.terms)
+        assert row["exact"] == structural, row["point"]
+        if not structural:
+            numeric += 1
+            assert isinstance(row["modulus_deviation"], mp.mpf)
+            assert isinstance(row["value"], mp.mpc)
+    assert numeric > 0
+
+
 def test_normal_form_antisymmetry_and_merge():
     g2 = build_g_a(F4, 2)
     s = build_s_m(SYS, M_SPLIT)
