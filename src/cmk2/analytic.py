@@ -212,7 +212,6 @@ class AnalyticLattice:
 
     def _reduce(self, z):
         """(z0, m, n): z = z0 + m + n*tau, m + n*tau the nearest lattice point."""
-        z = mp.mpmathify(z)
         m, n = self.nearest_lattice_point(z)
         return z - (m + n * self.tau), m, n
 
@@ -290,7 +289,6 @@ class AnalyticLattice:
     def nearest_lattice_point(self, z) -> tuple[int, int]:
         """(m, n) with m + n*omega nearest-ish to z (coordinate rounding)."""
         with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
             n = mp.im(z) / mp.im(self.tau)
             ni = int(mp.nint(n))
             m = mp.re(z) - ni * mp.re(self.tau)
@@ -299,16 +297,6 @@ class AnalyticLattice:
 
     def distance_to_lattice(self, z):
         with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
             m, n = self.nearest_lattice_point(z)
             return abs(z - (m + n * self.tau))
 
-    def reduce_to_fundamental(self, z):
-        """Translate z by a lattice point into [0,1) x [0,1) coordinates."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            z = mp.mpmathify(z)
-            s = mp.im(z) / mp.im(self.tau)
-            n = int(mp.floor(s))
-            r = mp.re(z) - s * mp.re(self.tau)
-            m = int(mp.floor(r))
-            return z - (m + n * self.tau)

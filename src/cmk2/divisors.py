@@ -15,6 +15,11 @@ every pushforward/distribution comparison land on constants of modulus
 one instead of stray exponential factors.  The lift-sum adjustment puts
 the correction on one sigma copy of the lexicographically first support
 point, so the construction is deterministic.
+
+Evaluation points are exact: a TorsionPoint, or a field element with
+rational coordinates (53-bit float samples are dyadic rationals).  So
+each offset z - u is exact, and so is the pole test: z is a zero or
+pole exactly when its class lies in the divisor.
 """
 
 from __future__ import annotations
@@ -30,15 +35,25 @@ from .torsion import (
     TorsionPoint,
     TorsionSystem,
     preimage_set,
+    torsion_from_element,
     torsion_of_integer,
     torsion_subgroup,
 )
 
-DEFAULT_POLE_TOL = mp.mpf(10) ** -20
-
 
 class PoleError(ArithmeticError):
-    """Evaluation requested at (or too near) a zero/pole."""
+    """Evaluation requested at a zero/pole."""
+
+
+def _exact_point(z) -> QuadElement:
+    """An evaluation point as a field element: the canonical lift of a
+    TorsionPoint, or the field element itself."""
+    if isinstance(z, TorsionPoint):
+        return z.lift()
+    if isinstance(z, QuadElement):
+        return z
+    raise TypeError("evaluation points are TorsionPoint or QuadElement, "
+                    f"not {type(z).__name__}")
 
 
 class Divisor:
@@ -278,55 +293,45 @@ class EllFunction:
                 out = out * atom.evaluate(lat)
             return out
 
-    def evaluate(self, lat: AnalyticLattice, z, pole_tol=DEFAULT_POLE_TOL):
-        """Value at z (complex, or exact TorsionPoint)."""
+    def _product(self, lat: AnalyticLattice, z: QuadElement):
+        """The normalized product at the exact point z.  A lift u whose
+        offset z - u is a lattice point mu contributes sigma's leading
+        coefficient eps(mu) exp(eta(mu) mu / 2) at mu; every other lift
+        contributes sigma(z - u)."""
         with lat.context():
-            if isinstance(z, TorsionPoint):
-                if self.order_at(z) != 0:
-                    raise PoleError(f"{z} is in the divisor support")
-                zc = lat.embed_coords(z.r, z.s)
-            else:
-                zc = mp.mpmathify(z)
             out = self._norm_constant(lat)
             for r, s, e in self.lifts:
-                w = zc - lat.embed_coords(r, s)
-                if lat.distance_to_lattice(w) < pole_tol:
-                    raise PoleError("evaluation point too close to a zero/pole")
-                out = out * lat.sigma(w) ** e
+                w = z - self.field.element(r, s)
+                if w.is_integral():
+                    factor = lat.translation_factor(w.x, w.y, 0)
+                else:
+                    factor = lat.sigma(lat.embed(w))
+                out = out * factor ** e
             return out
 
-    def leading_at(self, lat: AnalyticLattice, P: TorsionPoint):
-        """Leading Laurent coefficient at P against the local parameter
-        (z - P): exact-order zero/pole factors are cancelled symbolically,
-        never numerically."""
-        with lat.context():
-            out = self._norm_constant(lat)
-            zc = lat.embed_coords(P.r, P.s)
-            for r, s, e in self.lifts:
-                mu_r = P.r - r
-                mu_s = P.s - s
-                if mu_r.denominator == 1 and mu_s.denominator == 1:
-                    # this factor vanishes at P: sigma(w + mu), mu in the lattice;
-                    # contributes eps(mu) * exp(eta(mu) mu / 2) per unit order
-                    m, n = int(mu_r), int(mu_s)
-                    mu = lat.embed_coords(m, n)
-                    lead = lat.translation_sign(m, n) * mp.exp(lat.eta_linear(m, n) * mu / 2)
-                    out = out * lead ** e
-                else:
-                    out = out * lat.sigma(zc - lat.embed_coords(r, s)) ** e
-            return out
+    def evaluate(self, lat: AnalyticLattice, z):
+        """Value at an exact point z (TorsionPoint or QuadElement)."""
+        z = _exact_point(z)
+        if self.order_at(torsion_from_element(self.field, z)) != 0:
+            raise PoleError(f"{z} is in the divisor support")
+        return self._product(lat, z)
+
+    def leading_at(self, lat: AnalyticLattice, P):
+        """Leading Laurent coefficient at the exact point P against the
+        local parameter (z - P): exact-order zero/pole factors are
+        cancelled symbolically, never numerically."""
+        return self._product(lat, _exact_point(P))
 
     def pushforward_evaluator(self, lat: AnalyticLattice, alpha: QuadElement):
-        """z -> product of f over the fiber of multiplication by alpha."""
-        reps = list(QuadIdeal(alpha).residues())
-        alpha_c = lat.embed(alpha)
+        """z -> product of f over the fiber of multiplication by alpha
+        above the exact point z."""
 
         def ev(z):
+            Q = torsion_from_element(self.field, _exact_point(z))
             with lat.context():
-                zc = mp.mpmathify(z)
                 out = mp.mpc(1)
-                for rep in reps:
-                    out = out * self.evaluate(lat, (zc + lat.embed(rep)) / alpha_c)
+                for u in preimage_set(Q, alpha):
+                    out = out * self.evaluate(lat, u)
                 return out
 
         return ev
@@ -390,7 +395,7 @@ def build_s_m(sys: TorsionSystem, m: QuadIdeal, scale: int | None = None) -> Ell
 
 
 def sample_points(lat: AnalyticLattice, seed: int, count: int,
-                  avoid, pole_tol=DEFAULT_POLE_TOL, margin=1e-3):
+                  avoid, margin=1e-3):
     """Deterministic 53-bit sample coordinates, rejection-resampled away
     from the avoided set.  The coordinate stream is precision-independent,
     so reruns at other precisions test the same geometric points."""
@@ -402,6 +407,9 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
         if tries > 200 * count:
             raise RuntimeError("cannot find enough sample points away from supports")
         rs = (rng.random(), rng.random())
+        # the margin keeps samples well away from the supports, so the
+        # values compared stay moderate; it is a geometric separation,
+        # not a precision bound (evaluate tests poles exactly)
         with lat.context():
             z = lat.embed_coords(*rs)
             if any(lat.distance_to_lattice(z - lat.embed_coords(P.r, P.s)) < margin
@@ -414,7 +422,8 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
                          seed: int = 20240801, tol=DEFAULT_TOL,
                          require_modulus_one=False):
-    """Ratio-constancy scan of two evaluators at seeded sample points.
+    """Ratio-constancy scan of two evaluators at seeded sample points,
+    each handed to the evaluators as an exact field element.
 
     Returns a report dict with the mean constant, the relative spread,
     and pass/fail under tol.
@@ -422,8 +431,8 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
     with lat.context():
         coords = sample_points(lat, seed, samples, avoid)
         ratios = []
-        for rs in coords:
-            z = lat.embed_coords(*rs)
+        for r, s in coords:
+            z = lat.field.element(Fraction(r), Fraction(s))
             fv, gv = f(z), g(z)
             if gv == 0:
                 raise PoleError("denominator vanished at a sample point")
@@ -454,20 +463,22 @@ def wp_route_evaluator(field: QuadField, a: int, lat: AnalyticLattice):
     representatives of (E[a] - 0) mod negation.  Its divisor is
     sum over E[a]-0 of (gamma) minus 2(a^2-1)/... in degree terms:
     equals -div(g_a) for odd a and -div(g_a^2) for a = 2."""
-    reps = []
+    wp_reps = []
     seen = set()
     for gamma in torsion_of_integer(field, a):
         if gamma.is_zero() or gamma in seen:
             continue
         seen.add(gamma)
         seen.add(-gamma)
-        reps.append(gamma)
+        with lat.context():
+            wp_reps.append(lat.wp(lat.embed_coords(gamma.r, gamma.s)))
 
     def ev(z):
         with lat.context():
+            wp_z = lat.wp(lat.embed(_exact_point(z)))
             out = mp.mpc(1)
-            for gamma in reps:
-                out = out * (lat.wp(z) - lat.wp(lat.embed_coords(gamma.r, gamma.s)))
+            for wp_gamma in wp_reps:
+                out = out * (wp_z - wp_gamma)
             return out
 
     return ev

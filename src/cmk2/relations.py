@@ -139,9 +139,8 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
         divisors_match = lhs_div == rhs_div
 
-        phi_c = lat.embed(r.phi_ell)
         lhs = _product_evaluator(lat, lhs_fns)
-        rhs = lambda z: s_m.evaluate(lat, phi_c * z) * g_l.evaluate(lat, z) ** k
+        rhs = lambda z: s_m.evaluate(lat, r.phi_ell * z) * g_l.evaluate(lat, z) ** k
         avoid = set(lhs_div.support()) | set(rhs_div.support())
         scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
                                     seed=seed, tol=tol, require_modulus_one=True)
@@ -267,9 +266,7 @@ def _distribution(r: _Run) -> dict:
     the level point as the product of g over its fiber."""
     shared = _distribution_scans(r.phi_ell, r.a, r.lat, r.samples, r.tol, r.seed)
     g = build_g_a(r.sys.field, r.a)
-    prod = mp.mpc(1)
-    for u in preimage_set(r.y_m, r.phi_ell):
-        prod = prod * g.evaluate(r.lat, u)
+    prod = g.pushforward_evaluator(r.lat, r.phi_ell)(r.y_m)
     point_dev = abs(prod / g.evaluate(r.lat, r.y_m) - shared["scan"]["constant"])
     ok = (shared["push_divisor_fixed"] and shared["scan"]["pass"]
           and shared["projection"]["pass"] and point_dev < r.tol)
@@ -290,7 +287,7 @@ def _parity_checks(ell: QuadIdeal, a: int, lat: AnalyticLattice,
         g = build_g_a(field, a)
         neg = field.element(-1)
         structural = g.pullback(neg) == g
-        z = lat.embed_coords(0.3271, 0.1618)
+        z = field.element(Fraction(0.3271), Fraction(0.1618))
         ratio = g.evaluate(lat, -z) / g.evaluate(lat, z)
         sign_dev = min(abs(ratio - 1), abs(ratio + 1))
         gammas = [gm for gm in torsion_of_integer(field, a) if not gm.is_zero()]
@@ -464,10 +461,9 @@ def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
         with lat.context():
             g = build_g_a(field, a)
             alt = wp_route_evaluator(field, a, lat)
-            z = lat.embed_coords(P.r, P.s)
             if a % 2 == 1:
-                return 1 / (g.evaluate(lat, z) * alt(z))
-            return 1 / mp.sqrt(g.evaluate(lat, z) ** 2 * alt(z))
+                return 1 / (g.evaluate(lat, P) * alt(P))
+            return 1 / mp.sqrt(g.evaluate(lat, P) ** 2 * alt(P))
 
     return ConstAtom(evaluator=ev, tag=f"x-route(a={a}, at {P})")
 

@@ -120,7 +120,8 @@ def torsion_subgroup(ideal: QuadIdeal) -> list[TorsionPoint]:
     out = []
     for rep in ideal.residues():
         out.append(torsion_from_element(ideal.field, rep / ideal.gen))
-    assert len(set(out)) == ideal.norm
+    if len(set(out)) != ideal.norm:
+        raise ArithmeticError(f"{ideal} does not kill {ideal.norm} distinct points")
     return sorted(out, key=TorsionPoint.key)
 
 
@@ -179,15 +180,17 @@ def galois_conjugates(P: TorsionPoint, ell: QuadIdeal, kind: str) -> list[Torsio
             raise ValueError(f"multiplicative orbit needs an exactly-once factor, got v={v}")
         P_l, P_rest = crt_split(P, ell)
         orbit = [P_rest + P_l.act(u) for u in ResidueRing(ell).units()]
-        assert len(set(orbit)) == ell.norm - 1
-        return sorted(orbit, key=TorsionPoint.key)
-    if kind == "additive":
+        size = ell.norm - 1
+    elif kind == "additive":
         if v < 2:
             raise ValueError(f"additive orbit needs the square to divide, got v={v}")
         orbit = [P + c for c in torsion_subgroup(ell)]
-        assert len(set(orbit)) == ell.norm
-        return sorted(orbit, key=TorsionPoint.key)
-    raise ValueError(f"unknown orbit kind {kind!r}")
+        size = ell.norm
+    else:
+        raise ValueError(f"unknown orbit kind {kind!r}")
+    if len(set(orbit)) != size:
+        raise ArithmeticError(f"the {kind} orbit of {P} at {ell} is not {size} points")
+    return sorted(orbit, key=TorsionPoint.key)
 
 
 class TorsionSystem:

@@ -195,8 +195,6 @@ def test_embed_and_reduce(lat):
         e = GAUSS.parse("3-2*i")
         z = lat.embed(e)
         assert abs(z - (3 - 2j)) < mp.mpf(10) ** -70
-        w = lat.reduce_to_fundamental(z + mp.mpf("0.25"))
-        assert abs(w - mp.mpf("0.25")) < mp.mpf(10) ** -70
         assert lat.nearest_lattice_point(z) == (3, -2)
         assert lat.distance_to_lattice(z) < mp.mpf(10) ** -70
 

@@ -109,10 +109,10 @@ def test_ellipticity(builder):
     lat = AnalyticLattice(F4, 160)
     with lat.context():
         for zr, zs in [(0.231, 0.377), (0.61, 0.118)]:
-            z = lat.embed_coords(zr, zs)
+            z = F4.element(Fraction(zr), Fraction(zs))
             base = fn.evaluate(lat, z)
             for m, n in [(1, 0), (0, 1), (-1, 1)]:
-                shifted = fn.evaluate(lat, z + lat.embed_coords(m, n))
+                shifted = fn.evaluate(lat, z + F4.element(m, n))
                 assert abs(shifted / base - 1) < mp.mpf(10) ** -40
 
 
@@ -121,10 +121,10 @@ def test_ellipticity_in_odd_discriminant_field():
     fn = build_g_a(F3, 2)
     lat = AnalyticLattice(F3, 160)
     with lat.context():
-        z = lat.embed_coords(0.313, 0.209)
+        z = F3.element(Fraction(0.313), Fraction(0.209))
         base = fn.evaluate(lat, z)
         for m, n in [(1, 0), (0, 1)]:
-            shifted = fn.evaluate(lat, z + lat.embed_coords(m, n))
+            shifted = fn.evaluate(lat, z + F3.element(m, n))
             assert abs(shifted / base - 1) < mp.mpf(10) ** -40
 
 
@@ -144,12 +144,10 @@ def test_order_and_leading_coefficient(fn):
     lat = AnalyticLattice(F4, 256)
     with lat.context():
         h = mp.mpf(10) ** -30
-        tiny = mp.mpf(10) ** -40
         for P in fn.divisor.support():
             m = fn.order_at(P)
             lead = fn.leading_at(lat, P)
-            z = lat.embed_coords(P.r, P.s) + h
-            val = fn.evaluate(lat, z, pole_tol=tiny)
+            val = fn.evaluate(lat, P.lift() + Fraction(1, 10**30))
             assert abs(val / (lead * h ** m) - 1) < mp.mpf(10) ** -25
 
 
@@ -160,7 +158,7 @@ def test_leading_wrong_order_would_fail():
     P = O()
     with lat.context():
         h = mp.mpf(10) ** -20
-        val = fn.evaluate(lat, lat.embed_coords(0, 0) + h, pole_tol=mp.mpf(10) ** -30)
+        val = fn.evaluate(lat, P.lift() + Fraction(1, 10**20))
         lead = fn.leading_at(lat, P)
         wrong = val / (lead * h ** (fn.order_at(P) + 1))
         assert abs(wrong - 1) > 1
@@ -205,8 +203,7 @@ def test_pullback_matches_substitution():
     assert pulled.divisor.degree == 0
     assert pulled.divisor == g2.divisor.pullback(PHI_ELL)
     with lat.context():
-        alpha_c = lat.embed(PHI_ELL)
-        subst = lambda z: g2.evaluate(lat, alpha_c * z)
+        subst = lambda z: g2.evaluate(lat, PHI_ELL * z)
         rep = equal_up_to_constant(subst, evaluator(pulled, lat), lat,
                                    avoid=pulled.divisor.support(),
                                    samples=8, tol=mp.mpf(10) ** -30,
@@ -234,7 +231,7 @@ def test_parity():
     # identical object
     assert g2.pullback(F4.element(-1)) == g2
     with lat.context():
-        z = lat.embed_coords(0.321, 0.177)
+        z = F4.element(Fraction(0.321), Fraction(0.177))
         ratio = g2.evaluate(lat, -z) / g2.evaluate(lat, z)
         # the parity constant is an exact sign; for the 2-division product
         # on this lattice it lands on -1
@@ -247,7 +244,7 @@ def test_parity():
     t_neg = build_t_gamma(F4, 3, -gamma)
     assert t.pullback(F4.element(-1)) == t_neg
     with lat.context():
-        z = lat.embed_coords(0.321, 0.177)
+        z = F4.element(Fraction(0.321), Fraction(0.177))
         ratio = t.evaluate(lat, -z) / t_neg.evaluate(lat, z)
         assert abs(abs(ratio) - 1) < mp.mpf(10) ** -40
 
@@ -308,12 +305,26 @@ def test_pole_errors():
     g2 = build_g_a(F4, 2)
     with pytest.raises(PoleError):
         g2.evaluate(lat, TorsionPoint(F4, Fraction(1, 2), 0))
-    with lat.context():
-        with pytest.raises(PoleError):
-            g2.evaluate(lat, lat.embed_coords(Fraction(1, 2), 0))
-    # a neighboring torsion point evaluates fine
+    with pytest.raises(PoleError):
+        g2.evaluate(lat, F4.element(Fraction(1, 2), 0))
+    # a lift of the pole 1/2 outside the unit square is a pole too
+    with pytest.raises(PoleError):
+        g2.evaluate(lat, F4.element(Fraction(3, 2), -1))
+    # a neighboring torsion point, and a point 1e-40 off the pole, evaluate fine
     val = g2.evaluate(lat, TorsionPoint(F4, Fraction(1, 3), 0))
     assert val != 0
+    near = g2.evaluate(lat, F4.element(Fraction(1, 2) + Fraction(1, 10**40), 0))
+    assert mp.isfinite(near) and near != 0
+
+
+def test_complex_points_are_rejected():
+    lat = AnalyticLattice(F4, 128)
+    g2 = build_g_a(F4, 2)
+    with lat.context():
+        z = lat.embed_coords(0.27, 0.66)
+    for method in (g2.evaluate, g2.leading_at):
+        with pytest.raises(TypeError, match="TorsionPoint or QuadElement"):
+            method(lat, z)
 
 
 def test_lazy_const_atoms():
@@ -332,7 +343,7 @@ def test_lazy_const_atoms():
     assert scaled != g2
     assert scaled.order_at(P) == 0
     with lat.context():
-        z = lat.embed_coords(0.27, 0.66)
+        z = F4.element(Fraction(0.27), Fraction(0.66))
         assert abs(scaled.evaluate(lat, z) - v * g2.evaluate(lat, z)) < mp.mpf(10) ** -25
 
 

@@ -58,8 +58,8 @@ def test_conjugating_units_multiplicative():
 
 
 def test_exactness_checks_survive_python_O():
-    # under -O every assert is stripped; the orbit, fiber and CRT checks
-    # must still raise when their exact data is wrong
+    # under -O every assert is stripped; the orbit, fiber, CRT and
+    # subgroup-size checks must still raise when their exact data is wrong
     script = textwrap.dedent("""
         from cmk2 import relations, torsion
         from cmk2.hecke import HeckeCharacter
@@ -68,6 +68,8 @@ def test_exactness_checks_survive_python_O():
         F4 = QuadField(-4)
         SYS = TorsionSystem(HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3"))))
         ELL, M = F4.ideal(F4.parse("2+i")), F4.ideal(F4.parse("2-i"))
+        O = TorsionPoint(F4, 0, 0)
+        P_TOWER = SYS.y(ELL * ELL)
         caught = []
 
         def expect_raise(label, fn, *args):
@@ -83,12 +85,18 @@ def test_exactness_checks_survive_python_O():
         expect_raise("crt", torsion.crt_split, P, ELL)
         torsion.torsion_from_element = lambda field, elem: P
         expect_raise("fiber", torsion.preimage_set, P, ELL.gen)
+        expect_raise("subgroup", torsion.torsion_subgroup, ELL)
+        torsion.crt_split = lambda P, ell: (O, P)
+        expect_raise("multiplicative", torsion.galois_conjugates, P, ELL, "multiplicative")
+        torsion.torsion_subgroup = lambda ell: [O] * ell.norm
+        expect_raise("additive", torsion.galois_conjugates, P_TOWER, ELL, "additive")
         print(" ".join(caught))
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["orbit", "crt", "fiber"]
+    assert proc.stdout.split() == ["orbit", "crt", "fiber", "subgroup",
+                                   "multiplicative", "additive"]
 
 
 def test_shared_stages_run_once_across_relations(monkeypatch):
