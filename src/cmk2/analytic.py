@@ -33,6 +33,12 @@ fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
   2^-b of 0 gets b more bits, so sigma keeps its relative precision
   near its zero.
 
+Exact points: `sigma_exact(x, y)` takes rational coordinates of
+x + y*omega and remembers its last SIGMA_MEMO_SIZE values per lattice,
+since elliptic-function products meet the same exact offsets again
+within a few hundred calls.  At a lattice point it returns sigma's
+leading coefficient there instead of the zero.
+
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
 that precision.  Nothing here mutates global mpmath state outside a
@@ -41,6 +47,7 @@ workprec block.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -51,6 +58,7 @@ from .qfield import QuadElement, QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
+SIGMA_MEMO_SIZE = 128
 
 # the default numeric tolerance, held well past the 53-bit default context
 with mp.workprec(256):
@@ -75,6 +83,7 @@ class AnalyticLattice:
         self.prec = prec
         self._cache: dict = {}
         self._init_constants()
+        self.sigma_exact = functools.lru_cache(SIGMA_MEMO_SIZE)(self._sigma_exact)
 
     def context(self):
         """Working-precision context; combining returned values must happen
@@ -266,6 +275,13 @@ class AnalyticLattice:
             mu = m + n * self.tau
             expo = self.eta_linear(m, n) * (z0 + mu / 2) + self.eta1 * z0 * z0 / 2
             return self.translation_sign(m, n) * mp.exp(expo) * t0 / self._cache["pi_d1"]
+
+    def _sigma_exact(self, x, y):
+        """sigma(x + y*omega) for rational x, y; at a lattice point mu, the
+        leading coefficient eps(mu) exp(eta(mu) mu / 2) of sigma there."""
+        if isinstance(x, int) and isinstance(y, int):
+            return self.translation_factor(x, y, 0)
+        return self.sigma(self.embed_coords(x, y))
 
     def zeta(self, z):
         with mp.workprec(self.prec + GUARD_BITS):

@@ -4,7 +4,8 @@ Certificates stream as JSON lines with sorted keys and fixed-digit
 decimal renderings, so a repeated run with the same configuration and
 seed produces identical bytes.  Exit codes: 0 when every verdict
 passes, 1 when a verification fails, 2 when the configuration is
-rejected, with an `error:` message and no traceback.
+rejected, with an `error:` message and no traceback, and 3 when an
+unexpected exception escapes, with one `internal error:` line naming it.
 """
 
 import argparse
@@ -384,17 +385,20 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         records = HANDLERS[args.command](args)
+        text = "".join(json.dumps(_render(rec), sort_keys=True, separators=(",", ":"))
+                       + "\n" for rec in records)
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    lines = [json.dumps(_render(rec), sort_keys=True, separators=(",", ":"))
-             for rec in records]
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as e:
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return 3
     return 0 if all(rec["pass"] for rec in records) else 1
 
 

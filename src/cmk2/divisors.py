@@ -219,6 +219,7 @@ class EllFunction:
         self.divisor = divisor
         self.lifts = lifts  # tuple of (Fraction r, Fraction s, int exponent)
         self.extra = extra
+        self._norm: dict = {}  # lattice -> _norm_constant
 
     @classmethod
     def from_divisor(cls, D: Divisor, extra: tuple = ()) -> "EllFunction":
@@ -279,34 +280,35 @@ class EllFunction:
     # --- numerics --------------------------------------------------------------
 
     def _norm_constant(self, lat: AnalyticLattice):
-        """The normalization constant times the extra constant factors."""
-        # exact quadratic form of the lifts, evaluated against eta at runtime
-        A = sum((Fraction(e) * r * r for r, s, e in self.lifts), Fraction(0))
-        B = sum((Fraction(e) * r * s for r, s, e in self.lifts), Fraction(0))
-        C = sum((Fraction(e) * s * s for r, s, e in self.lifts), Fraction(0))
-        with lat.context():
-            mixed = lat.eta1 * lat.tau + lat.eta_omega
-            expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
-                     + lat._frac(C) * lat.eta_omega * lat.tau) / 2
-            out = mp.exp(expo)
-            for atom in self.extra:
-                out = out * atom.evaluate(lat)
-            return out
+        """The normalization constant times the extra constant factors,
+        computed once per lattice."""
+        out = self._norm.get(lat)
+        if out is None:
+            # exact quadratic form of the lifts, evaluated against eta at runtime
+            A = sum((Fraction(e) * r * r for r, s, e in self.lifts), Fraction(0))
+            B = sum((Fraction(e) * r * s for r, s, e in self.lifts), Fraction(0))
+            C = sum((Fraction(e) * s * s for r, s, e in self.lifts), Fraction(0))
+            with lat.context():
+                mixed = lat.eta1 * lat.tau + lat.eta_omega
+                expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
+                         + lat._frac(C) * lat.eta_omega * lat.tau) / 2
+                out = mp.exp(expo)
+                for atom in self.extra:
+                    out = out * atom.evaluate(lat)
+            self._norm[lat] = out
+        return out
 
     def _product(self, lat: AnalyticLattice, z: QuadElement):
         """The normalized product at the exact point z.  A lift u whose
         offset z - u is a lattice point mu contributes sigma's leading
         coefficient eps(mu) exp(eta(mu) mu / 2) at mu; every other lift
-        contributes sigma(z - u)."""
+        contributes sigma(z - u).  Both come from the lattice's memo of
+        sigma at exact points."""
         with lat.context():
             out = self._norm_constant(lat)
             for r, s, e in self.lifts:
                 w = z - self.field.element(r, s)
-                if w.is_integral():
-                    factor = lat.translation_factor(w.x, w.y, 0)
-                else:
-                    factor = lat.sigma(lat.embed(w))
-                out = out * factor ** e
+                out = out * lat.sigma_exact(w.x, w.y) ** e
             return out
 
     def evaluate(self, lat: AnalyticLattice, z):

@@ -19,15 +19,15 @@ def count_points(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + a x + b by exhaustive x-scan."""
     if not is_rational_prime(p):
         raise ValueError(f"{p} is not prime")
-    if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+    # the discriminant is -16 (4a^3 + 27b^2): every such model is singular at 2
+    if p == 2 or (4 * a ** 3 + 27 * b ** 2) % p == 0:
         raise ValueError(f"bad reduction at {p}")
+    # counts[v] = #{y : y^2 = v}; y and -y are distinct for y != 0
     counts = [0] * p
-    for y in range(p):
-        counts[y * y % p] += 1
-    total = 1  # infinity
-    for x in range(p):
-        total += counts[(x * x * x + a * x + b) % p]
-    return total
+    counts[0] = 1
+    for y in range(1, (p + 1) // 2):
+        counts[y * y % p] = 2
+    return 1 + sum([counts[((x * x + a) * x + b) % p] for x in range(p)])
 
 
 def sqrt_mod_p(a: int, p: int):
@@ -55,9 +55,6 @@ class Fp2:
 
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
 
     def neg(self, x):
         return (-x[0] % self.p, -x[1] % self.p)
@@ -113,38 +110,49 @@ class CurveOverFp2:
         return (P[0], self.F.neg(P[1]))
 
     def add(self, P, Q):
-        F = self.F
+        """P + Q, computed inline on the coordinate pairs (u, v) = u + v*s."""
         if P is None:
             return Q
         if Q is None:
             return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if F.add(y1, y2) == F.make(0):
+        p, nr = self.F.p, self.F.nr
+        (x1u, x1v), (y1u, y1v) = P
+        (x2u, x2v), (y2u, y2v) = Q
+        if P[0] == Q[0]:
+            if (y1u + y2u) % p == 0 and (y1v + y2v) % p == 0:
                 return None
-            # doubling
-            num = F.add(F.mul(F.make(3), F.mul(x1, x1)), self.a)
-            den = F.mul(F.make(2), y1)
+            # doubling: lambda = (3 x1^2 + A) / (2 y1); A lies in F_p
+            nu = (3 * (x1u * x1u + nr * x1v * x1v) + self.a[0]) % p
+            nv = 6 * x1u * x1v % p
+            du, dv = 2 * y1u, 2 * y1v
         else:
-            num = F.sub(y2, y1)
-            den = F.sub(x2, x1)
-        lam = F.mul(num, F.inv(den))
-        x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
-        y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
-        return (x3, y3)
+            nu, nv = y2u - y1u, y2v - y1v
+            du, dv = x2u - x1u, x2v - x1v
+        # 1/(du + dv s) = (du - dv s) / (du^2 - nr dv^2)
+        n = (du * du - nr * dv * dv) % p
+        if n == 0:
+            raise ZeroDivisionError("inverting zero in F_p^2")
+        ninv = pow(n, -1, p)
+        iu, iv = du * ninv % p, -dv * ninv % p
+        lu, lv = (nu * iu + nr * nv * iv) % p, (nu * iv + nv * iu) % p
+        x3u = (lu * lu + nr * lv * lv - x1u - x2u) % p
+        x3v = (2 * lu * lv - x1v - x2v) % p
+        eu, ev = x1u - x3u, x1v - x3v
+        return ((x3u, x3v),
+                ((lu * eu + nr * lv * ev - y1u) % p, (lu * ev + lv * eu - y1v) % p))
 
     def smul(self, k: int, P):
         if k < 0:
             return self.neg(self.smul(-k, P))
         R = None
         Q = P
-        while k:
+        while True:
             if k & 1:
                 R = self.add(R, Q)
-            Q = self.add(Q, Q)
             k >>= 1
-        return R
+            if not k:
+                return R
+            Q = self.add(Q, Q)
 
     def points_ext(self):
         """All points of E(F_p^2), exhaustively."""

@@ -20,6 +20,8 @@ CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
 def _as_coord(v):
+    if type(v) is int:  # the common case; a bool takes the checks below
+        return v
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     if isinstance(v, int):
@@ -91,6 +93,7 @@ class QuadField:
             self.unit_order = 6
         else:
             self.unit_order = 2
+        self._units = self._roots_of_unity()
 
     def __repr__(self):
         return f"QuadField({self.d})"
@@ -115,6 +118,9 @@ class QuadField:
 
     def units(self) -> tuple:
         """All roots of unity in the ring of integers."""
+        return self._units
+
+    def _roots_of_unity(self) -> tuple:
         one = self.one()
         if self.unit_order == 2:
             return (one, -one)
@@ -151,12 +157,12 @@ class QuadElement:
     # --- ring operations -------------------------------------------------
 
     def _check(self, other) -> "QuadElement":
-        if isinstance(other, (int, Fraction)):
-            return QuadElement(self.field, other, 0)
         if isinstance(other, QuadElement):
             if other.field.d != self.field.d:
                 raise ValueError("field mismatch")
             return other
+        if isinstance(other, (int, Fraction)):
+            return QuadElement(self.field, other, 0)
         return NotImplemented
 
     def __add__(self, other):
@@ -305,8 +311,9 @@ def canonical_generator(alpha: QuadElement) -> QuadElement:
         raise ValueError("canonical generator is defined for integral elements")
     if alpha.is_zero():
         return alpha
-    hits = [u * alpha for u in alpha.field.units() if (u * alpha).is_canonical()]
-    assert len(hits) == 1, f"sector test not unique for {alpha}: {hits}"
+    hits = [v for v in (u * alpha for u in alpha.field.units()) if v.is_canonical()]
+    if len(hits) != 1:
+        raise ArithmeticError(f"sector test not unique for {alpha}: {hits}")
     return hits[0]
 
 
@@ -740,10 +747,12 @@ def ray_one_generator(ideal: QuadIdeal, f_phi: QuadIdeal):
     Hecke layer enforces before this is trusted.
     """
     one = ideal.field.one()
-    hits = [u * ideal.gen for u in ideal.field.units() if f_phi.contains(u * ideal.gen - one)]
+    hits = [v for v in (u * ideal.gen for u in ideal.field.units())
+            if f_phi.contains(v - one)]
     if not hits:
         return None
-    assert len(hits) == 1, f"ray-normalized generator not unique for {ideal}"
+    if len(hits) != 1:
+        raise ArithmeticError(f"ray-normalized generator not unique for {ideal}")
     return hits[0]
 
 
@@ -782,9 +791,10 @@ def enumerate_L_R(field: QuadField, bound: int, f_phi: QuadIdeal,
     def extend(start_idx: int, current: QuadIdeal):
         R.append(current)
         for i in range(start_idx, len(L)):
-            nxt = current * L[i]
-            if nxt.norm <= bound:
-                extend(i, nxt)
+            # norms multiply and L is sorted by norm: no later prime fits
+            if current.norm * L[i].norm > bound:
+                break
+            extend(i, current * L[i])
 
     extend(0, QuadIdeal(field.one()))
     R.sort(key=lambda I: (I.norm, I.gen.x, I.gen.y))

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmk2.analytic import AnalyticLattice
+from cmk2.analytic import SIGMA_MEMO_SIZE, AnalyticLattice
 from cmk2.qfield import QuadField
 
 GAUSS = QuadField(-4)
@@ -278,3 +278,66 @@ def test_real_argument_gives_real_values(lat):
         for x in (mp.mpf("0.3"), mp.mpf("-0.45"), mp.mpf("3.3")):
             for value in (lat.sigma(x), lat.zeta(x), lat.wp(x)):
                 assert mp.im(value) == 0
+
+
+# --- the per-lattice memo of sigma at exact points ---------------------------
+
+EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3, 2)),
+                 (Fraction(5, 4), 0), (0, Fraction(1, 2)), (2, -1), (0, 0))
+
+
+def _fresh_sigma(lat, x, y):
+    """sigma at x + y*omega without the memo; its leading coefficient at a
+    lattice point."""
+    if isinstance(x, int) and isinstance(y, int):
+        return lat.translation_factor(x, y, 0)
+    return lat.sigma(lat.embed_coords(x, y))
+
+
+@pytest.mark.parametrize("d", (-4, -3, -163))
+def test_sigma_memo_is_bit_identical(d):
+    K = QuadField(d)
+    warm = AnalyticLattice(K, 256)
+    cold = [warm.sigma_exact(x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    again = [warm.sigma_exact(x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    assert warm.sigma_exact.cache_info().hits == len(EXACT_OFFSETS)
+    fresh = AnalyticLattice(K, 256)
+    assert cold == again == [_fresh_sigma(fresh, x, y)._mpc_ for x, y in EXACT_OFFSETS]
+
+
+def test_sigma_memo_is_bounded():
+    lat = AnalyticLattice(QuadField(-163), 128)
+    for k in range(SIGMA_MEMO_SIZE + 20):
+        lat.sigma_exact(Fraction(1, k + 2), Fraction(1, 3))
+    assert lat.sigma_exact.cache_info().currsize == SIGMA_MEMO_SIZE
+
+
+def _memo_sharing_errors(lo, hi):
+    """Offsets where the second lattice, after the first has filled its
+    memo, returns anything but its own fresh value."""
+    for x, y in EXACT_OFFSETS:
+        lo.sigma_exact(x, y)
+    return [(x, y) for x, y in EXACT_OFFSETS
+            if hi.sigma_exact(x, y)._mpc_ != _fresh_sigma(hi, x, y)._mpc_]
+
+
+def test_sigma_memo_is_per_lattice():
+    assert _memo_sharing_errors(AnalyticLattice(GAUSS, 256),
+                                AnalyticLattice(GAUSS, 512)) == []
+
+
+def test_memo_sharing_fault_control():
+    # one module-global memo keyed only on (x, y) hands the 512-bit
+    # lattice the 256-bit values
+    shared = {}
+
+    def global_memo(lat):
+        def sigma_exact(x, y):
+            if (x, y) not in shared:
+                shared[x, y] = _fresh_sigma(lat, x, y)
+            return shared[x, y]
+        return sigma_exact
+
+    lo, hi = AnalyticLattice(GAUSS, 256), AnalyticLattice(GAUSS, 512)
+    lo.sigma_exact, hi.sigma_exact = global_memo(lo), global_memo(hi)
+    assert _memo_sharing_errors(lo, hi)

@@ -1,13 +1,16 @@
 """End-to-end runs of the command line front end.
 
 Exit code contract: 0 all verdicts pass, 1 a verification failed,
-2 the configuration was rejected.  Certificates are JSON lines and
-byte-identical across reruns of the same configuration.
+2 the configuration was rejected, 3 an unexpected exception escaped.
+Certificates are JSON lines and byte-identical across reruns of the same
+configuration.
 """
 
 import json
 import subprocess
 import sys
+
+from cmk2 import cli
 
 FAST = ["--prec", "128", "--tol", "1e-12", "--samples", "4"]
 
@@ -143,6 +146,18 @@ def test_config_errors_exit_2():
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
         assert err.strip().startswith("error:"), argv
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler failed\nin two lines")
+
+    monkeypatch.setitem(cli.HANDLERS, "enumerate", broken)
+    assert cli.main(["enumerate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: handler failed in two lines\n"
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_subcommand_exits_2():

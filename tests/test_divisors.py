@@ -359,3 +359,19 @@ def test_sample_points_deterministic_and_avoiding():
             z = lat.embed_coords(*rs)
             for P in avoid:
                 assert lat.distance_to_lattice(z - lat.embed_coords(P.r, P.s)) > 1e-3
+
+
+@pytest.mark.parametrize("d", (-4, -3, -163))
+def test_warm_evaluation_is_bit_identical(d):
+    # the second round reads the sigma memo and the cached normalization
+    # constant; both rounds must match a fresh lattice to the bit
+    K = QuadField(d)
+    f = build_g_a(K, 2)
+    points = [K.element(Fraction(1, 3), Fraction(1, 7)),
+              K.element(Fraction(2, 5), Fraction(-1, 3)),
+              TorsionPoint(K, Fraction(1, 3), 0)]
+    warm = AnalyticLattice(K, 256)
+    first = [f.evaluate(warm, z)._mpc_ for z in points]
+    again = [f.evaluate(warm, z)._mpc_ for z in points]
+    fresh = [build_g_a(K, 2).evaluate(AnalyticLattice(K, 256), z)._mpc_ for z in points]
+    assert first == again == fresh

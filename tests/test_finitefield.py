@@ -10,7 +10,7 @@ from cmk2.finitefield import (
     frobenius_equals_cm,
     sqrt_mod_p,
 )
-from cmk2.qfield import QuadField
+from cmk2.qfield import QuadField, is_rational_prime
 
 GAUSS = QuadField(-4)
 
@@ -35,6 +35,8 @@ def test_count_points_bad_reduction():
         count_points(2, -1, 0)
     with pytest.raises(ValueError):
         count_points(5, 0, 0)
+    with pytest.raises(ValueError):
+        count_points(2, 0, 1)  # every short Weierstrass model is singular at 2
 
 
 def test_sqrt_mod_p():
@@ -150,3 +152,87 @@ def test_fp2_field_axioms():
         # frobenius is a field automorphism of order 2
         assert F.frobenius(F.frobenius(x)) == x
         assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
+
+
+# --- brute-force oracles for the inline arithmetic --------------------------
+
+ORACLE_CURVES = ((-1, 0), (0, 1), (2, 3), (-3, 5), (1, 1), (0, 16))
+
+
+def _direct_count(p, a, b):
+    """#E(F_p) from every (x, y) pair."""
+    return 1 + sum(1 for x in range(p) for y in range(p)
+                   if (y * y - x ** 3 - a * x - b) % p == 0)
+
+
+def _count_mismatches(count):
+    return [(p, a, b) for p in range(3, 60) if is_rational_prime(p)
+            for a, b in ORACLE_CURVES
+            if (4 * a ** 3 + 27 * b ** 2) % p
+            and count(p, a, b) != _direct_count(p, a, b)]
+
+
+def test_count_points_matches_direct_count():
+    assert _count_mismatches(count_points) == []
+
+
+def test_count_oracle_fails_without_two_torsion():
+    def without_y0(p, a, b):
+        return count_points(p, a, b) - sum(1 for x in range(p)
+                                           if (x ** 3 + a * x + b) % p == 0)
+
+    assert _count_mismatches(without_y0)
+
+
+def _textbook_add(F, A, P, Q):
+    """Chord-and-tangent addition written with the Fp2 field operations."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and F.add(y1, y2) == F.make(0):
+        return None
+    if x1 == x2:
+        num = F.add(F.mul(F.make(3), F.mul(x1, x1)), A)
+        den = F.mul(F.make(2), y1)
+    else:
+        num, den = F.add(y2, F.neg(y1)), F.add(x2, F.neg(x1))
+    lam = F.mul(num, F.inv(den))
+    x3 = F.add(F.mul(lam, lam), F.neg(F.add(x1, x2)))
+    return (x3, F.add(F.mul(lam, F.add(x1, F.neg(x3))), F.neg(y1)))
+
+
+def _smul_mismatches(curve, count=40):
+    """(k, P) where smul(k, P) differs from |k| textbook additions of P
+    (negated for k < 0), over the 2-torsion and a seeded point sample."""
+    pts = curve.points_ext()
+    sample = [P for P in pts if P is not None and P[1] == (0, 0)]
+    sample += random.Random(curve.F.p).sample(pts, count)
+    bad = []
+    for P in sample:
+        multiples = [None]
+        for _ in range(20):
+            multiples.append(_textbook_add(curve.F, curve.a, multiples[-1], P))
+        for k in range(-20, 21):
+            want = multiples[k] if k >= 0 else curve.neg(multiples[-k])
+            if curve.smul(k, P) != want:
+                bad.append((k, P))
+    return bad
+
+
+@pytest.mark.parametrize("p", (13, 29))
+@pytest.mark.parametrize("a, b", ((-1, 0), (2, 3)))
+def test_smul_matches_repeated_addition(p, a, b):
+    assert _smul_mismatches(CurveOverFp2(p, a, b)) == []
+
+
+class _BrokenDoubling(CurveOverFp2):
+    def add(self, P, Q):
+        R = super().add(P, Q)
+        return self.neg(R) if P is not None and P == Q else R
+
+
+@pytest.mark.parametrize("p", (13, 29))
+def test_smul_oracle_fails_with_broken_doubling(p):
+    assert _smul_mismatches(_BrokenDoubling(p, -1, 0))

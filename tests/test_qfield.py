@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -134,6 +135,43 @@ def test_canonical_generator_frozen_examples():
         K = QuadField(d)
         assert canonical_generator(K.element(7)) == K.element(7)
         assert canonical_generator(K.element(-7)) == K.element(7)
+
+
+def _least_argument_associate(a):
+    """Brute-force sector search: the associate whose argument, taken in
+    [0, 2*pi), is least.  The sector [0, 2*pi/w_K) holds exactly one
+    associate, and y = 0 embeds with imaginary part exactly 0."""
+    K = a.field
+    re_w, im_w = K.trace_omega / 2, math.sqrt(-K.d) / 2
+
+    def argument(e):
+        return math.atan2(e.y * im_w, e.x + e.y * re_w) % (2 * math.pi)
+
+    return min((u * a for u in K.units()), key=argument)
+
+
+def _sector_mismatches(canonical, count=200):
+    bad = []
+    for d in CLASS_NUMBER_ONE_DISCRIMINANTS:
+        K = QuadField(d)
+        rng = random.Random(d)
+        for _ in range(count):
+            a = rand_elem(K, rng)
+            if not a.is_zero() and canonical(a) != _least_argument_associate(a):
+                bad.append(a)
+    return bad
+
+
+def test_canonical_generator_matches_sector_search():
+    assert _sector_mismatches(canonical_generator) == []
+
+
+def test_sector_oracle_fails_for_a_wrong_sector():
+    # the associate one unit step further round is canonical for no element
+    def rotated(a):
+        return canonical_generator(a) * a.field.units()[1]
+
+    assert _sector_mismatches(rotated)
 
 
 # --- parser ------------------------------------------------------------------

@@ -58,10 +58,11 @@ def test_conjugating_units_multiplicative():
 
 
 def test_exactness_checks_survive_python_O():
-    # under -O every assert is stripped; the orbit, fiber, CRT and
-    # subgroup-size checks must still raise when their exact data is wrong
+    # under -O every assert is stripped; the orbit, fiber, CRT,
+    # subgroup-size and associate-uniqueness checks must still raise when
+    # their exact data is wrong
     script = textwrap.dedent("""
-        from cmk2 import relations, torsion
+        from cmk2 import qfield, relations, torsion
         from cmk2.hecke import HeckeCharacter
         from cmk2.qfield import QuadField
         from cmk2.torsion import TorsionPoint, TorsionSystem
@@ -90,13 +91,17 @@ def test_exactness_checks_survive_python_O():
         expect_raise("multiplicative", torsion.galois_conjugates, P, ELL, "multiplicative")
         torsion.torsion_subgroup = lambda ell: [O] * ell.norm
         expect_raise("additive", torsion.galois_conjugates, P_TOWER, ELL, "additive")
+        qfield.QuadIdeal.contains = lambda self, elem: True
+        expect_raise("ray", qfield.ray_one_generator, ELL, ELL)
+        qfield.QuadElement.is_canonical = lambda self: True
+        expect_raise("sector", qfield.canonical_generator, F4.parse("2-i"))
         print(" ".join(caught))
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["orbit", "crt", "fiber", "subgroup",
-                                   "multiplicative", "additive"]
+                                   "multiplicative", "additive", "ray", "sector"]
 
 
 def test_shared_stages_run_once_across_relations(monkeypatch):
