@@ -11,10 +11,13 @@ One theta kernel serves sigma, zeta, p, p' and eta(1).  Each lattice
 computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at the
 fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
 
-- Reduction: z = z0 + m + n*tau with m + n*tau the nearest lattice
-  point by coordinate rounding, so |Re z0| <= 1/2 and
-  |Im z0| <= Im(tau)/2.  sigma folds eps(mu) exp(eta(mu)(z0 + mu/2))
-  and exp(eta1 z0^2 / 2) into one exp; zeta adds eta(mu); p and p' are
+- Reduction: every function takes the exact int/Fraction coordinates
+  (x, y) of z = x + y*omega and picks the lattice point mu = m + n*omega
+  by integer rounding, n = round(y) and m = round(x + (y - n) t/2)
+  with t the trace of omega, so the offset z0 = z - mu has
+  |Re z0| <= 1/2 and |Im z0| <= Im(tau)/2 exactly.  Only z0 is
+  embedded.  sigma folds eps(mu) exp(eta(mu)(z0 + mu/2)) and
+  exp(eta1 z0^2 / 2) into one exp; zeta adds eta(mu); p and p' are
   periodic.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
   c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
@@ -33,11 +36,11 @@ fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
   2^-b of 0 gets b more bits, so sigma keeps its relative precision
   near its zero.
 
-Exact points: `sigma_exact(x, y)` takes rational coordinates of
-x + y*omega and remembers its last SIGMA_MEMO_SIZE values per lattice,
-since elliptic-function products meet the same exact offsets again
-within a few hundred calls.  At a lattice point it returns sigma's
-leading coefficient there instead of the zero.
+Exact points: each lattice remembers the last SIGMA_MEMO_SIZE values of
+`sigma(x, y)`, since elliptic-function products meet the same exact
+offsets again within a few hundred calls.  At a lattice point (z0 = 0)
+the series factor is 1, so sigma returns its leading coefficient
+eps(mu) exp(eta(mu) mu/2) there instead of the zero.
 
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
@@ -54,7 +57,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .qfield import QuadElement, QuadField
+from .qfield import QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
@@ -81,9 +84,11 @@ class AnalyticLattice:
             raise ValueError(f"precision below {MIN_PREC} bits is not supported")
         self.field = field
         self.prec = prec
-        self._cache: dict = {}
+        self._half_trace = Fraction(field.trace_omega, 2)
         self._init_constants()
-        self.sigma_exact = functools.lru_cache(SIGMA_MEMO_SIZE)(self._sigma_exact)
+        # the per-lattice memo sits in front of the class's sigma, which
+        # then runs only on a miss
+        self.sigma = functools.lru_cache(SIGMA_MEMO_SIZE)(self.sigma)
 
     def context(self):
         """Working-precision context; combining returned values must happen
@@ -95,14 +100,14 @@ class AnalyticLattice:
     def _init_constants(self):
         with mp.workprec(self.prec + GUARD_BITS):
             t = self.field.trace_omega
-            tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
-            q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
-            self._init_table(t, tau.imag)
+            self.tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
+            q = mp.exp(mp.mpc(0, 1) * mp.pi * self.tau)
+            self._init_table(t, self.tau.imag)
             d1, d3 = (self._table_moment(j) for j in (1, 3))
-            eta1 = (mp.pi ** 2 / 3) * d3 / d1
-            eta_om = eta1 * tau - 2 * mp.pi * mp.mpc(0, 1)
-            self._cache.update(tau=tau, pi_d1=mp.pi * d1, eta1=eta1, eta_om=eta_om)
-            self._cache["g2"], self._cache["g3"] = self._eisenstein_invariants(q)
+            self._pi_d1 = mp.pi * d1
+            self.eta1 = (mp.pi ** 2 / 3) * d3 / d1
+            self.eta_omega = self.eta1 * self.tau - 2 * mp.pi * mp.mpc(0, 1)
+            self.g2, self.g3 = self._eisenstein_invariants(q)
 
     def _init_table(self, t: int, im_tau):
         """The table of (k, C_n, s_n), k = 2n+1, with c_n = C_n / 2^s_n.
@@ -161,42 +166,29 @@ class AnalyticLattice:
         g3 = (8 * mp.pi ** 6 / 27) * e6
         return g2, g3
 
-    @property
-    def tau(self):
-        return self._cache["tau"]
+    # --- exact reduction and embedding -----------------------------------------
 
-    @property
-    def eta1(self):
-        return self._cache["eta1"]
-
-    @property
-    def eta_omega(self):
-        return self._cache["eta_om"]
-
-    @property
-    def g2(self):
-        return self._cache["g2"]
-
-    @property
-    def g3(self):
-        return self._cache["g3"]
-
-    # --- embeddings ----------------------------------------------------------
-
-    def embed(self, elem: QuadElement):
-        """Complex embedding x + y*tau (exact coordinates honored)."""
-        return self.embed_coords(elem.x, elem.y)
+    def reduce(self, x, y):
+        """(x0, y0, m, n) with x + y*omega = (x0 + y0*omega) + (m + n*omega)
+        for int/Fraction x, y: n = round(y), m = round(x + (y - n) t/2),
+        t the trace of omega.  Exact; a tie rounds to the even integer."""
+        n = round(y)
+        m = round(x + (y - n) * self._half_trace)
+        return x - m, y - n, m, n
 
     def embed_coords(self, r, s):
-        """r + s*tau for rational (or float) plane coordinates."""
+        """r + s*tau for int/Fraction plane coordinates."""
         with mp.workprec(self.prec + GUARD_BITS):
             return self._frac(r) + self._frac(s) * self.tau
 
     @staticmethod
     def _frac(v):
+        """An int or Fraction at the working precision."""
+        if isinstance(v, int):
+            return mp.mpf(v)
         if isinstance(v, Fraction):
             return mp.mpf(v.numerator) / v.denominator
-        return mp.mpf(v)
+        raise TypeError(f"coordinates are int or Fraction, not {type(v).__name__}")
 
     # --- quasi-period machinery ----------------------------------------------
 
@@ -219,10 +211,11 @@ class AnalyticLattice:
 
     # --- transcendental functions ----------------------------------------------
 
-    def _reduce(self, z):
-        """(z0, m, n): z = z0 + m + n*tau, m + n*tau the nearest lattice point."""
-        m, n = self.nearest_lattice_point(z)
-        return z - (m + n * self.tau), m, n
+    def _offset(self, x, y):
+        """(z0, m, n): the embedded reduced offset of x + y*omega and its
+        lattice point m + n*omega."""
+        x0, y0, m, n = self.reduce(x, y)
+        return self.embed_coords(x0, y0), m, n
 
     def _series(self, z0, derivs: int) -> list:
         """theta_1^(j)(pi z0) for j = 0..derivs, each divided by 2 q^(1/4).
@@ -266,53 +259,34 @@ class AnalyticLattice:
         return [mp.mpc(mp.mpf((re, -bits - 1)), mp.mpf((im, -bits - 1)))
                 for re, im in sums]
 
-    def sigma(self, z):
-        """Weierstrass sigma: the reduced series times one exponential
-        eps(mu) exp(eta(mu) (z0 + mu/2) + eta1 z0^2 / 2), mu = m + n*tau."""
+    def sigma(self, x, y):
+        """Weierstrass sigma at x + y*omega: the reduced series times one
+        exponential eps(mu) exp(eta(mu) (z0 + mu/2) + eta1 z0^2 / 2),
+        mu = m + n*tau.  At a lattice point the series factor is 1: the
+        value is sigma's leading coefficient eps(mu) exp(eta(mu) mu / 2)."""
         with mp.workprec(self.prec + GUARD_BITS):
-            z0, m, n = self._reduce(z)
-            (t0,) = self._series(z0, 0)
+            z0, m, n = self._offset(x, y)
             mu = m + n * self.tau
             expo = self.eta_linear(m, n) * (z0 + mu / 2) + self.eta1 * z0 * z0 / 2
-            return self.translation_sign(m, n) * mp.exp(expo) * t0 / self._cache["pi_d1"]
+            out = self.translation_sign(m, n) * mp.exp(expo)
+            if not z0:  # exactly zero only at a lattice point
+                return out
+            (t0,) = self._series(z0, 0)
+            return out * t0 / self._pi_d1
 
-    def _sigma_exact(self, x, y):
-        """sigma(x + y*omega) for rational x, y; at a lattice point mu, the
-        leading coefficient eps(mu) exp(eta(mu) mu / 2) of sigma there."""
-        if isinstance(x, int) and isinstance(y, int):
-            return self.translation_factor(x, y, 0)
-        return self.sigma(self.embed_coords(x, y))
-
-    def zeta(self, z):
+    def zeta(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            z0, m, n = self._reduce(z)
+            z0, m, n = self._offset(x, y)
             t0, t1 = self._series(z0, 1)
             return self.eta1 * z0 + mp.pi * t1 / t0 + self.eta_linear(m, n)
 
-    def wp(self, z):
+    def wp(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2 = self._series(self._reduce(z)[0], 2)
+            t0, t1, t2 = self._series(self._offset(x, y)[0], 2)
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
-    def wp_prime(self, z):
+    def wp_prime(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2, t3 = self._series(self._reduce(z)[0], 3)
+            t0, t1, t2, t3 = self._series(self._offset(x, y)[0], 3)
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3
-
-    # --- lattice hygiene --------------------------------------------------------
-
-    def nearest_lattice_point(self, z) -> tuple[int, int]:
-        """(m, n) with m + n*omega nearest-ish to z (coordinate rounding)."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            n = mp.im(z) / mp.im(self.tau)
-            ni = int(mp.nint(n))
-            m = mp.re(z) - ni * mp.re(self.tau)
-            mi = int(mp.nint(m))
-            return mi, ni
-
-    def distance_to_lattice(self, z):
-        with mp.workprec(self.prec + GUARD_BITS):
-            m, n = self.nearest_lattice_point(z)
-            return abs(z - (m + n * self.tau))
-

@@ -149,13 +149,14 @@ def _hecke_check(ctx: Context, opts: dict) -> dict:
     args, chi = ctx.args, ctx.chi
     if 4 * args.curve_a ** 3 + 27 * args.curve_b ** 2 == 0:
         raise ConfigError(f"{CURVE}: the curve is singular")
-    primes = [p for p in range(3, args.bound + 1)
-              if is_rational_prime(p) and chi.conductor.norm % p != 0
-              and split_rational_prime(ctx.field, p)[0] == "split"]
+    splits = {p: split_rational_prime(ctx.field, p) for p in range(3, args.bound + 1)
+              if is_rational_prime(p) and chi.conductor.norm % p != 0}
+    primes = [p for p, split in splits.items() if split[0] == "split"]
     if not primes:
         raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
     # bad reduction at a counted prime is rejected
-    rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b)
+    rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b,
+                     splits[p])
             for p in primes]
     return {
         "bound": args.bound,

@@ -18,8 +18,9 @@ point, so the construction is deterministic.
 
 Evaluation points are exact: a TorsionPoint, or a field element with
 rational coordinates (53-bit float samples are dyadic rationals).  So
-each offset z - u is exact, and so is the pole test: z is a zero or
-pole exactly when its class lies in the divisor.
+each offset z - u is exact and reaches the kernel as exact coordinates,
+which it reduces by integer rounding; the pole test is exact too: z is a
+zero or pole exactly when its class lies in the divisor.
 """
 
 from __future__ import annotations
@@ -106,9 +107,6 @@ class Divisor:
     def scale(self, k: int) -> "Divisor":
         return Divisor(self.field, {P: k * m for P, m in self.points.items()})
 
-    def translate(self, Q: TorsionPoint) -> "Divisor":
-        return Divisor(self.field, {P + Q: m for P, m in self.points.items()})
-
     def pullback(self, alpha: QuadElement) -> "Divisor":
         """Inverse image under multiplication by alpha, multiplicities kept."""
         out: dict[TorsionPoint, int] = {}
@@ -182,14 +180,6 @@ class ConstAtom:
         if self.evaluator is not None:
             return ("lazy", self.tag)
         return ("eval", self.fn.signature(), (self.point.r, self.point.s), self.exponent)
-
-    def inverse(self) -> "ConstAtom":
-        if self.exact is not None:
-            return ConstAtom(exact=1 / self.exact)
-        if self.evaluator is not None:
-            ev = self.evaluator
-            return ConstAtom(evaluator=lambda lat: 1 / ev(lat), tag=f"inv({self.tag})")
-        return ConstAtom(fn=self.fn, point=self.point, exponent=-self.exponent)
 
     def __eq__(self, other):
         return isinstance(other, ConstAtom) and other.signature() == self.signature()
@@ -302,13 +292,13 @@ class EllFunction:
         """The normalized product at the exact point z.  A lift u whose
         offset z - u is a lattice point mu contributes sigma's leading
         coefficient eps(mu) exp(eta(mu) mu / 2) at mu; every other lift
-        contributes sigma(z - u).  Both come from the lattice's memo of
-        sigma at exact points."""
+        contributes sigma(z - u).  Both come from the lattice's memoized
+        sigma at the exact offset."""
         with lat.context():
             out = self._norm_constant(lat)
             for r, s, e in self.lifts:
                 w = z - self.field.element(r, s)
-                out = out * lat.sigma_exact(w.x, w.y) ** e
+                out = out * lat.sigma(w.x, w.y) ** e
             return out
 
     def evaluate(self, lat: AnalyticLattice, z):
@@ -402,6 +392,8 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
     from the avoided set.  The coordinate stream is precision-independent,
     so reruns at other precisions test the same geometric points."""
     rng = random.Random(seed)
+    lifts = [P.lift() for P in avoid]
+    bound = Fraction(margin) ** 2
     out = []
     tries = 0
     while len(out) < count:
@@ -411,14 +403,21 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
         rs = (rng.random(), rng.random())
         # the margin keeps samples well away from the supports, so the
         # values compared stay moderate; it is a geometric separation,
-        # not a precision bound (evaluate tests poles exactly)
-        with lat.context():
-            z = lat.embed_coords(*rs)
-            if any(lat.distance_to_lattice(z - lat.embed_coords(P.r, P.s)) < margin
-                   for P in avoid):
-                continue
+        # not a precision bound (evaluate tests poles exactly).  The test
+        # is exact: each offset z - P is reduced by the kernel's integer
+        # rounding and the norm of what is left, its squared distance to
+        # that lattice point, is compared with margin^2
+        z = lat.field.element(Fraction(rs[0]), Fraction(rs[1]))
+        if any(_reduced_norm(lat, z - u) < bound for u in lifts):
+            continue
         out.append(rs)
     return out
+
+
+def _reduced_norm(lat: AnalyticLattice, w: QuadElement):
+    """The norm of w's offset from the lattice point the kernel rounds it to."""
+    x0, y0, _m, _n = lat.reduce(w.x, w.y)
+    return lat.field.element(x0, y0).norm()
 
 
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
@@ -472,12 +471,12 @@ def wp_route_evaluator(field: QuadField, a: int, lat: AnalyticLattice):
             continue
         seen.add(gamma)
         seen.add(-gamma)
-        with lat.context():
-            wp_reps.append(lat.wp(lat.embed_coords(gamma.r, gamma.s)))
+        wp_reps.append(lat.wp(gamma.r, gamma.s))
 
     def ev(z):
+        z = _exact_point(z)
         with lat.context():
-            wp_z = lat.wp(lat.embed(_exact_point(z)))
+            wp_z = lat.wp(z.x, z.y)
             out = mp.mpc(1)
             for wp_gamma in wp_reps:
                 out = out * (wp_z - wp_gamma)

@@ -65,11 +65,14 @@ class HeckeCharacter:
             return primes[1], primes[0]
         raise AssertionError("split prime with real character value")
 
-    def a_p(self, p: int) -> int:
-        """Trace of the character at p: phi(p-above) + conjugate, or 0 inert."""
+    def a_p(self, p: int, split: tuple | None = None) -> int:
+        """Trace of the character at p: phi(p-above) + conjugate, or 0 inert.
+
+        `split` is split_rational_prime(field, p) when the caller has it.
+        """
         if not is_rational_prime(p):
             raise ValueError(f"{p} is not prime")
-        kind, primes = split_rational_prime(self.field, p)
+        kind, primes = split or split_rational_prime(self.field, p)
         if kind == "ramified":
             raise ValueError(f"{p} ramifies; no clean trace here")
         if kind == "inert":
@@ -80,11 +83,13 @@ class HeckeCharacter:
         return v.trace()
 
 
-def point_count_check(chi: HeckeCharacter, p: int, curve_a: int, curve_b: int) -> dict:
-    """Compare a_p from the character against exhaustive point counting."""
+def point_count_check(chi: HeckeCharacter, p: int, curve_a: int, curve_b: int,
+                      split: tuple | None = None) -> dict:
+    """Compare a_p from the character against exhaustive point counting;
+    `split` as for HeckeCharacter.a_p."""
     count = count_points(p, curve_a, curve_b)
     a_count = p + 1 - count
-    a_char = chi.a_p(p)
+    a_char = chi.a_p(p, split)
     return {
         "p": p,
         "a_p_character": a_char,

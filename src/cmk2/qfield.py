@@ -241,9 +241,6 @@ class QuadElement:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_unit(self) -> bool:
-        return self.is_integral() and self.norm() == 1
-
     def divides(self, other: "QuadElement") -> bool:
         if self.is_zero():
             return other.is_zero()
@@ -732,9 +729,6 @@ class ResidueRing:
         gen = self.modulus.gen
         return [r for r in self.modulus.residues()
                 if not r.is_zero() and gcd_elements(r, gen).norm() == 1]
-
-    def unit_count(self) -> int:
-        return euler_phi_ideal(self.modulus)
 
 
 # --- the prime pool L and the ideal pool R ----------------------------------

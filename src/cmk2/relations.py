@@ -117,16 +117,18 @@ def _product_evaluator(lat: AnalyticLattice, fns: list[EllFunction]):
 def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
                                relation: str, lat: AnalyticLattice, *, a: int = 2,
                                samples: int = 20, tol=DEFAULT_TOL,
-                               seed: int = 20240801) -> dict:
+                               seed: int = 20240801, run: _Run | None = None) -> dict:
     """Divisor-exact and numerically-constant form of the norm identity.
 
     At the common scale k = N(m ell f) the conjugate product of the
     higher-level two-point functions (for E2: times the extra fiber
     factor) matches the lower-level function pulled through the isogeny
-    times the kernel function to the k-th power.
+    times the kernel function to the k-th power.  A verifier passes its
+    `run`, the verification these arguments describe, so the conjugating
+    units and the orbit are not computed again.
     """
     with lat.context():
-        r = _Run(relation, sys, m, ell, a, lat, samples, tol, seed)
+        r = run or _Run(relation, sys, m, ell, a, lat, samples, tol, seed)
         k = r.k
         lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit, key=TorsionPoint.key)]
         if relation == "E2":
@@ -220,7 +222,7 @@ def _without(report: dict, *keys) -> dict:
 
 def _function_identity(r: _Run) -> dict:
     rep = verify_function_identities(r.sys, r.m, r.ell, r.relation, r.lat, a=r.a,
-                                     samples=r.samples, tol=r.tol, seed=r.seed)
+                                     samples=r.samples, tol=r.tol, seed=r.seed, run=r)
     return _without(rep, "identity", "conjugates")
 
 

@@ -20,12 +20,13 @@ def lat():
 
 
 def rand_z(lat, rng, margin=0.05):
-    # a point of the fundamental domain staying away from the lattice
+    # exact coordinates of a point of the fundamental domain staying away
+    # from the lattice
     while True:
-        z = lat.embed_coords(rng.random(), rng.random())
-        with lat.context():
-            if lat.distance_to_lattice(z) > margin:
-                return z
+        x, y = Fraction(rng.random()), Fraction(rng.random())
+        x0, y0, _m, _n = lat.reduce(x, y)
+        if lat.field.element(x0, y0).norm() > Fraction(margin) ** 2:
+            return x, y
 
 
 # --- independent oracles -----------------------------------------------------
@@ -70,8 +71,8 @@ def test_sigma_against_direct_product(lat):
             zc += 0.3
         w = zc * zc / (half * half)
         direct = zc * np.prod((1 - w) * np.exp(w))
-        with lat.context():
-            got = complex(lat.sigma(mp.mpc(zc)))
+        # omega = i, so the coordinates of zc are its real and imaginary parts
+        got = complex(lat.sigma(Fraction(zc.real), Fraction(zc.imag)))
         assert abs(got - direct) < 1e-3 * abs(direct)
 
 
@@ -83,11 +84,12 @@ def test_eta1_square_lattice_is_pi(lat):
 def test_wp_laurent_normalization(lat):
     # z^2 * wp(z) -> 1 and z^3 * wp'(z) -> -2 pin the classical scaling
     with lat.context():
-        z = mp.mpf(10) ** -9
-        assert abs(z * z * lat.wp(z) - 1) < 1e-15
-        assert abs(z ** 3 * lat.wp_prime(z) + 2) < 1e-15
+        x = Fraction(1, 10 ** 9)
+        z = lat.embed_coords(x, 0)
+        assert abs(z * z * lat.wp(x, 0) - 1) < 1e-15
+        assert abs(z ** 3 * lat.wp_prime(x, 0) + 2) < 1e-15
         # sigma(z)/z -> 1: lead coefficient 1 at the origin
-        assert abs(lat.sigma(z) / z - 1) < 1e-15
+        assert abs(lat.sigma(x, 0) / z - 1) < 1e-15
 
 
 def test_differential_equation_residual():
@@ -97,7 +99,7 @@ def test_differential_equation_residual():
         with L.context():
             for _ in range(5):
                 z = rand_z(L, rng)
-                wp, wpp = L.wp(z), L.wp_prime(z)
+                wp, wpp = L.wp(*z), L.wp_prime(*z)
                 res = abs(wpp ** 2 - (4 * wp ** 3 - L.g2 * wp - L.g3))
                 assert res < mp.mpf(10) ** -70
 
@@ -106,9 +108,9 @@ def test_wp_even_wpprime_odd(lat):
     rng = random.Random(23)
     with lat.context():
         for _ in range(5):
-            z = rand_z(lat, rng)
-            assert abs(lat.wp(z) - lat.wp(-z)) < mp.mpf(10) ** -70
-            assert abs(lat.wp_prime(z) + lat.wp_prime(-z)) < mp.mpf(10) ** -70
+            x, y = rand_z(lat, rng)
+            assert abs(lat.wp(x, y) - lat.wp(-x, -y)) < mp.mpf(10) ** -70
+            assert abs(lat.wp_prime(x, y) + lat.wp_prime(-x, -y)) < mp.mpf(10) ** -70
 
 
 def test_special_invariant_vanishing():
@@ -123,42 +125,45 @@ def test_cm_rotation():
     for field in (GAUSS, EISEN):
         L = AnalyticLattice(field, 192)
         with L.context():
-            u = L.tau if field.d == -4 else L.tau  # omega itself is a unit here
+            u = L.tau  # omega itself is a unit here
             for _ in range(4):
-                z = rand_z(L, rng)
-                assert abs(u * u * L.wp(u * z) - L.wp(z)) < mp.mpf(10) ** -45
+                z = field.element(*rand_z(L, rng))
+                uz = field.omega() * z
+                assert abs(u * u * L.wp(uz.x, uz.y) - L.wp(z.x, z.y)) < mp.mpf(10) ** -45
 
 
 def test_half_period_theta_constant_crosscheck(lat):
     # e_i = wp at half periods: symmetric functions recover g2, g3
+    half = Fraction(1, 2)
     with lat.context():
-        e1 = lat.wp(mp.mpf(1) / 2)
-        e2 = lat.wp(lat.tau / 2)
-        e3 = lat.wp((1 + lat.tau) / 2)
+        e1 = lat.wp(half, 0)
+        e2 = lat.wp(0, half)
+        e3 = lat.wp(half, half)
         assert abs(e1 + e2 + e3) < mp.mpf(10) ** -70
         assert abs(-4 * (e1 * e2 + e1 * e3 + e2 * e3) - lat.g2) < mp.mpf(10) ** -70
         assert abs(4 * e1 * e2 * e3 - lat.g3) < mp.mpf(10) ** -70
         # wp' vanishes at 2-torsion
-        assert abs(lat.wp_prime(mp.mpf(1) / 2)) < mp.mpf(10) ** -70
+        assert abs(lat.wp_prime(half, 0)) < mp.mpf(10) ** -70
 
 
 def test_quasi_period_jumps(lat):
     with lat.context():
-        z = lat.embed_coords(Fraction(3, 7), Fraction(2, 5))
+        x, y = Fraction(3, 7), Fraction(2, 5)
         tol = mp.mpf(10) ** -70
-        assert abs(lat.zeta(z + 1) - lat.zeta(z) - lat.eta1) < tol
-        assert abs(lat.zeta(z + lat.tau) - lat.zeta(z) - lat.eta_omega) < tol
+        assert abs(lat.zeta(x + 1, y) - lat.zeta(x, y) - lat.eta1) < tol
+        assert abs(lat.zeta(x, y + 1) - lat.zeta(x, y) - lat.eta_omega) < tol
         # Legendre relation is structural: eta1*tau - eta_omega = 2 pi i
         assert abs(lat.eta1 * lat.tau - lat.eta_omega - 2 * mp.pi * mp.mpc(0, 1)) == 0
 
 
 def test_sigma_translation_factor_exhaustive(lat):
     with lat.context():
-        z = lat.embed_coords(Fraction(1, 3), Fraction(2, 7))
-        sz = lat.sigma(z)
+        x, y = Fraction(1, 3), Fraction(2, 7)
+        z = lat.embed_coords(x, y)
+        sz = lat.sigma(x, y)
         for m in range(-2, 3):
             for n in range(-2, 3):
-                lhs = lat.sigma(z + m + n * lat.tau)
+                lhs = lat.sigma(x + m, y + n)
                 rhs = lat.translation_factor(m, n, z) * sz
                 assert abs(lhs - rhs) < mp.mpf(10) ** -60 * max(1, abs(lhs))
 
@@ -178,13 +183,12 @@ def test_translation_sign_values():
 def test_precision_scaling_of_residual():
     # doubling precision must crush the DE residual far beyond 1e10
     rng = random.Random(11)
-    zc = (rng.random(), rng.random())
+    z = (Fraction(rng.random()), Fraction(rng.random()))
     res = {}
     for prec in (128, 256):
         L = AnalyticLattice(GAUSS, prec)
         with L.context():
-            z = L.embed_coords(*zc)
-            wp, wpp = L.wp(z), L.wp_prime(z)
+            wp, wpp = L.wp(*z), L.wp_prime(*z)
             res[prec] = abs(wpp ** 2 - (4 * wp ** 3 - L.g2 * wp - L.g3))
     with AnalyticLattice(GAUSS, 256).context():
         assert res[256] < res[128] * mp.mpf(10) ** -30
@@ -193,10 +197,26 @@ def test_precision_scaling_of_residual():
 def test_embed_and_reduce(lat):
     with lat.context():
         e = GAUSS.parse("3-2*i")
-        z = lat.embed(e)
+        z = lat.embed_coords(e.x, e.y)
         assert abs(z - (3 - 2j)) < mp.mpf(10) ** -70
-        assert lat.nearest_lattice_point(z) == (3, -2)
-        assert lat.distance_to_lattice(z) < mp.mpf(10) ** -70
+    assert lat.reduce(e.x, e.y) == (0, 0, 3, -2)
+    # exact ties round to the even integer; in Q(sqrt(-3)) m rounds
+    # x + (y - n)/2, the real coordinate left after removing n
+    half = Fraction(1, 2)
+    assert lat.reduce(Fraction(7, 2), Fraction(-5, 2)) == (-half, -half, 4, -2)
+    eisen = AnalyticLattice(EISEN, 64)
+    assert eisen.reduce(Fraction(1, 4), half) == (Fraction(1, 4), half, 0, 0)
+    assert eisen.reduce(Fraction(5, 4), Fraction(3, 2)) == (Fraction(1, 4), -half, 1, 2)
+    # the offset lies in the cell |Re| <= 1/2, |Im| <= Im(tau)/2
+    rng = random.Random(31)
+    for d in DISCRIMINANTS:
+        L = AnalyticLattice(QuadField(d), 64)
+        for _ in range(50):
+            x = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
+            y = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
+            x0, y0, m, n = L.reduce(x, y)
+            assert (x0 + m, y0 + n) == (x, y)
+            assert abs(y0) <= half and abs(x0 + y0 * L.field.trace_omega / 2) <= half
 
 
 def test_eta_linear_matches_lattice_values(lat):
@@ -220,8 +240,9 @@ def _theta_formula(field, prec):
         th1p = mp.jtheta(1, 0, q, 1)
         eta1 = -(mp.pi ** 2 / 3) * mp.jtheta(1, 0, q, 3) / th1p
 
-    def at(z):
+    def at(x, y):
         with mp.workprec(prec):
+            z = _mpf(x) + _mpf(y) * tau
             t0, t1, t2 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(3))
             return (mp.exp(eta1 * z * z / 2) * t0 / (mp.pi * th1p),
                     eta1 * z + mp.pi * t1 / t0,
@@ -230,25 +251,39 @@ def _theta_formula(field, prec):
     return at
 
 
+def _mpf(v):
+    return mp.mpf(v.numerator) / v.denominator
+
+
 @functools.cache
 def _agreement_data(d, prec, count=100):
-    # seeded points: half in the cell around 0, half up to 7 lattice units out
-    lat = AnalyticLattice(QuadField(d), prec)
+    """Seeded exact points (x, y) and the formula's values there: half in
+    the cell around 0 and half up to 7 lattice units out (odd indices),
+    then rounding ties: y = 1/2 mod 1, and a real coordinate
+    x + (y - round(y)) t/2 of exactly 1/2 mod 1.  (Both at once would
+    include (1 + i)/2 in Q(i), a zero of wp, where a relative error
+    means nothing.)"""
+    field = QuadField(d)
     rng = random.Random(1000 * -d + prec)
     points = []
     for i in range(count):
         far = 7 if i % 2 else 0
-        points.append(lat.embed_coords(rng.uniform(-0.5, 0.5) + rng.randint(-far, far),
-                                       rng.uniform(-0.5, 0.5) + rng.randint(-far, far)))
-    formula = _theta_formula(lat.field, prec + 256)
-    return tuple(points), tuple(formula(z) for z in points)
+        points.append(tuple(Fraction(rng.uniform(-0.5, 0.5)) + rng.randint(-far, far)
+                            for _ in range(2)))
+    half, half_trace = Fraction(1, 2), Fraction(field.trace_omega, 2)
+    for k in (-3, 0, 2):
+        x, y = (Fraction(rng.uniform(-0.5, 0.5)) + k for _ in range(2))
+        points.append((x, k + half))
+        points.append((k + half - (y - round(y)) * half_trace, y))
+    formula = _theta_formula(field, prec + 256)
+    return tuple(points), tuple(formula(x, y) for x, y in points)
 
 
 def _worst_log2_error(lat, points, wants):
     """log2 of the largest relative error of sigma, zeta and wp."""
     worst = mp.mpf(0)
-    for z, want in zip(points, wants):
-        got = (lat.sigma(z), lat.zeta(z), lat.wp(z))
+    for (x, y), want in zip(points, wants):
+        got = (lat.sigma(x, y), lat.zeta(x, y), lat.wp(x, y))
         with mp.workprec(lat.prec + 256):
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - w) / abs(w))
@@ -273,34 +308,48 @@ def test_kernel_agreement_fails_without_last_term():
     assert max(worst) >= -512
 
 
+def test_kernel_agreement_fails_without_reduction():
+    # fault control: with the reduction skipped (m = n = 0) the series
+    # runs at the unreduced far points, beyond the range its table covers
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), 256)
+        lat.reduce = lambda x, y: (x, y, 0, 0)
+        points, wants = _agreement_data(d, 256)
+        far = slice(1, 100, 2)
+        assert _worst_log2_error(lat, points[far], wants[far]) >= -256, d
+
+
 def test_real_argument_gives_real_values(lat):
     with lat.context():
-        for x in (mp.mpf("0.3"), mp.mpf("-0.45"), mp.mpf("3.3")):
-            for value in (lat.sigma(x), lat.zeta(x), lat.wp(x)):
+        for x in (Fraction("0.3"), Fraction("-0.45"), Fraction("3.3")):
+            for value in (lat.sigma(x, 0), lat.zeta(x, 0), lat.wp(x, 0)):
                 assert mp.im(value) == 0
 
 
 # --- the per-lattice memo of sigma at exact points ---------------------------
 
+# the lattice offsets check sigma's z0 = 0 branch against the leading
+# coefficient from the translation factor, bit for bit
 EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3, 2)),
-                 (Fraction(5, 4), 0), (0, Fraction(1, 2)), (2, -1), (0, 0))
+                 (Fraction(5, 4), 0), (0, Fraction(1, 2)), (2, -1), (0, 0),
+                 (1, 0), (0, 1), (-1, 3), (3, 2))
 
 
 def _fresh_sigma(lat, x, y):
-    """sigma at x + y*omega without the memo; its leading coefficient at a
-    lattice point."""
+    """sigma at x + y*omega without the memo; at a lattice point, its
+    leading coefficient there from the translation factor."""
     if isinstance(x, int) and isinstance(y, int):
         return lat.translation_factor(x, y, 0)
-    return lat.sigma(lat.embed_coords(x, y))
+    return AnalyticLattice.sigma(lat, x, y)
 
 
 @pytest.mark.parametrize("d", (-4, -3, -163))
 def test_sigma_memo_is_bit_identical(d):
     K = QuadField(d)
     warm = AnalyticLattice(K, 256)
-    cold = [warm.sigma_exact(x, y)._mpc_ for x, y in EXACT_OFFSETS]
-    again = [warm.sigma_exact(x, y)._mpc_ for x, y in EXACT_OFFSETS]
-    assert warm.sigma_exact.cache_info().hits == len(EXACT_OFFSETS)
+    cold = [warm.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    again = [warm.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    assert warm.sigma.cache_info().hits == len(EXACT_OFFSETS)
     fresh = AnalyticLattice(K, 256)
     assert cold == again == [_fresh_sigma(fresh, x, y)._mpc_ for x, y in EXACT_OFFSETS]
 
@@ -308,17 +357,17 @@ def test_sigma_memo_is_bit_identical(d):
 def test_sigma_memo_is_bounded():
     lat = AnalyticLattice(QuadField(-163), 128)
     for k in range(SIGMA_MEMO_SIZE + 20):
-        lat.sigma_exact(Fraction(1, k + 2), Fraction(1, 3))
-    assert lat.sigma_exact.cache_info().currsize == SIGMA_MEMO_SIZE
+        lat.sigma(Fraction(1, k + 2), Fraction(1, 3))
+    assert lat.sigma.cache_info().currsize == SIGMA_MEMO_SIZE
 
 
 def _memo_sharing_errors(lo, hi):
     """Offsets where the second lattice, after the first has filled its
     memo, returns anything but its own fresh value."""
     for x, y in EXACT_OFFSETS:
-        lo.sigma_exact(x, y)
+        lo.sigma(x, y)
     return [(x, y) for x, y in EXACT_OFFSETS
-            if hi.sigma_exact(x, y)._mpc_ != _fresh_sigma(hi, x, y)._mpc_]
+            if hi.sigma(x, y)._mpc_ != _fresh_sigma(hi, x, y)._mpc_]
 
 
 def test_sigma_memo_is_per_lattice():
@@ -332,12 +381,12 @@ def test_memo_sharing_fault_control():
     shared = {}
 
     def global_memo(lat):
-        def sigma_exact(x, y):
+        def sigma(x, y):
             if (x, y) not in shared:
                 shared[x, y] = _fresh_sigma(lat, x, y)
             return shared[x, y]
-        return sigma_exact
+        return sigma
 
     lo, hi = AnalyticLattice(GAUSS, 256), AnalyticLattice(GAUSS, 512)
-    lo.sigma_exact, hi.sigma_exact = global_memo(lo), global_memo(hi)
+    lo.sigma, hi.sigma = global_memo(lo), global_memo(hi)
     assert _memo_sharing_errors(lo, hi)

@@ -13,7 +13,7 @@ import textwrap
 import mpmath as mp
 import pytest
 
-from cmk2 import relations
+from cmk2 import cli, relations
 from cmk2.analytic import AnalyticLattice
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
@@ -59,10 +59,10 @@ def test_conjugating_units_multiplicative():
 
 def test_exactness_checks_survive_python_O():
     # under -O every assert is stripped; the orbit, fiber, CRT,
-    # subgroup-size and associate-uniqueness checks must still raise when
-    # their exact data is wrong
+    # subgroup-size, associate-uniqueness and square-root-of-minus-one
+    # checks must still raise when their exact data is wrong
     script = textwrap.dedent("""
-        from cmk2 import qfield, relations, torsion
+        from cmk2 import finitefield, qfield, relations, torsion
         from cmk2.hecke import HeckeCharacter
         from cmk2.qfield import QuadField
         from cmk2.torsion import TorsionPoint, TorsionSystem
@@ -95,13 +95,16 @@ def test_exactness_checks_survive_python_O():
         expect_raise("ray", qfield.ray_one_generator, ELL, ELL)
         qfield.QuadElement.is_canonical = lambda self: True
         expect_raise("sector", qfield.canonical_generator, F4.parse("2-i"))
+        finitefield.cm_i_value = lambda p: 2  # 2^2 + 1 = 5, not 0 mod 13
+        expect_raise("cm", finitefield.frobenius_equals_cm, 13, -1, 0, F4.parse("3+2*i"))
         print(" ".join(caught))
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["orbit", "crt", "fiber", "subgroup",
-                                   "multiplicative", "additive", "ray", "sector"]
+                                   "multiplicative", "additive", "ray", "sector",
+                                   "cm"]
 
 
 def test_shared_stages_run_once_across_relations(monkeypatch):
@@ -129,6 +132,19 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
         == e25["parity"]
     # a memoized stage reports what a cold run computes
     assert e25 == cold_e2[4]
+
+
+def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path):
+    # `cmk2 all` verifies E1 and E2 once each, and the function-identity
+    # stage reads its relation's run instead of building another
+    calls = []
+    units = relations.conjugating_units
+    monkeypatch.setattr(relations, "conjugating_units",
+                        lambda *a: calls.append(a) or units(*a))
+    argv = ["all", "--bound", "30", "--prec", "128", "--tol", "1e-12",
+            "--samples", "4", "--out", str(tmp_path / "all.jsonl")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
 
 
 def test_function_identity_reports():
