@@ -7,9 +7,10 @@ provided: Weierstrass sigma, p, p', zeta, the quasi-periods eta(1) and
 eta(omega), the invariants g2 and g3, and the sign character eps(mu) +
 exponential factor governing sigma under lattice translation.
 
-One theta kernel serves sigma, zeta, p, p' and eta(1).  Each lattice
-computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at the
-fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
+One theta kernel serves sigma, zeta, p, p', eta(1), g2 and g3.  Each
+lattice computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at
+the fixed nome q = exp(i pi tau); c_n is real for every normalized
+lattice.
 
 - Reduction: every function takes the exact int/Fraction coordinates
   (x, y) of z = x + y*omega and picks the lattice point mu = m + n*omega
@@ -26,6 +27,11 @@ fixed nome q = exp(i pi tau); c_n is real for every normalized lattice.
   theta_1'(0) / (2 q^(1/4)) = sum k c_n), so no branch of it is chosen,
   and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.  A real z0 gives an
   exactly real sine series.
+- Invariants: with the moments d_j = sum k^j c_n, the sine series is
+  z - a z^3 + b z^5 - c z^7 + ..., a = eta1/2, b = pi^4 d5 / (120 d1),
+  c = pi^6 d7 / (5040 d1).  Times exp(a z^2) it is sigma's Laurent
+  series z - g2 z^5/240 - g3 z^7/840 + ..., so g2 = 120 a^2 - 240 b and
+  g3 = 840 (c - a b) + 280 a^3, both exactly real.
 - Guard bits: N is fixed per lattice by the worst case
   |Im z0| = Im(tau)/2, where term n is at most
   (2n+1)^3 exp(-nu (n^2 - 1/2)), nu = pi Im(tau); the series stops once
@@ -40,7 +46,8 @@ Exact points: each lattice remembers the last SIGMA_MEMO_SIZE values of
 `sigma(x, y)`, since elliptic-function products meet the same exact
 offsets again within a few hundred calls.  At a lattice point (z0 = 0)
 the series factor is 1, so sigma returns its leading coefficient
-eps(mu) exp(eta(mu) mu/2) there instead of the zero.
+eps(mu) exp(eta(mu) mu/2) there instead of the zero; zeta, p and p'
+raise PoleError there.
 
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
@@ -68,12 +75,8 @@ with mp.workprec(256):
     DEFAULT_TOL = mp.mpf(10) ** -25
 
 
-def _divisor_power_sum(n: int, k: int) -> int:
-    s = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            s += d ** k
-    return s
+class PoleError(ArithmeticError):
+    """Evaluation requested at a zero/pole."""
 
 
 class AnalyticLattice:
@@ -101,13 +104,16 @@ class AnalyticLattice:
         with mp.workprec(self.prec + GUARD_BITS):
             t = self.field.trace_omega
             self.tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
-            q = mp.exp(mp.mpc(0, 1) * mp.pi * self.tau)
             self._init_table(t, self.tau.imag)
-            d1, d3 = (self._table_moment(j) for j in (1, 3))
+            d1, d3, d5, d7 = (self._table_moment(j) for j in (1, 3, 5, 7))
             self._pi_d1 = mp.pi * d1
             self.eta1 = (mp.pi ** 2 / 3) * d3 / d1
             self.eta_omega = self.eta1 * self.tau - 2 * mp.pi * mp.mpc(0, 1)
-            self.g2, self.g3 = self._eisenstein_invariants(q)
+            a = self.eta1 / 2
+            b = mp.pi ** 4 * d5 / (120 * d1)
+            c = mp.pi ** 6 * d7 / (5040 * d1)
+            self.g2 = 120 * a * a - 240 * b
+            self.g3 = 840 * (c - a * b) + 280 * a ** 3
 
     def _init_table(self, t: int, im_tau):
         """The table of (k, C_n, s_n), k = 2n+1, with c_n = C_n / 2^s_n.
@@ -144,27 +150,6 @@ class AnalyticLattice:
         top = max(shift for _k, _c, shift in self._table)
         acc = sum(k ** j * c << (top - shift) for k, c, shift in self._table)
         return mp.mpf((acc, -top))
-
-    def _eisenstein_invariants(self, q):
-        # g2 = (4 pi^4 / 3) E4, g3 = (8 pi^6 / 27) E6 in the nome q2 = q^2
-        q2 = q * q
-        eps = mp.mpf(2) ** (-(self.prec + GUARD_BITS))
-        e4 = mp.mpf(1)
-        e6 = mp.mpf(1)
-        qn = mp.mpc(1)
-        n = 0
-        while True:
-            n += 1
-            qn = qn * q2
-            if n > 4 and abs(qn) * n ** 6 < eps:
-                break
-            if n > 10000:
-                raise RuntimeError("Eisenstein series failed to converge")
-            e4 = e4 + 240 * _divisor_power_sum(n, 3) * qn
-            e6 = e6 - 504 * _divisor_power_sum(n, 5) * qn
-        g2 = (4 * mp.pi ** 4 / 3) * e4
-        g3 = (8 * mp.pi ** 6 / 27) * e6
-        return g2, g3
 
     # --- exact reduction and embedding -----------------------------------------
 
@@ -274,19 +259,27 @@ class AnalyticLattice:
             (t0,) = self._series(z0, 0)
             return out * t0 / self._pi_d1
 
+    def _pole_free_offset(self, x, y, name: str):
+        """_offset for a function with a pole at every lattice point."""
+        z0, m, n = self._offset(x, y)
+        if not z0:
+            raise PoleError(f"{name} has a pole at the lattice point "
+                            f"{self.field.element(x, y)}")
+        return z0, m, n
+
     def zeta(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            z0, m, n = self._offset(x, y)
+            z0, m, n = self._pole_free_offset(x, y, "zeta")
             t0, t1 = self._series(z0, 1)
             return self.eta1 * z0 + mp.pi * t1 / t0 + self.eta_linear(m, n)
 
     def wp(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2 = self._series(self._offset(x, y)[0], 2)
+            t0, t1, t2 = self._series(self._pole_free_offset(x, y, "wp")[0], 2)
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
     def wp_prime(self, x, y):
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2, t3 = self._series(self._offset(x, y)[0], 3)
+            t0, t1, t2, t3 = self._series(self._pole_free_offset(x, y, "wp'")[0], 3)
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3

@@ -247,7 +247,7 @@ def _verify_e1(ctx: Context, opts: dict) -> dict:
     if u_scale is not None and u_scale < 1:
         raise ConfigError("--u-scale: need a positive integer")
     rep = verify_E1(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    tol=ctx.tol, seed=args.seed, u_scale=u_scale, p_ideal=ell)
+                    tol=ctx.tol, seed=args.seed, u_scale=u_scale)
     return _relation_record(ctx, m, ell, rep)
 
 

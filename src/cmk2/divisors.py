@@ -30,20 +30,18 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import DEFAULT_TOL, AnalyticLattice
+from .analytic import DEFAULT_TOL, AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import (
     TorsionPoint,
     TorsionSystem,
     preimage_set,
     torsion_from_element,
-    torsion_of_integer,
     torsion_subgroup,
 )
 
-
-class PoleError(ArithmeticError):
-    """Evaluation requested at a zero/pole."""
+# the least distance, modulo the lattice, from a sample to an avoided point
+SAMPLE_MARGIN = 1e-3
 
 
 def _exact_point(z) -> QuadElement:
@@ -233,9 +231,10 @@ class EllFunction:
                 lifts.append((P.r, P.s, e))
             first = False
         lifts = tuple(lifts)
-        assert sum(Fraction(e) * r for r, s, e in lifts) == 0
-        assert sum(Fraction(e) * s for r, s, e in lifts) == 0
-        assert sum(e for _r, _s, e in lifts) == 0
+        if (sum(Fraction(e) * r for r, s, e in lifts) != 0
+                or sum(Fraction(e) * s for r, s, e in lifts) != 0
+                or sum(e for _r, _s, e in lifts) != 0):
+            raise ArithmeticError(f"the factor lifts of {D} do not sum to zero")
         return cls(D.field, D, lifts, extra)
 
     # --- structural ----------------------------------------------------------
@@ -341,7 +340,7 @@ def build_g_a(field: QuadField, a: int) -> EllFunction:
     if a < 2:
         raise ValueError("a must be at least 2")
     D = Divisor(field, {TorsionPoint(field, 0, 0): a * a})
-    for gamma in torsion_of_integer(field, a):
+    for gamma in torsion_subgroup(field.ideal(a)):
         D = D - Divisor.of_point(gamma)
     return EllFunction.from_divisor(D)
 
@@ -386,14 +385,13 @@ def build_s_m(sys: TorsionSystem, m: QuadIdeal, scale: int | None = None) -> Ell
 # --- comparison ----------------------------------------------------------------
 
 
-def sample_points(lat: AnalyticLattice, seed: int, count: int,
-                  avoid, margin=1e-3):
+def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
     """Deterministic 53-bit sample coordinates, rejection-resampled away
     from the avoided set.  The coordinate stream is precision-independent,
     so reruns at other precisions test the same geometric points."""
     rng = random.Random(seed)
     lifts = [P.lift() for P in avoid]
-    bound = Fraction(margin) ** 2
+    bound = Fraction(SAMPLE_MARGIN) ** 2
     out = []
     tries = 0
     while len(out) < count:
@@ -406,7 +404,7 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int,
         # not a precision bound (evaluate tests poles exactly).  The test
         # is exact: each offset z - P is reduced by the kernel's integer
         # rounding and the norm of what is left, its squared distance to
-        # that lattice point, is compared with margin^2
+        # that lattice point, is compared with SAMPLE_MARGIN^2
         z = lat.field.element(Fraction(rs[0]), Fraction(rs[1]))
         if any(_reduced_norm(lat, z - u) < bound for u in lifts):
             continue
@@ -466,7 +464,7 @@ def wp_route_evaluator(field: QuadField, a: int, lat: AnalyticLattice):
     equals -div(g_a) for odd a and -div(g_a^2) for a = 2."""
     wp_reps = []
     seen = set()
-    for gamma in torsion_of_integer(field, a):
+    for gamma in torsion_subgroup(field.ideal(a)):
         if gamma.is_zero() or gamma in seen:
             continue
         seen.add(gamma)

@@ -189,7 +189,7 @@ def cm_i_value(p: int) -> int:
     return min(r, p - r)
 
 
-def cm_apply(pi: QuadElement, P, curve: CurveOverFp2, i_val: int | None = None):
+def cm_apply(pi: QuadElement, P, curve: CurveOverFp2, i_val: int):
     """[x + y*i]P on a j=1728 curve (B = 0): [i](x,y) = (-x, i*y).
 
     With B = 0, (-x, i*y) lies on the curve for every point exactly when
@@ -199,8 +199,6 @@ def cm_apply(pi: QuadElement, P, curve: CurveOverFp2, i_val: int | None = None):
         raise ValueError("CM automorphism shortcut implemented for d = -4 only")
     if curve.b != curve.F.make(0):
         raise ValueError("the (-x, iy) automorphism needs B = 0")
-    if i_val is None:
-        i_val = cm_i_value(curve.F.p)
     if (i_val * i_val + 1) % curve.F.p:
         raise ArithmeticError(f"{i_val} is not a square root of -1 mod {curve.F.p}")
     if P is None:

@@ -30,27 +30,8 @@ def _as_coord(v):
 
 
 def is_rational_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the norms used here."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by the trial division of factor_int; desk-scale n only."""
+    return n >= 2 and factor_int(n) == [(n, 1)]
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:
@@ -574,6 +555,11 @@ class QuadIdeal:
             for xx in range(A):
                 yield self.field.element(xx, yy)
 
+    def residue_units(self) -> list[QuadElement]:
+        """The canonical representatives coprime to the ideal."""
+        return [r for r in self.residues()
+                if not r.is_zero() and gcd_elements(r, self.gen).norm() == 1]
+
     def reduce(self, elem: QuadElement) -> QuadElement:
         """Canonical representative of elem modulo the ideal (idempotent)."""
         if not elem.is_integral():
@@ -716,19 +702,6 @@ def bezout(alpha: QuadElement, beta: QuadElement):
     v = (alpha.field.one() - u * alpha).exact_div(beta)
     assert u * alpha + v * beta == alpha.field.one()
     return u, v
-
-
-class ResidueRing:
-    """O_K modulo a nonzero ideal, with canonical representatives."""
-
-    def __init__(self, modulus: QuadIdeal):
-        self.modulus = modulus
-
-    def units(self) -> list[QuadElement]:
-        """The canonical representatives coprime to the modulus."""
-        gen = self.modulus.gen
-        return [r for r in self.modulus.residues()
-                if not r.is_zero() and gcd_elements(r, gen).norm() == 1]
 
 
 # --- the prime pool L and the ideal pool R ----------------------------------

@@ -30,7 +30,7 @@ from .divisors import (
     evaluator,
     wp_route_evaluator,
 )
-from .qfield import QuadElement, QuadIdeal, ResidueRing, bezout, valuation
+from .qfield import QuadElement, QuadIdeal, bezout, valuation
 from .symbols import (
     SymbolSum,
     build_alpha,
@@ -47,7 +47,7 @@ from .torsion import (
     TorsionSystem,
     galois_conjugates,
     preimage_set,
-    torsion_of_integer,
+    torsion_subgroup,
 )
 
 
@@ -72,21 +72,20 @@ def conjugating_units(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     u_ell, _v_other = bezout(ell_part.gen, other.gen)
     co_ell = u_ell * ell_part.gen          # 1 mod other, 0 mod ell-part
     co_other = field.one() - co_ell        # 1 mod ell-part, 0 mod other
-    ring = ResidueRing(ell)
     kind = "additive" if v >= 2 else "multiplicative"
     units = []
     if kind == "additive":
         carrier = q ** (v - 1)
-        for lam in ring.units():
+        for lam in ell.residue_units():
             units.append(field.one() + carrier * lam * co_other)
     else:
-        for xi in ring.units():
+        for xi in ell.residue_units():
             if ell.congruent(xi, field.one()):
                 continue
             units.append(co_ell + co_other * xi)
     y_ml = sys.y(ml)
     y_m = sys.y(m)
-    aux = torsion_of_integer(field, a)
+    aux = torsion_subgroup(field.ideal(a))
     orbit = {y_ml}
     for u in units:
         if y_m.act(u) != y_m or any(gm.act(u) != gm for gm in aux):
@@ -158,11 +157,11 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
 
 # --- stages -----------------------------------------------------------------
 #
-# A stage reads one _Run and returns its payload with a "pass" flag, or
-# None when it does not apply.  The two stages that depend only on
-# (phi_ell, ell, a, lattice, samples, tol, seed, u_scale) and not on the
-# level are memoized: both relations run them with the same inputs.
-# Their reports are shared between callers and must not be mutated.
+# A stage reads one _Run and returns its payload with a "pass" flag.  The
+# two stages that depend only on (phi_ell, ell, a, lattice, samples, tol,
+# seed, u_scale) and not on the level are memoized: both relations run
+# them with the same inputs.  Their reports are shared between callers
+# and must not be mutated.
 
 
 class _Run:
@@ -170,10 +169,10 @@ class _Run:
     read (conjugating units, the conjugate orbit, the fiber)."""
 
     def __init__(self, relation, sys, m, ell, a, lat, samples, tol, seed,
-                 u_scale=None, p_ideal=None):
+                 u_scale=None):
         self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
         self.lat, self.samples, self.tol, self.seed = lat, samples, tol, seed
-        self.u_scale, self.p_ideal = u_scale, p_ideal
+        self.u_scale = u_scale
         self.ml = m * ell
         self.k = (self.ml * sys.f_level).norm
         self.phi_ell = sys.chi.evaluate(ell)
@@ -292,7 +291,7 @@ def _parity_checks(ell: QuadIdeal, a: int, lat: AnalyticLattice,
         z = field.element(Fraction(0.3271), Fraction(0.1618))
         ratio = g.evaluate(lat, -z) / g.evaluate(lat, z)
         sign_dev = min(abs(ratio - 1), abs(ratio + 1))
-        gammas = [gm for gm in torsion_of_integer(field, a) if not gm.is_zero()]
+        gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
         t_ok = True
         for gm in gammas[:2]:
             t = build_t_gamma(field, a, gm)
@@ -348,17 +347,12 @@ def _tame_certificates(r: _Run) -> dict:
             "pass": cert_norm["pass"] and cert_base["pass"]}
 
 
-def _definitional_branch(r: _Run) -> dict | None:
-    p = r.p_ideal
-    if p is None or p != r.ell or not p.divides(r.ml):
-        return None
-    rec_hi = build_alpha(r.sys, r.ml, r.a, p)
-    rec_lo = build_alpha(r.sys, r.m, r.a, p) if p.divides(r.m) else None
-    same = (normal_form_signature(rec_hi["inner"])
-            == normal_form_signature(build_alpha_prime(r.sys, r.ml, r.a)))
+def _definitional_branch(r: _Run) -> dict:
+    rec_hi = build_alpha(r.sys, r.ml, r.a, r.ell)
+    rec_lo = build_alpha(r.sys, r.m, r.a, r.ell) if r.ell.divides(r.m) else None
     return {"annotations": rec_hi["annotations"],
             "lower_case": None if rec_lo is None else rec_lo["annotations"]["case"],
-            "pass": rec_hi["annotations"]["case"] == "p-divides-m" and same}
+            "pass": rec_hi["annotations"]["case"] == "p-divides-m"}
 
 
 _TAME = ("transported norm sum and scaled base element have unit tame values",
@@ -409,9 +403,8 @@ def _verify(run: _Run) -> dict:
         stages = []
         for sid, description, stage in STAGES[run.relation]:
             data = stage(run)
-            if data is not None:
-                stages.append({"id": sid, "description": description, **data,
-                               "pass": bool(data["pass"])})
+            stages.append({"id": sid, "description": description, **data,
+                           "pass": bool(data["pass"])})
         return {
             "identity": run.relation,
             "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
@@ -424,17 +417,15 @@ def _verify(run: _Run) -> dict:
 
 def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
               lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
-              seed: int = 20240801, u_scale: int | None = None,
-              p_ideal: QuadIdeal | None = None) -> dict:
+              seed: int = 20240801, u_scale: int | None = None) -> dict:
     """Norm compatibility one level down when ell already divides the level.
 
     Stages: exact fiber/orbit identity, divisor-and-constant function
     identity, distribution of the a-division function, [-1]/pair parity,
-    tame certificates of the transported sums, and (when the
-    distinguished prime is supplied and divides the level) the
-    definitional packaging branch.
+    tame certificates of the transported sums, and the definitional
+    packaging branch, which always runs at the distinguished prime ell.
     """
-    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed, u_scale, p_ideal))
+    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed, u_scale))
 
 
 def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,

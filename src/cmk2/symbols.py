@@ -32,13 +32,8 @@ from .divisors import (
     build_s_point,
     build_t_gamma,
 )
-from .qfield import QuadField, QuadIdeal, ResidueRing
-from .torsion import (
-    TorsionPoint,
-    TorsionSystem,
-    division_point,
-    torsion_of_integer,
-)
+from .qfield import QuadField, QuadIdeal
+from .torsion import TorsionPoint, TorsionSystem, division_point, torsion_subgroup
 
 
 class Entry:
@@ -254,8 +249,7 @@ def unity_order(value, bound: int, tol) -> int | None:
     return None
 
 
-def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL,
-                        points=None) -> dict:
+def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -> dict:
     """Check that every tame value of the sum is a root of unity.
 
     A point is exact when every term has orders (0, 0) there, whatever
@@ -267,11 +261,9 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL,
     """
     with lat.context():
         bound = lcm(24, sym.field.unit_order)
-        if points is None:
-            points = sym.support_points()
         rows = []
         ok = True
-        for P in points:
+        for P in sym.support_points():
             if all(L.order_at(P) == 0 and R.order_at(P) == 0
                    for _c, L, R in sym.terms):
                 rows.append({"point": str(P), "exact": True, "value": 1,
@@ -316,7 +308,7 @@ def build_alpha_prime(sys: TorsionSystem, m: QuadIdeal, a: int, *,
         raise ValueError(f"degenerate configuration: y_m = {y} lies in the "
                          f"divisor of the {a}-division function; pick a "
                          f"coprime to the level")
-    gammas = [gm for gm in torsion_of_integer(field, a) if not gm.is_zero()]
+    gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
     terms = []
     inv_at_y = ConstAtom(fn=g, point=y, exponent=-1)
     terms.append((a, Entry((inv_at_y,), g), Entry.of_fn(s)))
@@ -361,7 +353,7 @@ def build_pair_A(field: QuadField, a: int, ell: QuadIdeal) -> SymbolSum:
     g = build_g_a(field, a)
     gl = build_g_l(ell)
     terms = [(a, Entry.of_fn(g), Entry.of_fn(gl))]
-    for gm in torsion_of_integer(field, a):
+    for gm in torsion_subgroup(field.ideal(a)):
         if gm.is_zero():
             continue
         if gl.order_at(gm) != 0:
@@ -382,10 +374,10 @@ def build_pair_B(field: QuadField, a: int, ell: QuadIdeal,
     k = u_scale if u_scale is not None else ell.norm
     g = build_g_a(field, a)
     c = division_point(ell.gen)
-    assert c.annihilator() == ell
-    ring = ResidueRing(ell)
+    if c.annihilator() != ell:
+        raise ArithmeticError(f"the division point {c} is not killed by exactly {ell}")
     terms = []
-    for xi in ring.units():
+    for xi in ell.residue_units():
         point = c.act(xi)
         if g.order_at(point) != 0:
             raise ValueError(f"degenerate configuration: {point} meets E[{a}]")

@@ -20,7 +20,6 @@ from .qfield import (
     QuadElement,
     QuadField,
     QuadIdeal,
-    ResidueRing,
     gcd_elements,
     residue_invert,
     valuation,
@@ -64,13 +63,7 @@ class TorsionPoint:
             return TorsionPoint(self.field, alpha * self.r, alpha * self.s)
         if not alpha.is_integral():
             raise ValueError("only integral elements act on torsion")
-        t, n = self.field.trace_omega, self.field.norm_omega
-        x, y = alpha.x, alpha.y
-        return TorsionPoint(
-            self.field,
-            x * self.r - n * y * self.s,
-            x * self.s + y * self.r + t * y * self.s,
-        )
+        return torsion_from_element(self.field, alpha * self.lift())
 
     def annihilator(self) -> QuadIdeal:
         """The ideal of all elements sending the point to zero."""
@@ -125,16 +118,6 @@ def torsion_subgroup(ideal: QuadIdeal) -> list[TorsionPoint]:
     return sorted(out, key=TorsionPoint.key)
 
 
-def torsion_of_integer(field: QuadField, a: int) -> list[TorsionPoint]:
-    """E[a]: the a^2 points with both coordinates in (1/a)Z."""
-    pts = [
-        TorsionPoint(field, Fraction(i, a), Fraction(j, a))
-        for i in range(a)
-        for j in range(a)
-    ]
-    return sorted(pts, key=TorsionPoint.key)
-
-
 def preimage_set(Q: TorsionPoint, alpha: QuadElement) -> list[TorsionPoint]:
     """All N(alpha) solutions u of alpha*u = Q, exactly."""
     if alpha.is_zero():
@@ -179,7 +162,7 @@ def galois_conjugates(P: TorsionPoint, ell: QuadIdeal, kind: str) -> list[Torsio
         if v != 1:
             raise ValueError(f"multiplicative orbit needs an exactly-once factor, got v={v}")
         P_l, P_rest = crt_split(P, ell)
-        orbit = [P_rest + P_l.act(u) for u in ResidueRing(ell).units()]
+        orbit = [P_rest + P_l.act(u) for u in ell.residue_units()]
         size = ell.norm - 1
     elif kind == "additive":
         if v < 2:
@@ -196,10 +179,10 @@ def galois_conjugates(P: TorsionPoint, ell: QuadIdeal, kind: str) -> list[Torsio
 class TorsionSystem:
     """The compatible x/y system attached to a character and a fixed level f."""
 
-    def __init__(self, chi: HeckeCharacter, f_level: QuadIdeal | None = None):
+    def __init__(self, chi: HeckeCharacter):
         self.chi = chi
         self.field = chi.field
-        self.f_level = f_level if f_level is not None else chi.conductor
+        self.f_level = chi.conductor
         self.g_f = self.f_level.gen
         self.x_f = division_point(self.g_f)
 
@@ -207,7 +190,8 @@ class TorsionSystem:
         """Class of 1/phi(m); annihilator exactly m."""
         val = self.chi.evaluate(m)
         P = division_point(val)
-        assert P.annihilator() == m
+        if P.annihilator() != m:
+            raise ArithmeticError(f"x_{m} = {P} is not killed by exactly {m}")
         return P
 
     def y(self, m: QuadIdeal) -> TorsionPoint:
@@ -216,12 +200,15 @@ class TorsionSystem:
             raise ValueError(f"{m} is not coprime to the fixed level {self.f_level}")
         beta = residue_invert(self.chi.evaluate(m), self.f_level)
         P = self.x(m) + self.x_f.act(beta)
-        assert P.annihilator().divides(m * self.f_level)
+        if not P.annihilator().divides(m * self.f_level):
+            raise ArithmeticError(f"y_{m} = {P} is not killed by {m * self.f_level}")
         return P
 
     def e2_point(self, m: QuadIdeal, ell: QuadIdeal) -> TorsionPoint:
         """The extra fiber point: y_m rescaled by phi(ell)^-1 mod m*f."""
         beta = residue_invert(self.chi.evaluate(ell), m * self.f_level)
         n = self.y(m).act(beta)
-        assert n.annihilator().divides(m * self.f_level)
+        if not n.annihilator().divides(m * self.f_level):
+            raise ArithmeticError(f"the twist point {n} is not killed by "
+                                  f"{m * self.f_level}")
         return n

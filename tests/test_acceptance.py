@@ -28,7 +28,7 @@ from cmk2.hecke import HeckeCharacter, point_count_check
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.relations import verify_E1, verify_E2, verify_choice_independence
 from cmk2.symbols import SymbolSum, build_alpha_prime, certify_tame_kernel
-from cmk2.torsion import TorsionSystem, torsion_of_integer
+from cmk2.torsion import TorsionSystem, torsion_subgroup
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -152,7 +152,7 @@ def test_criterion_4_named_function_certification():
     functions += [build_s_m(SYS, m) for m in M_GRID]
     for a in (2, 3):
         functions.append(build_g_a(F4, a))
-        for gamma in torsion_of_integer(F4, a):
+        for gamma in torsion_subgroup(F4.ideal(a)):
             if not gamma.is_zero():
                 functions.append(build_t_gamma(F4, a, gamma))
     for fn in functions:
@@ -198,7 +198,7 @@ def test_criterion_6_relation_suite():
     with lat.context():
         tol = tol25()
     m1 = F4.ideal(F4.parse("(2+i)^2"))
-    rep1 = verify_E1(SYS, m1, ELL, 2, lat, samples=20, tol=tol, p_ideal=ELL)
+    rep1 = verify_E1(SYS, m1, ELL, 2, lat, samples=20, tol=tol)
     assert rep1["pass"], [s for s in rep1["stages"] if not s["pass"]]
     assert [s["id"] for s in rep1["stages"]] == [
         "E1.1-set-identity", "E1.2-function-identity", "E1.3-distribution",
@@ -239,7 +239,7 @@ def test_criterion_7_precision_scaling():
     with lat.context():
         tol = tol25()
     m1 = F4.ideal(F4.parse("(2+i)^2"))
-    rep1 = verify_E1(SYS, m1, ELL, 2, lat, samples=20, tol=tol, p_ideal=ELL)
+    rep1 = verify_E1(SYS, m1, ELL, 2, lat, samples=20, tol=tol)
     m2 = F4.ideal(F4.parse("2-i"))
     rep2 = verify_E2(SYS, m2, ELL, 2, lat, samples=20, tol=tol)
     assert rep1["pass"] and rep2["pass"]

@@ -6,6 +6,7 @@ for the 2-division product) and limit/translation identities evaluated
 at tolerances far below working precision.
 """
 
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,7 +30,7 @@ from cmk2.divisors import (
 )
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
-from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_of_integer
+from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_subgroup
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -255,7 +256,7 @@ def test_route_agreement_with_x_coordinate_products():
     lat = AnalyticLattice(F4, 160)
     g3 = build_g_a(F4, 3)
     alt3 = wp_route_evaluator(F4, 3, lat)
-    avoid = set(g3.divisor.support()) | set(torsion_of_integer(F4, 3))
+    avoid = set(g3.divisor.support()) | set(torsion_subgroup(F4.ideal(3)))
     prod3 = lambda z: g3.evaluate(lat, z) * alt3(z)
     one = lambda z: mp.mpc(1)
     rep = equal_up_to_constant(prod3, one, lat, avoid=avoid,
@@ -264,7 +265,7 @@ def test_route_agreement_with_x_coordinate_products():
 
     g2 = build_g_a(F4, 2)
     alt2 = wp_route_evaluator(F4, 2, lat)
-    avoid = set(g2.divisor.support()) | set(torsion_of_integer(F4, 2))
+    avoid = set(g2.divisor.support()) | set(torsion_subgroup(F4.ideal(2)))
     prod2 = lambda z: g2.evaluate(lat, z) ** 2 * alt2(z)
     rep = equal_up_to_constant(prod2, one, lat, avoid=avoid,
                                samples=8, tol=mp.mpf(10) ** -30)
@@ -315,6 +316,20 @@ def test_pole_errors():
     assert val != 0
     near = g2.evaluate(lat, F4.element(Fraction(1, 2) + Fraction(1, 10**40), 0))
     assert mp.isfinite(near) and near != 0
+
+
+def test_lattice_points_are_poles_of_zeta_and_wp():
+    # zeta, wp and wp' have a pole at every lattice point; each names it
+    lat = AnalyticLattice(F4, 128)
+    for fn in (lat.zeta, lat.wp, lat.wp_prime):
+        for x, y in ((1, 0), (-2, 3)):
+            with pytest.raises(PoleError, match=re.escape(str(F4.element(x, y)))):
+                fn(x, y)
+    route = wp_route_evaluator(F4, 2, lat)
+    with pytest.raises(PoleError, match=re.escape(str(F4.element(2, 1)))):
+        route(F4.element(2, 1))
+    # sigma has a zero there, and returns its leading coefficient
+    assert lat.sigma(1, 0) != 0
 
 
 def test_complex_points_are_rejected():

@@ -98,7 +98,7 @@ def test_cm_apply_endomorphism():
 def test_cm_apply_requires_b_zero():
     C = CurveOverFp2(13, 1, 1)
     with pytest.raises(ValueError):
-        cm_apply(GAUSS.omega(), None, C)
+        cm_apply(GAUSS.omega(), None, C, cm_i_value(13))
 
 
 def test_frobenius_equals_cm_exactly_one():

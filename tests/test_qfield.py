@@ -8,7 +8,6 @@ from cmk2.qfield import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
     QuadField,
     QuadIdeal,
-    ResidueRing,
     bezout,
     canonical_generator,
     enumerate_L_R,
@@ -357,7 +356,7 @@ def test_phi_matches_unit_count_oracle():
             if g.is_zero() or g.norm() == 1:
                 continue
             ideal = QuadIdeal(g)
-            assert len(ResidueRing(ideal).units()) == euler_phi_ideal(ideal)
+            assert len(ideal.residue_units()) == euler_phi_ideal(ideal)
 
 
 def test_residue_invert_and_bezout():

@@ -59,15 +59,18 @@ def test_conjugating_units_multiplicative():
 
 def test_exactness_checks_survive_python_O():
     # under -O every assert is stripped; the orbit, fiber, CRT,
-    # subgroup-size, associate-uniqueness and square-root-of-minus-one
-    # checks must still raise when their exact data is wrong
+    # subgroup-size, associate-uniqueness, square-root-of-minus-one,
+    # annihilator and lift-sum checks must still raise when their exact
+    # data is wrong
     script = textwrap.dedent("""
-        from cmk2 import finitefield, qfield, relations, torsion
+        from fractions import Fraction
+        from cmk2 import divisors, finitefield, qfield, relations, symbols, torsion
         from cmk2.hecke import HeckeCharacter
         from cmk2.qfield import QuadField
         from cmk2.torsion import TorsionPoint, TorsionSystem
         F4 = QuadField(-4)
-        SYS = TorsionSystem(HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3"))))
+        CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
+        SYS = TorsionSystem(CHI)
         ELL, M = F4.ideal(F4.parse("2+i")), F4.ideal(F4.parse("2-i"))
         O = TorsionPoint(F4, 0, 0)
         P_TOWER = SYS.y(ELL * ELL)
@@ -78,6 +81,24 @@ def test_exactness_checks_survive_python_O():
                 fn(*args)
             except ArithmeticError:
                 caught.append(label)
+
+        SEVENTH = TorsionPoint(F4, Fraction(1, 7), 0)  # killed by no m*f here
+        shifted = TorsionSystem(CHI)
+        shifted.x = lambda m: SEVENTH
+        expect_raise("y", shifted.y, M)
+        twisted = TorsionSystem(CHI)
+        twisted.y = lambda m: SEVENTH
+        expect_raise("e2", twisted.e2_point, M, ELL)
+        symbols.division_point = lambda alpha: O
+        expect_raise("pair-B", symbols.build_pair_B, F4, 2, ELL)
+        weighted_sum = divisors.Divisor.weighted_sum
+        divisors.Divisor.weighted_sum = lambda self: F4.zero()
+        expect_raise("lifts", divisors.build_s_point, SYS.y(M), 40)
+        divisors.Divisor.weighted_sum = weighted_sum
+        division_point = torsion.division_point
+        torsion.division_point = lambda alpha: O
+        expect_raise("x", SYS.x, M)
+        torsion.division_point = division_point
 
         relations.galois_conjugates = lambda P, ell, kind: [P]
         expect_raise("orbit", relations.conjugating_units, SYS, M, ELL, 2)
@@ -102,7 +123,8 @@ def test_exactness_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["orbit", "crt", "fiber", "subgroup",
+    assert proc.stdout.split() == ["y", "e2", "pair-B", "lifts", "x",
+                                   "orbit", "crt", "fiber", "subgroup",
                                    "multiplicative", "additive", "ray", "sector",
                                    "cm"]
 
@@ -116,7 +138,7 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
 
     def run_pair(lat_e1, lat_e2):
         calls.clear()
-        e1 = verify_E1(SYS, M_TOWER, ELL, 2, lat_e1, samples=4, tol=TOL, p_ideal=ELL)
+        e1 = verify_E1(SYS, M_TOWER, ELL, 2, lat_e1, samples=4, tol=TOL)
         e2 = verify_E2(SYS, M_NEW, ELL, 2, lat_e2, samples=4, tol=TOL)
         assert e1["pass"] and e2["pass"]
         return len(calls), e1["stages"], e2["stages"]
@@ -162,16 +184,13 @@ def test_function_identity_reports():
 
 
 def test_verify_E1_all_stages():
-    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL, p_ideal=ELL)
+    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL)
     ids = [s["id"] for s in rep["stages"]]
     assert ids == ["E1.1-set-identity", "E1.2-function-identity",
                    "E1.3-distribution", "E1.4-parity",
                    "E1.5-tame-certificates", "E1.6-definitional-branch"]
     assert rep["pass"] and all(s["pass"] for s in rep["stages"])
     assert rep["config"]["conjugation"] == "additive"
-    # without the distinguished prime the definitional stage is absent
-    rep2 = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL)
-    assert len(rep2["stages"]) == 5 and rep2["pass"]
 
 
 def test_verify_E1_u_scale_variant():

@@ -13,7 +13,6 @@ from cmk2.torsion import (
     galois_conjugates,
     preimage_set,
     torsion_from_element,
-    torsion_of_integer,
     torsion_subgroup,
 )
 
@@ -81,7 +80,7 @@ def test_annihilator_is_minimal():
 
 
 def test_torsion_subgroup_and_integer_torsion():
-    E2 = torsion_of_integer(GAUSS, 2)
+    E2 = torsion_subgroup(GAUSS.ideal(2))
     assert len(E2) == 4
     assert {(p.r, p.s) for p in E2} == {
         (Fraction(0), Fraction(0)),
@@ -144,7 +143,7 @@ def test_y_rejects_non_coprime(sys):
 def test_preimage_set_of_zero_is_kernel():
     two = GAUSS.element(2)
     fiber = preimage_set(P(0, 0), two)
-    assert fiber == torsion_of_integer(GAUSS, 2)
+    assert fiber == torsion_subgroup(GAUSS.ideal(2))
     alpha = GAUSS.parse("2+i")
     fiber = preimage_set(P(0, 0), alpha)
     assert fiber == torsion_subgroup(GAUSS.ideal("2+i"))
