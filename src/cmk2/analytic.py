@@ -187,13 +187,6 @@ class AnalyticLattice:
         """eps(m + n*omega) = (-1)^(m + n + m*n); sigma's sign under translation."""
         return -1 if (m + n + m * n) % 2 else 1
 
-    def translation_factor(self, m: int, n: int, z):
-        """Full factor: sigma(z + mu) = factor * sigma(z), mu = m + n*omega."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            mu = m + n * self.tau
-            eta_mu = self.eta_linear(m, n)
-            return self.translation_sign(m, n) * mp.exp(eta_mu * (z + mu / 2))
-
     # --- transcendental functions ----------------------------------------------
 
     def _offset(self, x, y):

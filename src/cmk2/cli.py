@@ -14,9 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath as mp
-
-from .analytic import GUARD_BITS, MIN_PREC, AnalyticLattice
 from .finitefield import frobenius_equals_cm
 from .hecke import HeckeCharacter, point_count_check
 from .qfield import (
@@ -27,9 +24,6 @@ from .qfield import (
     is_rational_prime,
     split_rational_prime,
 )
-from .relations import verify_E1, verify_E2
-from .symbols import build_alpha, build_alpha_prime, certify_tame_kernel
-from .torsion import TorsionSystem
 
 SCHEMA = "k2-certificates/1"
 DIGITS = 30
@@ -46,7 +40,9 @@ def _render(x):
         return x
     if isinstance(x, (int, str)):
         return x
-    if isinstance(x, (mp.mpf, mp.mpc)):
+    # no mpmath number exists unless something has imported mpmath
+    mp = sys.modules.get("mpmath")
+    if mp is not None and isinstance(x, (mp.mpf, mp.mpc)):
         return mp.nstr(x, DIGITS)
     if isinstance(x, float):
         return repr(x)
@@ -70,6 +66,10 @@ def _checked(prefix: str, fn, *args):
 
 
 def _tol(args):
+    import mpmath as mp
+
+    from .analytic import GUARD_BITS
+
     with mp.workprec(args.prec + GUARD_BITS):
         try:
             t = mp.mpf(args.tol)
@@ -83,12 +83,12 @@ def _tol(args):
 class Context:
     """What a command renders its record from, built once from the shared
     flags: the field and the character always; the torsion system and the
-    analytic lattice with its tolerance when `needs` names them."""
+    analytic lattice with its tolerance when `needs` names them.  Only
+    those two, and the commands that use them, import the torsion and
+    analytic layers, so `enumerate`, `hecke-check` and `frobenius-check`
+    run without mpmath."""
 
     def __init__(self, args, needs):
-        if args.prec < MIN_PREC:
-            raise ConfigError(f"--prec: need at least {MIN_PREC} bits of "
-                              "working precision")
         if args.samples < 1:
             raise ConfigError("--samples: need at least one sample point")
         if args.a < 1:
@@ -102,9 +102,14 @@ class Context:
         if "system" in needs:
             if args.a < 2:
                 raise ConfigError("--a: division functions need a >= 2")
+            from .torsion import TorsionSystem
+
             self.system = TorsionSystem(self.chi)
         if "lattice" in needs:
-            self.lattice = AnalyticLattice(self.field, args.prec)
+            from .analytic import AnalyticLattice
+
+            # the lattice rejects a precision below its floor
+            self.lattice = _checked("--prec", AnalyticLattice, self.field, args.prec)
             self.tol = _tol(args)
 
     def ideal(self, text: str, flag: str, prime: bool = False) -> QuadIdeal:
@@ -188,6 +193,8 @@ def _frobenius_check(ctx: Context, opts: dict) -> dict:
 
 
 def _build_alpha(ctx: Context, opts: dict) -> dict:
+    from .symbols import build_alpha
+
     m = ctx.ideal(opts["m"], "--m")
     p_ideal = ctx.split_pair()[0]
     built = _checked("construction rejected", build_alpha, ctx.system, m,
@@ -206,6 +213,8 @@ def _build_alpha(ctx: Context, opts: dict) -> dict:
 
 
 def _certify_tame(ctx: Context, opts: dict) -> dict:
+    from .symbols import build_alpha_prime, certify_tame_kernel
+
     m = ctx.ideal(opts["m"], "--m")
     sym = _checked("construction rejected", build_alpha_prime, ctx.system, m,
                    ctx.args.a)
@@ -238,6 +247,8 @@ def _relation_record(ctx: Context, m, ell, rep: dict) -> dict:
 
 
 def _verify_e1(ctx: Context, opts: dict) -> dict:
+    from .relations import verify_E1
+
     args = ctx.args
     m, ell = _relation_levels(ctx, opts)
     if not ell.divides(m):
@@ -252,6 +263,8 @@ def _verify_e1(ctx: Context, opts: dict) -> dict:
 
 
 def _verify_e2(ctx: Context, opts: dict) -> dict:
+    from .relations import verify_E2
+
     args = ctx.args
     m, ell = _relation_levels(ctx, opts)
     if not m.is_coprime(ell):

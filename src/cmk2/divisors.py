@@ -34,7 +34,6 @@ from .analytic import DEFAULT_TOL, AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import (
     TorsionPoint,
-    TorsionSystem,
     preimage_set,
     torsion_from_element,
     torsion_subgroup,
@@ -373,13 +372,6 @@ def build_s_point(point: TorsionPoint, scale: int) -> EllFunction:
     field = point.field
     D = Divisor(field, {point: scale, TorsionPoint(field, 0, 0): -scale})
     return EllFunction.from_divisor(D)
-
-
-def build_s_m(sys: TorsionSystem, m: QuadIdeal, scale: int | None = None) -> EllFunction:
-    """The two-point function at y_m, default scale N(m * f-level)."""
-    if scale is None:
-        scale = (m * sys.f_level).norm
-    return build_s_point(sys.y(m), scale)
 
 
 # --- comparison ----------------------------------------------------------------

@@ -36,7 +36,8 @@ def is_rational_prime(n: int) -> bool:
 
 def factor_int(n: int) -> list[tuple[int, int]]:
     # trial division; desk-scale norms only
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need a positive integer")
     out = []
     p = 2
     while p * p <= n:
@@ -111,7 +112,9 @@ class QuadField:
         for _ in range(self.unit_order - 1):
             cur = cur * z
             out.append(cur)
-        assert cur * z == one
+        if cur * z != one:
+            raise ArithmeticError(f"omega does not generate the {self.unit_order} "
+                                  f"roots of unity of {self}")
         return tuple(out)
 
     def ideal(self, gen) -> "QuadIdeal":
@@ -417,7 +420,8 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     Requires the span to have full rank 2.
     """
     rows = [r for r in rows if r != (0, 0)]
-    assert rows, "zero lattice has no normal form"
+    if not rows:
+        raise ArithmeticError("zero lattice has no normal form")
     # combine to a single row with minimal positive y via extended gcd
     bx, by = rows[0]
     for (x, y) in rows[1:]:
@@ -437,15 +441,18 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         bx, by = u0 * bx + v0 * x, a
     if by < 0:
         bx, by = -bx, -by
-    assert by > 0, "lattice is not of full rank"
+    if by <= 0:
+        raise ArithmeticError("lattice is not of full rank")
     xs = []
     for (x, y) in rows:
-        assert y % by == 0
+        if y % by:
+            raise ArithmeticError(f"{by} does not divide the second coordinate {y}")
         xs.append(x - (y // by) * bx)
     A = 0
     for x in xs:
         A = math.gcd(A, x)
-    assert A > 0, "lattice is not of full rank"
+    if A <= 0:
+        raise ArithmeticError("lattice is not of full rank")
     return A, bx % A, by
 
 
@@ -491,8 +498,11 @@ def gcd_elements(alpha: QuadElement, beta: QuadElement) -> QuadElement:
     A, B, C = _hnf_rows(rows)
     v = _gauss_shortest(field, (A, 0), (B, C))
     g = field.element(v[0], v[1])
-    assert g.norm() == A * C, "ideal is not principal? impossible for h=1"
-    assert g.divides(alpha) and g.divides(beta)
+    if g.norm() != A * C:
+        raise ArithmeticError(f"shortest vector {g} does not generate the ideal "
+                              f"of index {A * C}")
+    if not (g.divides(alpha) and g.divides(beta)):
+        raise ArithmeticError(f"{g} does not divide both {alpha} and {beta}")
     return canonical_generator(g)
 
 
@@ -656,12 +666,14 @@ def factor_ideal(ideal: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
             v, rest = valuation(rest, pr)
             if v:
                 out.append((pr, v))
-    assert rest.is_one(), "factorization left a nontrivial part"
+    if not rest.is_one():
+        raise ArithmeticError(f"factorization of {ideal} left the part {rest}")
     out.sort(key=lambda pe: (pe[0].norm, pe[0].gen.x, pe[0].gen.y))
     check = ideal.field.one()
     for pr, v in out:
         check = check * pr.gen ** v
-    assert QuadIdeal(check) == ideal
+    if QuadIdeal(check) != ideal:
+        raise ArithmeticError(f"the factors of {ideal} multiply to ({check})")
     return out
 
 
@@ -692,15 +704,18 @@ def residue_invert(alpha: QuadElement, modulus: QuadIdeal) -> QuadElement:
             out = modulus.reduce(out * base)
         base = modulus.reduce(base * base)
         e >>= 1
-    assert modulus.contains(alpha * out - modulus.field.one())
+    if not modulus.contains(alpha * out - modulus.field.one()):
+        raise ArithmeticError(f"{out} is not an inverse of {alpha} modulo {modulus}")
     return out
 
 
 def bezout(alpha: QuadElement, beta: QuadElement):
     """(u, v) with u*alpha + v*beta = 1 for coprime alpha, beta."""
     u = residue_invert(alpha, QuadIdeal(beta))
-    v = (alpha.field.one() - u * alpha).exact_div(beta)
-    assert u * alpha + v * beta == alpha.field.one()
+    # u*alpha + v*beta = 1 holds by construction; v must be integral
+    v = (alpha.field.one() - u * alpha) / beta
+    if not v.is_integral():
+        raise ArithmeticError(f"{u} is not an inverse of {alpha} modulo {beta}")
     return u, v
 
 

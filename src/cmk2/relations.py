@@ -13,8 +13,9 @@ integers.  The same multipliers transport whole symbol sums.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, wraps
 
 import mpmath as mp
 
@@ -241,8 +242,24 @@ def _twisted_function_identity(r: _Run) -> dict:
             "pass": rep["pass"] and push_ok and push_scan["pass"]}
 
 
-@cache
-def _distribution_scans(phi_ell: QuadElement, a: int, lat: AnalyticLattice,
+def _per_lattice(stage):
+    """Memoize stage(lat, *args) in a table held for the lattice only as
+    long as the lattice lives: relations at one lattice share the stage,
+    and a lattice no run uses any more is not kept alive by the memo."""
+    memos = weakref.WeakKeyDictionary()  # lattice -> {args: result}
+
+    @wraps(stage)
+    def memoized(lat, *args):
+        memo = memos.setdefault(lat, {})
+        if args not in memo:
+            memo[args] = stage(lat, *args)
+        return memo[args]
+
+    return memoized
+
+
+@_per_lattice
+def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
                         samples: int, tol, seed: int) -> dict:
     """The level-independent part of [phi_ell]_* g_a = g_a: exact divisor
     transport, the constant scan of the fiber product, and the projection
@@ -265,7 +282,7 @@ def _distribution_scans(phi_ell: QuadElement, a: int, lat: AnalyticLattice,
 def _distribution(r: _Run) -> dict:
     """The distribution relation, with the scanned constant showing up at
     the level point as the product of g over its fiber."""
-    shared = _distribution_scans(r.phi_ell, r.a, r.lat, r.samples, r.tol, r.seed)
+    shared = _distribution_scans(r.lat, r.phi_ell, r.a, r.samples, r.tol, r.seed)
     g = build_g_a(r.sys.field, r.a)
     prod = g.pushforward_evaluator(r.lat, r.phi_ell)(r.y_m)
     point_dev = abs(prod / g.evaluate(r.lat, r.y_m) - shared["scan"]["constant"])
@@ -274,8 +291,8 @@ def _distribution(r: _Run) -> dict:
     return {**shared, "point_constant_deviation": point_dev, "pass": ok}
 
 
-@cache
-def _parity_checks(ell: QuadIdeal, a: int, lat: AnalyticLattice,
+@_per_lattice
+def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int,
                    u_scale: int | None, tol) -> dict:
     """[-1]-symmetry and the unit-pair comparison.
 
@@ -329,7 +346,7 @@ def _parity_checks(ell: QuadIdeal, a: int, lat: AnalyticLattice,
 
 
 def _parity(r: _Run) -> dict:
-    return _parity_checks(r.ell, r.a, r.lat, r.u_scale, r.tol)
+    return _parity_checks(r.lat, r.ell, r.a, r.u_scale, r.tol)
 
 
 def _distribution_parity(r: _Run) -> dict:

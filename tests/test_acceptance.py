@@ -18,7 +18,7 @@ from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import (
     build_g_a,
     build_g_l,
-    build_s_m,
+    build_s_point,
     build_t_gamma,
     equal_up_to_constant,
     evaluator,
@@ -47,6 +47,11 @@ def lat_at(prec: int, d: int = -4) -> AnalyticLattice:
     if key not in _LATS:
         _LATS[key] = AnalyticLattice(QuadField(d), prec)
     return _LATS[key]
+
+
+def s_m(m):
+    """The two-point function at y_m, at scale N(m * f-level)."""
+    return build_s_point(SYS.y(m), (m * SYS.f_level).norm)
 
 
 def tol25():
@@ -149,7 +154,7 @@ def test_criterion_4_named_function_certification():
     with lat.context():
         tol = tol25()
     functions = [build_g_l(ELL)]
-    functions += [build_s_m(SYS, m) for m in M_GRID]
+    functions += [s_m(m) for m in M_GRID]
     for a in (2, 3):
         functions.append(build_g_a(F4, a))
         for gamma in torsion_subgroup(F4.ideal(a)):

@@ -9,6 +9,7 @@ configuration.
 import json
 import subprocess
 import sys
+import textwrap
 
 from cmk2 import cli
 
@@ -146,6 +147,26 @@ def test_config_errors_exit_2():
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
         assert err.strip().startswith("error:"), argv
+
+
+def test_exact_commands_import_no_analytic_code(tmp_path):
+    # in a fresh process, since in-process runs see what other tests
+    # imported; --prec is unused by the exact commands, so a precision
+    # below the lattice floor passes through them
+    script = textwrap.dedent(f"""
+        import sys
+        from cmk2 import cli
+        for argv in (["enumerate"], ["hecke-check", "--bound", "100"],
+                     ["frobenius-check", "--prec", "8"]):
+            assert cli.main([*argv, "--out", {str(tmp_path / "out.jsonl")!r}]) == 0
+        analytic = ("mpmath", "cmk2.analytic", "cmk2.divisors", "cmk2.symbols",
+                    "cmk2.relations")
+        print(" ".join(m for m in analytic if m in sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from cmk2.divisors import (
     PoleError,
     build_g_a,
     build_g_l,
-    build_s_m,
     build_s_point,
     build_t_gamma,
     equal_up_to_constant,
@@ -38,6 +37,13 @@ SYS = TorsionSystem(CHI)
 M_SPLIT = F4.ideal(F4.parse("2-i"))
 ELL = F4.ideal(F4.parse("2+i"))
 PHI_ELL = CHI.evaluate(ELL)  # -1+2i, frozen in the character tests
+
+
+def build_s_m(sys, m, scale=None):
+    """The two-point function at y_m, default scale N(m * f-level)."""
+    if scale is None:
+        scale = (m * sys.f_level).norm
+    return build_s_point(sys.y(m), scale)
 
 
 def O(field=F4):

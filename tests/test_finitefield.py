@@ -2,17 +2,23 @@ import random
 
 import pytest
 
+from cmk2 import finitefield
 from cmk2.finitefield import (
     CurveOverFp2,
+    Fp2,
     cm_apply,
     cm_i_value,
     count_points,
     frobenius_equals_cm,
     sqrt_mod_p,
 )
+from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, is_rational_prime
 
 GAUSS = QuadField(-4)
+CHI = HeckeCharacter(GAUSS, GAUSS.ideal(GAUSS.parse("(1+i)^3")))
+# split primes below 120, as the frobenius-check workload draws them
+SPLIT_BELOW_120 = [p for p in range(5, 120, 4) if is_rational_prime(p)]
 
 
 def test_count_points_frozen():
@@ -49,13 +55,23 @@ def test_sqrt_mod_p():
         cm_i_value(7)  # -1 is not a square mod 7
 
 
+def _rhs(C, x):
+    """x^3 + A x + B with the Fp2 field operations."""
+    F = C.F
+    return F.add(F.add(F.mul(F.mul(x, x), x), F.mul(C.a, x)), C.b)
+
+
+def on_curve(C, P) -> bool:
+    return P is None or C.F.mul(P[1], P[1]) == _rhs(C, P[0])
+
+
 def test_group_law_axioms():
     C = CurveOverFp2(13, -1, 0)
     pts = C.points_ext()
     rng = random.Random(4)
     for _ in range(30):
         P, Q, R = (rng.choice(pts) for _ in range(3))
-        assert C.on_curve(C.add(P, Q))
+        assert on_curve(C, C.add(P, Q))
         assert C.add(P, Q) == C.add(Q, P)
         assert C.add(C.add(P, Q), R) == C.add(P, C.add(Q, R))
         assert C.add(P, C.neg(P)) is None
@@ -130,17 +146,57 @@ def test_frobenius_check_enumerates_once(monkeypatch):
 
 
 def test_frobenius_restricted_to_prime_field_is_trivial():
-    # over F_p alone both candidates act as the identity: the reason the
-    # check must run over the quadratic extension
+    # Frobenius fixes every point of E(F_p), so there a candidate matches
+    # exactly when it fixes E(F_p) too (see the fault control below)
     for p in (5, 13, 17):
         C = CurveOverFp2(p, -1, 0)
         for P in C.points_prime():
             assert C.frobenius(P) == P
 
 
-def test_fp2_field_axioms():
-    from cmk2.finitefield import Fp2
+def _pi(p):
+    """The character's value at the distinguished prime above p."""
+    return CHI.evaluate(CHI.split_primes_above(p)[0])
 
+
+@pytest.mark.parametrize("a", (-1, 2))
+def test_orbit_frobenius_matches_per_point_check(a, monkeypatch):
+    # y^2 = x^3 - x, whose Frobenius is [pi] or [pi-bar], and its quartic
+    # twist y^2 = x^3 + 2x, whose Frobenius is neither at most of these p
+    cands = [(p, pi) for p in SPLIT_BELOW_120 for pi in (_pi(p), _pi(p).conjugate())]
+    orbit = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
+    # every point the least of its own orbit: the per-point comparison
+    monkeypatch.setattr(finitefield, "_least_in_orbit", lambda P, p: True)
+    per_point = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
+    assert orbit == per_point
+    assert all(rep["exactly_one"] for rep in orbit) == (a == -1)
+
+
+@pytest.mark.parametrize("p", (5, 13, 29, 113))
+def test_one_representative_per_orbit(p):
+    # each <[i]>-orbit of E(F_p^2) has exactly one point the comparison runs at
+    C, i_val = CurveOverFp2(p, -1, 0), cm_i_value(p)
+    for P in C.points_ext()[1:]:
+        orbit, Q = set(), P
+        for _ in range(4):
+            orbit.add(Q)
+            Q = cm_apply(GAUSS.omega(), Q, C, i_val)
+        assert Q == P
+        assert sum(finitefield._least_in_orbit(R, p) for R in orbit) == 1
+
+
+def test_frobenius_on_prime_field_does_not_separate(monkeypatch):
+    # fault control: restricted to E(F_p), the comparison matches both
+    # candidates at some primes, so the extension group is needed
+    ext = CurveOverFp2.points_ext
+    monkeypatch.setattr(CurveOverFp2, "points_ext",
+                        lambda self: self.points_prime(ext(self)))
+    both = [p for p in SPLIT_BELOW_120
+            if not frobenius_equals_cm(p, -1, 0, _pi(p))["exactly_one"]]
+    assert both == [5, 13, 17, 41, 61, 113]
+
+
+def test_fp2_field_axioms():
     F = Fp2(13)
     rng = random.Random(2)
     for _ in range(40):
@@ -166,7 +222,7 @@ def _direct_count(p, a, b):
 
 
 def _count_mismatches(count):
-    return [(p, a, b) for p in range(3, 60) if is_rational_prime(p)
+    return [(p, a, b) for p in range(3, 200) if is_rational_prime(p)
             for a, b in ORACLE_CURVES
             if (4 * a ** 3 + 27 * b ** 2) % p
             and count(p, a, b) != _direct_count(p, a, b)]
@@ -182,6 +238,45 @@ def test_count_oracle_fails_without_two_torsion():
                                            if (x ** 3 + a * x + b) % p == 0)
 
     assert _count_mismatches(without_y0)
+
+
+def test_count_oracle_fails_with_one_x_per_orbit():
+    # fault control: the orbit scans counting each orbit of x once, not by
+    # its size, must fail both branches
+    def one_per_orbit(p, a, b):
+        n = count_points(p, a, b)
+        if b % p == 0 and p % 4 == 1:  # infinity, x = 0, then pairs {x, -x}
+            return 2 + (n - 2) // 2
+        if a % p == 0 and p % 3 == 1:  # infinity, x = 0, then cube-root triples
+            fixed = 1 + (1 + pow(b, (p - 1) // 2, p)) % p
+            return fixed + (n - fixed) // 3
+        return n
+
+    bad = _count_mismatches(one_per_orbit)
+    assert {(a, b) for _p, a, b in bad} >= {(-1, 0), (0, 1), (0, 16)}
+
+
+def _fp2_points(C):
+    """E(F_p^2) from a square table and right-hand sides built with the
+    Fp2 field operations, in points_ext's order."""
+    F = C.F
+    roots: dict = {}
+    for e in F.elements():
+        roots.setdefault(F.mul(e, e), []).append(e)
+    pts = [None]
+    for x in F.elements():
+        pts += [(x, y) for y in roots.get(_rhs(C, x), [])]
+    return pts
+
+
+def test_points_ext_matches_fp2_enumeration():
+    for p in range(3, 60):
+        if not is_rational_prime(p):
+            continue
+        for a, b in ORACLE_CURVES:
+            if (4 * a ** 3 + 27 * b ** 2) % p:
+                C = CurveOverFp2(p, a, b)
+                assert C.points_ext() == _fp2_points(C), (p, a, b)
 
 
 def _textbook_add(F, A, P, Q):

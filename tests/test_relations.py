@@ -6,9 +6,11 @@ conjugation) and (2-i) -> (2-i)(2+i) for the twisted one (new prime,
 multiplicative conjugation plus a twist point).
 """
 
+import gc
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import mpmath as mp
 import pytest
@@ -60,8 +62,9 @@ def test_conjugating_units_multiplicative():
 def test_exactness_checks_survive_python_O():
     # under -O every assert is stripped; the orbit, fiber, CRT,
     # subgroup-size, associate-uniqueness, square-root-of-minus-one,
-    # annihilator and lift-sum checks must still raise when their exact
-    # data is wrong
+    # annihilator and lift-sum checks, and qfield's unit-group, normal-form,
+    # gcd, factorization, inverse and Bezout checks, must still raise when
+    # their exact data is wrong; factor_int and Fp2 reject bad input
     script = textwrap.dedent("""
         from fractions import Fraction
         from cmk2 import divisors, finitefield, qfield, relations, symbols, torsion
@@ -76,10 +79,10 @@ def test_exactness_checks_survive_python_O():
         P_TOWER = SYS.y(ELL * ELL)
         caught = []
 
-        def expect_raise(label, fn, *args):
+        def expect_raise(label, fn, *args, error=ArithmeticError):
             try:
                 fn(*args)
-            except ArithmeticError:
+            except error:
                 caught.append(label)
 
         SEVENTH = TorsionPoint(F4, Fraction(1, 7), 0)  # killed by no m*f here
@@ -99,6 +102,37 @@ def test_exactness_checks_survive_python_O():
         torsion.division_point = lambda alpha: O
         expect_raise("x", SYS.x, M)
         torsion.division_point = division_point
+
+        expect_raise("factor-int", qfield.factor_int, 0, error=ValueError)
+        expect_raise("fp2", finitefield.Fp2, 15, error=ValueError)
+        sextic = QuadField(-4)
+        sextic.unit_order = 6
+        expect_raise("units", sextic._roots_of_unity)
+        expect_raise("hnf-zero", qfield._hnf_rows, [(0, 0)])
+        expect_raise("hnf-rank-y", qfield._hnf_rows, [(1, 0), (2, 0)])
+        expect_raise("hnf-rank-x", qfield._hnf_rows, [(0, 1), (0, 2)])
+        gauss_shortest = qfield._gauss_shortest
+        qfield._gauss_shortest = lambda field, v1, v2: v1  # (5): wrong index
+        expect_raise("gcd-index", qfield.gcd_elements, F4.element(5), ELL.gen)
+        qfield._gauss_shortest = lambda field, v1, v2: (2, -1)  # 2-i: right index
+        expect_raise("gcd-divides", qfield.gcd_elements, F4.element(5), ELL.gen)
+        qfield._gauss_shortest = gauss_shortest
+        split_rational_prime = qfield.split_rational_prime
+        qfield.split_rational_prime = lambda field, p: ("inert", [])
+        expect_raise("factor-rest", qfield.factor_ideal, ELL)
+        qfield.split_rational_prime = split_rational_prime
+        valuation = qfield.valuation
+        qfield.valuation = lambda ideal, prime: (1, qfield.QuadIdeal(F4.one()))
+        expect_raise("factor-product", qfield.factor_ideal, ELL)
+        qfield.valuation = valuation
+        euler_phi_ideal = qfield.euler_phi_ideal
+        qfield.euler_phi_ideal = lambda ideal: 2
+        expect_raise("inverse", qfield.residue_invert, F4.element(2), F4.ideal(5))
+        qfield.euler_phi_ideal = euler_phi_ideal
+        residue_invert = qfield.residue_invert
+        qfield.residue_invert = lambda alpha, modulus: F4.one()
+        expect_raise("bezout", qfield.bezout, ELL.gen, M.gen)
+        qfield.residue_invert = residue_invert
 
         relations.galois_conjugates = lambda P, ell, kind: [P]
         expect_raise("orbit", relations.conjugating_units, SYS, M, ELL, 2)
@@ -124,9 +158,33 @@ def test_exactness_checks_survive_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["y", "e2", "pair-B", "lifts", "x",
+                                   "factor-int", "fp2", "units", "hnf-zero",
+                                   "hnf-rank-y", "hnf-rank-x", "gcd-index",
+                                   "gcd-divides", "factor-rest",
+                                   "factor-product", "inverse", "bezout",
                                    "orbit", "crt", "fiber", "subgroup",
                                    "multiplicative", "additive", "ray", "sector",
                                    "cm"]
+
+
+def test_verify_e2_keeps_no_lattice_alive(monkeypatch, tmp_path):
+    # the shared-stage memos hold a lattice's results only while the
+    # lattice lives: once the runs are over, no lattice they built is left
+    lattices = []
+    init = AnalyticLattice.__init__
+
+    def tracked(self, *args, **kwargs):
+        lattices.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnalyticLattice, "__init__", tracked)
+    for m in ("1", "2-i"):
+        argv = ["verify-e2", "--m", m, "--prec", "128", "--tol", "1e-12",
+                "--samples", "4", "--out", str(tmp_path / "e2.jsonl")]
+        assert cli.main(argv) == 0
+    gc.collect()
+    assert len(lattices) == 2
+    assert [ref for ref in lattices if ref() is not None] == []
 
 
 def test_shared_stages_run_once_across_relations(monkeypatch):

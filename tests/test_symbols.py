@@ -16,7 +16,6 @@ from cmk2.divisors import (
     ConstAtom,
     EllFunction,
     build_g_a,
-    build_s_m,
     build_s_point,
     build_t_gamma,
 )
@@ -44,6 +43,11 @@ M_SPLIT = F4.ideal(F4.parse("2-i"))
 M_COMP = F4.ideal(F4.parse("(2+i)*(2-i)"))
 ELL = F4.ideal(F4.parse("2+i"))
 ORIGIN = TorsionPoint(F4, 0, 0)
+
+
+def s_m(m):
+    """The two-point function at y_m, at scale N(m * f-level)."""
+    return build_s_point(SYS.y(m), (m * SYS.f_level).norm)
 
 
 class LaurentStub:
@@ -133,7 +137,7 @@ def test_tame_certificate_fault_controls_fail():
     # adding {e^i, s_m} keeps every modulus at one, but e^(ik) is no root
     # of unity: the unity order, not the modulus, must fail it
     e_i = ConstAtom(evaluator=lambda lat: mp.exp(mp.mpc(0, 1)), tag="e^i")
-    drift = SymbolSum(F4, [(1, Entry.of_const(e_i), Entry.of_fn(build_s_m(SYS, M_SPLIT)))])
+    drift = SymbolSum(F4, [(1, Entry.of_const(e_i), Entry.of_fn(s_m(M_SPLIT)))])
     rep3 = certify_tame_kernel(sym + drift, lat, tol=mp.mpf(10) ** -25)
     assert not rep3["pass"]
     with lat.context():
@@ -174,7 +178,7 @@ def test_tame_exact_flag_follows_orders(monkeypatch):
 
 def test_normal_form_antisymmetry_and_merge():
     g2 = build_g_a(F4, 2)
-    s = build_s_m(SYS, M_SPLIT)
+    s = s_m(M_SPLIT)
     swap = SymbolSum(F4, [(1, Entry.of_fn(g2), Entry.of_fn(s)),
                           (1, Entry.of_fn(s), Entry.of_fn(g2))])
     assert normal_form(swap) == []
@@ -190,7 +194,7 @@ def test_normal_form_antisymmetry_and_merge():
 
 def test_difference_is_constant_detects_structure():
     base = build_alpha_prime(SYS, M_SPLIT, 2)
-    scaled_s = build_s_m(SYS, M_SPLIT).scaled_by(ConstAtom(exact=7))
+    scaled_s = s_m(M_SPLIT).scaled_by(ConstAtom(exact=7))
     pert = build_alpha_prime(SYS, M_SPLIT, 2, s_fn=scaled_s)
     ok, leftover = difference_is_constant(pert, base)
     assert ok
@@ -211,7 +215,7 @@ def test_perturbations_leave_tame_values_literally_unchanged():
         base_vals = [mp.mpc(tame_symbol_at(base, lat, P)) for P in points]
         perts = [
             build_alpha_prime(SYS, M_SPLIT, 2,
-                              s_fn=build_s_m(SYS, M_SPLIT).scaled_by(ConstAtom(exact=7))),
+                              s_fn=s_m(M_SPLIT).scaled_by(ConstAtom(exact=7))),
             build_alpha_prime(SYS, M_SPLIT, 2,
                               g_fn=build_g_a(F4, 2).scaled_by(ConstAtom(exact=Fraction(3, 5)))),
             build_alpha_prime(SYS, M_SPLIT, 2,
