@@ -89,8 +89,9 @@ class Context:
     run without mpmath."""
 
     def __init__(self, args, needs):
-        if args.samples < 1:
-            raise ConfigError("--samples: need at least one sample point")
+        if args.samples < 2:
+            raise ConfigError("--samples: need at least two sample points; one "
+                              "ratio cannot show that a ratio is constant")
         if args.a < 1:
             raise ConfigError("--a: need a positive integer")
         if args.bound < 1:
@@ -129,7 +130,7 @@ class Context:
 
 
 # Each command renders one record from the shared context and its own
-# options (--m, --l, --u-scale); the handler adds the schema and the id.
+# options (--m, --l); the handler adds the schema and the id.
 
 
 def _enumerate(ctx: Context, opts: dict) -> dict:
@@ -230,12 +231,18 @@ def _certify_tame(ctx: Context, opts: dict) -> dict:
 
 
 def _relation_levels(ctx: Context, opts: dict):
-    """The level --m and the prime --l of a norm relation."""
+    """The level --m and the prime --l of a norm relation, rejected unless
+    the level element can be built at m and at m*ell."""
+    from .symbols import build_alpha_prime
+
     m = ctx.ideal(opts["m"], "--m")
     ell = ctx.ideal(opts["l"], "--l", prime=True)
     if not ell.is_coprime(ctx.field.ideal(ctx.args.a)):
         raise ConfigError("--a: the prime divides a, so no conjugating unit "
                           "fixes the a-torsion")
+    for level in (m, m * ell):
+        _checked("construction rejected", build_alpha_prime, ctx.system, level,
+                 ctx.args.a)
     return m, ell
 
 
@@ -254,11 +261,8 @@ def _verify_e1(ctx: Context, opts: dict) -> dict:
     if not ell.divides(m):
         raise ConfigError("--l: the plain norm relation needs the prime "
                           "to divide the level")
-    u_scale = opts["u_scale"]
-    if u_scale is not None and u_scale < 1:
-        raise ConfigError("--u-scale: need a positive integer")
     rep = verify_E1(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    tol=ctx.tol, seed=args.seed, u_scale=u_scale)
+                    tol=ctx.tol, seed=args.seed)
     return _relation_record(ctx, m, ell, rep)
 
 
@@ -304,9 +308,7 @@ COMMANDS = {
         _verify_e1, ("system", "lattice"),
         "verify the plain norm relation one level down",
         (("--m", str, "(2+i)^2", "level ideal, divisible by the prime"),
-         ("--l", str, "2+i", "prime ideal"),
-         ("--u-scale", int, None,
-          "override the comparison scale in the parity stage"))),
+         ("--l", str, "2+i", "prime ideal"))),
     "verify-e2": Command(
         _verify_e2, ("system", "lattice"),
         "verify the twisted norm relation at a new prime",
@@ -327,7 +329,7 @@ GRID = (
     ("certify-tame", {"m": "1"}),
     ("certify-tame", {"m": "2-i"}),
     ("certify-tame", {"m": "(2+i)*(2-i)"}),
-    ("verify-e1", {"m": "(2+i)^2", "l": "2+i", "u_scale": None}),
+    ("verify-e1", {"m": "(2+i)^2", "l": "2+i"}),
     ("verify-e2", {"m": "2-i", "l": "2+i"}),
 )
 

@@ -171,6 +171,14 @@ class ConstAtom:
             base = self.fn.evaluate(lat, self.point)
             return base ** self.exponent
 
+    def order_at(self, P: TorsionPoint) -> int:
+        """A constant has no zero or pole."""
+        return 0
+
+    def leading_at(self, lat: AnalyticLattice, P):
+        """A constant is its own leading coefficient at every point."""
+        return self.evaluate(lat)
+
     def signature(self) -> tuple:
         if self.exact is not None:
             return ("exact", self.exact)
@@ -195,9 +203,9 @@ class ConstAtom:
 class EllFunction:
     """Normalized sigma-product with an exactly-principal divisor.
 
-    extra: optional tuple of ConstAtom factors multiplying the canonical
-    normalized product (used by perturbed rebuilds; the canonical build
-    has none).
+    extra: the ConstAtom factors of a scaled function (see scaled_by),
+    multiplied in order after the normalized product; the canonical
+    build has none.
     """
 
     def __init__(self, field: QuadField, divisor: Divisor,
@@ -251,6 +259,7 @@ class EllFunction:
         return hash(self.signature())
 
     def scaled_by(self, atom: ConstAtom) -> "EllFunction":
+        """The function times the constant atom, with the same divisor."""
         return EllFunction(self.field, self.divisor, self.lifts, self.extra + (atom,))
 
     def pullback(self, alpha: QuadElement) -> "EllFunction":
@@ -268,8 +277,7 @@ class EllFunction:
     # --- numerics --------------------------------------------------------------
 
     def _norm_constant(self, lat: AnalyticLattice):
-        """The normalization constant times the extra constant factors,
-        computed once per lattice."""
+        """The normalization constant, computed once per lattice."""
         out = self._norm.get(lat)
         if out is None:
             # exact quadratic form of the lifts, evaluated against eta at runtime
@@ -281,8 +289,6 @@ class EllFunction:
                 expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
                          + lat._frac(C) * lat.eta_omega * lat.tau) / 2
                 out = mp.exp(expo)
-                for atom in self.extra:
-                    out = out * atom.evaluate(lat)
             self._norm[lat] = out
         return out
 
@@ -291,12 +297,14 @@ class EllFunction:
         offset z - u is a lattice point mu contributes sigma's leading
         coefficient eps(mu) exp(eta(mu) mu / 2) at mu; every other lift
         contributes sigma(z - u).  Both come from the lattice's memoized
-        sigma at the exact offset."""
+        sigma at the exact offset.  The extra constants multiply last."""
         with lat.context():
             out = self._norm_constant(lat)
             for r, s, e in self.lifts:
                 w = z - self.field.element(r, s)
                 out = out * lat.sigma(w.x, w.y) ** e
+            for atom in self.extra:
+                out = out * atom.evaluate(lat)
             return out
 
     def evaluate(self, lat: AnalyticLattice, z):
@@ -417,8 +425,11 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
     each handed to the evaluators as an exact field element.
 
     Returns a report dict with the mean constant, the relative spread,
-    and pass/fail under tol.
+    and pass/fail under tol.  Raises ValueError for fewer than two
+    samples: a single ratio cannot show that the ratio is constant.
     """
+    if samples < 2:
+        raise ValueError("a constancy scan needs at least two sample points")
     with lat.context():
         coords = sample_points(lat, seed, samples, avoid)
         ratios = []

@@ -160,7 +160,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
 #
 # A stage reads one _Run and returns its payload with a "pass" flag.  The
 # two stages that depend only on (phi_ell, ell, a, lattice, samples, tol,
-# seed, u_scale) and not on the level are memoized: both relations run
+# seed) and not on the level are memoized: both relations run
 # them with the same inputs.  Their reports are shared between callers
 # and must not be mutated.
 
@@ -169,11 +169,9 @@ class _Run:
     """One verification: the configuration and the exact data the stages
     read (conjugating units, the conjugate orbit, the fiber)."""
 
-    def __init__(self, relation, sys, m, ell, a, lat, samples, tol, seed,
-                 u_scale=None):
+    def __init__(self, relation, sys, m, ell, a, lat, samples, tol, seed):
         self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
         self.lat, self.samples, self.tol, self.seed = lat, samples, tol, seed
-        self.u_scale = u_scale
         self.ml = m * ell
         self.k = (self.ml * sys.f_level).norm
         self.phi_ell = sys.chi.evaluate(ell)
@@ -292,14 +290,14 @@ def _distribution(r: _Run) -> dict:
 
 
 @_per_lattice
-def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int,
-                   u_scale: int | None, tol) -> dict:
+def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
     """[-1]-symmetry and the unit-pair comparison.
 
     Checks: the a-division function is [-1]-stable structurally and up to
     an exact sign numerically; translation correctors move to their
     negatives; the scaled pair sums A and B have matching tame moduli and
-    an exactly [-1]-invariant difference."""
+    an exactly [-1]-invariant difference, with A scaled by N(ell), the
+    scale of B's two-point functions."""
     with lat.context():
         field = ell.field
         g = build_g_a(field, a)
@@ -317,8 +315,8 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int,
             r = t.evaluate(lat, -z) / t_neg.evaluate(lat, z)
             t_ok = t_ok and abs(abs(r) - 1) < tol
         A = build_pair_A(field, a, ell)
-        B = build_pair_B(field, a, ell, u_scale=u_scale)
-        k_u = B.meta["u_scale"]
+        B = build_pair_B(field, a, ell)
+        k_u = ell.norm
         diff = A.scale(k_u) - B
         points = sorted(set(A.support_points()) | set(B.support_points()),
                         key=TorsionPoint.key)
@@ -346,7 +344,7 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int,
 
 
 def _parity(r: _Run) -> dict:
-    return _parity_checks(r.lat, r.ell, r.a, r.u_scale, r.tol)
+    return _parity_checks(r.lat, r.ell, r.a, r.tol)
 
 
 def _distribution_parity(r: _Run) -> dict:
@@ -434,7 +432,7 @@ def _verify(run: _Run) -> dict:
 
 def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
               lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
-              seed: int = 20240801, u_scale: int | None = None) -> dict:
+              seed: int = 20240801) -> dict:
     """Norm compatibility one level down when ell already divides the level.
 
     Stages: exact fiber/orbit identity, divisor-and-constant function
@@ -442,12 +440,12 @@ def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     tame certificates of the transported sums, and the definitional
     packaging branch, which always runs at the distinguished prime ell.
     """
-    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed, u_scale))
+    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed))
 
 
 def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
               lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
-              seed: int = 20240801, u_scale: int | None = None) -> dict:
+              seed: int = 20240801) -> dict:
     """Twisted norm compatibility when ell is new to the level.
 
     Stages: the extra fiber point and the multiplicative orbit, its
@@ -455,7 +453,7 @@ def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     its tame certificate, the function identity with the extra factor and
     the pushforward of the twist function, then distribution/parity.
     """
-    return _verify(_Run("E2", sys, m, ell, a, lat, samples, tol, seed, u_scale))
+    return _verify(_Run("E2", sys, m, ell, a, lat, samples, tol, seed))
 
 
 def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:

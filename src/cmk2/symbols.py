@@ -1,9 +1,11 @@
 """Formal Steinberg-symbol sums over exact function data.
 
 A SymbolSum is a Z-linear combination of pairs {left, right}.  Each side
-is an Entry: a product of lazy constants (exact rationals or exact
-torsion-point evaluations) and at most one sigma-product function.
-Composite entries stay composite; normal_form expands them bilinearly,
+is one value: a lazy constant (a ConstAtom: an exact rational or an
+exact torsion-point evaluation) or a sigma-product EllFunction, whose
+constant factors, if any, ride in its `extra` (see
+EllFunction.scaled_by).  normal_form splits a scaled function into its
+constants and its unscaled product, expands each pair bilinearly,
 orients each atomic pair by a canonical key using antisymmetry, and
 merges coefficients, which is what structural comparisons run on.
 
@@ -36,60 +38,6 @@ from .qfield import QuadField, QuadIdeal
 from .torsion import TorsionPoint, TorsionSystem, division_point, torsion_subgroup
 
 
-class Entry:
-    """Multiplicative side of a symbol: const atoms times an optional function."""
-
-    __slots__ = ("consts", "fn")
-
-    def __init__(self, consts: tuple = (), fn=None):
-        self.consts = tuple(consts)
-        self.fn = fn
-        assert self.consts or self.fn is not None, "empty entry"
-
-    @staticmethod
-    def of_fn(fn) -> "Entry":
-        return Entry((), fn)
-
-    @staticmethod
-    def of_const(atom: ConstAtom) -> "Entry":
-        return Entry((atom,), None)
-
-    def order_at(self, P: TorsionPoint) -> int:
-        return self.fn.order_at(P) if self.fn is not None else 0
-
-    def leading_at(self, lat: AnalyticLattice, P: TorsionPoint):
-        with lat.context():
-            out = mp.mpc(1)
-            for atom in self.consts:
-                out = out * atom.evaluate(lat)
-            if self.fn is not None:
-                out = out * self.fn.leading_at(lat, P)
-            return out
-
-    def support(self):
-        return self.fn.divisor.support() if self.fn is not None else []
-
-    def signature(self) -> tuple:
-        return (tuple(sorted(a.signature() for a in self.consts)),
-                self.fn.signature() if self.fn is not None else None)
-
-    def map_points(self, pm) -> "Entry":
-        return Entry(tuple(_map_atom(a, pm) for a in self.consts),
-                     _map_fn(self.fn, pm) if self.fn is not None else None)
-
-    def __eq__(self, other):
-        return isinstance(other, Entry) and other.signature() == self.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def __repr__(self):
-        bits = [repr(a) for a in self.consts]
-        if self.fn is not None:
-            bits.append(repr(self.fn))
-        return "*".join(bits)
-
-
 def _map_fn(fn: EllFunction, pm) -> EllFunction:
     D = Divisor(fn.field, {pm(P): m for P, m in fn.divisor.points.items()})
     extra = tuple(_map_atom(a, pm) for a in fn.extra)
@@ -103,8 +51,15 @@ def _map_atom(atom: ConstAtom, pm) -> ConstAtom:
                      exponent=atom.exponent)
 
 
+def _map_side(side, pm):
+    if isinstance(side, ConstAtom):
+        return _map_atom(side, pm)
+    return _map_fn(side, pm)
+
+
 class SymbolSum:
-    """Integer combination of {Entry, Entry} pairs with level metadata."""
+    """Integer combination of {left, right} pairs, each side an
+    EllFunction or a ConstAtom, with level metadata."""
 
     def __init__(self, field: QuadField, terms, meta: dict | None = None):
         self.field = field
@@ -123,14 +78,16 @@ class SymbolSum:
 
     def map_points(self, pm) -> "SymbolSum":
         return SymbolSum(self.field,
-                         [(c, L.map_points(pm), R.map_points(pm)) for c, L, R in self.terms],
+                         [(c, _map_side(L, pm), _map_side(R, pm))
+                          for c, L, R in self.terms],
                          self.meta)
 
     def support_points(self) -> list[TorsionPoint]:
         seen = set()
         for _c, L, R in self.terms:
             for side in (L, R):
-                seen.update(side.support())
+                if isinstance(side, EllFunction):
+                    seen.update(side.divisor.support())
         return sorted(seen, key=TorsionPoint.key)
 
     def term_count(self) -> int:
@@ -143,15 +100,12 @@ class SymbolSum:
 # --- normal form ----------------------------------------------------------------
 
 
-def _entry_atoms(entry: Entry) -> list:
-    atoms: list = list(entry.consts)
-    if entry.fn is not None:
-        atoms.extend(entry.fn.extra)
-        core = entry.fn
-        if core.extra:
-            core = EllFunction(core.field, core.divisor, core.lifts, ())
-        atoms.append(core)
-    return atoms
+def _side_atoms(side) -> list:
+    """A side's multiplicative atoms: a constant alone, or a function's
+    constants followed by its unscaled product."""
+    if isinstance(side, ConstAtom) or not side.extra:
+        return [side]
+    return [*side.extra, EllFunction(side.field, side.divisor, side.lifts)]
 
 
 def _atom_key(atom) -> tuple:
@@ -169,8 +123,8 @@ def normal_form(sym: SymbolSum) -> list:
     """
     bucket: dict = {}
     for c, L, R in sym.terms:
-        for aL in _entry_atoms(L):
-            for aR in _entry_atoms(R):
+        for aL in _side_atoms(L):
+            for aR in _side_atoms(R):
                 kL, kR = _atom_key(aL), _atom_key(aR)
                 if kR < kL:
                     first, second, kL, kR = aR, aL, kR, kL
@@ -209,7 +163,7 @@ def difference_is_constant(sym_a: SymbolSum, sym_b: SymbolSum) -> tuple[bool, li
 # --- tame symbols -----------------------------------------------------------------
 
 
-def term_tame(lat: AnalyticLattice, P: TorsionPoint, L: Entry, R: Entry):
+def term_tame(lat: AnalyticLattice, P: TorsionPoint, L, R):
     """Tame value of one symbol at P; exact integer 1 when both orders vanish."""
     m = L.order_at(P)
     n = R.order_at(P)
@@ -311,15 +265,14 @@ def build_alpha_prime(sys: TorsionSystem, m: QuadIdeal, a: int, *,
     gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
     terms = []
     inv_at_y = ConstAtom(fn=g, point=y, exponent=-1)
-    terms.append((a, Entry((inv_at_y,), g), Entry.of_fn(s)))
+    terms.append((a, g.scaled_by(inv_at_y), s))
     for gm in gammas:
         if s.order_at(gm) != 0:
             raise ValueError(f"degenerate configuration: torsion point {gm} "
                              f"of the auxiliary level {a} meets the support "
                              f"of the two-point function at level {m}")
         t = t_builder(gm) if t_builder is not None else build_t_gamma(field, a, gm)
-        terms.append((-1, Entry.of_const(ConstAtom(fn=s, point=gm)),
-                      Entry.of_fn(t)))
+        terms.append((-1, ConstAtom(fn=s, point=gm), t))
     meta = {"kind": "alpha-prime", "level": str(m * sys.f_level),
             "m": str(m), "scale": k, "a": a, "y": str(y)}
     return SymbolSum(field, terms, meta)
@@ -352,26 +305,22 @@ def build_pair_A(field: QuadField, a: int, ell: QuadIdeal) -> SymbolSum:
     """a {g_a, g_ell} - sum over nonzero gamma in E[a] of {g_ell(gamma), t_gamma}."""
     g = build_g_a(field, a)
     gl = build_g_l(ell)
-    terms = [(a, Entry.of_fn(g), Entry.of_fn(gl))]
+    terms = [(a, g, gl)]
     for gm in torsion_subgroup(field.ideal(a)):
         if gm.is_zero():
             continue
         if gl.order_at(gm) != 0:
             raise ValueError(f"degenerate configuration: {gm} lies in E[ell]")
-        terms.append((-1, Entry.of_const(ConstAtom(fn=gl, point=gm)),
-                      Entry.of_fn(build_t_gamma(field, a, gm))))
+        terms.append((-1, ConstAtom(fn=gl, point=gm), build_t_gamma(field, a, gm)))
     return SymbolSum(field, terms, {"kind": "pair-A", "a": a, "ell": str(ell)})
 
 
-def build_pair_B(field: QuadField, a: int, ell: QuadIdeal,
-                 u_scale: int | None = None) -> SymbolSum:
+def build_pair_B(field: QuadField, a: int, ell: QuadIdeal) -> SymbolSum:
     """Sum over unit classes xi mod ell of a {g_a(xi c), U_xi}, where c
-    generates E[ell] over the residue ring and U_xi is the scaled
-    two-point function at xi c.  u_scale defaults to N(ell); a*N(ell) is
-    the other supported convention."""
+    generates E[ell] over the residue ring and U_xi is the two-point
+    function at xi c, at scale N(ell)."""
     if not ell.gen.norm() or ell.norm == 1:
         raise ValueError("ell must be a nontrivial ideal")
-    k = u_scale if u_scale is not None else ell.norm
     g = build_g_a(field, a)
     c = division_point(ell.gen)
     if c.annihilator() != ell:
@@ -381,8 +330,5 @@ def build_pair_B(field: QuadField, a: int, ell: QuadIdeal,
         point = c.act(xi)
         if g.order_at(point) != 0:
             raise ValueError(f"degenerate configuration: {point} meets E[{a}]")
-        U = build_s_point(point, k)
-        terms.append((a, Entry.of_const(ConstAtom(fn=g, point=point)),
-                      Entry.of_fn(U)))
-    return SymbolSum(field, terms,
-                     {"kind": "pair-B", "a": a, "ell": str(ell), "u_scale": k})
+        terms.append((a, ConstAtom(fn=g, point=point), build_s_point(point, ell.norm)))
+    return SymbolSum(field, terms, {"kind": "pair-B", "a": a, "ell": str(ell)})

@@ -142,6 +142,13 @@ def test_config_errors_exit_2():
         ("hecke-check", "--curve-a", "-5", "--bound", "30"),   # bad at 5
         ("hecke-check", "--bound", "4"),          # no split prime to check
         ("frobenius-check", "--curve-b", "1"),    # needs B = 0
+        # the level meets the conductor
+        ("verify-e2", "--m", "1+i", "--l", "2+i"),
+        ("verify-e1", "--m", "(1+i)*(2+i)^2", "--l", "2+i"),
+        # degenerate: y_m lies in E[a]
+        ("verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
+         "--a", "3"),
+        ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
     ]
     for argv in cases:
         code, _, err = run(*argv)

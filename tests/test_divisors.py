@@ -286,6 +286,10 @@ def test_equal_up_to_constant_rejects_nonproportional():
     rep = equal_up_to_constant(evaluator(g2, lat), evaluator(g3, lat), lat,
                                avoid=avoid, samples=6, tol=mp.mpf(10) ** -30)
     assert not rep["pass"]
+    # one ratio cannot show that the ratio is not constant
+    with pytest.raises(ValueError, match="two sample points"):
+        equal_up_to_constant(evaluator(g2, lat), evaluator(g3, lat), lat,
+                             avoid=avoid, samples=1)
 
 
 def test_two_point_builders():
@@ -359,12 +363,18 @@ def test_lazy_const_atoms():
     exact = ConstAtom(exact=Fraction(-3, 7))
     with lat.context():
         assert exact.evaluate(lat) == mp.mpf(-3) / 7
+    # a constant has order 0 everywhere and is its own leading coefficient
+    assert atom.order_at(P) == exact.order_at(O()) == 0
+    with lat.context():
+        assert atom.leading_at(lat, O()) == v
     scaled = g2.scaled_by(atom)
     assert scaled != g2
     assert scaled.order_at(P) == 0
     with lat.context():
         z = F4.element(Fraction(0.27), Fraction(0.66))
-        assert abs(scaled.evaluate(lat, z) - v * g2.evaluate(lat, z)) < mp.mpf(10) ** -25
+        # the constant multiplies after the normalized product, bit for bit
+        assert scaled.evaluate(lat, z) == g2.evaluate(lat, z) * v
+        assert scaled.leading_at(lat, O()) == g2.leading_at(lat, O()) * v
 
 
 def test_sample_points_deterministic_and_avoiding():

@@ -251,14 +251,6 @@ def test_verify_E1_all_stages():
     assert rep["config"]["conjugation"] == "additive"
 
 
-def test_verify_E1_u_scale_variant():
-    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL,
-                    u_scale=2 * ELL.norm)
-    par = [s for s in rep["stages"] if s["id"] == "E1.4-parity"][0]
-    assert par["pair_scale"] == 10
-    assert rep["pass"]
-
-
 def test_verify_E1_wrong_configuration_fails_cleanly():
     # a level the prime does not divide makes the conjugation
     # multiplicative; the set-identity stage must fail without crashing

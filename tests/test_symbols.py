@@ -22,7 +22,6 @@ from cmk2.divisors import (
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
 from cmk2.symbols import (
-    Entry,
     SymbolSum,
     build_alpha,
     build_alpha_prime,
@@ -68,14 +67,30 @@ def test_tame_value_of_wp_pair_is_four():
     wp = LaurentStub(-2, 1)    # z^-2 + ...
     wpp = LaurentStub(-3, -2)  # -2 z^-3 + ...
     with lat.context():
-        v = term_tame(lat, ORIGIN, Entry.of_fn(wp), Entry.of_fn(wpp))
+        v = term_tame(lat, ORIGIN, wp, wpp)
         assert abs(v - 4) < mp.mpf(10) ** -30
+    # at a zero or pole of g the scaled side's leading coefficient is c
+    # times g's, so the tame value picks up c to the other side's order
+    c = ConstAtom(exact=7)
+    g, s = build_g_a(F4, 2), s_m(M_SPLIT)
+    gc = g.scaled_by(c)
+    with lat.context():
+        # s has order -40 at the origin and 0 at the 2-torsion point
+        for P in (ORIGIN, TorsionPoint(F4, Fraction(1, 2), 0)):
+            assert g.order_at(P) != 0
+            n = s.order_at(P)
+            for v, plain, power in ((term_tame(lat, P, gc, s), term_tame(lat, P, g, s), n),
+                                    (term_tame(lat, P, s, gc), term_tame(lat, P, s, g), -n)):
+                assert abs(v / (plain * mp.mpf(7) ** power) - 1) < mp.mpf(10) ** -30
+        # a bare constant has order 0, so against s it is raised to ord s
+        v = term_tame(lat, ORIGIN, c, s)
+        assert abs(v / mp.mpf(7) ** s.order_at(ORIGIN) - 1) < mp.mpf(10) ** -30
 
 
 def test_term_tame_exact_shortcut():
     lat = AnalyticLattice(F4, 128)
     stub = LaurentStub(0, 17)
-    v = term_tame(lat, ORIGIN, Entry.of_fn(stub), Entry.of_fn(stub))
+    v = term_tame(lat, ORIGIN, stub, stub)
     assert v == 1 and isinstance(v, int)
 
 
@@ -137,7 +152,7 @@ def test_tame_certificate_fault_controls_fail():
     # adding {e^i, s_m} keeps every modulus at one, but e^(ik) is no root
     # of unity: the unity order, not the modulus, must fail it
     e_i = ConstAtom(evaluator=lambda lat: mp.exp(mp.mpc(0, 1)), tag="e^i")
-    drift = SymbolSum(F4, [(1, Entry.of_const(e_i), Entry.of_fn(s_m(M_SPLIT)))])
+    drift = SymbolSum(F4, [(1, e_i, s_m(M_SPLIT))])
     rep3 = certify_tame_kernel(sym + drift, lat, tol=mp.mpf(10) ** -25)
     assert not rep3["pass"]
     with lat.context():
@@ -179,13 +194,18 @@ def test_tame_exact_flag_follows_orders(monkeypatch):
 def test_normal_form_antisymmetry_and_merge():
     g2 = build_g_a(F4, 2)
     s = s_m(M_SPLIT)
-    swap = SymbolSum(F4, [(1, Entry.of_fn(g2), Entry.of_fn(s)),
-                          (1, Entry.of_fn(s), Entry.of_fn(g2))])
+    swap = SymbolSum(F4, [(1, g2, s), (1, s, g2)])
     assert normal_form(swap) == []
     sym = build_alpha_prime(SYS, M_SPLIT, 2)
     assert normal_form(sym - sym) == []
     assert normal_form(sym + sym) == normal_form(sym.scale(2))
-    # expansion splits the lazy constant off the composite left entry
+    # expansion splits the constant off the scaled left side:
+    # {g c, s} = {c, s} + {g, s}
+    c = ConstAtom(exact=7)
+    scaled = SymbolSum(F4, [(1, g2.scaled_by(c), s)])
+    split = SymbolSum(F4, [(1, c, s), (1, g2, s)])
+    assert normal_form(scaled) == normal_form(split)
+    assert len(normal_form(scaled)) == 2
     nf = normal_form(sym)
     assert any(isinstance(L, ConstAtom) for _c, L, _R in nf)
     assert any(isinstance(L, EllFunction) or isinstance(R, EllFunction)
@@ -245,8 +265,6 @@ def test_pair_builders():
     assert A.term_count() == 4
     B = build_pair_B(F4, 2, ELL)
     assert B.term_count() == ELL.norm - 1 == 4
-    B2 = build_pair_B(F4, 2, ELL, u_scale=2 * ELL.norm)
-    assert B2.meta["u_scale"] == 10
     # degenerate guard: ell = (1+i) has torsion meeting E[2]
     with pytest.raises(ValueError):
         build_pair_B(F4, 2, F4.ideal(F4.parse("1+i")))
