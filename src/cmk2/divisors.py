@@ -1,20 +1,32 @@
 """Divisors on exact torsion points and their normalized sigma-products.
 
-An EllFunction is stored exactly: a list of factor lifts (rational plane
-coordinates, one per sigma factor, chosen so the exponent-weighted lift
-sum is exactly zero) plus an exact-rational quadratic form feeding the
-normalization constant.  Nothing numeric is stored; evaluation happens
-against an AnalyticLattice on demand.
+An EllFunction is stored exactly: one canonical lift p = r + s*omega
+(r, s in [0, 1)) per support point P with its multiplicity m_P, and the
+lift sum lam = sum m_P p, a lattice point by principality.  Nothing
+numeric is stored; evaluation happens against an AnalyticLattice on
+demand.
 
-Normalization: each function carries the constant
-    C = exp(-(1/2) * sum_i e_i * etaL(u_i) * u_i)
-where etaL is the Q-linear extension of the quasi-period map to the
-rational plane and u_i are the factor lifts.  With the zero lift sum
-this makes log|f| integrate to zero over the torus, which is what makes
-every pushforward/distribution comparison land on constants of modulus
-one instead of stray exponential factors.  The lift-sum adjustment puts
-the correction on one sigma copy of the lexicographically first support
-point, so the construction is deterministic.
+Normalization: the function is the sigma product whose lift sum is
+zero, one sigma copy of the first support point P0 (sign e of m_P0)
+being moved by -e*lam, times exp(-(1/2) sum_i e_i eta(u_i) u_i) over
+its lifts u_i, with eta the R-linear extension of the quasi-period map.
+With the zero lift sum, log|f| integrates to zero over the torus, which
+is what makes every pushforward/distribution comparison land on
+constants of modulus one instead of stray exponential factors.  The copy
+is never evaluated: by quasi-periodicity it is eps(lam)
+exp(eta(lam)(z - p0 + e lam/2)) sigma(z - p0)^e, and Legendre's relation
+eta(1) tau - eta(omega) = 2 pi i cancels the lam^2 terms of the
+normalization against it exactly, leaving
+
+    f(z) = C' exp(eta(lam) z) prod_P sigma(z - p)^(m_P),
+    C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-(1/2) sum_P m_P eta(p) p),
+
+p0 = r0 + s0*omega.  The sign and the Legendre phase are one exact
+rational exponent of exp(pi i .); C' and eta(lam) are computed once per
+lattice.  Since sum m_P = 0, the product is taken as
+prod over P != R of (sigma(z - p) / sigma(z - r))^(m_P), R the point of
+largest |m_P|, grouped by multiplicity: one power per distinct exponent,
+so a two-point function takes one power and g_a and g_ell take none.
 
 Evaluation points are exact: a TorsionPoint, or a field element with
 rational coordinates (53-bit float samples are dyadic rationals).  So
@@ -61,7 +73,8 @@ class Divisor:
         self.field = field
         pts: dict[TorsionPoint, int] = {}
         for P, m in (data or {}).items():
-            assert P.field == field
+            if P.field != field:
+                raise ValueError("field mismatch")
             if m != 0:
                 pts[P] = pts.get(P, 0) + m
         self.points = {P: m for P, m in pts.items() if m != 0}
@@ -151,25 +164,35 @@ class ConstAtom:
         self.exact = None
         self.fn, self.point, self.exponent = None, None, 1
         self.evaluator, self.tag = None, None
+        self._values: dict = {}  # lattice -> value
         if exact is not None:
-            assert fn is None and point is None and evaluator is None
+            if fn is not None or point is not None or evaluator is not None:
+                raise ValueError("an exact constant takes no function, point or evaluator")
             self.exact = Fraction(exact)
-            assert self.exact != 0
+            if self.exact == 0:
+                raise ValueError("a constant atom must be nonzero")
         elif evaluator is not None:
-            assert fn is None and point is None and tag is not None
+            if fn is not None or point is not None or tag is None:
+                raise ValueError("a lazy constant takes an evaluator and a tag only")
             self.evaluator, self.tag = evaluator, tag
         else:
-            assert fn is not None and point is not None
+            if fn is None or point is None:
+                raise ValueError("an evaluated constant needs a function and a point")
             self.fn, self.point, self.exponent = fn, point, exponent
 
     def evaluate(self, lat: AnalyticLattice):
-        with lat.context():
-            if self.exact is not None:
-                return mp.mpf(self.exact.numerator) / self.exact.denominator
-            if self.evaluator is not None:
-                return self.evaluator(lat)
-            base = self.fn.evaluate(lat, self.point)
-            return base ** self.exponent
+        """The value at the lattice, computed once per lattice."""
+        out = self._values.get(lat)
+        if out is None:
+            with lat.context():
+                if self.exact is not None:
+                    out = mp.mpf(self.exact.numerator) / self.exact.denominator
+                elif self.evaluator is not None:
+                    out = self.evaluator(lat)
+                else:
+                    out = self.fn.evaluate(lat, self.point) ** self.exponent
+            self._values[lat] = out
+        return out
 
     def order_at(self, P: TorsionPoint) -> int:
         """A constant has no zero or pole."""
@@ -203,46 +226,42 @@ class ConstAtom:
 class EllFunction:
     """Normalized sigma-product with an exactly-principal divisor.
 
-    extra: the ConstAtom factors of a scaled function (see scaled_by),
-    multiplied in order after the normalized product; the canonical
-    build has none.
+    lifts: one (r, s, m) per support point, its canonical lift and its
+    multiplicity, in support order; lam: the integral lift sum
+    (sum m r, sum m s).  extra: the ConstAtom factors of a scaled function
+    (see scaled_by), multiplied in order after the normalized product;
+    the canonical build has none.
     """
 
-    def __init__(self, field: QuadField, divisor: Divisor,
-                 lifts: tuple, extra: tuple = ()):
-        self.field = field
+    def __init__(self, divisor: Divisor, lifts: tuple, lam: tuple,
+                 extra: tuple = ()):
+        self.field = divisor.field
         self.divisor = divisor
-        self.lifts = lifts  # tuple of (Fraction r, Fraction s, int exponent)
+        self.lifts = lifts
+        self.lam = lam
         self.extra = extra
-        self._norm: dict = {}  # lattice -> _norm_constant
+        self._norm: dict = {}  # lattice -> (constant, eta(lam))
+        # the reference lift R: largest |m|, the first in support order on
+        # a tie; the others are grouped by multiplicity, one power each
+        ref = max(range(len(lifts)), key=lambda i: abs(lifts[i][2]), default=None)
+        self._ref = None if ref is None else lifts[ref][:2]
+        groups: dict = {}
+        for i, (r, s, m) in enumerate(lifts):
+            if i != ref:
+                groups.setdefault(m, []).append((r, s))
+        self._groups = tuple((m, tuple(pts)) for m, pts in groups.items())
 
     @classmethod
     def from_divisor(cls, D: Divisor, extra: tuple = ()) -> "EllFunction":
         if not D.is_principal():
             raise ValueError(f"divisor is not principal: degree {D.degree}, "
                              f"weighted sum {D.weighted_sum()}")
-        support = D.support()
-        lam = D.weighted_sum()  # integral by principality
-        lifts = []
-        first = True
-        for P in support:
-            e = D.multiplicity(P)
-            if first and not lam.is_zero():
-                sign = 1 if e > 0 else -1
-                # one sigma copy moves by -sign*lam so the lift sum vanishes
-                lifts.append((P.r - sign * Fraction(lam.x),
-                              P.s - sign * Fraction(lam.y), sign))
-                if e != sign:
-                    lifts.append((P.r, P.s, e - sign))
-            else:
-                lifts.append((P.r, P.s, e))
-            first = False
-        lifts = tuple(lifts)
-        if (sum(Fraction(e) * r for r, s, e in lifts) != 0
-                or sum(Fraction(e) * s for r, s, e in lifts) != 0
-                or sum(e for _r, _s, e in lifts) != 0):
-            raise ArithmeticError(f"the factor lifts of {D} do not sum to zero")
-        return cls(D.field, D, lifts, extra)
+        lifts = tuple((P.r, P.s, D.multiplicity(P)) for P in D.support())
+        lam = (sum(m * r for r, _s, m in lifts), sum(m * s for _r, s, m in lifts))
+        if (sum(m for _r, _s, m in lifts) != 0
+                or any(Fraction(v).denominator != 1 for v in lam)):
+            raise ArithmeticError(f"the lifts of {D} do not sum to a lattice point")
+        return cls(D, lifts, tuple(int(v) for v in lam), extra)
 
     # --- structural ----------------------------------------------------------
 
@@ -260,7 +279,11 @@ class EllFunction:
 
     def scaled_by(self, atom: ConstAtom) -> "EllFunction":
         """The function times the constant atom, with the same divisor."""
-        return EllFunction(self.field, self.divisor, self.lifts, self.extra + (atom,))
+        return EllFunction(self.divisor, self.lifts, self.lam, self.extra + (atom,))
+
+    def unscaled(self) -> "EllFunction":
+        """The normalized product alone, without the extra constants."""
+        return EllFunction(self.divisor, self.lifts, self.lam)
 
     def pullback(self, alpha: QuadElement) -> "EllFunction":
         """The function with divisor pulled back under multiplication by alpha.
@@ -276,33 +299,53 @@ class EllFunction:
 
     # --- numerics --------------------------------------------------------------
 
-    def _norm_constant(self, lat: AnalyticLattice):
-        """The normalization constant, computed once per lattice."""
+    def _constants(self, lat: AnalyticLattice):
+        """(C', eta(lam)) at the lattice, computed once per lattice.
+
+        C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-Q/2), with
+        (r0, s0) the first lift and Q = sum m eta(p) p the exact quadratic
+        form of the lifts: Q = A eta1 + B (eta1 tau + eta_omega)
+        + C eta_omega tau.  The sign and the Legendre phase are one exact
+        rational exponent of exp(pi i .), reduced mod 2 before any numerics.
+        """
         out = self._norm.get(lat)
         if out is None:
-            # exact quadratic form of the lifts, evaluated against eta at runtime
-            A = sum((Fraction(e) * r * r for r, s, e in self.lifts), Fraction(0))
-            B = sum((Fraction(e) * r * s for r, s, e in self.lifts), Fraction(0))
-            C = sum((Fraction(e) * s * s for r, s, e in self.lifts), Fraction(0))
+            A = sum((m * r * r for r, s, m in self.lifts), Fraction(0))
+            B = sum((m * r * s for r, s, m in self.lifts), Fraction(0))
+            C = sum((m * s * s for r, s, m in self.lifts), Fraction(0))
+            lx, ly = self.lam
+            r0, s0 = self.lifts[0][:2] if self.lifts else (0, 0)
+            phase = (lx + ly + lx * ly + r0 * ly - s0 * lx) % 2
             with lat.context():
                 mixed = lat.eta1 * lat.tau + lat.eta_omega
                 expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
                          + lat._frac(C) * lat.eta_omega * lat.tau) / 2
-                out = mp.exp(expo)
+                const = mp.expjpi(lat._frac(phase)) * mp.exp(expo)
+                out = (const, lat.eta_linear(lx, ly))
             self._norm[lat] = out
         return out
 
     def _product(self, lat: AnalyticLattice, z: QuadElement):
-        """The normalized product at the exact point z.  A lift u whose
-        offset z - u is a lattice point mu contributes sigma's leading
-        coefficient eps(mu) exp(eta(mu) mu / 2) at mu; every other lift
-        contributes sigma(z - u).  Both come from the lattice's memoized
-        sigma at the exact offset.  The extra constants multiply last."""
+        """The normalized product at the exact point z:
+        C' exp(eta(lam) z) prod over the groups of
+        (prod_P sigma(z - P) / sigma(z - R))^m.  A lift whose offset
+        z - u is a lattice point mu contributes sigma's leading coefficient
+        eps(mu) exp(eta(mu) mu / 2) at mu; every other lift contributes
+        sigma(z - u).  Both come from the lattice's memoized sigma at the
+        exact offset.  The extra constants multiply last."""
         with lat.context():
-            out = self._norm_constant(lat)
-            for r, s, e in self.lifts:
-                w = z - self.field.element(r, s)
-                out = out * lat.sigma(w.x, w.y) ** e
+            const, eta_lam = self._constants(lat)
+            out = const
+            if self.lam != (0, 0):
+                out = out * mp.exp(eta_lam * lat.embed_coords(z.x, z.y))
+            if self._groups:
+                r, s = self._ref
+                inv_ref = 1 / lat.sigma(z.x - r, z.y - s)
+                for m, pts in self._groups:
+                    g = mp.mpc(1)
+                    for r, s in pts:
+                        g = g * (lat.sigma(z.x - r, z.y - s) * inv_ref)
+                    out = out * g ** m
             for atom in self.extra:
                 out = out * atom.evaluate(lat)
             return out

@@ -15,7 +15,8 @@ pairs contribute the exact integer 1 without touching numerics.  For
 the assembled Euler-system sums every tame value must be a root of
 unity, so a certificate passes only when every non-exact value has
 modulus one within tolerance and a root-of-unity order k <= lcm(24, w_K),
-found with |value^k - 1| < sqrt(tolerance).
+found with |value^k - 1| < tolerance, the same threshold: a value 1e-14
+away from a root of unity is not one.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class SymbolSum:
         self.meta = dict(meta or {})
 
     def __add__(self, other: "SymbolSum") -> "SymbolSum":
-        assert other.field == self.field
+        if other.field != self.field:
+            raise ValueError("field mismatch")
         return SymbolSum(self.field, self.terms + other.terms, self.meta)
 
     def scale(self, k: int) -> "SymbolSum":
@@ -105,7 +107,7 @@ def _side_atoms(side) -> list:
     constants followed by its unscaled product."""
     if isinstance(side, ConstAtom) or not side.extra:
         return [side]
-    return [*side.extra, EllFunction(side.field, side.divisor, side.lifts)]
+    return [*side.extra, side.unscaled()]
 
 
 def _atom_key(atom) -> tuple:
@@ -209,9 +211,9 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -
     A point is exact when every term has orders (0, 0) there, whatever
     value the numerics would give.  Each non-exact value must satisfy
     |abs(value) - 1| < tol and have a unity order, the least
-    k <= lcm(24, unit group) with |value^k - 1| < sqrt(tol); a value of
-    modulus one that is not a root of unity of bounded order fails the
-    certificate.
+    k <= lcm(24, unit group) with |value^k - 1| < tol; a value of
+    modulus one that is not a root of unity of bounded order, or is one
+    only to a precision coarser than tol, fails the certificate.
     """
     with lat.context():
         bound = lcm(24, sym.field.unit_order)
@@ -226,7 +228,7 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -
             # a computed value that happens to equal 1 is still numeric
             v = mp.mpc(tame_symbol_at(sym, lat, P))
             dev = abs(abs(v) - 1)
-            order = unity_order(v, bound, mp.sqrt(tol))
+            order = unity_order(v, bound, tol)
             ok = ok and dev < tol and order is not None
             rows.append({
                 "point": str(P),

@@ -47,11 +47,13 @@ class TorsionPoint:
         return (self.r, self.s)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        assert other.field == self.field
+        if other.field != self.field:
+            raise ValueError("field mismatch")
         return TorsionPoint(self.field, self.r + other.r, self.s + other.s)
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
-        assert other.field == self.field
+        if other.field != self.field:
+            raise ValueError("field mismatch")
         return TorsionPoint(self.field, self.r - other.r, self.s - other.s)
 
     def __neg__(self) -> "TorsionPoint":

@@ -1,11 +1,13 @@
 """Divisor algebra and normalized sigma-product checks.
 
-Frozen expectations come from two independent sources: hand-computed
-divisor data (weighted sums, lift adjustments, the exp(-pi/2) constant
-for the 2-division product) and limit/translation identities evaluated
-at tolerances far below working precision.
+Frozen expectations come from three independent sources: hand-computed
+divisor data (weighted sums, lifts and lift sums, the exp(-pi/2) constant
+for the 2-division product), limit/translation identities evaluated at
+tolerances far below working precision, and the shifted-copy sigma
+product evaluated at 768 bits.
 """
 
+import random
 import re
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from cmk2.divisors import (
     wp_route_evaluator,
 )
 from cmk2.hecke import HeckeCharacter
-from cmk2.qfield import QuadField
+from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_subgroup
 
 F4 = QuadField(-4)
@@ -85,24 +87,35 @@ def test_from_divisor_rejects_nonprincipal():
 
 
 def test_g2_lift_adjustment_frozen():
+    # one canonical lift per support point, and the integral lift sum
+    # lam = -(1 + i) that the normalization corrects for
     g2 = build_g_a(F4, 2)
-    assert set(g2.lifts) == {
-        (Fraction(1), Fraction(1), 1),
-        (Fraction(0), Fraction(0), 2),
-        (Fraction(1, 2), Fraction(0), -1),
+    assert g2.lifts == (
+        (Fraction(0), Fraction(0), 3),
         (Fraction(0), Fraction(1, 2), -1),
+        (Fraction(1, 2), Fraction(0), -1),
         (Fraction(1, 2), Fraction(1, 2), -1),
-    }
-    assert sum(Fraction(e) * r for r, s, e in g2.lifts) == 0
-    assert sum(Fraction(e) * s for r, s, e in g2.lifts) == 0
+    )
+    assert g2.lam == (-1, -1)
+    assert sum(e for r, s, e in g2.lifts) == 0
+    assert F4.element(sum(e * r for r, s, e in g2.lifts),
+                      sum(e * s for r, s, e in g2.lifts)) == F4.element(*g2.lam)
 
 
 def test_norm_constant_g2_is_exp_minus_half_pi():
+    # the product with a shifted sigma copy carrying the lift sum,
+    # exp(-pi/2) sigma(z - 1 - i) sigma(z)^2 / prod sigma(z - gamma) over
+    # the 2-torsion, is g2 itself: the exact exponential replaces the copy
     lat = AnalyticLattice(F4, 192)
     g2 = build_g_a(F4, 2)
+    halves = ((Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
     with lat.context():
-        c = g2._norm_constant(lat)
-        assert abs(c - mp.exp(-mp.pi / 2)) < mp.mpf(10) ** -50
+        for z in (F4.element(Fraction(0.231), Fraction(0.377)),
+                  F4.element(Fraction(-1.61), Fraction(2.118))):
+            copy = mp.exp(-mp.pi / 2) * lat.sigma(z.x - 1, z.y - 1) * lat.sigma(z.x, z.y) ** 2
+            for r, s in halves:
+                copy = copy / lat.sigma(z.x - r, z.y - s)
+            assert abs(g2.evaluate(lat, z) / copy - 1) < mp.mpf(10) ** -50
 
 
 @pytest.mark.parametrize("builder", [
@@ -409,3 +422,117 @@ def test_warm_evaluation_is_bit_identical(d):
     again = [f.evaluate(warm, z)._mpc_ for z in points]
     fresh = [build_g_a(K, 2).evaluate(AnalyticLattice(K, 256), z)._mpc_ for z in points]
     assert first == again == fresh
+
+
+# --- accuracy against a 768-bit evaluation -------------------------------------
+
+DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+# largest relative error of evaluate and leading_at against the same call
+# at 768 bits: about 2^-30 of the precision (1e-86 is 2^-285.7)
+ACCURACY = {256: mp.mpf(10) ** -86, 512: mp.mpf(10) ** -163}
+
+
+def _odd_split_prime(K):
+    p = 5
+    while not (is_rational_prime(p) and split_rational_prime(K, p)[0] == "split"):
+        p += 1
+    return split_rational_prime(K, p)[1][0]
+
+
+def _accuracy_cases(K):
+    """g_2, t_gamma, g_ell, the two-point function at scale 1000, whose lift
+    sum (300, 700) is large, and a two-point function off the origin, whose
+    Legendre phase exp(pi i (r0 lam_y - s0 lam_x)) = i is not 1."""
+    P = TorsionPoint(K, Fraction(3, 10), Fraction(7, 10))
+    Q = TorsionPoint(K, Fraction(1, 4), Fraction(1, 2))
+    return {
+        "g_2": build_g_a(K, 2),
+        "t_gamma": build_t_gamma(K, 2, TorsionPoint(K, Fraction(1, 2), 0)),
+        "g_ell": build_g_l(_odd_split_prime(K)),
+        "s_P": build_s_point(P, 1000),
+        "P-Q": EllFunction.from_divisor(Divisor(K, {P: 20, Q: -20})),
+    }
+
+
+def _shifted_copy_product(f, lat, z):
+    """The oracle: the sigma product whose lift sum is zero because one
+    sigma copy of the first support point P0 (multiplicity m0, sign e) is
+    moved by -e lam, times exp(-(1/2) sum_i e_i eta(u_i) u_i) over its
+    lifts u_i.  At a lattice offset sigma gives its leading coefficient,
+    so this is also the leading coefficient at a support point."""
+    lifts = list(f.lifts)
+    lx, ly = f.lam
+    if (lx, ly) != (0, 0):
+        r0, s0, m0 = lifts[0]
+        e = 1 if m0 > 0 else -1
+        lifts[:1] = [(r0 - e * lx, s0 - e * ly, e)] + ([(r0, s0, m0 - e)] if m0 != e else [])
+    with lat.context():
+        out = mp.exp(-sum(m * lat.eta_linear(r, s) * lat.embed_coords(r, s)
+                          for r, s, m in lifts) / 2)
+        for r, s, m in lifts:
+            out = out * lat.sigma(z.x - r, z.y - s) ** m
+        return out
+
+
+def _accuracy_failures(prec):
+    """(d, function, call, point, relative error) for every call above
+    ACCURACY[prec] against the shifted-copy product at 768 bits: evaluate
+    at two seeded points of each field, and leading_at at the first three
+    support points of each function.  The same call at 768 bits would not
+    do as the reference: an exact-algebra fault, such as a dropped phase,
+    would carry over to it."""
+    bad = []
+    for d in DISCRIMINANTS:
+        K = QuadField(d)
+        lat, ref = AnalyticLattice(K, prec), AnalyticLattice(K, 768)
+        rng = random.Random(d)
+        points = [K.element(Fraction(rng.random()), Fraction(rng.random()))
+                  for _ in range(2)]
+        for name, f in _accuracy_cases(K).items():
+            calls = ([("evaluate", z, z) for z in points]
+                     + [("leading_at", P, P.lift()) for P in f.divisor.support()[:3]])
+            for call, z, w in calls:
+                got, want = getattr(f, call)(lat, z), _shifted_copy_product(f, ref, w)
+                with ref.context():
+                    err = abs(got - want) / abs(want)
+                if err > ACCURACY[prec]:
+                    bad.append((d, name, call, str(z), mp.nstr(err, 3)))
+    return bad
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_products_match_a_768_bit_evaluation(prec):
+    assert _accuracy_failures(prec) == []
+
+
+def _without_legendre_phase(constants):
+    def patched(self, lat):
+        const, eta_lam = constants(self, lat)
+        (r0, s0, _m), (lx, ly) = self.lifts[0], self.lam
+        with lat.context():
+            return const * mp.expjpi(-lat._frac(r0 * ly - s0 * lx)), eta_lam
+    return patched
+
+
+def _lam_squared_cancelling_numerically(constants):
+    # the shifted-copy form carries exp(-eta(lam) lam / 2) in the
+    # normalization, from the quadratic form of the lifts, and
+    # exp(+eta(lam) lam / 2) in the copy's quasi-period factor; rounded
+    # apart, they cancel only numerically
+    def patched(self, lat):
+        const, eta_lam = constants(self, lat)
+        lx, ly = self.lam
+        with lat.context():
+            copy = eta_lam * lat.embed_coords(lx, ly) / 2
+            norm = (lat._frac(lx * lx) * lat.eta1
+                    + lat._frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
+                    + lat._frac(ly * ly) * lat.eta_omega * lat.tau) / 2
+            return const * mp.exp(copy) * mp.exp(-norm), eta_lam
+    return patched
+
+
+@pytest.mark.parametrize("fault", (_without_legendre_phase,
+                                   _lam_squared_cancelling_numerically))
+def test_accuracy_fault_controls(fault, monkeypatch):
+    monkeypatch.setattr(EllFunction, "_constants", fault(EllFunction._constants))
+    assert _accuracy_failures(256)

@@ -64,7 +64,9 @@ def test_exactness_checks_survive_python_O():
     # subgroup-size, associate-uniqueness, square-root-of-minus-one,
     # annihilator and lift-sum checks, and qfield's unit-group, normal-form,
     # gcd, factorization, inverse and Bezout checks, must still raise when
-    # their exact data is wrong; factor_int and Fp2 reject bad input
+    # their exact data is wrong; factor_int and Fp2 reject bad input, and
+    # divisors, torsion points and symbol sums reject mixed fields, as
+    # ConstAtom rejects a zero or an ill-formed constant
     script = textwrap.dedent("""
         from fractions import Fraction
         from cmk2 import divisors, finitefield, qfield, relations, symbols, torsion
@@ -94,10 +96,27 @@ def test_exactness_checks_survive_python_O():
         expect_raise("e2", twisted.e2_point, M, ELL)
         symbols.division_point = lambda alpha: O
         expect_raise("pair-B", symbols.build_pair_B, F4, 2, ELL)
-        weighted_sum = divisors.Divisor.weighted_sum
-        divisors.Divisor.weighted_sum = lambda self: F4.zero()
-        expect_raise("lifts", divisors.build_s_point, SYS.y(M), 40)
-        divisors.Divisor.weighted_sum = weighted_sum
+        is_principal = divisors.Divisor.is_principal
+        divisors.Divisor.is_principal = lambda self: True
+        QUARTER = TorsionPoint(F4, Fraction(1, 4), 0)
+        expect_raise("lifts", divisors.EllFunction.from_divisor,
+                     divisors.Divisor(F4, {QUARTER: 1, O: -1}))
+        expect_raise("lift-degree", divisors.EllFunction.from_divisor,
+                     divisors.Divisor(F4, {QUARTER: 4}))
+        divisors.Divisor.is_principal = is_principal
+        F3 = QuadField(-3)
+        O3 = TorsionPoint(F3, 0, 0)
+        expect_raise("divisor-field", divisors.Divisor, F4, {O3: 1}, error=ValueError)
+        expect_raise("point-add", O.__add__, O3, error=ValueError)
+        expect_raise("point-sub", O.__sub__, O3, error=ValueError)
+        expect_raise("sum-field", symbols.SymbolSum(F4, []).__add__,
+                     symbols.SymbolSum(F3, []), error=ValueError)
+        g2 = divisors.build_g_a(F4, 2)
+        for label, kwargs in (("const-zero", {"exact": 0}),
+                              ("const-exact-fn", {"exact": 2, "fn": g2, "point": O}),
+                              ("const-untagged", {"evaluator": lambda lat: 1}),
+                              ("const-no-point", {"fn": g2})):
+            expect_raise(label, lambda: divisors.ConstAtom(**kwargs), error=ValueError)
         division_point = torsion.division_point
         torsion.division_point = lambda alpha: O
         expect_raise("x", SYS.x, M)
@@ -157,7 +176,10 @@ def test_exactness_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["y", "e2", "pair-B", "lifts", "x",
+    assert proc.stdout.split() == ["y", "e2", "pair-B", "lifts", "lift-degree",
+                                   "divisor-field", "point-add", "point-sub",
+                                   "sum-field", "const-zero", "const-exact-fn",
+                                   "const-untagged", "const-no-point", "x",
                                    "factor-int", "fp2", "units", "hnf-zero",
                                    "hnf-rank-y", "hnf-rank-x", "gcd-index",
                                    "gcd-divides", "factor-rest",

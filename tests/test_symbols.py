@@ -160,6 +160,34 @@ def test_tame_certificate_fault_controls_fail():
     assert any(r["unity_order"] is None for r in rep3["points"])
 
 
+@pytest.mark.parametrize("prec", (256, 512))
+def test_unity_order_uses_the_tolerance_not_its_square_root(prec):
+    # {c, g_2} has the tame value 1/c at each nonzero 2-torsion point, where
+    # g_2 has a simple pole.  With 1/c = i exp(i delta) exactly on the unit
+    # circle, delta = 1e-14 is no root of unity at tol 1e-25, though it is
+    # one within sqrt(tol) = 3.2e-13; delta = 1e-60 is the passing control
+    lat = AnalyticLattice(F4, prec)
+    g2 = build_g_a(F4, 2)
+    gamma = str(TorsionPoint(F4, Fraction(1, 2), 0))
+
+    def certificate(delta):
+        c = ConstAtom(evaluator=lambda lat: mp.expj(-mp.pi / 2 - delta),
+                      tag=f"i-rotated-by-{delta}")
+        return certify_tame_kernel(SymbolSum(F4, [(1, c, g2)]), lat,
+                                   tol=mp.mpf(10) ** -25)
+
+    with lat.context():
+        near_miss = certificate(mp.mpf(10) ** -14)
+        row = next(r for r in near_miss["points"] if r["point"] == gamma)
+        assert abs(row["value"] - mp.mpc(0, 1)) > mp.mpf(10) ** -15
+        assert row["modulus_deviation"] < mp.mpf(10) ** -25
+        assert row["unity_order"] is None
+        assert not near_miss["pass"]
+        control = certificate(mp.mpf(10) ** -60)
+        assert control["pass"]
+        assert [r["unity_order"] for r in control["points"]] == [4, 4, 4, 4]
+
+
 def test_tame_certificate_reports_unity_orders():
     lat = AnalyticLattice(F4, 160)
     sym = build_alpha_prime(SYS, M_SPLIT, 2)
