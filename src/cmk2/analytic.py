@@ -4,8 +4,8 @@ The lattice is always normalized to Z + Z*tau, tau = omega_hat the
 complex embedding of the integral basis generator, which is exactly the
 ring of integers for the nine class-number-one fields.  Quantities
 provided: Weierstrass sigma, p, p', zeta, the quasi-periods eta(1) and
-eta(omega), the invariants g2 and g3, and the sign character eps(mu) +
-exponential factor governing sigma under lattice translation.
+eta(omega), the invariants g2 and g3, and exp_eta, the exponential of
+the quasi-period map at exact points.
 
 One theta kernel serves sigma, zeta, p, p', eta(1), g2 and g3.  Each
 lattice computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at
@@ -14,19 +14,29 @@ lattice.
 
 - Reduction: every function takes the exact int/Fraction coordinates
   (x, y) of z = x + y*omega and picks the lattice point mu = m + n*omega
-  by integer rounding, n = round(y) and m = round(x + (y - n) t/2)
+  by integer rounding (`reduce`), n = round(y), m = round(x + (y - n) t/2)
   with t the trace of omega, so the offset z0 = z - mu has
-  |Re z0| <= 1/2 and |Im z0| <= Im(tau)/2 exactly.  Only z0 is
-  embedded.  sigma folds eps(mu) exp(eta(mu)(z0 + mu/2)) and
-  exp(eta1 z0^2 / 2) into one exp; zeta adds eta(mu); p and p' are
-  periodic.
+  |Re z0| <= 1/2 and |Im z0| <= Im(tau)/2 exactly.  z0 goes on as
+  integers over one denominator, z0 = (X + Y*omega)/L; nothing is
+  embedded as an mpf.  As eta(mu) = eta1 mu - 2 pi i n (Legendre),
+  sigma(z) = eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)) sigma(z0) and
+  zeta(z) = eta1 z - 2 pi i n + pi theta_1'(pi z0) / theta_1(pi z0);
+  p and p' are periodic.
+- Exponential: exp_eta(zeta, xi, h) = exp(eta1 zeta - 2 pi i xi + pi i h)
+  for exact zeta, xi in K and rational h.  Its real part and the angle
+  eta1 Im(zeta) are integers over 2^bits from per-lattice fixed-point
+  constants; the rest of the angle, pi (h - 2 Re xi), is pi times a
+  rational and is reduced exactly, mod 2, with its quarter turns taken
+  out as powers of i.  So eps(mu) is an exact sign and a real z gives an
+  exactly real sigma.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
   c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
-  fixed point from the powers of exp(i pi Re z0) and exp(pi Im z0).
-  The q^(1/4) cancels in every quotient (sigma divides by
-  theta_1'(0) / (2 q^(1/4)) = sum k c_n), so no branch of it is chosen,
-  and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.  A real z0 gives an
-  exactly real sine series.
+  fixed point from the powers of u = exp(i pi Re z0), whose angle
+  pi (2X + tY)/(2L) is split like the one above, and of
+  r = exp(nu Y/L), nu = pi Im(tau).  The q^(1/4) cancels in every
+  quotient (sigma divides by theta_1'(0) / (2 q^(1/4)) = sum k c_n), so
+  no branch of it is chosen, and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.
+  A real z0 has r = 1 exactly, so its sine sums are exactly real.
 - Invariants: with the moments d_j = sum k^j c_n, the sine series is
   z - a z^3 + b z^5 - c z^7 + ..., a = eta1/2, b = pi^4 d5 / (120 d1),
   c = pi^6 d7 / (5040 d1).  Times exp(a z^2) it is sigma's Laurent
@@ -34,19 +44,24 @@ lattice.
   g3 = 840 (c - a b) + 280 a^3, both exactly real.
 - Guard bits: N is fixed per lattice by the worst case
   |Im z0| = Im(tau)/2, where term n is at most
-  (2n+1)^3 exp(-nu (n^2 - 1/2)), nu = pi Im(tau); the series stops once
-  the next term falls below 2^-(prec + GUARD_BITS).  The fixed point
-  runs at prec + GUARD_BITS + g bits, g covering the largest term
-  exp(nu/2) and the rounding of N+1 weighted terms.  Each c_n keeps
-  that many significant bits whatever its size, and an argument within
-  2^-b of 0 gets b more bits, so sigma keeps its relative precision
-  near its zero.
+  (2n+1)^3 exp(-nu (n^2 - 1/2)); the series stops once the next term
+  falls below 2^-(prec + GUARD_BITS).  The fixed point runs at
+  bits = prec + GUARD_BITS + g, g covering the largest term exp(nu/2)
+  and the rounding of N+1 weighted terms.  Each c_n keeps that many
+  significant bits whatever its size, and an offset within 2^-b of 0,
+  read off the exact norm of z0, gets b more bits, so sigma keeps its
+  relative precision near its zero.
+- Error budget: each constant is rounded once to an integer over
+  2^bits, and each `>>` or `//` costs one ulp, 2^-bits; a rational
+  multiplier k scales a constant's rounding to |k| ulp.  So exp_eta's
+  exponent is off by about |zeta| + 2|xi| + 3 ulp, its value by that
+  relative error, and its pi*rational phase is exact.
 
 Exact points: each lattice remembers the last SIGMA_MEMO_SIZE values of
 `sigma(x, y)`, since elliptic-function products meet the same exact
-offsets again within a few hundred calls.  At a lattice point (z0 = 0)
-the series factor is 1, so sigma returns its leading coefficient
-eps(mu) exp(eta(mu) mu/2) there instead of the zero; zeta, p and p'
+offsets again within a few hundred calls.  At a lattice point
+(X = Y = 0) sigma returns its leading coefficient
+eps(mu) exp(eta1 mu^2/2 - pi i n mu) instead of the zero; zeta, p and p'
 raise PoleError there.
 
 Precision contract: an instance is pinned to a binary precision; every
@@ -62,9 +77,10 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
-from .qfield import QuadField
+from .qfield import QuadElement, QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
@@ -79,6 +95,23 @@ class PoleError(ArithmeticError):
     """Evaluation requested at a zero/pole."""
 
 
+def _quarter_turns(num: int, den: int):
+    """(q, rest) with pi num/den = q pi/2 + pi rest/(2 den), 0 <= q < 4 and
+    0 <= rest < den: exp(pi i num/den) is i^q exp(pi i rest/(2 den))
+    exactly, its angle reduced mod 2 pi."""
+    q, rest = divmod(2 * num, den)
+    return q % 4, rest
+
+
+def _cos_sin(angle: int, q: int, bits: int, pi: int):
+    """i^q (cos + i sin)(angle) for a fixed-point angle over 2^bits, as
+    two integers over 2^bits; angle 0 gives exactly i^q."""
+    c, s = cos_sin_fixed(angle, bits, pi >> 1) if angle else (1 << bits, 0)
+    for _ in range(q):
+        c, s = -s, c
+    return c, s
+
+
 class AnalyticLattice:
     """C/O_K at a fixed binary precision."""
 
@@ -87,7 +120,9 @@ class AnalyticLattice:
             raise ValueError(f"precision below {MIN_PREC} bits is not supported")
         self.field = field
         self.prec = prec
-        self._half_trace = Fraction(field.trace_omega, 2)
+        self._t, self._n = field.trace_omega, field.norm_omega
+        self._half_trace = Fraction(self._t, 2)
+        self._fixed_memo: dict = {}  # bits -> fixed-point constants
         self._init_constants()
         # the per-lattice memo sits in front of the class's sigma, which
         # then runs only on a miss
@@ -102,11 +137,10 @@ class AnalyticLattice:
 
     def _init_constants(self):
         with mp.workprec(self.prec + GUARD_BITS):
-            t = self.field.trace_omega
+            t = self._t
             self.tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
             self._init_table(t, self.tau.imag)
             d1, d3, d5, d7 = (self._table_moment(j) for j in (1, 3, 5, 7))
-            self._pi_d1 = mp.pi * d1
             self.eta1 = (mp.pi ** 2 / 3) * d3 / d1
             self.eta_omega = self.eta1 * self.tau - 2 * mp.pi * mp.mpc(0, 1)
             a = self.eta1 / 2
@@ -151,7 +185,22 @@ class AnalyticLattice:
         acc = sum(k ** j * c << (top - shift) for k, c, shift in self._table)
         return mp.mpf((acc, -top))
 
-    # --- exact reduction and embedding -----------------------------------------
+    def _fixed(self, bits: int):
+        """(pi, ln 2, nu, eta1, eta1 Im(tau), 1/(pi d1)) as integers over
+        2^bits, nu = pi Im(tau); computed once per lattice and bit count."""
+        out = self._fixed_memo.get(bits)
+        if out is None:
+            with mp.workprec(bits + 16):
+                im_tau = mp.sqrt(-self.field.d) / 2
+                d1 = self._table_moment(1)
+                eta1 = (mp.pi ** 2 / 3) * self._table_moment(3) / d1
+                out = tuple(to_fixed(v._mpf_, bits) for v in
+                            (mp.pi, mp.ln2, mp.pi * im_tau, eta1, eta1 * im_tau,
+                             1 / (mp.pi * d1)))
+            self._fixed_memo[bits] = out
+        return out
+
+    # --- exact reduction ---------------------------------------------------------
 
     def reduce(self, x, y):
         """(x0, y0, m, n) with x + y*omega = (x0 + y0*omega) + (m + n*omega)
@@ -161,58 +210,88 @@ class AnalyticLattice:
         m = round(x + (y - n) * self._half_trace)
         return x - m, y - n, m, n
 
-    def embed_coords(self, r, s):
-        """r + s*tau for int/Fraction plane coordinates."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self._frac(r) + self._frac(s) * self.tau
+    def _reduced(self, x, y):
+        """(X, Y, L, m, n): the offset of `reduce` as (X + Y*omega)/L over
+        one denominator L, and its lattice point m + n*omega."""
+        x0, y0, m, n = self.reduce(x, y)
+        for v in (x0, y0):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coordinates are int or Fraction, not {type(v).__name__}")
+        L = math.lcm(x0.denominator, y0.denominator)
+        return (x0.numerator * (L // x0.denominator),
+                y0.numerator * (L // y0.denominator), L, m, n)
 
-    @staticmethod
-    def _frac(v):
-        """An int or Fraction at the working precision."""
-        if isinstance(v, int):
-            return mp.mpf(v)
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / v.denominator
-        raise TypeError(f"coordinates are int or Fraction, not {type(v).__name__}")
+    def _pole_free_series(self, x, y, name: str, derivs: int):
+        """(_series at z0 as mpc, _reduced) for a function with a pole at
+        every lattice point."""
+        reduced = self._reduced(x, y)
+        if not (reduced[0] or reduced[1]):
+            raise PoleError(f"{name} has a pole at the lattice point "
+                            f"{self.field.element(x, y)}")
+        sums, e = self._series(*reduced[:3], derivs)
+        return [self._mpc(re, im, e) for re, im in sums], reduced
 
-    # --- quasi-period machinery ----------------------------------------------
+    def _extra_bits(self, X: int, Y: int, L: int) -> int:
+        """At least -log2|z0| for z0 = (X + Y*omega)/L, from the exact norm
+        (X^2 + tXY + nY^2)/L^2; 0 once |z0| >= 1."""
+        nrm = X * X + self._t * X * Y + self._n * Y * Y
+        return max(0, (2 * L.bit_length() - nrm.bit_length() + 1) // 2)
 
-    def eta_linear(self, r, s):
-        """The R/Q-linear extension r*eta(1) + s*eta(omega) of the quasi-period map."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self._frac(r) * self.eta1 + self._frac(s) * self.eta_omega
+    def _mpc(self, re: int, im: int, exp: int):
+        """(re + i im) 2^exp at the working precision."""
+        prec = self.prec + GUARD_BITS
+        return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
+                            from_man_exp(im, exp, prec, round_nearest)))
 
-    @staticmethod
-    def translation_sign(m: int, n: int) -> int:
-        """eps(m + n*omega) = (-1)^(m + n + m*n); sigma's sign under translation."""
-        return -1 if (m + n + m * n) % 2 else 1
+    # --- the exponential of the quasi-period map --------------------------------
+
+    def exp_eta(self, zeta: QuadElement, xi: QuadElement, h=0):
+        """exp(eta1 zeta - 2 pi i xi + pi i h) for exact zeta, xi in K and a
+        rational h.  With eta(u) = eta1 u - 2 pi i u_y (u_y the omega
+        coordinate of u), exp(eta(lam) z) is exp_eta(lam z, lam_y z)."""
+        coords = (zeta.x, zeta.y, xi.x, xi.y, Fraction(h))
+        den = math.lcm(*(v.denominator for v in coords))
+        return self._mpc(*self._exp(*(v.numerator * (den // v.denominator)
+                                      for v in coords), den))
+
+    def _exp(self, zx: int, zy: int, xx: int, xy: int, hn: int, den: int):
+        """(re, im, e) with (re + i im) 2^e = exp(eta1 zeta - 2 pi i xi + pi i h),
+        zeta = (zx + zy*omega)/den, xi = (xx + xy*omega)/den and h = hn/den.
+        Its real part is eta1 Re(zeta) + 2 nu xi_y, its angle
+        eta1 Im(tau) zeta_y plus pi (h - 2 Re(xi)), that part split exactly
+        by _quarter_turns."""
+        bits = self._wbits
+        pi, ln2, nu, eta1, eta1_im, _inv = self._fixed(bits)
+        t = self._t
+        re = (eta1 * (2 * zx + t * zy) + 4 * nu * xy) // (2 * den)
+        q, rest = _quarter_turns(hn - 2 * xx - t * xy, den)
+        angle = (2 * eta1_im * zy + pi * rest) // (2 * den)
+        k, r = divmod(re, ln2)  # exp(re) = 2^k exp(r), 0 <= r < ln 2
+        mag = exp_basecase(r, bits)
+        c, s = _cos_sin(angle, q, bits, pi)
+        return mag * c, mag * s, k - 2 * bits
 
     # --- transcendental functions ----------------------------------------------
 
-    def _offset(self, x, y):
-        """(z0, m, n): the embedded reduced offset of x + y*omega and its
-        lattice point m + n*omega."""
-        x0, y0, m, n = self.reduce(x, y)
-        return self.embed_coords(x0, y0), m, n
+    def _series(self, X: int, Y: int, L: int, derivs: int):
+        """(sums, e): theta_1^(j)(pi z0) / (2 q^(1/4)) = (re_j + i im_j) 2^e
+        at z0 = (X + Y*omega)/L, for j = 0..derivs, as integer pairs.
 
-    def _series(self, z0, derivs: int) -> list:
-        """theta_1^(j)(pi z0) for j = 0..derivs, each divided by 2 q^(1/4).
-
-        With x = exp(i pi z0) = u/r, u = exp(i pi Re z0), r = exp(pi Im z0),
-        the j-th derivative is sum c_n k^j (d/dv)^j sin(k v) at
-        v = pi z0 = a + i b, k = 2n+1, summed in integer fixed point from the powers u^k and
-        r^(+-k); sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b).  A
-        real z0 has r = 1 exactly, so its sine sums are exactly real.
-        Near the zero at z0 = 0 the powers carry -log2|z0| more bits, so
-        the result keeps its relative precision.
+        The sum over the table of c_n k^j (d/dv)^j sin(k v) at
+        v = pi z0 = a + i b, k = 2n+1, from the powers of u = exp(i a) and
+        r = exp(b): sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b).
         """
-        bits = self._wbits + (max(0, -mp.mag(z0)) if z0 else 0)
-        with mp.workprec(bits + 16):
-            cos_a, sin_a = mp.cos_sin(mp.pi * z0.real)
-            r = mp.exp(mp.pi * z0.imag)
-        uc, us = to_fixed(cos_a._mpf_, bits), to_fixed(sin_a._mpf_, bits)
-        rp = to_fixed(r._mpf_, bits)
-        rm = (1 << 2 * bits) // rp
+        bits = self._wbits + self._extra_bits(X, Y, L)
+        pi, ln2, nu = self._fixed(bits)[:3]
+        q, rest = _quarter_turns(2 * X + self._t * Y, 2 * L)
+        uc, us = _cos_sin(pi * rest // (4 * L), q, bits, pi)
+        if Y:
+            e, b = divmod(nu * Y // L, ln2)  # exp(pi Im z0) = 2^e exp(b)
+            rp = exp_basecase(b, bits)
+            rp = rp << e if e >= 0 else rp >> -e
+            rm = (1 << 2 * bits) // rp
+        else:
+            rp = rm = 1 << bits
         uc2, us2 = (uc * uc - us * us) >> bits, (2 * uc * us) >> bits
         rp2, rm2 = (rp * rp) >> bits, (rm * rm) >> bits
         sums = [[0, 0] for _ in range(derivs + 1)]
@@ -234,45 +313,44 @@ class AnalyticLattice:
                 w *= k
             uc, us = (uc * uc2 - us * us2) >> bits, (uc * us2 + us * uc2) >> bits
             rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
-        return [mp.mpc(mp.mpf((re, -bits - 1)), mp.mpf((im, -bits - 1)))
-                for re, im in sums]
+        return sums, -bits - 1
 
     def sigma(self, x, y):
-        """Weierstrass sigma at x + y*omega: the reduced series times one
-        exponential eps(mu) exp(eta(mu) (z0 + mu/2) + eta1 z0^2 / 2),
-        mu = m + n*tau.  At a lattice point the series factor is 1: the
-        value is sigma's leading coefficient eps(mu) exp(eta(mu) mu / 2)."""
-        with mp.workprec(self.prec + GUARD_BITS):
-            z0, m, n = self._offset(x, y)
-            mu = m + n * self.tau
-            expo = self.eta_linear(m, n) * (z0 + mu / 2) + self.eta1 * z0 * z0 / 2
-            out = self.translation_sign(m, n) * mp.exp(expo)
-            if not z0:  # exactly zero only at a lattice point
-                return out
-            (t0,) = self._series(z0, 0)
-            return out * t0 / self._pi_d1
-
-    def _pole_free_offset(self, x, y, name: str):
-        """_offset for a function with a pole at every lattice point."""
-        z0, m, n = self._offset(x, y)
-        if not z0:
-            raise PoleError(f"{name} has a pole at the lattice point "
-                            f"{self.field.element(x, y)}")
-        return z0, m, n
+        """Weierstrass sigma at z = x + y*omega: the reduced series times
+        one exponential eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)),
+        mu = m + n*omega.  At a lattice point the series factor is 1: the
+        value is sigma's leading coefficient there."""
+        X, Y, L, m, n = self._reduced(x, y)
+        Xz, Yz, den = X + m * L, Y + n * L, 2 * L * L
+        # zeta = z^2/2 and xi = n (z - mu/2), both over 2 L^2; omega^2 = t omega - n
+        a, b, e = self._exp(Xz * Xz - self._n * Yz * Yz, (2 * Xz + self._t * Yz) * Yz,
+                            n * L * (2 * Xz - m * L), n * L * (2 * Yz - n * L),
+                            (m + n + m * n) % 2 * den, den)
+        if not (X or Y):
+            return self._mpc(a, b, e)
+        ((c, s),), e0 = self._series(X, Y, L, 0)
+        # times the series and 1/(pi d1), rounded once
+        inv = self._fixed(self._wbits)[5]
+        return self._mpc((a * c - b * s) * inv, (a * s + b * c) * inv, e + e0 - self._wbits)
 
     def zeta(self, x, y):
+        """Weierstrass zeta: eta1 z - 2 pi i n plus the series quotient."""
+        (t0, t1), (X, Y, L, m, n) = self._pole_free_series(x, y, "zeta", 1)
+        bits = self._wbits
+        pi, _ln2, _nu, eta1, eta1_im, _inv = self._fixed(bits)
+        Xz, Yz = X + m * L, Y + n * L
+        linear = self._mpc(eta1 * (2 * Xz + self._t * Yz) // (2 * L),
+                           eta1_im * Yz // L - 2 * pi * n, -bits)
         with mp.workprec(self.prec + GUARD_BITS):
-            z0, m, n = self._pole_free_offset(x, y, "zeta")
-            t0, t1 = self._series(z0, 1)
-            return self.eta1 * z0 + mp.pi * t1 / t0 + self.eta_linear(m, n)
+            return linear + mp.pi * t1 / t0
 
     def wp(self, x, y):
+        (t0, t1, t2), _ = self._pole_free_series(x, y, "wp", 2)
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2 = self._series(self._pole_free_offset(x, y, "wp")[0], 2)
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
     def wp_prime(self, x, y):
+        (t0, t1, t2, t3), _ = self._pole_free_series(x, y, "wp'", 3)
         with mp.workprec(self.prec + GUARD_BITS):
-            t0, t1, t2, t3 = self._series(self._pole_free_offset(x, y, "wp'")[0], 3)
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3

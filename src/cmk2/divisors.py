@@ -21,9 +21,11 @@ normalization against it exactly, leaving
     f(z) = C' exp(eta(lam) z) prod_P sigma(z - p)^(m_P),
     C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-(1/2) sum_P m_P eta(p) p),
 
-p0 = r0 + s0*omega.  The sign and the Legendre phase are one exact
-rational exponent of exp(pi i .); C' and eta(lam) are computed once per
-lattice.  Since sum m_P = 0, the product is taken as
+p0 = r0 + s0*omega.  With eta(u) = eta1 u - 2 pi i u_y (u_y the omega
+coordinate of u), C' exp(eta(lam) z) is one exp_eta(zeta, xi, h) of the
+lattice: zeta and xi are exact in K, and the sign and the Legendre phase
+are one exact rational h; the parts that do not depend on z are computed
+once per function.  Since sum m_P = 0, the product is taken as
 prod over P != R of (sigma(z - p) / sigma(z - r))^(m_P), R the point of
 largest |m_P|, grouped by multiplicity: one power per distinct exponent,
 so a two-point function takes one power and g_a and g_ell take none.
@@ -240,7 +242,7 @@ class EllFunction:
         self.lifts = lifts
         self.lam = lam
         self.extra = extra
-        self._norm: dict = {}  # lattice -> (constant, eta(lam))
+        self._exponent = None  # see _constants
         # the reference lift R: largest |m|, the first in support order on
         # a tie; the others are grouped by multiplicity, one power each
         ref = max(range(len(lifts)), key=lambda i: abs(lifts[i][2]), default=None)
@@ -299,45 +301,42 @@ class EllFunction:
 
     # --- numerics --------------------------------------------------------------
 
-    def _constants(self, lat: AnalyticLattice):
-        """(C', eta(lam)) at the lattice, computed once per lattice.
+    def _constants(self):
+        """(zeta, xi, h) with C' = exp(eta1 zeta - 2 pi i xi + pi i h),
+        exactly, computed once per function.
 
         C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-Q/2), with
-        (r0, s0) the first lift and Q = sum m eta(p) p the exact quadratic
-        form of the lifts: Q = A eta1 + B (eta1 tau + eta_omega)
-        + C eta_omega tau.  The sign and the Legendre phase are one exact
-        rational exponent of exp(pi i .), reduced mod 2 before any numerics.
+        (r0, s0) the first lift and Q = sum m eta(p) p over the lifts
+        p = r + s*omega; eta(p) = eta1 p - 2 pi i s, so zeta = -sum m p^2 / 2
+        and xi = -sum m s p / 2.  The sign and the Legendre phase are the
+        rational h, reduced mod 2.
         """
-        out = self._norm.get(lat)
-        if out is None:
-            A = sum((m * r * r for r, s, m in self.lifts), Fraction(0))
-            B = sum((m * r * s for r, s, m in self.lifts), Fraction(0))
-            C = sum((m * s * s for r, s, m in self.lifts), Fraction(0))
+        if self._exponent is None:
+            K = self.field
+            zeta = xi = K.zero()
+            for r, s, m in self.lifts:
+                p = K.element(r, s)
+                zeta = zeta + Fraction(-m, 2) * (p * p)
+                xi = xi + Fraction(-m, 2) * s * p
             lx, ly = self.lam
             r0, s0 = self.lifts[0][:2] if self.lifts else (0, 0)
-            phase = (lx + ly + lx * ly + r0 * ly - s0 * lx) % 2
-            with lat.context():
-                mixed = lat.eta1 * lat.tau + lat.eta_omega
-                expo = -(lat._frac(A) * lat.eta1 + lat._frac(B) * mixed
-                         + lat._frac(C) * lat.eta_omega * lat.tau) / 2
-                const = mp.expjpi(lat._frac(phase)) * mp.exp(expo)
-                out = (const, lat.eta_linear(lx, ly))
-            self._norm[lat] = out
-        return out
+            self._exponent = (zeta, xi, (lx + ly + lx * ly + r0 * ly - s0 * lx) % 2)
+        return self._exponent
 
     def _product(self, lat: AnalyticLattice, z: QuadElement):
         """The normalized product at the exact point z:
         C' exp(eta(lam) z) prod over the groups of
-        (prod_P sigma(z - P) / sigma(z - R))^m.  A lift whose offset
-        z - u is a lattice point mu contributes sigma's leading coefficient
-        eps(mu) exp(eta(mu) mu / 2) at mu; every other lift contributes
-        sigma(z - u).  Both come from the lattice's memoized sigma at the
-        exact offset.  The extra constants multiply last."""
+        (prod_P sigma(z - P) / sigma(z - R))^m, the first two factors as
+        one exp_eta.  A lift whose offset z - u is a lattice point mu
+        contributes sigma's leading coefficient at mu; every other lift
+        contributes sigma(z - u).  Both come from the lattice's memoized
+        sigma at the exact offset.  The extra constants multiply last."""
+        zeta, xi, h = self._constants()
+        if self.lam != (0, 0):
+            lx, ly = self.lam
+            zeta, xi = zeta + self.field.element(lx, ly) * z, xi + ly * z
         with lat.context():
-            const, eta_lam = self._constants(lat)
-            out = const
-            if self.lam != (0, 0):
-                out = out * mp.exp(eta_lam * lat.embed_coords(z.x, z.y))
+            out = lat.exp_eta(zeta, xi, h)
             if self._groups:
                 r, s = self._ref
                 inv_ref = 1 / lat.sigma(z.x - r, z.y - s)

@@ -6,8 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cmk2 import analytic
 from cmk2.analytic import SIGMA_MEMO_SIZE, AnalyticLattice
 from cmk2.qfield import QuadField
+from oracles import embed, eta_linear, translation_factor, translation_sign
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
@@ -85,7 +87,7 @@ def test_wp_laurent_normalization(lat):
     # z^2 * wp(z) -> 1 and z^3 * wp'(z) -> -2 pin the classical scaling
     with lat.context():
         x = Fraction(1, 10 ** 9)
-        z = lat.embed_coords(x, 0)
+        z = embed(lat, x, 0)
         assert abs(z * z * lat.wp(x, 0) - 1) < 1e-15
         assert abs(z ** 3 * lat.wp_prime(x, 0) + 2) < 1e-15
         # sigma(z)/z -> 1: lead coefficient 1 at the origin
@@ -156,18 +158,10 @@ def test_quasi_period_jumps(lat):
         assert abs(lat.eta1 * lat.tau - lat.eta_omega - 2 * mp.pi * mp.mpc(0, 1)) == 0
 
 
-def translation_factor(lat, m: int, n: int, z):
-    """Full factor: sigma(z + mu) = factor * sigma(z), mu = m + n*omega."""
-    with lat.context():
-        mu = m + n * lat.tau
-        eta_mu = lat.eta_linear(m, n)
-        return lat.translation_sign(m, n) * mp.exp(eta_mu * (z + mu / 2))
-
-
 def test_sigma_translation_factor_exhaustive(lat):
     with lat.context():
         x, y = Fraction(1, 3), Fraction(2, 7)
-        z = lat.embed_coords(x, y)
+        z = embed(lat, x, y)
         sz = lat.sigma(x, y)
         for m in range(-2, 3):
             for n in range(-2, 3):
@@ -177,7 +171,7 @@ def test_sigma_translation_factor_exhaustive(lat):
 
 
 def test_translation_sign_values():
-    ts = AnalyticLattice.translation_sign
+    ts = translation_sign
     assert ts(0, 0) == 1
     assert ts(1, 0) == -1
     assert ts(0, 1) == -1
@@ -205,7 +199,7 @@ def test_precision_scaling_of_residual():
 def test_embed_and_reduce(lat):
     with lat.context():
         e = GAUSS.parse("3-2*i")
-        z = lat.embed_coords(e.x, e.y)
+        z = embed(lat, e.x, e.y)
         assert abs(z - (3 - 2j)) < mp.mpf(10) ** -70
     assert lat.reduce(e.x, e.y) == (0, 0, 3, -2)
     # exact ties round to the even integer; in Q(sqrt(-3)) m rounds
@@ -229,9 +223,9 @@ def test_embed_and_reduce(lat):
 
 def test_eta_linear_matches_lattice_values(lat):
     with lat.context():
-        assert abs(lat.eta_linear(1, 0) - lat.eta1) == 0
-        assert abs(lat.eta_linear(0, 1) - lat.eta_omega) == 0
-        got = lat.eta_linear(Fraction(1, 2), Fraction(-3, 4))
+        assert abs(eta_linear(lat, 1, 0) - lat.eta1) == 0
+        assert abs(eta_linear(lat, 0, 1) - lat.eta_omega) == 0
+        got = eta_linear(lat, Fraction(1, 2), Fraction(-3, 4))
         want = lat.eta1 / 2 - 3 * lat.eta_omega / 4
         assert abs(got - want) < mp.mpf(10) ** -70
 
@@ -241,7 +235,10 @@ def test_eta_linear_matches_lattice_values(lat):
 
 def _theta_formula(field, prec):
     """(sigma, zeta, wp) by mp.jtheta at the nome of the field's lattice,
-    evaluated at `prec` bits; the kernel's reference."""
+    evaluated at `prec` bits; the kernel's reference.  At a lattice point
+    mu = m + n*omega: (sigma's leading coefficient
+    eps(mu) exp(eta(mu) mu / 2), None, None), since zeta and wp have a
+    pole there."""
     with mp.workprec(prec):
         tau = (field.trace_omega + mp.mpc(0, 1) * mp.sqrt(-field.d)) / 2
         q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
@@ -251,6 +248,9 @@ def _theta_formula(field, prec):
     def at(x, y):
         with mp.workprec(prec):
             z = _mpf(x) + _mpf(y) * tau
+            if isinstance(x, int) and isinstance(y, int):
+                eta_mu = x * eta1 + y * (eta1 * tau - 2 * mp.pi * mp.mpc(0, 1))
+                return translation_sign(x, y) * mp.exp(eta_mu * z / 2), None, None
             t0, t1, t2 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(3))
             return (mp.exp(eta1 * z * z / 2) * t0 / (mp.pi * th1p),
                     eta1 * z + mp.pi * t1 / t0,
@@ -263,18 +263,29 @@ def _mpf(v):
     return mp.mpf(v.numerator) / v.denominator
 
 
+# where _agreement_data puts its kinds of points
+FAR = slice(1, 100, 2)
+NEAR = slice(106, 114)
+LATTICE = slice(114, None)
+LATTICE_POINTS = ((0, 0), (1, 0), (0, 1), (1, 1), (-7, 7), (3, -5), (7, 2),
+                  (-4, -6), (6, 0), (-5, -7))
+
+
 @functools.cache
-def _agreement_data(d, prec, count=100):
-    """Seeded exact points (x, y) and the formula's values there: half in
-    the cell around 0 and half up to 7 lattice units out (odd indices),
-    then rounding ties: y = 1/2 mod 1, and a real coordinate
-    x + (y - round(y)) t/2 of exactly 1/2 mod 1.  (Both at once would
-    include (1 + i)/2 in Q(i), a zero of wp, where a relative error
-    means nothing.)"""
+def _agreement_data(d, prec):
+    """Seeded exact points (x, y) and the formula's values there: 100
+    points, half in the cell around 0 and half up to 7 lattice units out
+    (FAR, the odd indices); then 6 rounding ties: y = 1/2 mod 1, and a
+    real coordinate x + (y - round(y)) t/2 of exactly 1/2 mod 1 (both at
+    once would include (1 + i)/2 in Q(i), a zero of wp, where a relative
+    error means nothing); then 8 offsets of about 2^-100 from lattice
+    points up to 7 units out (NEAR), which need the extra bits near
+    sigma's zero; then LATTICE_POINTS, where sigma gives its leading
+    coefficient, with signs eps(mu) of both kinds."""
     field = QuadField(d)
     rng = random.Random(1000 * -d + prec)
     points = []
-    for i in range(count):
+    for i in range(100):
         far = 7 if i % 2 else 0
         points.append(tuple(Fraction(rng.uniform(-0.5, 0.5)) + rng.randint(-far, far)
                             for _ in range(2)))
@@ -283,27 +294,33 @@ def _agreement_data(d, prec, count=100):
         x, y = (Fraction(rng.uniform(-0.5, 0.5)) + k for _ in range(2))
         points.append((x, k + half))
         points.append((k + half - (y - round(y)) * half_trace, y))
+    for _ in range(8):
+        points.append(tuple(rng.randint(-7, 7) + Fraction(rng.uniform(-1, 1)) / 2 ** 100
+                            for _ in range(2)))
+    points.extend(LATTICE_POINTS)
     formula = _theta_formula(field, prec + 256)
     return tuple(points), tuple(formula(x, y) for x, y in points)
 
 
-def _worst_log2_error(lat, points, wants):
-    """log2 of the largest relative error of sigma, zeta and wp."""
-    worst = mp.mpf(0)
+def _worst_log2_errors(lat, points, wants):
+    """log2 of the largest relative error of sigma, zeta and wp, each;
+    a function is called only where its reference is not None."""
+    worst = [mp.mpf(0)] * 3
     for (x, y), want in zip(points, wants):
-        got = (lat.sigma(x, y), lat.zeta(x, y), lat.wp(x, y))
-        with mp.workprec(lat.prec + 256):
-            for g, w in zip(got, want):
-                worst = max(worst, abs(g - w) / abs(w))
+        for j, (fn, w) in enumerate(zip((lat.sigma, lat.zeta, lat.wp), want)):
+            if w is not None:
+                got = fn(x, y)
+                with mp.workprec(lat.prec + 256):
+                    worst[j] = max(worst[j], abs(got - w) / abs(w))
     with mp.workprec(64):
-        return mp.log(worst, 2) if worst else -mp.inf
+        return [mp.log(v, 2) if v else -mp.inf for v in worst]
 
 
 @pytest.mark.parametrize("prec", (256, 512))
 def test_kernel_agrees_with_theta_formula(prec):
     for d in DISCRIMINANTS:
         lat = AnalyticLattice(QuadField(d), prec)
-        assert _worst_log2_error(lat, *_agreement_data(d, prec)) < -prec, d
+        assert max(_worst_log2_errors(lat, *_agreement_data(d, prec))) < -prec, d
 
 
 def test_kernel_agreement_fails_without_last_term():
@@ -312,19 +329,43 @@ def test_kernel_agreement_fails_without_last_term():
     for d in DISCRIMINANTS:
         lat = AnalyticLattice(QuadField(d), 512)
         lat._table = lat._table[:-1]
-        worst.append(_worst_log2_error(lat, *_agreement_data(d, 512)))
+        worst.extend(_worst_log2_errors(lat, *_agreement_data(d, 512)))
     assert max(worst) >= -512
 
 
 def test_kernel_agreement_fails_without_reduction():
     # fault control: with the reduction skipped (m = n = 0) the series
-    # runs at the unreduced far points, beyond the range its table covers
+    # runs at the unreduced far points, beyond the range its table
+    # covers; sigma, zeta and wp must each fail, so none of them reduces
+    # by a rule of its own
     for d in DISCRIMINANTS:
         lat = AnalyticLattice(QuadField(d), 256)
         lat.reduce = lambda x, y: (x, y, 0, 0)
         points, wants = _agreement_data(d, 256)
-        far = slice(1, 100, 2)
-        assert _worst_log2_error(lat, points[far], wants[far]) >= -256, d
+        errors = _worst_log2_errors(lat, points[FAR], wants[FAR])
+        assert min(errors) >= -256, (d, errors)
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_kernel_agreement_fails_without_extra_bits(prec):
+    # fault control: without the extra bits near z0 = 0 the offsets of
+    # 2^-100 lose about 100 bits of sigma's relative precision
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), prec)
+        lat._extra_bits = lambda X, Y, L: 0
+        points, wants = _agreement_data(d, prec)
+        assert _worst_log2_errors(lat, points[NEAR], wants[NEAR])[0] >= -prec, d
+
+
+def test_kernel_agreement_fails_with_phase_mod_1(monkeypatch):
+    # fault control: the pi*rational phase reduced mod 1 (half turns
+    # dropped) loses the sign eps(mu) of the leading coefficients
+    monkeypatch.setattr(analytic, "_quarter_turns",
+                        lambda num, den: (2 * num // den % 2, 2 * num % den))
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), 256)
+        points, wants = _agreement_data(d, 256)
+        assert _worst_log2_errors(lat, points[LATTICE], wants[LATTICE])[0] >= -256, d
 
 
 def test_real_argument_gives_real_values(lat):
@@ -336,18 +377,14 @@ def test_real_argument_gives_real_values(lat):
 
 # --- the per-lattice memo of sigma at exact points ---------------------------
 
-# the lattice offsets check sigma's z0 = 0 branch against the leading
-# coefficient from the translation factor, bit for bit
+# the lattice offsets run sigma's z0 = 0 branch
 EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3, 2)),
                  (Fraction(5, 4), 0), (0, Fraction(1, 2)), (2, -1), (0, 0),
                  (1, 0), (0, 1), (-1, 3), (3, 2))
 
 
 def _fresh_sigma(lat, x, y):
-    """sigma at x + y*omega without the memo; at a lattice point, its
-    leading coefficient there from the translation factor."""
-    if isinstance(x, int) and isinstance(y, int):
-        return translation_factor(lat, x, y, 0)
+    """sigma at x + y*omega without the memo."""
     return AnalyticLattice.sigma(lat, x, y)
 
 

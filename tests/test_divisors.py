@@ -32,6 +32,7 @@ from cmk2.divisors import (
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_subgroup
+from oracles import embed, eta_linear, frac
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -359,7 +360,7 @@ def test_complex_points_are_rejected():
     lat = AnalyticLattice(F4, 128)
     g2 = build_g_a(F4, 2)
     with lat.context():
-        z = lat.embed_coords(Fraction(0.27), Fraction(0.66))
+        z = embed(lat, Fraction(0.27), Fraction(0.66))
     for method in (g2.evaluate, g2.leading_at):
         with pytest.raises(TypeError, match="TorsionPoint or QuadElement"):
             method(lat, z)
@@ -399,11 +400,11 @@ def test_sample_points_deterministic_and_avoiding():
     assert len(a) == 5
     with lat.context():
         for rs in a:
-            z = lat.embed_coords(*map(Fraction, rs))
+            z = embed(lat, *map(Fraction, rs))
             for P in avoid:
                 # distance to the nearest point of P + lattice, over the
                 # lattice points around the offset
-                offset = z - lat.embed_coords(P.r, P.s)
+                offset = z - embed(lat, P.r, P.s)
                 assert min(abs(offset - (m + n * lat.tau))
                            for m in range(-2, 3) for n in range(-2, 3)) > 1e-3
 
@@ -467,7 +468,7 @@ def _shifted_copy_product(f, lat, z):
         e = 1 if m0 > 0 else -1
         lifts[:1] = [(r0 - e * lx, s0 - e * ly, e)] + ([(r0, s0, m0 - e)] if m0 != e else [])
     with lat.context():
-        out = mp.exp(-sum(m * lat.eta_linear(r, s) * lat.embed_coords(r, s)
+        out = mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
                           for r, s, m in lifts) / 2)
         for r, s, m in lifts:
             out = out * lat.sigma(z.x - r, z.y - s) ** m
@@ -505,34 +506,37 @@ def test_products_match_a_768_bit_evaluation(prec):
     assert _accuracy_failures(prec) == []
 
 
-def _without_legendre_phase(constants):
-    def patched(self, lat):
-        const, eta_lam = constants(self, lat)
+def _without_legendre_phase():
+    constants = EllFunction._constants
+
+    def patched(self):
+        zeta, xi, h = constants(self)
         (r0, s0, _m), (lx, ly) = self.lifts[0], self.lam
-        with lat.context():
-            return const * mp.expjpi(-lat._frac(r0 * ly - s0 * lx)), eta_lam
-    return patched
+        return zeta, xi, (h - (r0 * ly - s0 * lx)) % 2
+    return "_constants", patched
 
 
-def _lam_squared_cancelling_numerically(constants):
+def _lam_squared_cancelling_numerically():
     # the shifted-copy form carries exp(-eta(lam) lam / 2) in the
     # normalization, from the quadratic form of the lifts, and
     # exp(+eta(lam) lam / 2) in the copy's quasi-period factor; rounded
     # apart, they cancel only numerically
-    def patched(self, lat):
-        const, eta_lam = constants(self, lat)
+    product = EllFunction._product
+
+    def patched(self, lat, z):
+        out = product(self, lat, z)
         lx, ly = self.lam
         with lat.context():
-            copy = eta_lam * lat.embed_coords(lx, ly) / 2
-            norm = (lat._frac(lx * lx) * lat.eta1
-                    + lat._frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
-                    + lat._frac(ly * ly) * lat.eta_omega * lat.tau) / 2
-            return const * mp.exp(copy) * mp.exp(-norm), eta_lam
-    return patched
+            copy = eta_linear(lat, lx, ly) * embed(lat, lx, ly) / 2
+            norm = (frac(lx * lx) * lat.eta1
+                    + frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
+                    + frac(ly * ly) * lat.eta_omega * lat.tau) / 2
+            return out * mp.exp(copy) * mp.exp(-norm)
+    return "_product", patched
 
 
 @pytest.mark.parametrize("fault", (_without_legendre_phase,
                                    _lam_squared_cancelling_numerically))
 def test_accuracy_fault_controls(fault, monkeypatch):
-    monkeypatch.setattr(EllFunction, "_constants", fault(EllFunction._constants))
+    monkeypatch.setattr(EllFunction, *fault())
     assert _accuracy_failures(256)
