@@ -57,10 +57,10 @@ lattice.
   exponent is off by about |zeta| + 2|xi| + 3 ulp, its value by that
   relative error, and its pi*rational phase is exact.
 
-Exact points: each lattice remembers the last SIGMA_MEMO_SIZE values of
-`sigma(x, y)`, since elliptic-function products meet the same exact
-offsets again within a few hundred calls.  At a lattice point
-(X = Y = 0) sigma returns its leading coefficient
+Exact points: `memo(key, compute)` keeps each value a run computes at a
+lattice (fixed-point constants, sigma at exact offsets, lazy constants,
+shared stages) as long as the lattice lives; `sigma` is the bare kernel.
+At a lattice point (X = Y = 0) sigma returns its leading coefficient
 eps(mu) exp(eta1 mu^2/2 - pi i n mu) instead of the zero; zeta, p and p'
 raise PoleError there.
 
@@ -72,7 +72,6 @@ workprec block.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -84,7 +83,6 @@ from .qfield import QuadElement, QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
-SIGMA_MEMO_SIZE = 128
 
 # the default numeric tolerance, held well past the 53-bit default context
 with mp.workprec(256):
@@ -122,11 +120,17 @@ class AnalyticLattice:
         self.prec = prec
         self._t, self._n = field.trace_omega, field.norm_omega
         self._half_trace = Fraction(self._t, 2)
-        self._fixed_memo: dict = {}  # bits -> fixed-point constants
+        self._memo: dict = {}
         self._init_constants()
-        # the per-lattice memo sits in front of the class's sigma, which
-        # then runs only on a miss
-        self.sigma = functools.lru_cache(SIGMA_MEMO_SIZE)(self.sigma)
+
+    def memo(self, key, compute):
+        """compute() under key, once per lattice.  Keys and values hold no
+        lattice, so the memo makes no reference cycle."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            out = self._memo[key] = compute()
+            return out
 
     def context(self):
         """Working-precision context; combining returned values must happen
@@ -188,17 +192,15 @@ class AnalyticLattice:
     def _fixed(self, bits: int):
         """(pi, ln 2, nu, eta1, eta1 Im(tau), 1/(pi d1)) as integers over
         2^bits, nu = pi Im(tau); computed once per lattice and bit count."""
-        out = self._fixed_memo.get(bits)
-        if out is None:
+        def compute():
             with mp.workprec(bits + 16):
                 im_tau = mp.sqrt(-self.field.d) / 2
                 d1 = self._table_moment(1)
                 eta1 = (mp.pi ** 2 / 3) * self._table_moment(3) / d1
-                out = tuple(to_fixed(v._mpf_, bits) for v in
-                            (mp.pi, mp.ln2, mp.pi * im_tau, eta1, eta1 * im_tau,
-                             1 / (mp.pi * d1)))
-            self._fixed_memo[bits] = out
-        return out
+                return tuple(to_fixed(v._mpf_, bits) for v in
+                             (mp.pi, mp.ln2, mp.pi * im_tau, eta1, eta1 * im_tau,
+                              1 / (mp.pi * d1)))
+        return self.memo(("fixed", bits), compute)
 
     # --- exact reduction ---------------------------------------------------------
 

@@ -160,10 +160,11 @@ def _hecke_check(ctx: Context, opts: dict) -> dict:
     primes = [p for p, split in splits.items() if split[0] == "split"]
     if not primes:
         raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
-    # bad reduction at a counted prime is rejected
+    # a value the conductor cannot normalize and bad reduction at a counted
+    # prime are rejected, each naming its flag
+    traces = {p: _checked("--conductor", chi.a_p, p, splits[p]) for p in primes}
     rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b,
-                     splits[p])
-            for p in primes]
+                     traces[p]) for p in primes]
     return {
         "bound": args.bound,
         "curve": [args.curve_a, args.curve_b],

@@ -158,7 +158,8 @@ class ConstAtom:
 
     Three flavors: an exact rational, the exact torsion-point evaluation
     fn(point)^exponent, or an opaque evaluator identified by a tag (the
-    tag carries structural identity, the callable the numerics).
+    tag carries structural identity, the callable the numerics).  So
+    equal atoms are one constant: an atom is its own lattice-memo key.
     """
 
     def __init__(self, exact=None, fn=None, point: TorsionPoint | None = None,
@@ -166,7 +167,6 @@ class ConstAtom:
         self.exact = None
         self.fn, self.point, self.exponent = None, None, 1
         self.evaluator, self.tag = None, None
-        self._values: dict = {}  # lattice -> value
         if exact is not None:
             if fn is not None or point is not None or evaluator is not None:
                 raise ValueError("an exact constant takes no function, point or evaluator")
@@ -184,17 +184,14 @@ class ConstAtom:
 
     def evaluate(self, lat: AnalyticLattice):
         """The value at the lattice, computed once per lattice."""
-        out = self._values.get(lat)
-        if out is None:
+        def compute():
             with lat.context():
                 if self.exact is not None:
-                    out = mp.mpf(self.exact.numerator) / self.exact.denominator
-                elif self.evaluator is not None:
-                    out = self.evaluator(lat)
-                else:
-                    out = self.fn.evaluate(lat, self.point) ** self.exponent
-            self._values[lat] = out
-        return out
+                    return mp.mpf(self.exact.numerator) / self.exact.denominator
+                if self.evaluator is not None:
+                    return self.evaluator(lat)
+                return self.fn.evaluate(lat, self.point) ** self.exponent
+        return lat.memo(self, compute)
 
     def order_at(self, P: TorsionPoint) -> int:
         """A constant has no zero or pole."""
@@ -329,8 +326,12 @@ class EllFunction:
         (prod_P sigma(z - P) / sigma(z - R))^m, the first two factors as
         one exp_eta.  A lift whose offset z - u is a lattice point mu
         contributes sigma's leading coefficient at mu; every other lift
-        contributes sigma(z - u).  Both come from the lattice's memoized
-        sigma at the exact offset.  The extra constants multiply last."""
+        contributes sigma(z - u), run once per lattice and exact offset
+        through the lattice memo.  The extra constants multiply last."""
+        def sigma(r, s):
+            x, y = z.x - r, z.y - s
+            return lat.memo(("sigma", x, y), lambda: lat.sigma(x, y))
+
         zeta, xi, h = self._constants()
         if self.lam != (0, 0):
             lx, ly = self.lam
@@ -338,12 +339,11 @@ class EllFunction:
         with lat.context():
             out = lat.exp_eta(zeta, xi, h)
             if self._groups:
-                r, s = self._ref
-                inv_ref = 1 / lat.sigma(z.x - r, z.y - s)
+                inv_ref = 1 / sigma(*self._ref)
                 for m, pts in self._groups:
                     g = mp.mpc(1)
                     for r, s in pts:
-                        g = g * (lat.sigma(z.x - r, z.y - s) * inv_ref)
+                        g = g * (sigma(r, s) * inv_ref)
                     out = out * g ** m
             for atom in self.extra:
                 out = out * atom.evaluate(lat)

@@ -84,12 +84,12 @@ class HeckeCharacter:
 
 
 def point_count_check(chi: HeckeCharacter, p: int, curve_a: int, curve_b: int,
-                      split: tuple | None = None) -> dict:
+                      a_char: int | None = None) -> dict:
     """Compare a_p from the character against exhaustive point counting;
-    `split` as for HeckeCharacter.a_p."""
+    `a_char` is chi.a_p(p) when the caller has it."""
     count = count_points(p, curve_a, curve_b)
     a_count = p + 1 - count
-    a_char = chi.a_p(p, split)
+    a_char = chi.a_p(p) if a_char is None else a_char
     return {
         "p": p,
         "a_p_character": a_char,

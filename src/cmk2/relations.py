@@ -13,16 +13,14 @@ integers.  The same multipliers transport whole symbol sums.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 
 import mpmath as mp
 
 from .analytic import DEFAULT_TOL, AnalyticLattice
 from .divisors import (
     ConstAtom,
-    EllFunction,
     build_g_a,
     build_g_l,
     build_s_point,
@@ -104,31 +102,21 @@ def _norm_sum(sym: SymbolSum, units: list[QuadElement]) -> SymbolSum:
     return total
 
 
-def _product_evaluator(lat: AnalyticLattice, fns: list[EllFunction]):
-    def ev(z):
-        with lat.context():
-            out = mp.mpc(1)
-            for fn in fns:
-                out = out * fn.evaluate(lat, z)
-            return out
-    return ev
-
-
 def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
                                relation: str, lat: AnalyticLattice, *, a: int = 2,
                                samples: int = 20, tol=DEFAULT_TOL,
-                               seed: int = 20240801, run: _Run | None = None) -> dict:
+                               seed: int = 20240801) -> dict:
     """Divisor-exact and numerically-constant form of the norm identity.
 
     At the common scale k = N(m ell f) the conjugate product of the
     higher-level two-point functions (for E2: times the extra fiber
     factor) matches the lower-level function pulled through the isogeny
-    times the kernel function to the k-th power.  A verifier passes its
-    `run`, the verification these arguments describe, so the conjugating
-    units and the orbit are not computed again.
+    times the kernel function to the k-th power.  Its run is the one the
+    relation's verifier uses (see _run), so the conjugating units and the
+    orbit are not computed again.
     """
     with lat.context():
-        r = run or _Run(relation, sys, m, ell, a, lat, samples, tol, seed)
+        r = _run(lat, relation, sys, m, ell, a, samples, tol, seed)
         k = r.k
         lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit, key=TorsionPoint.key)]
         if relation == "E2":
@@ -141,7 +129,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
         divisors_match = lhs_div == rhs_div
 
-        lhs = _product_evaluator(lat, lhs_fns)
+        lhs = lambda z: mp.fprod(fn.evaluate(lat, z) for fn in lhs_fns)
         rhs = lambda z: s_m.evaluate(lat, r.phi_ell * z) * g_l.evaluate(lat, z) ** k
         avoid = set(lhs_div.support()) | set(rhs_div.support())
         scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
@@ -158,20 +146,20 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
 
 # --- stages -----------------------------------------------------------------
 #
-# A stage reads one _Run and returns its payload with a "pass" flag.  The
-# two stages that depend only on (phi_ell, ell, a, lattice, samples, tol,
-# seed) and not on the level are memoized: both relations run
-# them with the same inputs.  Their reports are shared between callers
-# and must not be mutated.
+# A stage reads one _Run and the lattice and returns its payload with a
+# "pass" flag.  The run, and the two stages that depend only on (phi_ell,
+# ell, a, samples, tol, seed), not the level, sit in the lattice memo:
+# both relations run those stages with the same inputs.  Their reports
+# are shared between callers and must not be mutated.
 
 
 class _Run:
-    """One verification: the configuration and the exact data the stages
-    read (conjugating units, the conjugate orbit, the fiber)."""
+    """One verification's configuration and the exact data its stages read
+    (conjugating units, orbit, fiber); no lattice, so the memo keeps it."""
 
-    def __init__(self, relation, sys, m, ell, a, lat, samples, tol, seed):
+    def __init__(self, relation, sys, m, ell, a, samples, tol, seed):
         self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
-        self.lat, self.samples, self.tol, self.seed = lat, samples, tol, seed
+        self.samples, self.tol, self.seed = samples, tol, seed
         self.ml = m * ell
         self.k = (self.ml * sys.f_level).norm
         self.phi_ell = sys.chi.evaluate(ell)
@@ -190,27 +178,32 @@ class _Run:
         return self.sys.e2_point(self.m, self.ell)
 
 
-def _e1_set_identity(r: _Run) -> dict:
+def _run(lat: AnalyticLattice, *args) -> _Run:
+    """The _Run of args, once per lattice: a verifier and its stages share it."""
+    return lat.memo((_Run, *args), lambda: _Run(*args))
+
+
+def _e1_set_identity(r: _Run, lat: AnalyticLattice) -> dict:
     return {"kind": r.kind, "orbit": r.orbit_strs,
             "pass": r.fiber == r.orbit and r.kind == "additive"}
 
 
-def _e2_set_identity(r: _Run) -> dict:
+def _e2_set_identity(r: _Run, lat: AnalyticLattice) -> dict:
     n = r.twist
     ok = r.kind == "multiplicative" and r.fiber == r.orbit | {n} and n not in r.orbit
     return {"kind": r.kind, "twist_point": str(n), "orbit": r.orbit_strs, "pass": ok}
 
 
-def _twist_point_level(r: _Run) -> dict:
+def _twist_point_level(r: _Run, lat: AnalyticLattice) -> dict:
     ann = r.twist.annihilator()
     base_level = r.m * r.sys.f_level
     return {"annihilator": str(ann), "base_level": str(base_level),
             "pass": ann.divides(base_level)}
 
 
-def _twisted_element(r: _Run) -> dict:
+def _twisted_element(r: _Run, lat: AnalyticLattice) -> dict:
     twisted = build_alpha_prime(r.sys, r.m, r.a, y_point=r.twist, scale=r.k)
-    cert = certify_tame_kernel(twisted, r.lat, tol=r.tol)
+    cert = certify_tame_kernel(twisted, lat, tol=r.tol)
     return {"certificate": cert, "pass": cert["pass"]}
 
 
@@ -218,21 +211,21 @@ def _without(report: dict, *keys) -> dict:
     return {k: v for k, v in report.items() if k not in keys}
 
 
-def _function_identity(r: _Run) -> dict:
-    rep = verify_function_identities(r.sys, r.m, r.ell, r.relation, r.lat, a=r.a,
-                                     samples=r.samples, tol=r.tol, seed=r.seed, run=r)
+def _function_identity(r: _Run, lat: AnalyticLattice) -> dict:
+    rep = verify_function_identities(r.sys, r.m, r.ell, r.relation, lat, a=r.a,
+                                     samples=r.samples, tol=r.tol, seed=r.seed)
     return _without(rep, "identity", "conjugates")
 
 
-def _twisted_function_identity(r: _Run) -> dict:
+def _twisted_function_identity(r: _Run, lat: AnalyticLattice) -> dict:
     """The function identity with the twist factor, and the twist function
     pushing forward to the base function."""
-    rep = _function_identity(r)
+    rep = _function_identity(r, lat)
     s_n = build_s_point(r.twist, r.k)
     s_m = build_s_point(r.y_m, r.k)
     push_ok = s_n.divisor.pushforward(r.phi_ell) == s_m.divisor
     push_scan = equal_up_to_constant(
-        s_n.pushforward_evaluator(r.lat, r.phi_ell), evaluator(s_m, r.lat), r.lat,
+        s_n.pushforward_evaluator(lat, r.phi_ell), evaluator(s_m, lat), lat,
         avoid=set(s_m.divisor.support()) | set(s_n.divisor.support()),
         samples=max(4, r.samples // 2), seed=r.seed + 2, tol=r.tol,
         require_modulus_one=True)
@@ -240,23 +233,6 @@ def _twisted_function_identity(r: _Run) -> dict:
             "pass": rep["pass"] and push_ok and push_scan["pass"]}
 
 
-def _per_lattice(stage):
-    """Memoize stage(lat, *args) in a table held for the lattice only as
-    long as the lattice lives: relations at one lattice share the stage,
-    and a lattice no run uses any more is not kept alive by the memo."""
-    memos = weakref.WeakKeyDictionary()  # lattice -> {args: result}
-
-    @wraps(stage)
-    def memoized(lat, *args):
-        memo = memos.setdefault(lat, {})
-        if args not in memo:
-            memo[args] = stage(lat, *args)
-        return memo[args]
-
-    return memoized
-
-
-@_per_lattice
 def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
                         samples: int, tol, seed: int) -> dict:
     """The level-independent part of [phi_ell]_* g_a = g_a: exact divisor
@@ -277,19 +253,20 @@ def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
                 "scan": scan, "projection": proj}
 
 
-def _distribution(r: _Run) -> dict:
+def _distribution(r: _Run, lat: AnalyticLattice) -> dict:
     """The distribution relation, with the scanned constant showing up at
     the level point as the product of g over its fiber."""
-    shared = _distribution_scans(r.lat, r.phi_ell, r.a, r.samples, r.tol, r.seed)
+    args = (r.phi_ell, r.a, r.samples, r.tol, r.seed)
+    shared = lat.memo((_distribution_scans, *args),
+                      lambda: _distribution_scans(lat, *args))
     g = build_g_a(r.sys.field, r.a)
-    prod = g.pushforward_evaluator(r.lat, r.phi_ell)(r.y_m)
-    point_dev = abs(prod / g.evaluate(r.lat, r.y_m) - shared["scan"]["constant"])
+    prod = g.pushforward_evaluator(lat, r.phi_ell)(r.y_m)
+    point_dev = abs(prod / g.evaluate(lat, r.y_m) - shared["scan"]["constant"])
     ok = (shared["push_divisor_fixed"] and shared["scan"]["pass"]
           and shared["projection"]["pass"] and point_dev < r.tol)
     return {**shared, "point_constant_deviation": point_dev, "pass": ok}
 
 
-@_per_lattice
 def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
     """[-1]-symmetry and the unit-pair comparison.
 
@@ -343,26 +320,27 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
                 "pass": ok}
 
 
-def _parity(r: _Run) -> dict:
-    return _parity_checks(r.lat, r.ell, r.a, r.tol)
+def _parity(r: _Run, lat: AnalyticLattice) -> dict:
+    args = (r.ell, r.a, r.tol)
+    return lat.memo((_parity_checks, *args), lambda: _parity_checks(lat, *args))
 
 
-def _distribution_parity(r: _Run) -> dict:
-    dist, par = _distribution(r), _parity(r)
+def _distribution_parity(r: _Run, lat: AnalyticLattice) -> dict:
+    dist, par = _distribution(r, lat), _parity(r, lat)
     return {"distribution": _without(dist, "pass"), "parity": _without(par, "pass"),
             "pass": dist["pass"] and par["pass"]}
 
 
-def _tame_certificates(r: _Run) -> dict:
+def _tame_certificates(r: _Run, lat: AnalyticLattice) -> dict:
     cert_norm = certify_tame_kernel(_norm_sum(build_alpha_prime(r.sys, r.ml, r.a), r.units),
-                                    r.lat, tol=r.tol)
+                                    lat, tol=r.tol)
     cert_base = certify_tame_kernel(build_alpha_prime(r.sys, r.m, r.a, scale=r.k),
-                                    r.lat, tol=r.tol)
+                                    lat, tol=r.tol)
     return {"norm_sum_certificate": cert_norm, "base_certificate": cert_base,
             "pass": cert_norm["pass"] and cert_base["pass"]}
 
 
-def _definitional_branch(r: _Run) -> dict:
+def _definitional_branch(r: _Run, lat: AnalyticLattice) -> dict:
     rec_hi = build_alpha(r.sys, r.ml, r.a, r.ell)
     rec_lo = build_alpha(r.sys, r.m, r.a, r.ell) if r.ell.divides(r.m) else None
     return {"annotations": rec_hi["annotations"],
@@ -411,19 +389,20 @@ STAGES = {
 }
 
 
-def _verify(run: _Run) -> dict:
-    """The verifier body shared by both relations: run the relation's
-    stages in order and wrap their verdicts in one report."""
-    with run.lat.context():
+def _verify(lat: AnalyticLattice, *args) -> dict:
+    """The verifier body shared by both relations: run the stages of the
+    run of args in order and wrap their verdicts in one report."""
+    run = _run(lat, *args)
+    with lat.context():
         stages = []
         for sid, description, stage in STAGES[run.relation]:
-            data = stage(run)
+            data = stage(run, lat)
             stages.append({"id": sid, "description": description, **data,
                            "pass": bool(data["pass"])})
         return {
             "identity": run.relation,
             "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
-                       "scale": run.k, "prec": run.lat.prec, "samples": run.samples,
+                       "scale": run.k, "prec": lat.prec, "samples": run.samples,
                        "tolerance": run.tol, "conjugation": run.kind},
             "stages": stages,
             "pass": all(s["pass"] for s in stages),
@@ -440,7 +419,7 @@ def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     tame certificates of the transported sums, and the definitional
     packaging branch, which always runs at the distinguished prime ell.
     """
-    return _verify(_Run("E1", sys, m, ell, a, lat, samples, tol, seed))
+    return _verify(lat, "E1", sys, m, ell, a, samples, tol, seed)
 
 
 def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
@@ -453,7 +432,7 @@ def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     its tame certificate, the function identity with the extra factor and
     the pushforward of the twist function, then distribution/parity.
     """
-    return _verify(_Run("E2", sys, m, ell, a, lat, samples, tol, seed))
+    return _verify(lat, "E2", sys, m, ell, a, samples, tol, seed)
 
 
 def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmk2 import analytic
-from cmk2.analytic import SIGMA_MEMO_SIZE, AnalyticLattice
+from cmk2.analytic import AnalyticLattice
 from cmk2.qfield import QuadField
 from oracles import embed, eta_linear, translation_factor, translation_sign
 
@@ -375,7 +375,7 @@ def test_real_argument_gives_real_values(lat):
                 assert mp.im(value) == 0
 
 
-# --- the per-lattice memo of sigma at exact points ---------------------------
+# --- the lattice memo of sigma at exact points ---------------------------------
 
 # the lattice offsets run sigma's z0 = 0 branch
 EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3, 2)),
@@ -383,36 +383,34 @@ EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3,
                  (1, 0), (0, 1), (-1, 3), (3, 2))
 
 
-def _fresh_sigma(lat, x, y):
-    """sigma at x + y*omega without the memo."""
-    return AnalyticLattice.sigma(lat, x, y)
+def _memo_sigma(lat, x, y):
+    """sigma at x + y*omega through the lattice memo, under the key
+    elliptic-function products use."""
+    return lat.memo(("sigma", x, y), lambda: lat.sigma(x, y))
 
 
 @pytest.mark.parametrize("d", (-4, -3, -163))
-def test_sigma_memo_is_bit_identical(d):
+def test_sigma_memo_is_bit_identical(d, monkeypatch):
+    runs = []
+    kernel = AnalyticLattice.sigma
+    monkeypatch.setattr(AnalyticLattice, "sigma",
+                        lambda lat, x, y: runs.append((x, y)) or kernel(lat, x, y))
     K = QuadField(d)
     warm = AnalyticLattice(K, 256)
-    cold = [warm.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
-    again = [warm.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
-    assert warm.sigma.cache_info().hits == len(EXACT_OFFSETS)
+    cold = [_memo_sigma(warm, x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    again = [_memo_sigma(warm, x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    assert runs == list(EXACT_OFFSETS)  # the second round reads the memo
     fresh = AnalyticLattice(K, 256)
-    assert cold == again == [_fresh_sigma(fresh, x, y)._mpc_ for x, y in EXACT_OFFSETS]
-
-
-def test_sigma_memo_is_bounded():
-    lat = AnalyticLattice(QuadField(-163), 128)
-    for k in range(SIGMA_MEMO_SIZE + 20):
-        lat.sigma(Fraction(1, k + 2), Fraction(1, 3))
-    assert lat.sigma.cache_info().currsize == SIGMA_MEMO_SIZE
+    assert cold == again == [fresh.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
 
 
 def _memo_sharing_errors(lo, hi):
     """Offsets where the second lattice, after the first has filled its
     memo, returns anything but its own fresh value."""
     for x, y in EXACT_OFFSETS:
-        lo.sigma(x, y)
+        _memo_sigma(lo, x, y)
     return [(x, y) for x, y in EXACT_OFFSETS
-            if hi.sigma(x, y)._mpc_ != _fresh_sigma(hi, x, y)._mpc_]
+            if _memo_sigma(hi, x, y)._mpc_ != hi.sigma(x, y)._mpc_]
 
 
 def test_sigma_memo_is_per_lattice():
@@ -421,17 +419,15 @@ def test_sigma_memo_is_per_lattice():
 
 
 def test_memo_sharing_fault_control():
-    # one module-global memo keyed only on (x, y) hands the 512-bit
+    # one module-global memo keyed only on its key hands the 512-bit
     # lattice the 256-bit values
     shared = {}
 
-    def global_memo(lat):
-        def sigma(x, y):
-            if (x, y) not in shared:
-                shared[x, y] = _fresh_sigma(lat, x, y)
-            return shared[x, y]
-        return sigma
+    def global_memo(key, compute):
+        if key not in shared:
+            shared[key] = compute()
+        return shared[key]
 
     lo, hi = AnalyticLattice(GAUSS, 256), AnalyticLattice(GAUSS, 512)
-    lo.sigma, hi.sigma = global_memo(lo), global_memo(hi)
+    lo.memo = hi.memo = global_memo
     assert _memo_sharing_errors(lo, hi)

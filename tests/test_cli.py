@@ -122,6 +122,9 @@ def test_verification_failure_exits_1():
 
 
 def test_config_errors_exit_2():
+    # (1+2w) has no generator congruent to 1 mod (7): the character, not
+    # the curve, rejects this conductor
+    conductor = ("hecke-check", "--d", "-7", "--conductor", "7", "--bound", "30")
     cases = [
         ("certify-tame", "--m", "garbage"),
         ("certify-tame", "--m", "0"),
@@ -149,11 +152,15 @@ def test_config_errors_exit_2():
         ("verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
          "--a", "3"),
         ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
+        conductor,
     ]
+    errors = {}
     for argv in cases:
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
         assert err.strip().startswith("error:"), argv
+        errors[argv] = err
+    assert errors[conductor].startswith("error: --conductor:"), errors[conductor]
 
 
 def test_exact_commands_import_no_analytic_code(tmp_path):

@@ -190,8 +190,9 @@ def test_exactness_checks_survive_python_O():
 
 
 def test_verify_e2_keeps_no_lattice_alive(monkeypatch, tmp_path):
-    # the shared-stage memos hold a lattice's results only while the
-    # lattice lives: once the runs are over, no lattice they built is left
+    # the lattice memo holds a lattice's results only while the lattice
+    # lives and makes no reference cycle: once the runs are over, no
+    # lattice they built is left, without the cyclic garbage collector
     lattices = []
     init = AnalyticLattice.__init__
 
@@ -200,13 +201,19 @@ def test_verify_e2_keeps_no_lattice_alive(monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(AnalyticLattice, "__init__", tracked)
-    for m in ("1", "2-i"):
-        argv = ["verify-e2", "--m", m, "--prec", "128", "--tol", "1e-12",
-                "--samples", "4", "--out", str(tmp_path / "e2.jsonl")]
-        assert cli.main(argv) == 0
-    gc.collect()
-    assert len(lattices) == 2
-    assert [ref for ref in lattices if ref() is not None] == []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for m in ("1", "2-i"):
+            argv = ["verify-e2", "--m", m, "--prec", "128", "--tol", "1e-12",
+                    "--samples", "4", "--out", str(tmp_path / "e2.jsonl")]
+            assert cli.main(argv) == 0
+        # checked before the collector is back, which would free a cycle
+        assert len(lattices) == 2
+        assert [ref for ref in lattices if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_shared_stages_run_once_across_relations(monkeypatch):
@@ -238,15 +245,21 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
 
 def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path):
     # `cmk2 all` verifies E1 and E2 once each, and the function-identity
-    # stage reads its relation's run instead of building another
+    # stage reads its relation's run instead of building another; the
+    # sigma kernel runs once per lattice and exact offset
     calls = []
     units = relations.conjugating_units
     monkeypatch.setattr(relations, "conjugating_units",
                         lambda *a: calls.append(a) or units(*a))
+    runs = []
+    kernel = AnalyticLattice.sigma
+    monkeypatch.setattr(AnalyticLattice, "sigma",
+                        lambda lat, x, y: runs.append((lat, x, y)) or kernel(lat, x, y))
     argv = ["all", "--bound", "30", "--prec", "128", "--tol", "1e-12",
             "--samples", "4", "--out", str(tmp_path / "all.jsonl")]
     assert cli.main(argv) == 0
     assert len(calls) == 2
+    assert runs and len(runs) == len(set(runs))
 
 
 def test_function_identity_reports():
