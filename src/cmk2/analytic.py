@@ -12,13 +12,13 @@ lattice computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at
 the fixed nome q = exp(i pi tau); c_n is real for every normalized
 lattice.
 
-- Reduction: every function takes the exact int/Fraction coordinates
-  (x, y) of z = x + y*omega and picks the lattice point mu = m + n*omega
-  by integer rounding (`reduce`), n = round(y), m = round(x + (y - n) t/2)
-  with t the trace of omega, so the offset z0 = z - mu has
-  |Re z0| <= 1/2 and |Im z0| <= Im(tau)/2 exactly.  z0 goes on as
-  integers over one denominator, z0 = (X + Y*omega)/L; nothing is
-  embedded as an mpf.  As eta(mu) = eta1 mu - 2 pi i n (Legendre),
+- Reduction: every function takes a point as integers over one positive
+  denominator, z = (X + Y*omega)/D, and picks the lattice point
+  mu = m + n*omega by integer rounding (`reduce`, ties to even),
+  n = round(Y/D) and m = round((2X + t(Y - nD))/(2D)), t the trace of
+  omega, so the offset z0 = z - mu has |Re z0| <= 1/2 and
+  |Im z0| <= Im(tau)/2 exactly.  z0 goes on over its least denominator,
+  z0 = (X0 + Y0*omega)/L; nothing is embedded as an mpf.  As eta(mu) = eta1 mu - 2 pi i n (Legendre),
   sigma(z) = eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)) sigma(z0) and
   zeta(z) = eta1 z - 2 pi i n + pi theta_1'(pi z0) / theta_1(pi z0);
   p and p' are periodic.
@@ -32,8 +32,8 @@ lattice.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
   c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
   fixed point from the powers of u = exp(i pi Re z0), whose angle
-  pi (2X + tY)/(2L) is split like the one above, and of
-  r = exp(nu Y/L), nu = pi Im(tau).  The q^(1/4) cancels in every
+  pi (2X0 + tY0)/(2L) is split like the one above, and of
+  r = exp(nu Y0/L), nu = pi Im(tau).  The q^(1/4) cancels in every
   quotient (sigma divides by theta_1'(0) / (2 q^(1/4)) = sum k c_n), so
   no branch of it is chosen, and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.
   A real z0 has r = 1 exactly, so its sine sums are exactly real.
@@ -57,12 +57,14 @@ lattice.
   exponent is off by about |zeta| + 2|xi| + 3 ulp, its value by that
   relative error, and its pi*rational phase is exact.
 
-Exact points: `memo(key, compute)` keeps each value a run computes at a
-lattice (fixed-point constants, sigma at exact offsets, lazy constants,
-shared stages) as long as the lattice lives; `sigma` is the bare kernel.
-At a lattice point (X = Y = 0) sigma returns its leading coefficient
-eps(mu) exp(eta1 mu^2/2 - pi i n mu) instead of the zero; zeta, p and p'
-raise PoleError there.
+Exact points: every entry point, exp_eta too, takes integers over one
+positive denominator, and scaling them all by one factor changes no
+value, so callers may use any common denominator.  `memo(key, compute)`
+keeps each value a run computes at a lattice (fixed-point constants,
+sigma at exact offsets, lazy constants, shared stages) as long as the
+lattice lives; `sigma` is the bare kernel.  At a lattice point sigma
+returns its leading coefficient eps(mu) exp(eta1 mu^2/2 - pi i n mu);
+zeta, p and p' raise PoleError there.
 
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
@@ -73,7 +75,6 @@ workprec block.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -91,6 +92,12 @@ with mp.workprec(256):
 
 class PoleError(ArithmeticError):
     """Evaluation requested at a zero/pole."""
+
+
+def _round(num: int, den: int) -> int:
+    """The integer nearest num/den for den > 0; a tie rounds to the even one."""
+    q, r = divmod(2 * num + den, 2 * den)
+    return q - 1 if r == 0 and q % 2 else q
 
 
 def _quarter_turns(num: int, den: int):
@@ -119,13 +126,13 @@ class AnalyticLattice:
         self.field = field
         self.prec = prec
         self._t, self._n = field.trace_omega, field.norm_omega
-        self._half_trace = Fraction(self._t, 2)
         self._memo: dict = {}
         self._init_constants()
 
     def memo(self, key, compute):
         """compute() under key, once per lattice.  Keys and values hold no
-        lattice, so the memo makes no reference cycle."""
+        lattice, so the memo makes no reference cycle.  Entries live as long
+        as the lattice: in library use, each fresh random point adds some."""
         try:
             return self._memo[key]
         except KeyError:
@@ -204,32 +211,23 @@ class AnalyticLattice:
 
     # --- exact reduction ---------------------------------------------------------
 
-    def reduce(self, x, y):
-        """(x0, y0, m, n) with x + y*omega = (x0 + y0*omega) + (m + n*omega)
-        for int/Fraction x, y: n = round(y), m = round(x + (y - n) t/2),
-        t the trace of omega.  Exact; a tie rounds to the even integer."""
-        n = round(y)
-        m = round(x + (y - n) * self._half_trace)
-        return x - m, y - n, m, n
+    def reduce(self, X: int, Y: int, D: int):
+        """(X0, Y0, L, m, n) with (X + Y*omega)/D = (X0 + Y0*omega)/L + m + n*omega,
+        L least: n = round(Y/D) and m = round((2X + t(Y - nD))/(2D)), t the
+        trace of omega, ties to even.  Exact."""
+        n = _round(Y, D)
+        m = _round(2 * X + self._t * (Y - n * D), 2 * D)
+        X0, Y0 = X - m * D, Y - n * D
+        g = math.gcd(X0, Y0, D)
+        return X0 // g, Y0 // g, D // g, m, n
 
-    def _reduced(self, x, y):
-        """(X, Y, L, m, n): the offset of `reduce` as (X + Y*omega)/L over
-        one denominator L, and its lattice point m + n*omega."""
-        x0, y0, m, n = self.reduce(x, y)
-        for v in (x0, y0):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"coordinates are int or Fraction, not {type(v).__name__}")
-        L = math.lcm(x0.denominator, y0.denominator)
-        return (x0.numerator * (L // x0.denominator),
-                y0.numerator * (L // y0.denominator), L, m, n)
-
-    def _pole_free_series(self, x, y, name: str, derivs: int):
-        """(_series at z0 as mpc, _reduced) for a function with a pole at
-        every lattice point."""
-        reduced = self._reduced(x, y)
+    def _pole_free_series(self, X, Y, D, name: str, derivs: int):
+        """(_series at z0 as mpc, reduce's tuple) for a function with a pole
+        at every lattice point."""
+        reduced = self.reduce(X, Y, D)
         if not (reduced[0] or reduced[1]):
             raise PoleError(f"{name} has a pole at the lattice point "
-                            f"{self.field.element(x, y)}")
+                            f"{self.field.element(*reduced[3:])}")
         sums, e = self._series(*reduced[:3], derivs)
         return [self._mpc(re, im, e) for re, im in sums], reduced
 
@@ -247,14 +245,10 @@ class AnalyticLattice:
 
     # --- the exponential of the quasi-period map --------------------------------
 
-    def exp_eta(self, zeta: QuadElement, xi: QuadElement, h=0):
-        """exp(eta1 zeta - 2 pi i xi + pi i h) for exact zeta, xi in K and a
-        rational h.  With eta(u) = eta1 u - 2 pi i u_y (u_y the omega
-        coordinate of u), exp(eta(lam) z) is exp_eta(lam z, lam_y z)."""
-        coords = (zeta.x, zeta.y, xi.x, xi.y, Fraction(h))
-        den = math.lcm(*(v.denominator for v in coords))
-        return self._mpc(*self._exp(*(v.numerator * (den // v.denominator)
-                                      for v in coords), den))
+    def exp_eta(self, zx: int, zy: int, xx: int, xy: int, hn: int, den: int):
+        """exp(eta1 zeta - 2 pi i xi + pi i h) at zeta = (zx + zy*omega)/den,
+        xi = (xx + xy*omega)/den and h = hn/den (see _exp)."""
+        return self._mpc(*self._exp(zx, zy, xx, xy, hn, den))
 
     def _exp(self, zx: int, zy: int, xx: int, xy: int, hn: int, den: int):
         """(re, im, e) with (re + i im) 2^e = exp(eta1 zeta - 2 pi i xi + pi i h),
@@ -317,12 +311,12 @@ class AnalyticLattice:
             rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
         return sums, -bits - 1
 
-    def sigma(self, x, y):
+    def sigma(self, X, Y, D):
         """Weierstrass sigma at z = x + y*omega: the reduced series times
         one exponential eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)),
-        mu = m + n*omega.  At a lattice point the series factor is 1: the
-        value is sigma's leading coefficient there."""
-        X, Y, L, m, n = self._reduced(x, y)
+        mu = m + n*omega, at z = (X + Y*omega)/D.  At a lattice point the
+        series factor is 1: the value is sigma's leading coefficient there."""
+        X, Y, L, m, n = self.reduce(X, Y, D)
         Xz, Yz, den = X + m * L, Y + n * L, 2 * L * L
         # zeta = z^2/2 and xi = n (z - mu/2), both over 2 L^2; omega^2 = t omega - n
         a, b, e = self._exp(Xz * Xz - self._n * Yz * Yz, (2 * Xz + self._t * Yz) * Yz,
@@ -335,9 +329,9 @@ class AnalyticLattice:
         inv = self._fixed(self._wbits)[5]
         return self._mpc((a * c - b * s) * inv, (a * s + b * c) * inv, e + e0 - self._wbits)
 
-    def zeta(self, x, y):
+    def zeta(self, X, Y, D):
         """Weierstrass zeta: eta1 z - 2 pi i n plus the series quotient."""
-        (t0, t1), (X, Y, L, m, n) = self._pole_free_series(x, y, "zeta", 1)
+        (t0, t1), (X, Y, L, m, n) = self._pole_free_series(X, Y, D, "zeta", 1)
         bits = self._wbits
         pi, _ln2, _nu, eta1, eta1_im, _inv = self._fixed(bits)
         Xz, Yz = X + m * L, Y + n * L
@@ -346,13 +340,13 @@ class AnalyticLattice:
         with mp.workprec(self.prec + GUARD_BITS):
             return linear + mp.pi * t1 / t0
 
-    def wp(self, x, y):
-        (t0, t1, t2), _ = self._pole_free_series(x, y, "wp", 2)
+    def wp(self, X, Y, D):
+        (t0, t1, t2), _ = self._pole_free_series(X, Y, D, "wp", 2)
         with mp.workprec(self.prec + GUARD_BITS):
             return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
-    def wp_prime(self, x, y):
-        (t0, t1, t2, t3), _ = self._pole_free_series(x, y, "wp'", 3)
+    def wp_prime(self, X, Y, D):
+        (t0, t1, t2, t3), _ = self._pole_free_series(X, Y, D, "wp'", 3)
         with mp.workprec(self.prec + GUARD_BITS):
             num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
             return -mp.pi ** 3 * num / t0 ** 3

@@ -11,6 +11,7 @@ unexpected exception escapes, with one `internal error:` line naming it.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -401,14 +402,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        records = HANDLERS[args.command](args)
-        text = "".join(json.dumps(_render(rec), sort_keys=True, separators=(",", ":"))
-                       + "\n" for rec in records)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        try:  # before the run, so an unwritable --out costs no work
+            out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        except OSError as e:
+            raise ConfigError(f"--out: {e.strerror}: {args.out}") from None
+        with out as fh:
+            records = HANDLERS[args.command](args)
+            fh.write("".join(json.dumps(_render(rec), sort_keys=True, separators=(",", ":"))
+                             + "\n" for rec in records))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

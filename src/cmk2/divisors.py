@@ -31,14 +31,17 @@ largest |m_P|, grouped by multiplicity: one power per distinct exponent,
 so a two-point function takes one power and g_a and g_ell take none.
 
 Evaluation points are exact: a TorsionPoint, or a field element with
-rational coordinates (53-bit float samples are dyadic rationals).  So
-each offset z - u is exact and reaches the kernel as exact coordinates,
-which it reduces by integer rounding; the pole test is exact too: z is a
-zero or pole exactly when its class lies in the divisor.
+rational coordinates (53-bit float samples are dyadic rationals).
+`_coords` puts one over one denominator at the public boundary; from
+there, lifts, constants, offsets z - u and exp_eta's exponent are
+integers over a common denominator, and each offset keys the memo and
+reaches the kernel in lowest terms.  So the pole test is exact: z is a
+zero or pole exactly when one offset z - u is a lattice point.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,26 +49,24 @@ import mpmath as mp
 
 from .analytic import DEFAULT_TOL, AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
-from .torsion import (
-    TorsionPoint,
-    preimage_set,
-    torsion_from_element,
-    torsion_subgroup,
-)
+from .torsion import TorsionPoint, preimage_set, torsion_subgroup
 
 # the least distance, modulo the lattice, from a sample to an avoided point
 SAMPLE_MARGIN = 1e-3
 
 
-def _exact_point(z) -> QuadElement:
-    """An evaluation point as a field element: the canonical lift of a
-    TorsionPoint, or the field element itself."""
+def _coords(z) -> tuple:
+    """(X, Y, D) with z = (X + Y*omega)/D in lowest terms, for an evaluation
+    point z: a TorsionPoint, at its canonical lift, or a field element."""
     if isinstance(z, TorsionPoint):
-        return z.lift()
-    if isinstance(z, QuadElement):
-        return z
-    raise TypeError("evaluation points are TorsionPoint or QuadElement, "
-                    f"not {type(z).__name__}")
+        x, y = z.r, z.s
+    elif isinstance(z, QuadElement):
+        x, y = z.x, z.y
+    else:
+        raise TypeError("evaluation points are TorsionPoint or QuadElement, "
+                        f"not {type(z).__name__}")
+    D = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
 
 
 class Divisor:
@@ -225,42 +226,43 @@ class ConstAtom:
 class EllFunction:
     """Normalized sigma-product with an exactly-principal divisor.
 
-    lifts: one (r, s, m) per support point, its canonical lift and its
-    multiplicity, in support order; lam: the integral lift sum
-    (sum m r, sum m s).  extra: the ConstAtom factors of a scaled function
+    lifts: one (R, S, m) per support point, in support order: its
+    canonical lift (R + S*omega)/den and its multiplicity; lam: the
+    integral lift sum.  extra: the ConstAtom factors of a scaled function
     (see scaled_by), multiplied in order after the normalized product;
     the canonical build has none.
     """
 
-    def __init__(self, divisor: Divisor, lifts: tuple, lam: tuple,
+    def __init__(self, divisor: Divisor, lifts: tuple, den: int, lam: tuple,
                  extra: tuple = ()):
         self.field = divisor.field
         self.divisor = divisor
         self.lifts = lifts
+        self.den = den
         self.lam = lam
         self.extra = extra
         self._exponent = None  # see _constants
         # the reference lift R: largest |m|, the first in support order on
         # a tie; the others are grouped by multiplicity, one power each
-        ref = max(range(len(lifts)), key=lambda i: abs(lifts[i][2]), default=None)
-        self._ref = None if ref is None else lifts[ref][:2]
+        self._ref = max(range(len(lifts)), key=lambda i: abs(lifts[i][2]), default=None)
         groups: dict = {}
-        for i, (r, s, m) in enumerate(lifts):
-            if i != ref:
-                groups.setdefault(m, []).append((r, s))
-        self._groups = tuple((m, tuple(pts)) for m, pts in groups.items())
+        for i, (_R, _S, m) in enumerate(lifts):
+            if i != self._ref:
+                groups.setdefault(m, []).append(i)
+        self._groups = tuple((m, tuple(ix)) for m, ix in groups.items())
 
     @classmethod
     def from_divisor(cls, D: Divisor, extra: tuple = ()) -> "EllFunction":
         if not D.is_principal():
             raise ValueError(f"divisor is not principal: degree {D.degree}, "
                              f"weighted sum {D.weighted_sum()}")
-        lifts = tuple((P.r, P.s, D.multiplicity(P)) for P in D.support())
-        lam = (sum(m * r for r, _s, m in lifts), sum(m * s for _r, s, m in lifts))
-        if (sum(m for _r, _s, m in lifts) != 0
-                or any(Fraction(v).denominator != 1 for v in lam)):
+        points = [(_coords(P), D.multiplicity(P)) for P in D.support()]
+        den = math.lcm(*(q for (_X, _Y, q), _m in points))
+        lam = D.weighted_sum()
+        if D.degree != 0 or not lam.is_integral():
             raise ArithmeticError(f"the lifts of {D} do not sum to a lattice point")
-        return cls(D, lifts, tuple(int(v) for v in lam), extra)
+        return cls(D, tuple((X * (den // q), Y * (den // q), m) for (X, Y, q), m in points),
+                   den, (lam.x, lam.y), extra)
 
     # --- structural ----------------------------------------------------------
 
@@ -268,7 +270,7 @@ class EllFunction:
         return self.divisor.multiplicity(P)
 
     def signature(self) -> tuple:
-        return (self.field.d, self.lifts, tuple(a.signature() for a in self.extra))
+        return (self.field.d, self.den, self.lifts, tuple(a.signature() for a in self.extra))
 
     def __eq__(self, other):
         return isinstance(other, EllFunction) and other.signature() == self.signature()
@@ -278,11 +280,11 @@ class EllFunction:
 
     def scaled_by(self, atom: ConstAtom) -> "EllFunction":
         """The function times the constant atom, with the same divisor."""
-        return EllFunction(self.divisor, self.lifts, self.lam, self.extra + (atom,))
+        return EllFunction(self.divisor, self.lifts, self.den, self.lam, self.extra + (atom,))
 
     def unscaled(self) -> "EllFunction":
         """The normalized product alone, without the extra constants."""
-        return EllFunction(self.divisor, self.lifts, self.lam)
+        return EllFunction(self.divisor, self.lifts, self.den, self.lam)
 
     def pullback(self, alpha: QuadElement) -> "EllFunction":
         """The function with divisor pulled back under multiplication by alpha.
@@ -299,51 +301,61 @@ class EllFunction:
     # --- numerics --------------------------------------------------------------
 
     def _constants(self):
-        """(zeta, xi, h) with C' = exp(eta1 zeta - 2 pi i xi + pi i h),
-        exactly, computed once per function.
+        """(zeta, xi, h, den) with C' = exp(eta1 zeta - 2 pi i xi + pi i h):
+        integral zeta, xi and an integer h over den = 2 e^2, e the lift
+        denominator; computed once per function.
 
         C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-Q/2), with
         (r0, s0) the first lift and Q = sum m eta(p) p over the lifts
         p = r + s*omega; eta(p) = eta1 p - 2 pi i s, so zeta = -sum m p^2 / 2
-        and xi = -sum m s p / 2.  The sign and the Legendre phase are the
-        rational h, reduced mod 2.
+        and xi = -sum m s p / 2.  h, the sign and the Legendre phase, is
+        reduced mod 2.
         """
         if self._exponent is None:
-            K = self.field
+            K, e = self.field, self.den
             zeta = xi = K.zero()
-            for r, s, m in self.lifts:
-                p = K.element(r, s)
-                zeta = zeta + Fraction(-m, 2) * (p * p)
-                xi = xi + Fraction(-m, 2) * s * p
+            for R, S, m in self.lifts:
+                P = K.element(R, S)
+                zeta, xi = zeta - m * (P * P), xi - m * S * P
             lx, ly = self.lam
-            r0, s0 = self.lifts[0][:2] if self.lifts else (0, 0)
-            self._exponent = (zeta, xi, (lx + ly + lx * ly + r0 * ly - s0 * lx) % 2)
+            R0, S0 = self.lifts[0][:2] if self.lifts else (0, 0)
+            h = 2 * e * (e * (lx + ly + lx * ly) + R0 * ly - S0 * lx)
+            self._exponent = (zeta, xi, h % (4 * e * e), 2 * e * e)
         return self._exponent
 
-    def _product(self, lat: AnalyticLattice, z: QuadElement):
+    def _product(self, lat: AnalyticLattice, z, poles: bool):
         """The normalized product at the exact point z:
         C' exp(eta(lam) z) prod over the groups of
         (prod_P sigma(z - P) / sigma(z - R))^m, the first two factors as
-        one exp_eta.  A lift whose offset z - u is a lattice point mu
-        contributes sigma's leading coefficient at mu; every other lift
-        contributes sigma(z - u), run once per lattice and exact offset
-        through the lattice memo.  The extra constants multiply last."""
-        def sigma(r, s):
-            x, y = z.x - r, z.y - s
-            return lat.memo(("sigma", x, y), lambda: lat.sigma(x, y))
-
-        zeta, xi, h = self._constants()
+        one exp_eta, the extra constants multiplied last.  sigma runs once
+        per lattice and offset z - u in lowest terms, through the lattice
+        memo.  A lattice-point offset mu puts z in the support: with
+        `poles` it raises PoleError, else sigma gives its leading
+        coefficient at mu."""
+        X, Y, D = _coords(z)
+        E = math.lcm(D, self.den)
+        a, b = E // D, E // self.den
+        keys = []
+        for R, S, _m in self.lifts:
+            x, y = X * a - R * b, Y * a - S * b
+            g = math.gcd(x, y, E)
+            if poles and g == E:
+                raise PoleError(f"{z} is in the divisor support")
+            keys.append((x // g, y // g, E // g))
+        zeta, xi, h, den = self._constants()
         if self.lam != (0, 0):
-            lx, ly = self.lam
-            zeta, xi = zeta + self.field.element(lx, ly) * z, xi + ly * z
+            w, lam = self.field.element(X, Y), self.field.element(*self.lam)
+            zeta = zeta * D + lam * w * den
+            xi, h, den = xi * D + lam.y * den * w, h * D, den * D
         with lat.context():
-            out = lat.exp_eta(zeta, xi, h)
+            out = lat.exp_eta(zeta.x, zeta.y, xi.x, xi.y, h, den)
             if self._groups:
-                inv_ref = 1 / sigma(*self._ref)
-                for m, pts in self._groups:
+                sigma = [lat.memo(("sigma", *k), lambda k=k: lat.sigma(*k)) for k in keys]
+                inv_ref = 1 / sigma[self._ref]
+                for m, ix in self._groups:
                     g = mp.mpc(1)
-                    for r, s in pts:
-                        g = g * (sigma(r, s) * inv_ref)
+                    for i in ix:
+                        g = g * (sigma[i] * inv_ref)
                     out = out * g ** m
             for atom in self.extra:
                 out = out * atom.evaluate(lat)
@@ -351,23 +363,21 @@ class EllFunction:
 
     def evaluate(self, lat: AnalyticLattice, z):
         """Value at an exact point z (TorsionPoint or QuadElement)."""
-        z = _exact_point(z)
-        if self.order_at(torsion_from_element(self.field, z)) != 0:
-            raise PoleError(f"{z} is in the divisor support")
-        return self._product(lat, z)
+        return self._product(lat, z, poles=True)
 
     def leading_at(self, lat: AnalyticLattice, P):
         """Leading Laurent coefficient at the exact point P against the
         local parameter (z - P): exact-order zero/pole factors are
         cancelled symbolically, never numerically."""
-        return self._product(lat, _exact_point(P))
+        return self._product(lat, P, poles=False)
 
     def pushforward_evaluator(self, lat: AnalyticLattice, alpha: QuadElement):
         """z -> product of f over the fiber of multiplication by alpha
         above the exact point z."""
 
         def ev(z):
-            Q = torsion_from_element(self.field, _exact_point(z))
+            X, Y, D = _coords(z)
+            Q = TorsionPoint(self.field, Fraction(X, D), Fraction(Y, D))
             with lat.context():
                 out = mp.mpc(1)
                 for u in preimage_set(Q, alpha):
@@ -432,8 +442,8 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
     from the avoided set.  The coordinate stream is precision-independent,
     so reruns at other precisions test the same geometric points."""
     rng = random.Random(seed)
-    lifts = [P.lift() for P in avoid]
-    bound = Fraction(SAMPLE_MARGIN) ** 2
+    avoided = [_coords(P) for P in avoid]
+    bound = (Fraction(SAMPLE_MARGIN) ** 2).as_integer_ratio()
     out = []
     tries = 0
     while len(out) < count:
@@ -441,23 +451,18 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
         if tries > 200 * count:
             raise RuntimeError("cannot find enough sample points away from supports")
         rs = (rng.random(), rng.random())
-        # the margin keeps samples well away from the supports, so the
-        # values compared stay moderate; it is a geometric separation,
-        # not a precision bound (evaluate tests poles exactly).  The test
-        # is exact: each offset z - P is reduced by the kernel's integer
-        # rounding and the norm of what is left, its squared distance to
-        # that lattice point, is compared with SAMPLE_MARGIN^2
-        z = lat.field.element(Fraction(rs[0]), Fraction(rs[1]))
-        if any(_reduced_norm(lat, z - u) < bound for u in lifts):
-            continue
-        out.append(rs)
+        # a geometric separation, tested exactly: each offset z - P, reduced
+        # by the kernel's rounding, has a norm of at least SAMPLE_MARGIN^2
+        X, Y, D = _coords(lat.field.element(Fraction(rs[0]), Fraction(rs[1])))
+        for R, S, q in avoided:
+            E = math.lcm(D, q)
+            x0, y0, L, _m, _n = lat.reduce(X * (E // D) - R * (E // q),
+                                           Y * (E // D) - S * (E // q), E)
+            if lat.field.element(x0, y0).norm() * bound[1] < bound[0] * L * L:
+                break
+        else:
+            out.append(rs)
     return out
-
-
-def _reduced_norm(lat: AnalyticLattice, w: QuadElement):
-    """The norm of w's offset from the lattice point the kernel rounds it to."""
-    x0, y0, _m, _n = lat.reduce(w.x, w.y)
-    return lat.field.element(x0, y0).norm()
 
 
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
@@ -514,12 +519,11 @@ def wp_route_evaluator(field: QuadField, a: int, lat: AnalyticLattice):
             continue
         seen.add(gamma)
         seen.add(-gamma)
-        wp_reps.append(lat.wp(gamma.r, gamma.s))
+        wp_reps.append(lat.wp(*_coords(gamma)))
 
     def ev(z):
-        z = _exact_point(z)
         with lat.context():
-            wp_z = lat.wp(z.x, z.y)
+            wp_z = lat.wp(*_coords(z))
             out = mp.mpc(1)
             for wp_gamma in wp_reps:
                 out = out * (wp_z - wp_gamma)

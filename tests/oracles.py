@@ -1,7 +1,11 @@
 """Lattice arithmetic in mpmath, kept as test oracles for the fixed-point
 kernel: the embedding of exact coordinates, the R-linear quasi-period map
-and sigma's translation factor, each evaluated the direct way."""
+and sigma's translation factor, each evaluated the direct way; and the
+kernel's rounding rule in Fraction arithmetic, with the conversions
+between int/Fraction coordinates and the kernel's integers over one
+denominator."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -35,3 +39,27 @@ def translation_factor(lat, m: int, n: int, z):
     with lat.context():
         mu = m + n * lat.tau
         return translation_sign(m, n) * mp.exp(eta_linear(lat, m, n) * (z + mu / 2))
+
+
+def coords(x, y):
+    """(X, Y, D) with x + y*omega = (X + Y*omega)/D in lowest terms, for
+    int/Fraction x and y: the point as the kernel takes it."""
+    x, y = Fraction(x), Fraction(y)
+    D = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
+
+
+def reduced(lat, x, y):
+    """lat.reduce at int/Fraction x, y, with the offset back as Fractions:
+    (x0, y0, m, n), x + y*omega = (x0 + y0*omega) + (m + n*omega)."""
+    X0, Y0, L, m, n = lat.reduce(*coords(x, y))
+    return Fraction(X0, L), Fraction(Y0, L), m, n
+
+
+def reduce_reference(t, x, y):
+    """The rounding rule in Fraction arithmetic, for a field whose omega
+    has trace t: n = round(y), m = round(x + (y - n) t/2), ties to even
+    (Python's round); returns (x0, y0, m, n) like `reduced`."""
+    n = round(y)
+    m = round(x + (y - n) * Fraction(t, 2))
+    return x - m, y - n, m, n

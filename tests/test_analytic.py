@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from cmk2 import analytic
 from cmk2.analytic import AnalyticLattice
 from cmk2.qfield import QuadField
-from oracles import embed, eta_linear, translation_factor, translation_sign
+from oracles import (coords, embed, eta_linear, reduce_reference, reduced,
+                     translation_factor, translation_sign)
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
@@ -26,7 +28,7 @@ def rand_z(lat, rng, margin=0.05):
     # from the lattice
     while True:
         x, y = Fraction(rng.random()), Fraction(rng.random())
-        x0, y0, _m, _n = lat.reduce(x, y)
+        x0, y0, _m, _n = reduced(lat, x, y)
         if lat.field.element(x0, y0).norm() > Fraction(margin) ** 2:
             return x, y
 
@@ -74,7 +76,7 @@ def test_sigma_against_direct_product(lat):
         w = zc * zc / (half * half)
         direct = zc * np.prod((1 - w) * np.exp(w))
         # omega = i, so the coordinates of zc are its real and imaginary parts
-        got = complex(lat.sigma(Fraction(zc.real), Fraction(zc.imag)))
+        got = complex(lat.sigma(*coords(Fraction(zc.real), Fraction(zc.imag))))
         assert abs(got - direct) < 1e-3 * abs(direct)
 
 
@@ -88,10 +90,10 @@ def test_wp_laurent_normalization(lat):
     with lat.context():
         x = Fraction(1, 10 ** 9)
         z = embed(lat, x, 0)
-        assert abs(z * z * lat.wp(x, 0) - 1) < 1e-15
-        assert abs(z ** 3 * lat.wp_prime(x, 0) + 2) < 1e-15
+        assert abs(z * z * lat.wp(*coords(x, 0)) - 1) < 1e-15
+        assert abs(z ** 3 * lat.wp_prime(*coords(x, 0)) + 2) < 1e-15
         # sigma(z)/z -> 1: lead coefficient 1 at the origin
-        assert abs(lat.sigma(x, 0) / z - 1) < 1e-15
+        assert abs(lat.sigma(*coords(x, 0)) / z - 1) < 1e-15
 
 
 def test_differential_equation_residual():
@@ -101,7 +103,7 @@ def test_differential_equation_residual():
         with L.context():
             for _ in range(5):
                 z = rand_z(L, rng)
-                wp, wpp = L.wp(*z), L.wp_prime(*z)
+                wp, wpp = L.wp(*coords(*z)), L.wp_prime(*coords(*z))
                 res = abs(wpp ** 2 - (4 * wp ** 3 - L.g2 * wp - L.g3))
                 assert res < mp.mpf(10) ** -70
 
@@ -111,8 +113,8 @@ def test_wp_even_wpprime_odd(lat):
     with lat.context():
         for _ in range(5):
             x, y = rand_z(lat, rng)
-            assert abs(lat.wp(x, y) - lat.wp(-x, -y)) < mp.mpf(10) ** -70
-            assert abs(lat.wp_prime(x, y) + lat.wp_prime(-x, -y)) < mp.mpf(10) ** -70
+            assert abs(lat.wp(*coords(x, y)) - lat.wp(*coords(-x, -y))) < mp.mpf(10) ** -70
+            assert abs(lat.wp_prime(*coords(x, y)) + lat.wp_prime(*coords(-x, -y))) < mp.mpf(10) ** -70
 
 
 def test_special_invariant_vanishing():
@@ -131,29 +133,29 @@ def test_cm_rotation():
             for _ in range(4):
                 z = field.element(*rand_z(L, rng))
                 uz = field.omega() * z
-                assert abs(u * u * L.wp(uz.x, uz.y) - L.wp(z.x, z.y)) < mp.mpf(10) ** -45
+                assert abs(u * u * L.wp(*coords(uz.x, uz.y)) - L.wp(*coords(z.x, z.y))) < mp.mpf(10) ** -45
 
 
 def test_half_period_theta_constant_crosscheck(lat):
     # e_i = wp at half periods: symmetric functions recover g2, g3
     half = Fraction(1, 2)
     with lat.context():
-        e1 = lat.wp(half, 0)
-        e2 = lat.wp(0, half)
-        e3 = lat.wp(half, half)
+        e1 = lat.wp(*coords(half, 0))
+        e2 = lat.wp(*coords(0, half))
+        e3 = lat.wp(*coords(half, half))
         assert abs(e1 + e2 + e3) < mp.mpf(10) ** -70
         assert abs(-4 * (e1 * e2 + e1 * e3 + e2 * e3) - lat.g2) < mp.mpf(10) ** -70
         assert abs(4 * e1 * e2 * e3 - lat.g3) < mp.mpf(10) ** -70
         # wp' vanishes at 2-torsion
-        assert abs(lat.wp_prime(half, 0)) < mp.mpf(10) ** -70
+        assert abs(lat.wp_prime(*coords(half, 0))) < mp.mpf(10) ** -70
 
 
 def test_quasi_period_jumps(lat):
     with lat.context():
         x, y = Fraction(3, 7), Fraction(2, 5)
         tol = mp.mpf(10) ** -70
-        assert abs(lat.zeta(x + 1, y) - lat.zeta(x, y) - lat.eta1) < tol
-        assert abs(lat.zeta(x, y + 1) - lat.zeta(x, y) - lat.eta_omega) < tol
+        assert abs(lat.zeta(*coords(x + 1, y)) - lat.zeta(*coords(x, y)) - lat.eta1) < tol
+        assert abs(lat.zeta(*coords(x, y + 1)) - lat.zeta(*coords(x, y)) - lat.eta_omega) < tol
         # Legendre relation is structural: eta1*tau - eta_omega = 2 pi i
         assert abs(lat.eta1 * lat.tau - lat.eta_omega - 2 * mp.pi * mp.mpc(0, 1)) == 0
 
@@ -162,10 +164,10 @@ def test_sigma_translation_factor_exhaustive(lat):
     with lat.context():
         x, y = Fraction(1, 3), Fraction(2, 7)
         z = embed(lat, x, y)
-        sz = lat.sigma(x, y)
+        sz = lat.sigma(*coords(x, y))
         for m in range(-2, 3):
             for n in range(-2, 3):
-                lhs = lat.sigma(x + m, y + n)
+                lhs = lat.sigma(*coords(x + m, y + n))
                 rhs = translation_factor(lat, m, n, z) * sz
                 assert abs(lhs - rhs) < mp.mpf(10) ** -60 * max(1, abs(lhs))
 
@@ -190,7 +192,7 @@ def test_precision_scaling_of_residual():
     for prec in (128, 256):
         L = AnalyticLattice(GAUSS, prec)
         with L.context():
-            wp, wpp = L.wp(*z), L.wp_prime(*z)
+            wp, wpp = L.wp(*coords(*z)), L.wp_prime(*coords(*z))
             res[prec] = abs(wpp ** 2 - (4 * wp ** 3 - L.g2 * wp - L.g3))
     with AnalyticLattice(GAUSS, 256).context():
         assert res[256] < res[128] * mp.mpf(10) ** -30
@@ -201,14 +203,14 @@ def test_embed_and_reduce(lat):
         e = GAUSS.parse("3-2*i")
         z = embed(lat, e.x, e.y)
         assert abs(z - (3 - 2j)) < mp.mpf(10) ** -70
-    assert lat.reduce(e.x, e.y) == (0, 0, 3, -2)
+    assert reduced(lat, e.x, e.y) == (0, 0, 3, -2)
     # exact ties round to the even integer; in Q(sqrt(-3)) m rounds
     # x + (y - n)/2, the real coordinate left after removing n
     half = Fraction(1, 2)
-    assert lat.reduce(Fraction(7, 2), Fraction(-5, 2)) == (-half, -half, 4, -2)
+    assert reduced(lat, Fraction(7, 2), Fraction(-5, 2)) == (-half, -half, 4, -2)
     eisen = AnalyticLattice(EISEN, 64)
-    assert eisen.reduce(Fraction(1, 4), half) == (Fraction(1, 4), half, 0, 0)
-    assert eisen.reduce(Fraction(5, 4), Fraction(3, 2)) == (Fraction(1, 4), -half, 1, 2)
+    assert reduced(eisen, Fraction(1, 4), half) == (Fraction(1, 4), half, 0, 0)
+    assert reduced(eisen, Fraction(5, 4), Fraction(3, 2)) == (Fraction(1, 4), -half, 1, 2)
     # the offset lies in the cell |Re| <= 1/2, |Im| <= Im(tau)/2
     rng = random.Random(31)
     for d in DISCRIMINANTS:
@@ -216,9 +218,53 @@ def test_embed_and_reduce(lat):
         for _ in range(50):
             x = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             y = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
-            x0, y0, m, n = L.reduce(x, y)
+            x0, y0, m, n = reduced(L, x, y)
             assert (x0 + m, y0 + n) == (x, y)
             assert abs(y0) <= half and abs(x0 + y0 * L.field.trace_omega / 2) <= half
+
+
+def _reduce_mismatches():
+    """(d, x, y, k) wherever the integer reduce, at the point's least
+    denominator (k = 1) and at six times it, differs from the Fraction
+    reference or returns an offset that is not in lowest terms.  Seeded
+    rationals at all nine fields, with exact ties: y at a half, the real
+    coordinate x + (y - round(y)) t/2 at a half, and both at once."""
+    rng = random.Random(97)
+    half = Fraction(1, 2)
+
+    def rational():
+        return Fraction(rng.randint(-400, 400), rng.randint(1, 40))
+
+    bad = []
+    for d in DISCRIMINANTS:
+        L = AnalyticLattice(QuadField(d), 64)
+        t = L.field.trace_omega
+        points = [(rational(), rational()) for _ in range(60)]
+        for _ in range(20):
+            y, y_tie = rational(), rng.randint(-5, 5) + half
+            x_tie = [rng.randint(-5, 5) + half - (v - round(v)) * Fraction(t, 2)
+                     for v in (y, y_tie)]
+            points += [(rational(), y_tie), (x_tie[0], y), (x_tie[1], y_tie)]
+        for x, y in points:
+            want = reduce_reference(t, x, y)
+            X, Y, D = coords(x, y)
+            for k in (1, 6):
+                X0, Y0, L0, m, n = L.reduce(k * X, k * Y, k * D)
+                if ((Fraction(X0, L0), Fraction(Y0, L0), m, n) != want
+                        or math.gcd(X0, Y0, L0) != 1):
+                    bad.append((d, x, y, k))
+    return bad
+
+
+def test_integer_reduce_matches_fraction_reference():
+    assert _reduce_mismatches() == []
+
+
+def test_integer_reduce_fault_control(monkeypatch):
+    # ties rounded up in place of to even: both kinds of field must show it
+    monkeypatch.setattr(analytic, "_round", lambda num, den: (2 * num + den) // (2 * den))
+    bad = _reduce_mismatches()
+    assert {QuadField(d).trace_omega for d, *_ in bad} == {0, 1}
 
 
 def test_eta_linear_matches_lattice_values(lat):
@@ -309,7 +355,7 @@ def _worst_log2_errors(lat, points, wants):
     for (x, y), want in zip(points, wants):
         for j, (fn, w) in enumerate(zip((lat.sigma, lat.zeta, lat.wp), want)):
             if w is not None:
-                got = fn(x, y)
+                got = fn(*coords(x, y))
                 with mp.workprec(lat.prec + 256):
                     worst[j] = max(worst[j], abs(got - w) / abs(w))
     with mp.workprec(64):
@@ -340,7 +386,7 @@ def test_kernel_agreement_fails_without_reduction():
     # by a rule of its own
     for d in DISCRIMINANTS:
         lat = AnalyticLattice(QuadField(d), 256)
-        lat.reduce = lambda x, y: (x, y, 0, 0)
+        lat.reduce = lambda X, Y, D: (X, Y, D, 0, 0)
         points, wants = _agreement_data(d, 256)
         errors = _worst_log2_errors(lat, points[FAR], wants[FAR])
         assert min(errors) >= -256, (d, errors)
@@ -371,7 +417,7 @@ def test_kernel_agreement_fails_with_phase_mod_1(monkeypatch):
 def test_real_argument_gives_real_values(lat):
     with lat.context():
         for x in (Fraction("0.3"), Fraction("-0.45"), Fraction("3.3")):
-            for value in (lat.sigma(x, 0), lat.zeta(x, 0), lat.wp(x, 0)):
+            for value in (lat.sigma(*coords(x, 0)), lat.zeta(*coords(x, 0)), lat.wp(*coords(x, 0))):
                 assert mp.im(value) == 0
 
 
@@ -386,7 +432,7 @@ EXACT_OFFSETS = ((Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 7), Fraction(3,
 def _memo_sigma(lat, x, y):
     """sigma at x + y*omega through the lattice memo, under the key
     elliptic-function products use."""
-    return lat.memo(("sigma", x, y), lambda: lat.sigma(x, y))
+    return lat.memo(("sigma", *coords(x, y)), lambda: lat.sigma(*coords(x, y)))
 
 
 @pytest.mark.parametrize("d", (-4, -3, -163))
@@ -394,14 +440,14 @@ def test_sigma_memo_is_bit_identical(d, monkeypatch):
     runs = []
     kernel = AnalyticLattice.sigma
     monkeypatch.setattr(AnalyticLattice, "sigma",
-                        lambda lat, x, y: runs.append((x, y)) or kernel(lat, x, y))
+                        lambda lat, *c: runs.append(c) or kernel(lat, *c))
     K = QuadField(d)
     warm = AnalyticLattice(K, 256)
     cold = [_memo_sigma(warm, x, y)._mpc_ for x, y in EXACT_OFFSETS]
     again = [_memo_sigma(warm, x, y)._mpc_ for x, y in EXACT_OFFSETS]
-    assert runs == list(EXACT_OFFSETS)  # the second round reads the memo
+    assert runs == [coords(x, y) for x, y in EXACT_OFFSETS]  # the second round reads the memo
     fresh = AnalyticLattice(K, 256)
-    assert cold == again == [fresh.sigma(x, y)._mpc_ for x, y in EXACT_OFFSETS]
+    assert cold == again == [fresh.sigma(*coords(x, y))._mpc_ for x, y in EXACT_OFFSETS]
 
 
 def _memo_sharing_errors(lo, hi):
@@ -410,7 +456,7 @@ def _memo_sharing_errors(lo, hi):
     for x, y in EXACT_OFFSETS:
         _memo_sigma(lo, x, y)
     return [(x, y) for x, y in EXACT_OFFSETS
-            if _memo_sigma(hi, x, y)._mpc_ != hi.sigma(x, y)._mpc_]
+            if _memo_sigma(hi, x, y)._mpc_ != hi.sigma(*coords(x, y))._mpc_]
 
 
 def test_sigma_memo_is_per_lattice():

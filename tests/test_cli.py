@@ -121,10 +121,13 @@ def test_verification_failure_exits_1():
     assert not rec["pass"]
 
 
-def test_config_errors_exit_2():
+def test_config_errors_exit_2(tmp_path):
     # (1+2w) has no generator congruent to 1 mod (7): the character, not
     # the curve, rejects this conductor
     conductor = ("hecke-check", "--d", "-7", "--conductor", "7", "--bound", "30")
+    # an --out that cannot be opened: a missing directory, and a directory
+    unwritable = [("enumerate", "--out", str(tmp_path / "missing" / "x.jsonl")),
+                  ("enumerate", "--out", str(tmp_path))]
     cases = [
         ("certify-tame", "--m", "garbage"),
         ("certify-tame", "--m", "0"),
@@ -153,6 +156,7 @@ def test_config_errors_exit_2():
          "--a", "3"),
         ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
         conductor,
+        *unwritable,
     ]
     errors = {}
     for argv in cases:
@@ -161,6 +165,8 @@ def test_config_errors_exit_2():
         assert err.strip().startswith("error:"), argv
         errors[argv] = err
     assert errors[conductor].startswith("error: --conductor:"), errors[conductor]
+    for argv in unwritable:
+        assert errors[argv].startswith("error: --out:"), errors[argv]
 
 
 def test_exact_commands_import_no_analytic_code(tmp_path):

@@ -7,13 +7,18 @@ tolerances far below working precision, and the shifted-copy sigma
 product evaluated at 768 bits.
 """
 
+import cProfile
+import math
+import pstats
 import random
 import re
+import types
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from cmk2 import divisors
 from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import (
     ConstAtom,
@@ -32,7 +37,7 @@ from cmk2.divisors import (
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_subgroup
-from oracles import embed, eta_linear, frac
+from oracles import coords, embed, eta_linear, frac
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -51,6 +56,11 @@ def build_s_m(sys, m, scale=None):
 
 def O(field=F4):
     return TorsionPoint(field, 0, 0)
+
+
+def fraction_lifts(f):
+    """f's lifts as (r, s, m) with Fraction coordinates."""
+    return tuple((Fraction(R, f.den), Fraction(S, f.den), m) for R, S, m in f.lifts)
 
 
 def test_divisor_algebra_and_weighted_sum():
@@ -91,16 +101,16 @@ def test_g2_lift_adjustment_frozen():
     # one canonical lift per support point, and the integral lift sum
     # lam = -(1 + i) that the normalization corrects for
     g2 = build_g_a(F4, 2)
-    assert g2.lifts == (
+    assert fraction_lifts(g2) == (
         (Fraction(0), Fraction(0), 3),
         (Fraction(0), Fraction(1, 2), -1),
         (Fraction(1, 2), Fraction(0), -1),
         (Fraction(1, 2), Fraction(1, 2), -1),
     )
     assert g2.lam == (-1, -1)
-    assert sum(e for r, s, e in g2.lifts) == 0
-    assert F4.element(sum(e * r for r, s, e in g2.lifts),
-                      sum(e * s for r, s, e in g2.lifts)) == F4.element(*g2.lam)
+    assert sum(e for r, s, e in fraction_lifts(g2)) == 0
+    assert F4.element(sum(e * r for r, s, e in fraction_lifts(g2)),
+                      sum(e * s for r, s, e in fraction_lifts(g2))) == F4.element(*g2.lam)
 
 
 def test_norm_constant_g2_is_exp_minus_half_pi():
@@ -113,9 +123,10 @@ def test_norm_constant_g2_is_exp_minus_half_pi():
     with lat.context():
         for z in (F4.element(Fraction(0.231), Fraction(0.377)),
                   F4.element(Fraction(-1.61), Fraction(2.118))):
-            copy = mp.exp(-mp.pi / 2) * lat.sigma(z.x - 1, z.y - 1) * lat.sigma(z.x, z.y) ** 2
+            copy = (mp.exp(-mp.pi / 2) * lat.sigma(*coords(z.x - 1, z.y - 1))
+                    * lat.sigma(*coords(z.x, z.y)) ** 2)
             for r, s in halves:
-                copy = copy / lat.sigma(z.x - r, z.y - s)
+                copy = copy / lat.sigma(*coords(z.x - r, z.y - s))
             assert abs(g2.evaluate(lat, z) / copy - 1) < mp.mpf(10) ** -50
 
 
@@ -348,12 +359,12 @@ def test_lattice_points_are_poles_of_zeta_and_wp():
     for fn in (lat.zeta, lat.wp, lat.wp_prime):
         for x, y in ((1, 0), (-2, 3)):
             with pytest.raises(PoleError, match=re.escape(str(F4.element(x, y)))):
-                fn(x, y)
+                fn(x, y, 1)
     route = wp_route_evaluator(F4, 2, lat)
     with pytest.raises(PoleError, match=re.escape(str(F4.element(2, 1)))):
         route(F4.element(2, 1))
     # sigma has a zero there, and returns its leading coefficient
-    assert lat.sigma(1, 0) != 0
+    assert lat.sigma(1, 0, 1) != 0
 
 
 def test_complex_points_are_rejected():
@@ -461,7 +472,7 @@ def _shifted_copy_product(f, lat, z):
     moved by -e lam, times exp(-(1/2) sum_i e_i eta(u_i) u_i) over its
     lifts u_i.  At a lattice offset sigma gives its leading coefficient,
     so this is also the leading coefficient at a support point."""
-    lifts = list(f.lifts)
+    lifts = list(fraction_lifts(f))
     lx, ly = f.lam
     if (lx, ly) != (0, 0):
         r0, s0, m0 = lifts[0]
@@ -471,7 +482,7 @@ def _shifted_copy_product(f, lat, z):
         out = mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
                           for r, s, m in lifts) / 2)
         for r, s, m in lifts:
-            out = out * lat.sigma(z.x - r, z.y - s) ** m
+            out = out * lat.sigma(*coords(z.x - r, z.y - s)) ** m
         return out
 
 
@@ -510,9 +521,10 @@ def _without_legendre_phase():
     constants = EllFunction._constants
 
     def patched(self):
-        zeta, xi, h = constants(self)
-        (r0, s0, _m), (lx, ly) = self.lifts[0], self.lam
-        return zeta, xi, (h - (r0 * ly - s0 * lx)) % 2
+        zeta, xi, h, den = constants(self)
+        # the phase pi (r0 ly - s0 lx), r0 = R0/e, is 2 e (R0 ly - S0 lx) over den
+        (R0, S0, _m), (lx, ly) = self.lifts[0], self.lam
+        return zeta, xi, h - 2 * self.den * (R0 * ly - S0 * lx), den
     return "_constants", patched
 
 
@@ -523,8 +535,8 @@ def _lam_squared_cancelling_numerically():
     # apart, they cancel only numerically
     product = EllFunction._product
 
-    def patched(self, lat, z):
-        out = product(self, lat, z)
+    def patched(self, lat, z, poles):
+        out = product(self, lat, z, poles)
         lx, ly = self.lam
         with lat.context():
             copy = eta_linear(lat, lx, ly) * embed(lat, lx, ly) / 2
@@ -540,3 +552,72 @@ def _lam_squared_cancelling_numerically():
 def test_accuracy_fault_controls(fault, monkeypatch):
     monkeypatch.setattr(EllFunction, *fault())
     assert _accuracy_failures(256)
+
+
+# --- one exact-point format from evaluate to the kernel --------------------------
+
+
+def _fraction_calls(lat, calls):
+    """{function name: call count} of fractions.py while `calls` run under
+    cProfile against the lattice."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for fn, method, z in calls:
+        getattr(fn, method)(lat, z)
+    profile.disable()
+    return {name: stat[1] for (path, _line, name), stat in pstats.Stats(profile).stats.items()
+            if path.endswith("fractions.py")}
+
+
+def test_evaluation_path_builds_no_fraction():
+    # past the boundary, evaluate and leading_at run on integers: the only
+    # code of fractions.py they may run is the numerator and denominator
+    # properties that put a point over one denominator.  Constructors,
+    # _from_coprime_ints and the arithmetic all count, so this holds on
+    # every Python version
+    lat = AnalyticLattice(F4, 256)
+    with lat.context():  # warm the lattice's fixed-point constants
+        build_g_a(F4, 2).evaluate(lat, F4.element(Fraction(0.3), Fraction(0.6)))
+    g3 = build_g_a(F4, 3)
+    s = build_s_point(TorsionPoint(F4, Fraction(1, 5), Fraction(2, 5)), 5)
+    rng = random.Random(41)
+    samples = [F4.element(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
+    calls = [(f, "evaluate", z) for f in (g3, s) for z in samples]
+    calls += [(f, "leading_at", f.divisor.support()[1]) for f in (g3, s)]
+    assert set(_fraction_calls(lat, calls)) <= {"numerator", "denominator"}
+
+
+def _kernel_runs_and_offsets(monkeypatch):
+    """(kernel runs, distinct exact offsets z - u) when g_2, lift
+    denominator 2, and a two-point function at a 1/5-point, lift
+    denominator 5, are evaluated at the same points.  Both have a lift at
+    0, so both reach each offset z - 0."""
+    runs = []
+    kernel = AnalyticLattice.sigma
+    monkeypatch.setattr(AnalyticLattice, "sigma",
+                        lambda lat, *c: runs.append(c) or kernel(lat, *c))
+    lat = AnalyticLattice(F4, 128)
+    fns = (build_g_a(F4, 2), build_s_point(TorsionPoint(F4, Fraction(1, 5), Fraction(2, 5)), 5))
+    assert [f.den for f in fns] == [2, 5]
+    points = (F4.element(Fraction(1, 3), Fraction(1, 7)), F4.element(Fraction(0.3), Fraction(0.6)))
+    offsets = []
+    with lat.context():
+        for f in fns:
+            for z in points:
+                f.evaluate(lat, z)
+                offsets += [(z.x - r, z.y - s) for r, s, _m in fraction_lifts(f)]
+    assert len(set(offsets)) < len(offsets)  # the offsets z - 0 are shared
+    return runs, set(offsets)
+
+
+def test_memo_key_is_the_offset_in_lowest_terms(monkeypatch):
+    runs, offsets = _kernel_runs_and_offsets(monkeypatch)
+    assert len(runs) == len(offsets)
+
+
+def test_memo_key_fault_control(monkeypatch):
+    # a key left over the common denominator of z and the lifts, without
+    # the gcd, keys one offset twice
+    monkeypatch.setattr(divisors, "math", types.SimpleNamespace(lcm=math.lcm, gcd=lambda *a: 1))
+    runs, offsets = _kernel_runs_and_offsets(monkeypatch)
+    assert len(runs) > len(offsets)

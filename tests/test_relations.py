@@ -7,15 +7,18 @@ multiplicative conjugation plus a twist point).
 """
 
 import gc
+import math
 import subprocess
 import sys
 import textwrap
+import types
 import weakref
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from cmk2 import cli, relations
+from cmk2 import cli, divisors, relations
 from cmk2.analytic import AnalyticLattice
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
@@ -243,10 +246,9 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
     assert e25 == cold_e2[4]
 
 
-def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path):
-    # `cmk2 all` verifies E1 and E2 once each, and the function-identity
-    # stage reads its relation's run instead of building another; the
-    # sigma kernel runs once per lattice and exact offset
+def _all_units_and_kernel_runs(monkeypatch, tmp_path):
+    """(conjugating_units calls, kernel runs as (lattice, X, Y, D)) of one
+    in-process `cmk2 all`."""
     calls = []
     units = relations.conjugating_units
     monkeypatch.setattr(relations, "conjugating_units",
@@ -254,12 +256,34 @@ def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path)
     runs = []
     kernel = AnalyticLattice.sigma
     monkeypatch.setattr(AnalyticLattice, "sigma",
-                        lambda lat, x, y: runs.append((lat, x, y)) or kernel(lat, x, y))
+                        lambda lat, *c: runs.append((lat, *c)) or kernel(lat, *c))
     argv = ["all", "--bound", "30", "--prec", "128", "--tol", "1e-12",
             "--samples", "4", "--out", str(tmp_path / "all.jsonl")]
     assert cli.main(argv) == 0
+    return calls, runs
+
+
+def _distinct_offsets(runs):
+    return {(lat, Fraction(X, D), Fraction(Y, D)) for lat, X, Y, D in runs}
+
+
+def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path):
+    # `cmk2 all` verifies E1 and E2 once each, and the function-identity
+    # stage reads its relation's run instead of building another; the
+    # sigma kernel runs once per lattice and exact offset, each offset
+    # reaching it as integers in lowest terms
+    calls, runs = _all_units_and_kernel_runs(monkeypatch, tmp_path)
     assert len(calls) == 2
-    assert runs and len(runs) == len(set(runs))
+    assert runs and len(runs) == len(set(runs)) == len(_distinct_offsets(runs))
+
+
+def test_all_kernel_runs_fault_control(monkeypatch, tmp_path):
+    # a memo key without the gcd of the offset's numerators and
+    # denominator runs the kernel again for an offset already computed
+    # over another denominator
+    monkeypatch.setattr(divisors, "math", types.SimpleNamespace(lcm=math.lcm, gcd=lambda *a: 1))
+    _calls, runs = _all_units_and_kernel_runs(monkeypatch, tmp_path)
+    assert len(runs) > len(_distinct_offsets(runs))
 
 
 def test_function_identity_reports():
