@@ -126,8 +126,11 @@ class Context:
         return ideal
 
     def split_pair(self):
-        """(distinguished, conjugate) primes above --p."""
-        return _checked("--p", self.chi.split_primes_above, self.args.p)
+        """(distinguished, conjugate) primes above --p; a prime the character
+        cannot normalize is the conductor's fault."""
+        if _checked("--p", split_rational_prime, self.field, self.args.p)[0] != "split":
+            raise ConfigError(f"--p: {self.args.p} is not split")
+        return _checked("--conductor", self.chi.split_primes_above, self.args.p)
 
 
 # Each command renders one record from the shared context and its own

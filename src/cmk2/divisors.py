@@ -1,10 +1,10 @@
 """Divisors on exact torsion points and their normalized sigma-products.
 
 An EllFunction is stored exactly: one canonical lift p = r + s*omega
-(r, s in [0, 1)) per support point P with its multiplicity m_P, and the
-lift sum lam = sum m_P p, a lattice point by principality.  Nothing
-numeric is stored; evaluation happens against an AnalyticLattice on
-demand.
+per support point P, the point's (X + Y*omega)/D with r, s in [0, 1),
+with its multiplicity m_P, and the lift sum lam = sum m_P p, a lattice
+point by principality.  Nothing numeric is stored; evaluation happens
+against an AnalyticLattice on demand.
 
 Normalization: the function is the sigma product whose lift sum is
 zero, one sigma copy of the first support point P0 (sign e of m_P0)
@@ -31,12 +31,12 @@ largest |m_P|, grouped by multiplicity: one power per distinct exponent,
 so a two-point function takes one power and g_a and g_ell take none.
 
 Evaluation points are exact: a TorsionPoint, or a field element with
-rational coordinates (53-bit float samples are dyadic rationals).
-`_coords` puts one over one denominator at the public boundary; from
-there, lifts, constants, offsets z - u and exp_eta's exponent are
-integers over a common denominator, and each offset keys the memo and
-reaches the kernel in lowest terms.  So the pole test is exact: z is a
-zero or pole exactly when one offset z - u is a lattice point.
+rational coordinates (53-bit float samples are dyadic rationals) that
+`_coords` puts over one denominator.  From there, lifts, constants,
+offsets z - u and exp_eta's exponent are integers over a common
+denominator, and each offset keys the memo and reaches the kernel in
+lowest terms.  So the pole test is exact: z is a zero or pole exactly
+when one offset z - u is a lattice point.
 """
 
 from __future__ import annotations
@@ -59,12 +59,11 @@ def _coords(z) -> tuple:
     """(X, Y, D) with z = (X + Y*omega)/D in lowest terms, for an evaluation
     point z: a TorsionPoint, at its canonical lift, or a field element."""
     if isinstance(z, TorsionPoint):
-        x, y = z.r, z.s
-    elif isinstance(z, QuadElement):
-        x, y = z.x, z.y
-    else:
+        return z.X, z.Y, z.D
+    if not isinstance(z, QuadElement):
         raise TypeError("evaluation points are TorsionPoint or QuadElement, "
                         f"not {type(z).__name__}")
+    x, y = z.x, z.y
     D = math.lcm(x.denominator, y.denominator)
     return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
 
@@ -91,16 +90,18 @@ class Divisor:
         return sum(self.points.values())
 
     def weighted_sum(self) -> QuadElement:
-        """Sum of mult * (canonical lift) as an exact field element."""
-        r = sum((Fraction(m) * P.r for P, m in self.points.items()), Fraction(0))
-        s = sum((Fraction(m) * P.s for P, m in self.points.items()), Fraction(0))
-        return self.field.element(r, s)
+        """Sum of mult * (canonical lift) as an exact field element, its
+        integer numerators summed over one denominator."""
+        D = math.lcm(*(P.D for P in self.points))
+        X = sum(m * P.X * (D // P.D) for P, m in self.points.items())
+        Y = sum(m * P.Y * (D // P.D) for P, m in self.points.items())
+        return self.field.element(Fraction(X, D), Fraction(Y, D))
 
     def is_principal(self) -> bool:
         return self.degree == 0 and self.weighted_sum().is_integral()
 
     def support(self) -> list[TorsionPoint]:
-        return sorted(self.points, key=TorsionPoint.key)
+        return sorted(self.points)
 
     def multiplicity(self, P: TorsionPoint) -> int:
         return self.points.get(P, 0)
@@ -137,7 +138,7 @@ class Divisor:
         return Divisor(self.field, out)
 
     def signature(self) -> tuple:
-        return tuple((P.r, P.s, m) for P, m in sorted(self.points.items(), key=lambda t: t[0].key()))
+        return tuple((P.X, P.Y, P.D, m) for P, m in sorted(self.points.items()))
 
     def __eq__(self, other):
         return (
@@ -150,7 +151,7 @@ class Divisor:
         return hash((self.field.d, self.signature()))
 
     def __repr__(self):
-        inner = " ".join(f"{m:+d}({P})" for P, m in sorted(self.points.items(), key=lambda t: t[0].key()))
+        inner = " ".join(f"{m:+d}({P})" for P, m in sorted(self.points.items()))
         return f"Div[{inner}]"
 
 
@@ -207,7 +208,7 @@ class ConstAtom:
             return ("exact", self.exact)
         if self.evaluator is not None:
             return ("lazy", self.tag)
-        return ("eval", self.fn.signature(), (self.point.r, self.point.s), self.exponent)
+        return ("eval", self.fn.signature(), _coords(self.point), self.exponent)
 
     def __eq__(self, other):
         return isinstance(other, ConstAtom) and other.signature() == self.signature()
@@ -253,16 +254,14 @@ class EllFunction:
 
     @classmethod
     def from_divisor(cls, D: Divisor, extra: tuple = ()) -> "EllFunction":
-        if not D.is_principal():
+        points = sorted(D.points.items())
+        den = math.lcm(*(P.D for P, _m in points))
+        lifts = tuple((P.X * (den // P.D), P.Y * (den // P.D), m) for P, m in points)
+        lx, ly = sum(R * m for R, _S, m in lifts), sum(S * m for _R, S, m in lifts)
+        if D.degree != 0 or lx % den or ly % den:
             raise ValueError(f"divisor is not principal: degree {D.degree}, "
                              f"weighted sum {D.weighted_sum()}")
-        points = [(_coords(P), D.multiplicity(P)) for P in D.support()]
-        den = math.lcm(*(q for (_X, _Y, q), _m in points))
-        lam = D.weighted_sum()
-        if D.degree != 0 or not lam.is_integral():
-            raise ArithmeticError(f"the lifts of {D} do not sum to a lattice point")
-        return cls(D, tuple((X * (den // q), Y * (den // q), m) for (X, Y, q), m in points),
-                   den, (lam.x, lam.y), extra)
+        return cls(D, lifts, den, (lx // den, ly // den), extra)
 
     # --- structural ----------------------------------------------------------
 
@@ -376,8 +375,7 @@ class EllFunction:
         above the exact point z."""
 
         def ev(z):
-            X, Y, D = _coords(z)
-            Q = TorsionPoint(self.field, Fraction(X, D), Fraction(Y, D))
+            Q = TorsionPoint(self.field, *_coords(z))
             with lat.context():
                 out = mp.mpc(1)
                 for u in preimage_set(Q, alpha):

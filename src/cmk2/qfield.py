@@ -7,7 +7,7 @@ by a canonical generator: the unique associate whose complex argument
 lies in [0, 2*pi/w_K), ties broken toward the positive real axis.
 
 Coordinates are ints, or Fractions for non-integral field elements
-(torsion denominators, exact quotients).  Nothing in this module touches
+(sample points, exact quotients).  Nothing in this module touches
 floating point.
 """
 
@@ -226,15 +226,17 @@ class QuadElement:
         return self.x == 0 and self.y == 0
 
     def divides(self, other: "QuadElement") -> bool:
+        """other/self is integral: N(self) divides other * conj(self)."""
         if self.is_zero():
             return other.is_zero()
-        return (other / self).is_integral()
+        num, nrm = other * self.conjugate(), self.norm()
+        return num.x % nrm == 0 and num.y % nrm == 0
 
-    def exact_div(self, other) -> "QuadElement":
-        q = self / other
-        if not q.is_integral():
+    def exact_div(self, other: "QuadElement") -> "QuadElement":
+        if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return q
+        num, nrm = self * other.conjugate(), other.norm()
+        return QuadElement(self.field, num.x // nrm, num.y // nrm)
 
     # --- canonical associate ----------------------------------------------
 

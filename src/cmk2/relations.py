@@ -118,7 +118,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     with lat.context():
         r = _run(lat, relation, sys, m, ell, a, samples, tol, seed)
         k = r.k
-        lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit, key=TorsionPoint.key)]
+        lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit)]
         if relation == "E2":
             lhs_fns.append(build_s_point(r.twist, k))
         s_m = build_s_point(r.y_m, k)
@@ -166,7 +166,7 @@ class _Run:
         self.kind, self.units = conjugating_units(sys, m, ell, a)
         self.y_m, y_ml = sys.y(m), sys.y(self.ml)
         self.orbit = {y_ml} | {y_ml.act(u) for u in self.units}
-        self.orbit_strs = [str(P) for P in sorted(self.orbit, key=TorsionPoint.key)]
+        self.orbit_strs = [str(P) for P in sorted(self.orbit)]
 
     @cached_property
     def fiber(self) -> set:
@@ -295,8 +295,7 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
         B = build_pair_B(field, a, ell)
         k_u = ell.norm
         diff = A.scale(k_u) - B
-        points = sorted(set(A.support_points()) | set(B.support_points()),
-                        key=TorsionPoint.key)
+        points = sorted(set(A.support_points()) | set(B.support_points()))
         moduli_ok = True
         rows = []
         for P in points:
@@ -467,7 +466,7 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
         points = base.support_points()
         base_vals = [mp.mpc(tame_symbol_at(base, lat, P)) for P in points]
         base_cert = certify_tame_kernel(base, lat, tol=tol)
-        hint = TorsionPoint(field, Fraction(1, 7), Fraction(2, 7))
+        hint = TorsionPoint(field, 1, 2, 7)
 
         k = (m * sys.f_level).norm
         perturbations = [
@@ -495,7 +494,7 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
 
         # fault control: replacing the two-point function by one at a
         # different point is not a constant move and must be caught
-        other = sys.y(m) + TorsionPoint(field, 0, Fraction(1, 2))
+        other = sys.y(m) + TorsionPoint(field, 0, 1, 2)
         fault_scale = None
         for cand in (k, 2 * k, 4 * k):
             if other.act(cand).is_zero():

@@ -90,7 +90,7 @@ class SymbolSum:
             for side in (L, R):
                 if isinstance(side, EllFunction):
                     seen.update(side.divisor.support())
-        return sorted(seen, key=TorsionPoint.key)
+        return sorted(seen)
 
     def term_count(self) -> int:
         return len(self.terms)

@@ -1,19 +1,21 @@
 """Exact torsion bookkeeping on K/O_K.
 
-A torsion point is a pair of rationals (r, s) modulo 1, standing for
-r + s*omega on the complex torus.  Integral elements act through the
-multiplication formula of the field; annihilators are exact ideals.
+A torsion point is three integers (X, Y, D) with D > 0, 0 <= X, Y < D
+and gcd(X, Y, D) = 1, standing for (X + Y*omega)/D modulo O_K: the
+format `analytic` and `divisors` evaluate at.  Integral elements act
+through the multiplication formula of the field, and 1/alpha is
+conj(alpha)/N(alpha), so every map here is integer arithmetic with one
+gcd per point; annihilators are exact ideals.
 
 The compatible system: x at level m is the class of 1/phi(m), built so
 that the norm-compatibility [phi(l)] x_{ml} = x_m is an identity of
-rational numbers rather than a constraint.  The shifted points y add the
+exact points rather than a constraint.  The shifted points y add the
 conductor-level generator x_f twisted by the inverse residue of phi.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .hecke import HeckeCharacter
 from .qfield import (
@@ -26,112 +28,106 @@ from .qfield import (
 )
 
 
-def _mod1(v) -> Fraction:
-    f = Fraction(v)
-    return f - (f.numerator // f.denominator)
-
-
 class TorsionPoint:
-    __slots__ = ("field", "r", "s")
+    """(X + Y*omega)/D modulo O_K, stored reduced: 0 <= X, Y < D and
+    gcd(X, Y, D) = 1.  Points order by (X/D, Y/D) lexicographically."""
 
-    def __init__(self, field: QuadField, r, s):
+    __slots__ = ("field", "X", "Y", "D")
+
+    def __init__(self, field: QuadField, X: int, Y: int, D: int = 1):
+        g = math.gcd(X, Y, D)
         self.field = field
-        self.r = _mod1(r)
-        self.s = _mod1(s)
+        self.D = D // g
+        self.X = X // g % self.D
+        self.Y = Y // g % self.D
 
     def is_zero(self) -> bool:
-        return self.r == 0 and self.s == 0
+        return self.D == 1
 
-    def key(self):
-        """Lexicographic sort key; the canonical ordering of support points."""
-        return (self.r, self.s)
+    def __lt__(self, other: "TorsionPoint") -> bool:
+        a, b = self.X * other.D, other.X * self.D
+        return a < b or (a == b and self.Y * other.D < other.Y * self.D)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
         if other.field != self.field:
             raise ValueError("field mismatch")
-        return TorsionPoint(self.field, self.r + other.r, self.s + other.s)
+        return TorsionPoint(self.field, self.X * other.D + other.X * self.D,
+                            self.Y * other.D + other.Y * self.D, self.D * other.D)
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        return TorsionPoint(self.field, self.r - other.r, self.s - other.s)
+        return self + -other
 
     def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(self.field, -self.r, -self.s)
+        return TorsionPoint(self.field, -self.X, -self.Y, self.D)
 
     def act(self, alpha) -> "TorsionPoint":
         """The point alpha * P for an integral field element (or integer)."""
         if isinstance(alpha, int):
-            return TorsionPoint(self.field, alpha * self.r, alpha * self.s)
+            return TorsionPoint(self.field, alpha * self.X, alpha * self.Y, self.D)
         if not alpha.is_integral():
             raise ValueError("only integral elements act on torsion")
-        return torsion_from_element(self.field, alpha * self.lift())
+        p = self.field.element(self.X, self.Y) * alpha
+        return TorsionPoint(self.field, p.x, p.y, self.D)
 
     def annihilator(self) -> QuadIdeal:
         """The ideal of all elements sending the point to zero."""
         K = self.field
-        if self.is_zero():
-            return QuadIdeal(K.one())
-        q = math.lcm(self.r.denominator, self.s.denominator)
-        beta = K.element(int(self.r * q), int(self.s * q))
-        g = gcd_elements(beta, K.element(q))
-        return QuadIdeal(K.element(q).exact_div(g))
-
-    def lift(self) -> QuadElement:
-        """The canonical fractional lift r + s*omega as a field element."""
-        return self.field.element(self.r, self.s)
+        den = K.element(self.D)
+        return QuadIdeal(den.exact_div(gcd_elements(K.element(self.X, self.Y), den)))
 
     def __eq__(self, other):
         return (
             isinstance(other, TorsionPoint)
             and other.field == self.field
-            and other.r == self.r
-            and other.s == self.s
+            and other.X == self.X
+            and other.Y == self.Y
+            and other.D == self.D
         )
 
     def __hash__(self):
-        return hash((self.field.d, self.r, self.s))
+        return hash((self.field.d, self.X, self.Y, self.D))
 
     def __repr__(self):
         return f"[{self}]"
 
     def __str__(self):
-        return f"{self.r}+{self.s}*w"
+        """Each coordinate in lowest terms, as the certificates print it."""
+        return f"{_rational(self.X, self.D)}+{_rational(self.Y, self.D)}*w"
 
 
-def torsion_from_element(field: QuadField, elem: QuadElement) -> TorsionPoint:
-    """The class of a (possibly fractional) field element in K/O_K."""
-    return TorsionPoint(field, elem.x, elem.y)
+def _rational(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def division_point(alpha: QuadElement) -> TorsionPoint:
-    """The class of 1/alpha; a generator of the alpha-torsion as O-module."""
-    inv = alpha.field.one() / alpha
-    return torsion_from_element(alpha.field, inv)
+    """The class of 1/alpha = conj(alpha)/N(alpha); a generator of the
+    alpha-torsion as O-module."""
+    c = alpha.conjugate()
+    return TorsionPoint(alpha.field, c.x, c.y, alpha.norm())
 
 
 def torsion_subgroup(ideal: QuadIdeal) -> list[TorsionPoint]:
-    """All N(I) points killed by the ideal: residues divided by the generator."""
-    out = []
-    for rep in ideal.residues():
-        out.append(torsion_from_element(ideal.field, rep / ideal.gen))
-    if len(set(out)) != ideal.norm:
-        raise ArithmeticError(f"{ideal} does not kill {ideal.norm} distinct points")
-    return sorted(out, key=TorsionPoint.key)
+    """All N(I) points killed by the ideal: the fiber of 0 under its generator."""
+    return preimage_set(TorsionPoint(ideal.field, 0, 0), ideal.gen)
 
 
 def preimage_set(Q: TorsionPoint, alpha: QuadElement) -> list[TorsionPoint]:
-    """All N(alpha) solutions u of alpha*u = Q, exactly."""
+    """All N(alpha) solutions u of alpha*u = Q, exactly: the points
+    (X + Y*omega + D*rho) conj(alpha) / (D N(alpha)), rho over O/(alpha)."""
     if alpha.is_zero():
         raise ValueError("zero has no finite fibers")
-    K = Q.field
+    K, D = Q.field, Q.D
     I = QuadIdeal(alpha)
-    lift = Q.lift()
-    pts = [torsion_from_element(K, (lift + rep) / alpha) for rep in I.residues()]
+    c, den = alpha.conjugate(), D * I.norm
+    pts = []
+    for rep in I.residues():
+        p = K.element(Q.X + D * rep.x, Q.Y + D * rep.y) * c
+        pts.append(TorsionPoint(K, p.x, p.y, den))
     if len(set(pts)) != I.norm or any(u.act(alpha) != Q for u in pts):
         raise ArithmeticError(f"the fiber of {Q} under {alpha} is not "
                               f"{I.norm} distinct solutions")
-    return sorted(pts, key=TorsionPoint.key)
+    return sorted(pts)
 
 
 def crt_split(P: TorsionPoint, ell: QuadIdeal) -> tuple[TorsionPoint, TorsionPoint]:
@@ -175,7 +171,7 @@ def galois_conjugates(P: TorsionPoint, ell: QuadIdeal, kind: str) -> list[Torsio
         raise ValueError(f"unknown orbit kind {kind!r}")
     if len(set(orbit)) != size:
         raise ArithmeticError(f"the {kind} orbit of {P} at {ell} is not {size} points")
-    return sorted(orbit, key=TorsionPoint.key)
+    return sorted(orbit)
 
 
 class TorsionSystem:

@@ -3,7 +3,7 @@ kernel: the embedding of exact coordinates, the R-linear quasi-period map
 and sigma's translation factor, each evaluated the direct way; and the
 kernel's rounding rule in Fraction arithmetic, with the conversions
 between int/Fraction coordinates and the kernel's integers over one
-denominator."""
+denominator; and a torsion point's lift and order, read in Fractions."""
 
 import math
 from fractions import Fraction
@@ -47,6 +47,17 @@ def coords(x, y):
     x, y = Fraction(x), Fraction(y)
     D = math.lcm(x.denominator, y.denominator)
     return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
+
+
+def lift(P):
+    """The canonical lift (X + Y*omega)/D of a torsion point, as a field
+    element with Fraction coordinates."""
+    return P.field.element(Fraction(P.X, P.D), Fraction(P.Y, P.D))
+
+
+def point_key(P):
+    """The reference order of torsion points: (X/D, Y/D) lexicographically."""
+    return Fraction(P.X, P.D), Fraction(P.Y, P.D)
 
 
 def reduced(lat, x, y):

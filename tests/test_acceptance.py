@@ -29,7 +29,7 @@ from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.relations import verify_E1, verify_E2, verify_choice_independence
 from cmk2.symbols import SymbolSum, build_alpha_prime, certify_tame_kernel
 from cmk2.torsion import TorsionSystem, torsion_subgroup
-from oracles import coords, reduced
+from oracles import coords, lift, reduced
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -144,7 +144,7 @@ def _check_orders(fn, lat, tol):
         for P in fn.divisor.support():
             m = fn.order_at(P)
             lead = fn.leading_at(lat, P)
-            val = fn.evaluate(lat, P.lift() + Fraction(1, 10 ** (lat.prec // 8)))
+            val = fn.evaluate(lat, lift(P) + Fraction(1, 10 ** (lat.prec // 8)))
             resid = abs(val / (lead * h ** m) - 1)
             assert resid < tol, (str(P), m, resid)
 

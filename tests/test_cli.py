@@ -125,6 +125,17 @@ def test_config_errors_exit_2(tmp_path):
     # (1+2w) has no generator congruent to 1 mod (7): the character, not
     # the curve, rejects this conductor
     conductor = ("hecke-check", "--d", "-7", "--conductor", "7", "--bound", "30")
+    # the same conductor cannot normalize the primes above a split --p
+    # either: the message names --conductor, and --p only for a p that is
+    # not prime or not split
+    messages = {
+        ("enumerate", "--d", "-7", "--conductor", "7", "--p", "11"):
+            "error: --conductor: (1+2*w) has no generator congruent to 1 mod (7)",
+        ("enumerate", "--d", "-7", "--conductor", "7", "--p", "2"):
+            "error: --conductor: (w) has no generator congruent to 1 mod (7)",
+        ("enumerate", "--p", "9"): "error: --p: 9 is not prime",
+        ("frobenius-check", "--p", "7"): "error: --p: 7 is not split",
+    }
     # an --out that cannot be opened: a missing directory, and a directory
     unwritable = [("enumerate", "--out", str(tmp_path / "missing" / "x.jsonl")),
                   ("enumerate", "--out", str(tmp_path))]
@@ -137,7 +148,6 @@ def test_config_errors_exit_2(tmp_path):
         ("certify-tame", "--tol", "xyz"),
         ("certify-tame", "--prec", "8"),
         ("enumerate", "--bound", "0"),
-        ("frobenius-check", "--p", "7"),          # inert prime
         ("enumerate", "--d", "-5"),               # class number > 1
         ("certify-tame", "--prec", "40"),         # below the lattice minimum
         ("verify-e1", "--a", "1"),                # division functions need a >= 2
@@ -156,6 +166,7 @@ def test_config_errors_exit_2(tmp_path):
          "--a", "3"),
         ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
         conductor,
+        *messages,
         *unwritable,
     ]
     errors = {}
@@ -165,6 +176,8 @@ def test_config_errors_exit_2(tmp_path):
         assert err.strip().startswith("error:"), argv
         errors[argv] = err
     assert errors[conductor].startswith("error: --conductor:"), errors[conductor]
+    for argv, message in messages.items():
+        assert errors[argv].startswith(message), errors[argv]
     for argv in unwritable:
         assert errors[argv].startswith("error: --out:"), errors[argv]
 

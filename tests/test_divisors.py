@@ -36,8 +36,16 @@ from cmk2.divisors import (
 )
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
-from cmk2.torsion import TorsionPoint, TorsionSystem, torsion_subgroup
-from oracles import coords, embed, eta_linear, frac
+from cmk2.torsion import (
+    TorsionPoint,
+    TorsionSystem,
+    crt_split,
+    division_point,
+    galois_conjugates,
+    preimage_set,
+    torsion_subgroup,
+)
+from oracles import coords, embed, eta_linear, frac, lift
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -64,8 +72,8 @@ def fraction_lifts(f):
 
 
 def test_divisor_algebra_and_weighted_sum():
-    P = TorsionPoint(F4, Fraction(1, 2), 0)
-    Q = TorsionPoint(F4, 0, Fraction(1, 2))
+    P = TorsionPoint(F4, 1, 0, 2)
+    Q = TorsionPoint(F4, 0, 1, 2)
     D = Divisor(F4, {P: 2, Q: -2})
     assert D.degree == 0
     assert D.weighted_sum() == F4.element(1, -1)
@@ -90,7 +98,7 @@ def test_g2_divisor_matches_hand_computation():
 
 
 def test_from_divisor_rejects_nonprincipal():
-    P = TorsionPoint(F4, Fraction(1, 4), Fraction(3, 4))
+    P = TorsionPoint(F4, 1, 3, 4)
     with pytest.raises(ValueError):
         EllFunction.from_divisor(Divisor(F4, {P: 1, O(): -1}))  # sum not integral
     with pytest.raises(ValueError):
@@ -161,7 +169,7 @@ def test_ellipticity_in_odd_discriminant_field():
 
 
 def orders_and_leading_cases():
-    gamma = TorsionPoint(F4, Fraction(1, 2), 0)
+    gamma = TorsionPoint(F4, 1, 0, 2)
     return [
         build_g_a(F4, 2),
         build_t_gamma(F4, 2, gamma),
@@ -179,7 +187,7 @@ def test_order_and_leading_coefficient(fn):
         for P in fn.divisor.support():
             m = fn.order_at(P)
             lead = fn.leading_at(lat, P)
-            val = fn.evaluate(lat, P.lift() + Fraction(1, 10**30))
+            val = fn.evaluate(lat, lift(P) + Fraction(1, 10**30))
             assert abs(val / (lead * h ** m) - 1) < mp.mpf(10) ** -25
 
 
@@ -190,7 +198,7 @@ def test_leading_wrong_order_would_fail():
     P = O()
     with lat.context():
         h = mp.mpf(10) ** -20
-        val = fn.evaluate(lat, P.lift() + Fraction(1, 10**20))
+        val = fn.evaluate(lat, lift(P) + Fraction(1, 10**20))
         lead = fn.leading_at(lat, P)
         wrong = val / (lead * h ** (fn.order_at(P) + 1))
         assert abs(wrong - 1) > 1
@@ -216,7 +224,7 @@ def test_pushforward_projection_step():
     """Fiber product equals the canonical build of the image divisor up to
     a constant of modulus one."""
     lat = AnalyticLattice(F4, 160)
-    gamma = TorsionPoint(F4, Fraction(1, 2), 0)
+    gamma = TorsionPoint(F4, 1, 0, 2)
     t = build_t_gamma(F4, 2, gamma)
     image = t.pushforward_function(PHI_ELL)
     assert image.divisor == t.divisor.pushforward(PHI_ELL)
@@ -271,7 +279,7 @@ def test_parity():
         g3 = build_g_a(F4, 3)
         ratio3 = g3.evaluate(lat, -z) / g3.evaluate(lat, z)
         assert min(abs(ratio3 - 1), abs(ratio3 + 1)) < mp.mpf(10) ** -40
-    gamma = TorsionPoint(F4, 0, Fraction(1, 3))
+    gamma = TorsionPoint(F4, 0, 1, 3)
     t = build_t_gamma(F4, 3, gamma)
     t_neg = build_t_gamma(F4, 3, -gamma)
     assert t.pullback(F4.element(-1)) == t_neg
@@ -340,14 +348,14 @@ def test_pole_errors():
     lat = AnalyticLattice(F4, 128)
     g2 = build_g_a(F4, 2)
     with pytest.raises(PoleError):
-        g2.evaluate(lat, TorsionPoint(F4, Fraction(1, 2), 0))
+        g2.evaluate(lat, TorsionPoint(F4, 1, 0, 2))
     with pytest.raises(PoleError):
         g2.evaluate(lat, F4.element(Fraction(1, 2), 0))
     # a lift of the pole 1/2 outside the unit square is a pole too
     with pytest.raises(PoleError):
         g2.evaluate(lat, F4.element(Fraction(3, 2), -1))
     # a neighboring torsion point, and a point 1e-40 off the pole, evaluate fine
-    val = g2.evaluate(lat, TorsionPoint(F4, Fraction(1, 3), 0))
+    val = g2.evaluate(lat, TorsionPoint(F4, 1, 0, 3))
     assert val != 0
     near = g2.evaluate(lat, F4.element(Fraction(1, 2) + Fraction(1, 10**40), 0))
     assert mp.isfinite(near) and near != 0
@@ -380,7 +388,7 @@ def test_complex_points_are_rejected():
 def test_lazy_const_atoms():
     lat = AnalyticLattice(F4, 128)
     g2 = build_g_a(F4, 2)
-    P = TorsionPoint(F4, Fraction(1, 5), Fraction(2, 5))
+    P = TorsionPoint(F4, 1, 2, 5)
     atom = ConstAtom(fn=g2, point=P, exponent=-1)
     with lat.context():
         v = atom.evaluate(lat)
@@ -415,7 +423,7 @@ def test_sample_points_deterministic_and_avoiding():
             for P in avoid:
                 # distance to the nearest point of P + lattice, over the
                 # lattice points around the offset
-                offset = z - embed(lat, P.r, P.s)
+                offset = z - embed(lat, lift(P).x, lift(P).y)
                 assert min(abs(offset - (m + n * lat.tau))
                            for m in range(-2, 3) for n in range(-2, 3)) > 1e-3
 
@@ -428,7 +436,7 @@ def test_warm_evaluation_is_bit_identical(d):
     f = build_g_a(K, 2)
     points = [K.element(Fraction(1, 3), Fraction(1, 7)),
               K.element(Fraction(2, 5), Fraction(-1, 3)),
-              TorsionPoint(K, Fraction(1, 3), 0)]
+              TorsionPoint(K, 1, 0, 3)]
     warm = AnalyticLattice(K, 256)
     first = [f.evaluate(warm, z)._mpc_ for z in points]
     again = [f.evaluate(warm, z)._mpc_ for z in points]
@@ -455,11 +463,11 @@ def _accuracy_cases(K):
     """g_2, t_gamma, g_ell, the two-point function at scale 1000, whose lift
     sum (300, 700) is large, and a two-point function off the origin, whose
     Legendre phase exp(pi i (r0 lam_y - s0 lam_x)) = i is not 1."""
-    P = TorsionPoint(K, Fraction(3, 10), Fraction(7, 10))
-    Q = TorsionPoint(K, Fraction(1, 4), Fraction(1, 2))
+    P = TorsionPoint(K, 3, 7, 10)
+    Q = TorsionPoint(K, 1, 2, 4)
     return {
         "g_2": build_g_a(K, 2),
-        "t_gamma": build_t_gamma(K, 2, TorsionPoint(K, Fraction(1, 2), 0)),
+        "t_gamma": build_t_gamma(K, 2, TorsionPoint(K, 1, 0, 2)),
         "g_ell": build_g_l(_odd_split_prime(K)),
         "s_P": build_s_point(P, 1000),
         "P-Q": EllFunction.from_divisor(Divisor(K, {P: 20, Q: -20})),
@@ -502,7 +510,7 @@ def _accuracy_failures(prec):
                   for _ in range(2)]
         for name, f in _accuracy_cases(K).items():
             calls = ([("evaluate", z, z) for z in points]
-                     + [("leading_at", P, P.lift()) for P in f.divisor.support()[:3]])
+                     + [("leading_at", P, lift(P)) for P in f.divisor.support()[:3]])
             for call, z, w in calls:
                 got, want = getattr(f, call)(lat, z), _shifted_copy_product(f, ref, w)
                 with ref.context():
@@ -557,14 +565,11 @@ def test_accuracy_fault_controls(fault, monkeypatch):
 # --- one exact-point format from evaluate to the kernel --------------------------
 
 
-def _fraction_calls(lat, calls):
-    """{function name: call count} of fractions.py while `calls` run under
-    cProfile against the lattice."""
+def _fraction_calls(run):
+    """{function name: call count} of fractions.py while run() runs under
+    cProfile."""
     profile = cProfile.Profile()
-    profile.enable()
-    for fn, method, z in calls:
-        getattr(fn, method)(lat, z)
-    profile.disable()
+    profile.runcall(run)
     return {name: stat[1] for (path, _line, name), stat in pstats.Stats(profile).stats.items()
             if path.endswith("fractions.py")}
 
@@ -579,12 +584,47 @@ def test_evaluation_path_builds_no_fraction():
     with lat.context():  # warm the lattice's fixed-point constants
         build_g_a(F4, 2).evaluate(lat, F4.element(Fraction(0.3), Fraction(0.6)))
     g3 = build_g_a(F4, 3)
-    s = build_s_point(TorsionPoint(F4, Fraction(1, 5), Fraction(2, 5)), 5)
+    s = build_s_point(TorsionPoint(F4, 1, 2, 5), 5)
     rng = random.Random(41)
     samples = [F4.element(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
     calls = [(f, "evaluate", z) for f in (g3, s) for z in samples]
     calls += [(f, "leading_at", f.divisor.support()[1]) for f in (g3, s)]
-    assert set(_fraction_calls(lat, calls)) <= {"numerator", "denominator"}
+
+    def run():
+        for f, method, z in calls:
+            getattr(f, method)(lat, z)
+
+    assert set(_fraction_calls(run)) <= {"numerator", "denominator"}
+
+
+@pytest.mark.parametrize("d, conductor, ell", [(-4, "(1+i)^3", "2+i"), (-3, "3", "2+w")])
+def test_torsion_layer_builds_no_fraction(d, conductor, ell):
+    # a torsion point is integers over one denominator, so the exact maps
+    # on points, and a fiber product evaluated at one, run no code of
+    # fractions.py at all (str, which renders Fractions' text, is not run)
+    K = QuadField(d)
+    sys = TorsionSystem(HeckeCharacter(K, K.ideal(conductor)))
+    l = K.ideal(ell)
+    m = l.conjugate()
+    alpha = sys.chi.evaluate(l)
+    P, P2, Q = sys.y(m * l), sys.y(l * l), sys.y(m)
+    lat = AnalyticLattice(K, 128)
+    g = build_g_a(K, 2)
+    with lat.context():  # warm the lattice's fixed-point constants
+        g.evaluate(lat, P)
+    fiber_product = g.pushforward_evaluator(lat, alpha)
+
+    def run():
+        P.act(alpha), P.act(3), P + Q, P - Q, -P
+        division_point(alpha)
+        torsion_subgroup(l)
+        preimage_set(Q, alpha)
+        crt_split(P, l)
+        galois_conjugates(P, l, "multiplicative")
+        galois_conjugates(P2, l, "additive")
+        fiber_product(Q)
+
+    assert _fraction_calls(run) == {}
 
 
 def _kernel_runs_and_offsets(monkeypatch):
@@ -597,7 +637,7 @@ def _kernel_runs_and_offsets(monkeypatch):
     monkeypatch.setattr(AnalyticLattice, "sigma",
                         lambda lat, *c: runs.append(c) or kernel(lat, *c))
     lat = AnalyticLattice(F4, 128)
-    fns = (build_g_a(F4, 2), build_s_point(TorsionPoint(F4, Fraction(1, 5), Fraction(2, 5)), 5))
+    fns = (build_g_a(F4, 2), build_s_point(TorsionPoint(F4, 1, 2, 5), 5))
     assert [f.den for f in fns] == [2, 5]
     points = (F4.element(Fraction(1, 3), Fraction(1, 7)), F4.element(Fraction(0.3), Fraction(0.6)))
     offsets = []

@@ -76,7 +76,7 @@ def test_tame_value_of_wp_pair_is_four():
     gc = g.scaled_by(c)
     with lat.context():
         # s has order -40 at the origin and 0 at the 2-torsion point
-        for P in (ORIGIN, TorsionPoint(F4, Fraction(1, 2), 0)):
+        for P in (ORIGIN, TorsionPoint(F4, 1, 0, 2)):
             assert g.order_at(P) != 0
             n = s.order_at(P)
             for v, plain, power in ((term_tame(lat, P, gc, s), term_tame(lat, P, g, s), n),
@@ -108,7 +108,7 @@ def test_alpha_prime_term_counts_and_meta():
 
 
 def test_alpha_prime_degenerate_configurations_rejected():
-    gamma = TorsionPoint(F4, Fraction(1, 2), 0)
+    gamma = TorsionPoint(F4, 1, 0, 2)
     bad_s = build_s_point(gamma, 4)
     with pytest.raises(ValueError, match="degenerate"):
         build_alpha_prime(SYS, M_SPLIT, 2, s_fn=bad_s)
@@ -168,7 +168,7 @@ def test_unity_order_uses_the_tolerance_not_its_square_root(prec):
     # one within sqrt(tol) = 3.2e-13; delta = 1e-60 is the passing control
     lat = AnalyticLattice(F4, prec)
     g2 = build_g_a(F4, 2)
-    gamma = str(TorsionPoint(F4, Fraction(1, 2), 0))
+    gamma = str(TorsionPoint(F4, 1, 0, 2))
 
     def certificate(delta):
         c = ConstAtom(evaluator=lambda lat: mp.expj(-mp.pi / 2 - delta),

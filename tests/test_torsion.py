@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cmk2.hecke import HeckeCharacter
-from cmk2.qfield import QuadField, QuadIdeal
+from cmk2.qfield import CLASS_NUMBER_ONE_DISCRIMINANTS, QuadField, QuadIdeal
 from cmk2.torsion import (
     TorsionPoint,
     TorsionSystem,
@@ -12,9 +12,9 @@ from cmk2.torsion import (
     division_point,
     galois_conjugates,
     preimage_set,
-    torsion_from_element,
     torsion_subgroup,
 )
+from oracles import coords, point_key
 
 GAUSS = QuadField(-4)
 F_PHI = GAUSS.ideal("(1+i)^3")
@@ -26,7 +26,7 @@ def sys():
 
 
 def P(r, s):
-    return TorsionPoint(GAUSS, Fraction(r), Fraction(s))
+    return TorsionPoint(GAUSS, *coords(r, s))
 
 
 def test_point_normalization_and_ops():
@@ -34,6 +34,32 @@ def test_point_normalization_and_ops():
     assert (P(Fraction(1, 2), 0) + P(Fraction(1, 2), 0)).is_zero()
     assert -P(Fraction(1, 4), 0) == P(Fraction(3, 4), 0)
     assert str(P(Fraction(3, 4), Fraction(1, 2))) == "3/4+1/2*w"
+
+
+def _misordered() -> list[str]:
+    """The point sets, E[N] for N = 2, 3, 5 at all nine fields and
+    E[(2+i)^2] at d = -4, on which sorted() disagrees with the order of
+    the rational coordinates (X/D, Y/D)."""
+    cases = [(d, N) for d in CLASS_NUMBER_ONE_DISCRIMINANTS for N in (2, 3, 5)]
+    cases.append((-4, "(2+i)^2"))
+    rng = random.Random(5)
+    bad = []
+    for d, N in cases:
+        points = torsion_subgroup(QuadField(d).ideal(N))
+        if sorted(rng.sample(points, len(points))) != sorted(points, key=point_key):
+            bad.append((d, N))
+    return bad
+
+
+def test_points_sort_by_rational_coordinates():
+    assert _misordered() == []
+
+
+def test_order_without_cross_multiplication_is_caught(monkeypatch):
+    # comparing raw numerators ignores the denominators, which differ
+    # within E[(2+i)^2]: 1/5 and 3/25 are both there
+    monkeypatch.setattr(TorsionPoint, "__lt__", lambda P, Q: (P.X, P.Y) < (Q.X, Q.Y))
+    assert (-4, "(2+i)^2") in _misordered()
 
 
 def test_act_matches_element_multiplication():
@@ -46,9 +72,9 @@ def test_act_matches_element_multiplication():
         alpha = GAUSS.element(rng.randrange(-5, 6), rng.randrange(-5, 6))
         if alpha.is_zero():
             continue
-        point = torsion_from_element(GAUSS, num)
+        point = P(num.x, num.y)
         left = point.act(alpha)
-        right = torsion_from_element(GAUSS, num * alpha)
+        right = P((num * alpha).x, (num * alpha).y)
         assert left == right
 
 
@@ -82,12 +108,7 @@ def test_annihilator_is_minimal():
 def test_torsion_subgroup_and_integer_torsion():
     E2 = torsion_subgroup(GAUSS.ideal(2))
     assert len(E2) == 4
-    assert {(p.r, p.s) for p in E2} == {
-        (Fraction(0), Fraction(0)),
-        (Fraction(1, 2), Fraction(0)),
-        (Fraction(0), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 2)),
-    }
+    assert {(p.X, p.Y, p.D) for p in E2} == {(0, 0, 1), (1, 0, 2), (0, 1, 2), (1, 1, 2)}
     El = torsion_subgroup(GAUSS.ideal("2+i"))
     assert len(El) == 5
     for pt in El:
@@ -98,7 +119,7 @@ def test_torsion_subgroup_and_integer_torsion():
 def test_x_frozen_values(sys):
     assert sys.x(GAUSS.ideal(1)).is_zero()
     x = sys.x(GAUSS.ideal("2-i"))
-    assert (x.r, x.s) == (Fraction(4, 5), Fraction(2, 5))
+    assert (x.X, x.Y, x.D) == (4, 2, 5)
     assert sys.x_f == P(Fraction(1, 4), Fraction(3, 4))
 
 
@@ -141,12 +162,15 @@ def test_y_rejects_non_coprime(sys):
 
 
 def test_preimage_set_of_zero_is_kernel():
-    two = GAUSS.element(2)
-    fiber = preimage_set(P(0, 0), two)
-    assert fiber == torsion_subgroup(GAUSS.ideal(2))
-    alpha = GAUSS.parse("2+i")
-    fiber = preimage_set(P(0, 0), alpha)
-    assert fiber == torsion_subgroup(GAUSS.ideal("2+i"))
+    # torsion_subgroup is this fiber, so the kernel is also found by brute
+    # force: the points of (1/N)O/O, N = N(alpha), that alpha kills
+    for alpha in (GAUSS.element(2), GAUSS.parse("2+i"), GAUSS.parse("(2+i)^2")):
+        n = alpha.norm()
+        kernel = {pt for pt in (TorsionPoint(GAUSS, X, Y, n) for X in range(n) for Y in range(n))
+                  if pt.act(alpha).is_zero()}
+        fiber = preimage_set(P(0, 0), alpha)
+        assert set(fiber) == kernel and len(fiber) == n
+        assert fiber == torsion_subgroup(QuadIdeal(alpha))
 
 
 def test_preimage_set_cardinality_and_membership(sys):
@@ -215,10 +239,7 @@ def test_e2_preimage_union(sys):
     y_ml = sys.y(m * l)
     n = sys.e2_point(m, l)
     fiber = preimage_set(y_m, sys.chi.evaluate(l))
-    expected = sorted(
-        galois_conjugates(y_ml, l, "multiplicative") + [n],
-        key=TorsionPoint.key,
-    )
+    expected = sorted(galois_conjugates(y_ml, l, "multiplicative") + [n])
     assert fiber == expected
     assert n.annihilator().divides(m * F_PHI)
     assert n.act(sys.chi.evaluate(l)) == y_m
