@@ -28,14 +28,24 @@ lattice.
   constants; the rest of the angle, pi (h - 2 Re xi), is pi times a
   rational and is reduced exactly, mod 2, with its quarter turns taken
   out as powers of i.  So eps(mu) is an exact sign and a real z gives an
-  exactly real sigma.
+  exactly real sigma.  It returns integers (re, im, e), the value
+  (re + i im) 2^e, for callers that go on in fixed point.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
   c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
-  fixed point from the powers of u = exp(i pi Re z0), whose angle
-  pi (2X0 + tY0)/(2L) is split like the one above, and of
-  r = exp(nu Y0/L), nu = pi Im(tau).  The q^(1/4) cancels in every
-  quotient (sigma divides by theta_1'(0) / (2 q^(1/4)) = sum k c_n), so
-  no branch of it is chosen, and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.
+  fixed point from the powers of u = exp(i pi Re z0) and
+  r = exp(pi Im z0).  sigma(X, Y, D, R, S, E) is sigma at z - u for
+  z = (X + Y*omega)/D and u = (R + S*omega)/E (u = 0 by default, as for
+  zeta, p and p').  With z_c and u_c their canonical points in [0, 1)^2,
+  z0 = z_c - u_c - mu' for an exact mu' = m' + n'*omega, n' in
+  {-1, 0, 1}, so exp(i pi z0) is a product of per-point phases, the
+  cosine, sine and exp(+-pi Im p) of a canonical point p in lowest
+  terms, and of (-1)^m' i^(-t n') e^(nu n'), nu = pi Im(tau), exact
+  quarter turns times a per-lattice constant.  Each phase is memoized,
+  so every offset of one point shares it: its angle pi (2X + tY)/(2D)
+  is split like the one above, and p = 0 has the exact phase 1.  The
+  q^(1/4) cancels in every quotient (sigma divides by
+  theta_1'(0) / (2 q^(1/4)) = sum k c_n), so no branch of it is chosen,
+  and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.
   A real z0 has r = 1 exactly, so its sine sums are exactly real.
 - Invariants: with the moments d_j = sum k^j c_n, the sine series is
   z - a z^3 + b z^5 - c z^7 + ..., a = eta1/2, b = pi^4 d5 / (120 d1),
@@ -50,19 +60,28 @@ lattice.
   and the rounding of N+1 weighted terms.  Each c_n keeps that many
   significant bits whatever its size, and an offset within 2^-b of 0,
   read off the exact norm of z0, gets b more bits, so sigma keeps its
-  relative precision near its zero.
+  relative precision near its zero.  The phases run at
+  pb >= bits + ceil(nu/ln 2) + 16, rounded up to a multiple of 64: a
+  factor exp(-pi Im p) or e^-nu can be as small as e^-nu, which turns an
+  ulp at pb into e^nu ulp of relative error, so a near-zero offset takes
+  a higher bucket instead of a wrong phase.
 - Error budget: each constant is rounded once to an integer over
   2^bits, and each `>>` or `//` costs one ulp, 2^-bits; a rational
   multiplier k scales a constant's rounding to |k| ulp.  So exp_eta's
   exponent is off by about |zeta| + 2|xi| + 3 ulp, its value by that
-  relative error, and its pi*rational phase is exact.
+  relative error, and its pi*rational phase is exact.  Each phase
+  product costs at most 2 ulp at pb bits, times e^nu from the small
+  factors, a relative error the pb rule keeps below 2^-(bits + 16); the
+  series head then costs one ulp more, its `>>` to bits, so it stays
+  within 2 ulp of the one-point head.
 
 Exact points: every entry point, exp_eta too, takes integers over one
 positive denominator, and scaling them all by one factor changes no
 value, so callers may use any common denominator.  `memo(key, compute)`
 keeps each value a run computes at a lattice (fixed-point constants,
-sigma at exact offsets, lazy constants, shared stages) as long as the
-lattice lives; `sigma` is the bare kernel.  At a lattice point sigma
+point phases, sigma at exact offsets, lazy constants, shared stages) as
+long as the lattice lives; `sigma` is the kernel, which runs its series
+and the exponential once per call.  At a lattice point sigma
 returns its leading coefficient eps(mu) exp(eta1 mu^2/2 - pi i n mu);
 zeta, p and p' raise PoleError there.
 
@@ -80,7 +99,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
-from .qfield import QuadElement, QuadField
+from .qfield import QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
@@ -108,13 +127,27 @@ def _quarter_turns(num: int, den: int):
     return q % 4, rest
 
 
+def _turn(c: int, s: int, q: int):
+    """i^q (c + i s), exactly."""
+    for _ in range(q % 4):
+        c, s = -s, c
+    return c, s
+
+
 def _cos_sin(angle: int, q: int, bits: int, pi: int):
     """i^q (cos + i sin)(angle) for a fixed-point angle over 2^bits, as
     two integers over 2^bits; angle 0 gives exactly i^q."""
     c, s = cos_sin_fixed(angle, bits, pi >> 1) if angle else (1 << bits, 0)
-    for _ in range(q):
-        c, s = -s, c
-    return c, s
+    return _turn(c, s, q)
+
+
+def _canonical(X: int, Y: int, D: int):
+    """(Xc, Yc, Dc, a, b) with (X + Y*omega)/D = (Xc + Yc*omega)/Dc + a + b*omega,
+    0 <= Xc, Yc < Dc and Dc least: the point's representative in [0, 1)^2."""
+    a, Xc = divmod(X, D)
+    b, Yc = divmod(Y, D)
+    g = math.gcd(Xc, Yc, D)
+    return Xc // g, Yc // g, D // g, a, b
 
 
 class AnalyticLattice:
@@ -180,6 +213,7 @@ class AnalyticLattice:
             top += 1
         g = math.ceil(nu_bits / 2 + math.log2((top + 1) * (2 * top + 1) ** 3)) + 4
         self._wbits = target + g
+        self._nu_bits = math.ceil(nu_bits)
         table = []
         with mp.workprec(self._wbits + 16):
             nu = mp.pi * im_tau
@@ -197,16 +231,18 @@ class AnalyticLattice:
         return mp.mpf((acc, -top))
 
     def _fixed(self, bits: int):
-        """(pi, ln 2, nu, eta1, eta1 Im(tau), 1/(pi d1)) as integers over
-        2^bits, nu = pi Im(tau); computed once per lattice and bit count."""
+        """(pi, ln 2, nu, eta1, eta1 Im(tau), 1/(pi d1), e^nu, e^-nu) as
+        integers over 2^bits, nu = pi Im(tau); computed once per lattice and
+        bit count."""
         def compute():
             with mp.workprec(bits + 16):
                 im_tau = mp.sqrt(-self.field.d) / 2
                 d1 = self._table_moment(1)
                 eta1 = (mp.pi ** 2 / 3) * self._table_moment(3) / d1
+                nu = mp.pi * im_tau
                 return tuple(to_fixed(v._mpf_, bits) for v in
-                             (mp.pi, mp.ln2, mp.pi * im_tau, eta1, eta1 * im_tau,
-                              1 / (mp.pi * d1)))
+                             (mp.pi, mp.ln2, nu, eta1, eta1 * im_tau, 1 / (mp.pi * d1),
+                              mp.exp(nu), mp.exp(-nu)))
         return self.memo(("fixed", bits), compute)
 
     # --- exact reduction ---------------------------------------------------------
@@ -228,8 +264,8 @@ class AnalyticLattice:
         if not (reduced[0] or reduced[1]):
             raise PoleError(f"{name} has a pole at the lattice point "
                             f"{self.field.element(*reduced[3:])}")
-        sums, e = self._series(*reduced[:3], derivs)
-        return [self._mpc(re, im, e) for re, im in sums], reduced
+        sums, e = self._series((X, Y, D), (0, 0, 1), reduced, derivs)
+        return [self.to_mpc(re, im, e) for re, im in sums], reduced
 
     def _extra_bits(self, X: int, Y: int, L: int) -> int:
         """At least -log2|z0| for z0 = (X + Y*omega)/L, from the exact norm
@@ -237,8 +273,8 @@ class AnalyticLattice:
         nrm = X * X + self._t * X * Y + self._n * Y * Y
         return max(0, (2 * L.bit_length() - nrm.bit_length() + 1) // 2)
 
-    def _mpc(self, re: int, im: int, exp: int):
-        """(re + i im) 2^exp at the working precision."""
+    def to_mpc(self, re: int, im: int, exp: int):
+        """(re + i im) 2^exp, rounded once to the working precision."""
         prec = self.prec + GUARD_BITS
         return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
                             from_man_exp(im, exp, prec, round_nearest)))
@@ -246,18 +282,13 @@ class AnalyticLattice:
     # --- the exponential of the quasi-period map --------------------------------
 
     def exp_eta(self, zx: int, zy: int, xx: int, xy: int, hn: int, den: int):
-        """exp(eta1 zeta - 2 pi i xi + pi i h) at zeta = (zx + zy*omega)/den,
-        xi = (xx + xy*omega)/den and h = hn/den (see _exp)."""
-        return self._mpc(*self._exp(zx, zy, xx, xy, hn, den))
-
-    def _exp(self, zx: int, zy: int, xx: int, xy: int, hn: int, den: int):
         """(re, im, e) with (re + i im) 2^e = exp(eta1 zeta - 2 pi i xi + pi i h),
         zeta = (zx + zy*omega)/den, xi = (xx + xy*omega)/den and h = hn/den.
         Its real part is eta1 Re(zeta) + 2 nu xi_y, its angle
         eta1 Im(tau) zeta_y plus pi (h - 2 Re(xi)), that part split exactly
         by _quarter_turns."""
         bits = self._wbits
-        pi, ln2, nu, eta1, eta1_im, _inv = self._fixed(bits)
+        pi, ln2, nu, eta1, eta1_im = self._fixed(bits)[:5]
         t = self._t
         re = (eta1 * (2 * zx + t * zy) + 4 * nu * xy) // (2 * den)
         q, rest = _quarter_turns(hn - 2 * xx - t * xy, den)
@@ -269,25 +300,63 @@ class AnalyticLattice:
 
     # --- transcendental functions ----------------------------------------------
 
-    def _series(self, X: int, Y: int, L: int, derivs: int):
+    def _phase(self, X: int, Y: int, D: int, pb: int):
+        """(cos, sin)(pi Re p) and exp(+-pi Im p) at the point
+        p = (X + Y*omega)/D, canonical and in lowest terms in use, as four
+        integers over 2^pb, through the memo; the angle pi (2X + tY)/(2D)
+        is split by _quarter_turns, and p = 0 gives exactly (1, 0, 1, 1)."""
+        def compute():
+            pi, ln2, nu = self._fixed(pb)[:3]
+            q, rest = _quarter_turns(2 * X + self._t * Y, 2 * D)
+            c, s = _cos_sin(pi * rest // (4 * D), q, pb, pi)
+            e, b = divmod(nu * Y // D, ln2)  # exp(pi Im p) = 2^e exp(b)
+            rp = exp_basecase(b, pb) if Y else 1 << pb
+            rp = rp << e if e >= 0 else rp >> -e
+            return c, s, rp, (1 << 2 * pb) // rp
+        return self.memo(("phase", X, Y, D, pb), compute)
+
+    def _head(self, z: tuple, u: tuple, reduced: tuple):
+        """(bits, uc, us, rp, rm): the series' bit count at reduce's offset
+        z0 of z - u, for the points z and u as (X, Y, D), and
+        (cos, sin)(pi Re z0) and exp(+-pi Im z0) over 2^bits.
+
+        With z_c and u_c the canonical points of z and u,
+        z0 = z_c - u_c - mu', mu' = m' + n'*omega exact and n' in {-1, 0, 1},
+        so exp(i pi z0) is the phase of z_c times the conjugate phase of
+        u_c times (-1)^m' i^(-t n') e^(nu n'), the last from _fixed.  The
+        phases are taken at pb >= bits + ceil(nu/ln 2) + 16 bits, rounded
+        up to a multiple of 64, as a factor exp(-pi Im) or e^-nu turns
+        their last bit into up to e^nu of relative error.
+        """
+        X0, Y0, L, m, n = reduced
+        bits = self._wbits + self._extra_bits(X0, Y0, L)
+        pb = -(-(bits + self._nu_bits + 16) // 64) * 64
+        (Xz, Yz, Dz, az, bz), (Xu, Yu, Du, au, bu) = _canonical(*z), _canonical(*u)
+        m, n = m - az + au, n - bz + bu
+        cz, sz, pz, mz = self._phase(Xz, Yz, Dz, pb)
+        cu, su, pu, mu = self._phase(Xu, Yu, Du, pb)
+        drop = 2 * pb - bits
+        uc, us = _turn((cz * cu + sz * su) >> drop, (sz * cu - cz * su) >> drop,
+                       -2 * m - self._t * n)
+        if not Y0:  # a real offset has r = 1 exactly
+            return bits, uc, us, 1 << bits, 1 << bits
+        rp, rm = pz * mu, mz * pu  # over 2^(2 pb)
+        e_nu, e_minus_nu = self._fixed(pb)[6:]
+        up, down = (e_nu, e_minus_nu) if n < 0 else (e_minus_nu, e_nu)
+        for _ in range(abs(n)):  # times e^(-nu n') and e^(nu n')
+            rp, rm = (rp * up) >> pb, (rm * down) >> pb
+        return bits, uc, us, rp >> drop, rm >> drop
+
+    def _series(self, z: tuple, u: tuple, reduced: tuple, derivs: int):
         """(sums, e): theta_1^(j)(pi z0) / (2 q^(1/4)) = (re_j + i im_j) 2^e
-        at z0 = (X + Y*omega)/L, for j = 0..derivs, as integer pairs.
+        at reduce's offset z0 of z - u (see _head), for j = 0..derivs, as
+        integer pairs.
 
         The sum over the table of c_n k^j (d/dv)^j sin(k v) at
         v = pi z0 = a + i b, k = 2n+1, from the powers of u = exp(i a) and
         r = exp(b): sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b).
         """
-        bits = self._wbits + self._extra_bits(X, Y, L)
-        pi, ln2, nu = self._fixed(bits)[:3]
-        q, rest = _quarter_turns(2 * X + self._t * Y, 2 * L)
-        uc, us = _cos_sin(pi * rest // (4 * L), q, bits, pi)
-        if Y:
-            e, b = divmod(nu * Y // L, ln2)  # exp(pi Im z0) = 2^e exp(b)
-            rp = exp_basecase(b, bits)
-            rp = rp << e if e >= 0 else rp >> -e
-            rm = (1 << 2 * bits) // rp
-        else:
-            rp = rm = 1 << bits
+        bits, uc, us, rp, rm = self._head(z, u, reduced)
         uc2, us2 = (uc * uc - us * us) >> bits, (2 * uc * us) >> bits
         rp2, rm2 = (rp * rp) >> bits, (rm * rm) >> bits
         sums = [[0, 0] for _ in range(derivs + 1)]
@@ -311,32 +380,35 @@ class AnalyticLattice:
             rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
         return sums, -bits - 1
 
-    def sigma(self, X, Y, D):
-        """Weierstrass sigma at z = x + y*omega: the reduced series times
-        one exponential eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)),
-        mu = m + n*omega, at z = (X + Y*omega)/D.  At a lattice point the
-        series factor is 1: the value is sigma's leading coefficient there."""
-        X, Y, L, m, n = self.reduce(X, Y, D)
-        Xz, Yz, den = X + m * L, Y + n * L, 2 * L * L
-        # zeta = z^2/2 and xi = n (z - mu/2), both over 2 L^2; omega^2 = t omega - n
-        a, b, e = self._exp(Xz * Xz - self._n * Yz * Yz, (2 * Xz + self._t * Yz) * Yz,
-                            n * L * (2 * Xz - m * L), n * L * (2 * Yz - n * L),
-                            (m + n + m * n) % 2 * den, den)
-        if not (X or Y):
-            return self._mpc(a, b, e)
-        ((c, s),), e0 = self._series(X, Y, L, 0)
+    def sigma(self, X, Y, D, R=0, S=0, E=1):
+        """Weierstrass sigma at w = z - u, z = (X + Y*omega)/D and
+        u = (R + S*omega)/E: the reduced series times one exponential
+        eps(mu) exp(eta1 w^2/2 - 2 pi i n (w - mu/2)), mu = m + n*omega the
+        lattice point reduce takes from w.  At a lattice point the series
+        factor is 1: the value is sigma's leading coefficient there."""
+        F = math.lcm(D, E)
+        reduced = self.reduce(X * (F // D) - R * (F // E), Y * (F // D) - S * (F // E), F)
+        X0, Y0, L, m, n = reduced
+        Xw, Yw, den = X0 + m * L, Y0 + n * L, 2 * L * L
+        # zeta = w^2/2 and xi = n (w - mu/2), both over 2 L^2; omega^2 = t omega - n
+        a, b, e = self.exp_eta(Xw * Xw - self._n * Yw * Yw, (2 * Xw + self._t * Yw) * Yw,
+                               n * L * (2 * Xw - m * L), n * L * (2 * Yw - n * L),
+                               (m + n + m * n) % 2 * den, den)
+        if not (X0 or Y0):
+            return self.to_mpc(a, b, e)
+        ((c, s),), e0 = self._series((X, Y, D), (R, S, E), reduced, 0)
         # times the series and 1/(pi d1), rounded once
         inv = self._fixed(self._wbits)[5]
-        return self._mpc((a * c - b * s) * inv, (a * s + b * c) * inv, e + e0 - self._wbits)
+        return self.to_mpc((a * c - b * s) * inv, (a * s + b * c) * inv, e + e0 - self._wbits)
 
     def zeta(self, X, Y, D):
         """Weierstrass zeta: eta1 z - 2 pi i n plus the series quotient."""
         (t0, t1), (X, Y, L, m, n) = self._pole_free_series(X, Y, D, "zeta", 1)
         bits = self._wbits
-        pi, _ln2, _nu, eta1, eta1_im, _inv = self._fixed(bits)
+        pi, _ln2, _nu, eta1, eta1_im = self._fixed(bits)[:5]
         Xz, Yz = X + m * L, Y + n * L
-        linear = self._mpc(eta1 * (2 * Xz + self._t * Yz) // (2 * L),
-                           eta1_im * Yz // L - 2 * pi * n, -bits)
+        linear = self.to_mpc(eta1 * (2 * Xz + self._t * Yz) // (2 * L),
+                             eta1_im * Yz // L - 2 * pi * n, -bits)
         with mp.workprec(self.prec + GUARD_BITS):
             return linear + mp.pi * t1 / t0
 

@@ -30,13 +30,22 @@ prod over P != R of (sigma(z - p) / sigma(z - r))^(m_P), R the point of
 largest |m_P|, grouped by multiplicity: one power per distinct exponent,
 so a two-point function takes one power and g_a and g_ell take none.
 
+The product is one computation in complex fixed point, (re + i im) 2^e
+with integer re and im: exp_eta's integers, each sigma's mantissas
+(read exactly off its mpc), one division per group ratio and its power
+by square-and-multiply, every product cut to prec + GUARD_BITS bits and
+the power's to 2 bitlen|m| bits more, as each squaring doubles the
+relative error before it.  It is rounded once, to an mpc at the
+lattice's working precision; the extra constants multiply that.
+
 Evaluation points are exact: a TorsionPoint, or a field element with
 rational coordinates (53-bit float samples are dyadic rationals) that
 `_coords` puts over one denominator.  From there, lifts, constants,
 offsets z - u and exp_eta's exponent are integers over a common
-denominator, and each offset keys the memo and reaches the kernel in
-lowest terms.  So the pole test is exact: z is a zero or pole exactly
-when one offset z - u is a lattice point.
+denominator, and each offset keys the memo in lowest terms; on a miss
+the kernel takes z and the lift u apart, sigma(z, u) = sigma(z - u), so
+its phases are per point.  So the pole test is exact: z is a zero or
+pole exactly when one offset z - u is a lattice point.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import DEFAULT_TOL, AnalyticLattice, PoleError
+from .analytic import DEFAULT_TOL, GUARD_BITS, AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import TorsionPoint, preimage_set, torsion_subgroup
 
@@ -66,6 +75,47 @@ def _coords(z) -> tuple:
     x, y = z.x, z.y
     D = math.lcm(x.denominator, y.denominator)
     return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
+
+
+# --- complex fixed point: (re, im, e) is (re + i im) 2^e, re and im integers ---
+
+
+def _parts(v) -> tuple:
+    """An mpc v as (re, im, e), exactly."""
+    (rs, rm, rx, _), (js, jm, jx, _) = v._mpc_
+    e = min(rx if rm else jx, jx if jm else rx)
+    return ((-rm if rs else rm) << (rx - e) if rm else 0,
+            (-jm if js else jm) << (jx - e) if jm else 0, e)
+
+
+def _trim(re: int, im: int, e: int, bits: int) -> tuple:
+    """(re, im, e) with the larger mantissa cut to `bits` bits (one ulp)."""
+    s = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+    return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
+
+
+def _mul(a: tuple, b: tuple, bits: int) -> tuple:
+    (ar, ai, ae), (br, bi, be) = a, b
+    return _trim(ar * br - ai * bi, ar * bi + ai * br, ae + be, bits)
+
+
+def _ratio(a: tuple, b: tuple, bits: int) -> tuple:
+    """a / b = a conj(b) / |b|^2, its quotient to `bits` bits."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    n2 = br * br + bi * bi
+    re, im = ar * br + ai * bi, ai * br - ar * bi
+    k = max(0, bits + n2.bit_length() - max(abs(re).bit_length(), abs(im).bit_length()))
+    return (re << k) // n2, (im << k) // n2, ae - be - k
+
+
+def _power(g: tuple, m: int, bits: int) -> tuple:
+    """g^m for m >= 1 by left-to-right square-and-multiply."""
+    out = g
+    for bit in bin(m)[3:]:
+        out = _mul(out, out, bits)
+        if bit == "1":
+            out = _mul(out, g, bits)
+    return out
 
 
 class Divisor:
@@ -300,37 +350,37 @@ class EllFunction:
     # --- numerics --------------------------------------------------------------
 
     def _constants(self):
-        """(zeta, xi, h, den) with C' = exp(eta1 zeta - 2 pi i xi + pi i h):
-        integral zeta, xi and an integer h over den = 2 e^2, e the lift
-        denominator; computed once per function.
+        """(zx, zy, xx, xy, h, den) with C' = exp(eta1 zeta - 2 pi i xi + pi i h),
+        zeta = (zx + zy*omega)/den, xi = (xx + xy*omega)/den and h = h/den,
+        den = 2 e^2, e the lift denominator; computed once per function.
 
         C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-Q/2), with
         (r0, s0) the first lift and Q = sum m eta(p) p over the lifts
         p = r + s*omega; eta(p) = eta1 p - 2 pi i s, so zeta = -sum m p^2 / 2
-        and xi = -sum m s p / 2.  h, the sign and the Legendre phase, is
-        reduced mod 2.
+        and xi = -sum m s p / 2, with omega^2 = t omega - n.  h, the sign
+        and the Legendre phase, is reduced mod 2.
         """
         if self._exponent is None:
-            K, e = self.field, self.den
-            zeta = xi = K.zero()
-            for R, S, m in self.lifts:
-                P = K.element(R, S)
-                zeta, xi = zeta - m * (P * P), xi - m * S * P
+            t, n, e = self.field.trace_omega, self.field.norm_omega, self.den
+            zx = -sum(m * (R * R - n * S * S) for R, S, m in self.lifts)
+            zy = -sum(m * (2 * R + t * S) * S for R, S, m in self.lifts)
+            xx = -sum(m * S * R for R, S, m in self.lifts)
+            xy = -sum(m * S * S for R, S, m in self.lifts)
             lx, ly = self.lam
             R0, S0 = self.lifts[0][:2] if self.lifts else (0, 0)
             h = 2 * e * (e * (lx + ly + lx * ly) + R0 * ly - S0 * lx)
-            self._exponent = (zeta, xi, h % (4 * e * e), 2 * e * e)
+            self._exponent = (zx, zy, xx, xy, h % (4 * e * e), 2 * e * e)
         return self._exponent
 
     def _product(self, lat: AnalyticLattice, z, poles: bool):
         """The normalized product at the exact point z:
         C' exp(eta(lam) z) prod over the groups of
         (prod_P sigma(z - P) / sigma(z - R))^m, the first two factors as
-        one exp_eta, the extra constants multiplied last.  sigma runs once
-        per lattice and offset z - u in lowest terms, through the lattice
-        memo.  A lattice-point offset mu puts z in the support: with
-        `poles` it raises PoleError, else sigma gives its leading
-        coefficient at mu."""
+        one exp_eta, in complex fixed point with one rounding, the extra
+        constants multiplied last.  sigma runs once per lattice and offset
+        z - u in lowest terms, through the lattice memo.  A lattice-point
+        offset mu puts z in the support: with `poles` it raises PoleError,
+        else sigma gives its leading coefficient at mu."""
         X, Y, D = _coords(z)
         E = math.lcm(D, self.den)
         a, b = E // D, E // self.den
@@ -341,24 +391,32 @@ class EllFunction:
             if poles and g == E:
                 raise PoleError(f"{z} is in the divisor support")
             keys.append((x // g, y // g, E // g))
-        zeta, xi, h, den = self._constants()
+        zx, zy, xx, xy, h, den = self._constants()
         if self.lam != (0, 0):
-            w, lam = self.field.element(X, Y), self.field.element(*self.lam)
-            zeta = zeta * D + lam * w * den
-            xi, h, den = xi * D + lam.y * den * w, h * D, den * D
+            # zeta + lam z and xi + lam_y z over den D; omega^2 = t omega - n
+            (lx, ly), t, n = self.lam, self.field.trace_omega, self.field.norm_omega
+            zx = zx * D + (lx * X - n * ly * Y) * den
+            zy = zy * D + (lx * Y + ly * X + t * ly * Y) * den
+            xx, xy, h, den = xx * D + ly * X * den, xy * D + ly * Y * den, h * D, den * D
+        out = lat.exp_eta(zx, zy, xx, xy, h, den)
+        if self._groups:
+            sigma = [_parts(lat.memo(("sigma", *k),
+                                     lambda R=R, S=S: lat.sigma(X, Y, D, R, S, self.den)))
+                     for k, (R, S, _m) in zip(keys, self.lifts)]
+            ref = sigma[self._ref]
+            for m, ix in self._groups:
+                bits = lat.prec + GUARD_BITS + 2 * abs(m).bit_length()
+                num = sigma[ix[0]]
+                for i in ix[1:]:
+                    num = _mul(num, sigma[i], bits)
+                ref_power = _power(ref, len(ix), bits)
+                g = _ratio(num, ref_power, bits) if m > 0 else _ratio(ref_power, num, bits)
+                out = _mul(out, _power(g, abs(m), bits), bits)
+        value = lat.to_mpc(*out)
         with lat.context():
-            out = lat.exp_eta(zeta.x, zeta.y, xi.x, xi.y, h, den)
-            if self._groups:
-                sigma = [lat.memo(("sigma", *k), lambda k=k: lat.sigma(*k)) for k in keys]
-                inv_ref = 1 / sigma[self._ref]
-                for m, ix in self._groups:
-                    g = mp.mpc(1)
-                    for i in ix:
-                        g = g * (sigma[i] * inv_ref)
-                    out = out * g ** m
             for atom in self.extra:
-                out = out * atom.evaluate(lat)
-            return out
+                value = value * atom.evaluate(lat)
+        return value
 
     def evaluate(self, lat: AnalyticLattice, z):
         """Value at an exact point z (TorsionPoint or QuadElement)."""
@@ -436,9 +494,10 @@ def build_s_point(point: TorsionPoint, scale: int) -> EllFunction:
 
 
 def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
-    """Deterministic 53-bit sample coordinates, rejection-resampled away
-    from the avoided set.  The coordinate stream is precision-independent,
-    so reruns at other precisions test the same geometric points."""
+    """Deterministic sample points with 53-bit coordinates, as exact field
+    elements, rejection-resampled away from the avoided set.  The
+    coordinate stream is precision-independent, so reruns at other
+    precisions test the same geometric points."""
     rng = random.Random(seed)
     avoided = [_coords(P) for P in avoid]
     bound = (Fraction(SAMPLE_MARGIN) ** 2).as_integer_ratio()
@@ -448,10 +507,10 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
         tries += 1
         if tries > 200 * count:
             raise RuntimeError("cannot find enough sample points away from supports")
-        rs = (rng.random(), rng.random())
+        z = lat.field.element(Fraction(rng.random()), Fraction(rng.random()))
         # a geometric separation, tested exactly: each offset z - P, reduced
         # by the kernel's rounding, has a norm of at least SAMPLE_MARGIN^2
-        X, Y, D = _coords(lat.field.element(Fraction(rs[0]), Fraction(rs[1])))
+        X, Y, D = _coords(z)
         for R, S, q in avoided:
             E = math.lcm(D, q)
             x0, y0, L, _m, _n = lat.reduce(X * (E // D) - R * (E // q),
@@ -459,7 +518,7 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
             if lat.field.element(x0, y0).norm() * bound[1] < bound[0] * L * L:
                 break
         else:
-            out.append(rs)
+            out.append(z)
     return out
 
 
@@ -467,7 +526,8 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
                          seed: int = 20240801, tol=DEFAULT_TOL,
                          require_modulus_one=False):
     """Ratio-constancy scan of two evaluators at seeded sample points,
-    each handed to the evaluators as an exact field element.
+    each handed to both evaluators as the exact field element
+    sample_points made.
 
     Returns a report dict with the mean constant, the relative spread,
     and pass/fail under tol.  Raises ValueError for fewer than two
@@ -476,10 +536,9 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
     if samples < 2:
         raise ValueError("a constancy scan needs at least two sample points")
     with lat.context():
-        coords = sample_points(lat, seed, samples, avoid)
+        points = sample_points(lat, seed, samples, avoid)
         ratios = []
-        for r, s in coords:
-            z = lat.field.element(Fraction(r), Fraction(s))
+        for z in points:
             fv, gv = f(z), g(z)
             if gv == 0:
                 raise PoleError("denominator vanished at a sample point")
@@ -487,7 +546,7 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
         mean = sum(ratios) / len(ratios)
         spread = max(abs(r - mean) for r in ratios) / abs(mean)
         report = {
-            "samples": len(coords),
+            "samples": len(points),
             "seed": seed,
             "constant": mean,
             "spread": spread,

@@ -9,6 +9,7 @@ import pytest
 
 from cmk2 import analytic
 from cmk2.analytic import AnalyticLattice
+from cmk2.divisors import build_g_a
 from cmk2.qfield import QuadField
 from oracles import (coords, embed, eta_linear, reduce_reference, reduced,
                      translation_factor, translation_sign)
@@ -477,3 +478,108 @@ def test_memo_sharing_fault_control():
     lo, hi = AnalyticLattice(GAUSS, 256), AnalyticLattice(GAUSS, 512)
     lo.memo = hi.memo = global_memo
     assert _memo_sharing_errors(lo, hi)
+
+
+# --- the two-point form sigma(z, u) = sigma(z - u) --------------------------------
+
+
+@functools.cache
+def _two_point_data(d, prec):
+    """Seeded pairs (z, u) of exact points (x, y), and at each pair the
+    one-point form's sigma(z - u) and series head, from a lattice no fault
+    touches: 16 pairs in [0, 1)^2, 16 with coordinates up to 10 in size,
+    and 64 with z - u within 2^-(40 + j), j = 0..63, of a lattice point,
+    so the extra bits near sigma's zero take every value mod 64; these
+    have Im u at 3/4 or more, where exp(-pi Im u) is smallest."""
+    rng = random.Random(7 * -d + prec)
+
+    def canonical():
+        return Fraction(rng.random()), Fraction(rng.random())
+
+    def far():
+        return tuple(Fraction(rng.uniform(-10, 10)) for _ in range(2))
+
+    pairs = [(canonical(), canonical()) for _ in range(16)] + [(far(), far()) for _ in range(16)]
+    for j in range(64):
+        u = Fraction(rng.random()), Fraction(rng.uniform(0.75, 1))
+        z = tuple(c + rng.randint(-3, 3) + Fraction(rng.uniform(-1, 1)) / 2 ** (40 + j) for c in u)
+        pairs.append((z, u))
+    lat = AnalyticLattice(QuadField(d), prec)
+    wants = []
+    for (zx, zy), (ux, uy) in pairs:
+        w = coords(zx - ux, zy - uy)
+        wants.append((lat.sigma(*w), lat._head(w, (0, 0, 1), lat.reduce(*w))))
+    return tuple(pairs), tuple(wants)
+
+
+def _two_point_errors(lat, pairs, wants):
+    """(log2 of sigma(z, u)'s largest relative error against sigma(z - u),
+    the largest difference of their series heads in units of 2^-bits)."""
+    worst, ulps = mp.mpf(0), 0
+    for ((zx, zy), (ux, uy)), (want, head) in zip(pairs, wants):
+        z, u = coords(zx, zy), coords(ux, uy)
+        got = lat.sigma(*z, *u)
+        got_head = lat._head(z, u, lat.reduce(*coords(zx - ux, zy - uy)))
+        assert got_head[0] == head[0]  # the same bit count
+        ulps = max(ulps, *(abs(a - b) for a, b in zip(got_head[1:], head[1:])))
+        with mp.workprec(lat.prec + 64):
+            worst = max(worst, abs(got - want) / abs(want))
+    with mp.workprec(64):
+        return (mp.log(worst, 2) if worst else -mp.inf), ulps
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_two_point_sigma_agrees_with_one_point(prec):
+    # the phase products cost at most 2 ulp of the series head, so sigma
+    # agrees to far below 2^-prec
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), prec)
+        err, ulps = _two_point_errors(lat, *_two_point_data(d, prec))
+        assert err < -prec and ulps <= 2, (d, err, ulps)
+
+
+def test_two_point_fault_phase_at_unreduced_point(monkeypatch):
+    # fault control: the phase of z and u taken where they are, up to 10
+    # lattice units out, in place of at their canonical points; exp(-pi Im)
+    # there leaves too few bits, and sigma misses 2^-prec
+    monkeypatch.setattr(analytic, "_canonical", lambda X, Y, D: (X, Y, D, 0, 0))
+    errors = [_two_point_errors(AnalyticLattice(QuadField(d), 256), *_two_point_data(d, 256))[0]
+              for d in DISCRIMINANTS]
+    assert max(errors) >= -256
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_two_point_fault_phase_bits_without_nu(prec):
+    # fault control: pb without its ceil(nu/ln 2) term (29 bits at
+    # d = -163) loses bits of the head wherever pb - bits falls below that
+    lat = AnalyticLattice(QuadField(-163), prec)
+    lat._nu_bits = 0
+    assert _two_point_errors(lat, *_two_point_data(-163, prec))[1] > 2
+
+
+def test_two_point_fault_without_nu_shift():
+    # fault control: e^(-+nu n') dropped, the offset's lattice shift in the
+    # omega direction is lost at every field
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), 256)
+        fixed = lat._fixed
+        lat._fixed = lambda bits, fixed=fixed: fixed(bits)[:6] + (1 << bits, 1 << bits)
+        assert _two_point_errors(lat, *_two_point_data(d, 256))[0] >= -256, d
+
+
+def test_fresh_sample_adds_one_phase_entry():
+    # a lattice that holds the lifts' phases: a k-lift function at a fresh
+    # sample adds at most k sigma entries and the sample's one phase entry,
+    # which all k offsets share (their bit counts share a bucket at d = -4)
+    K = QuadField(-4)
+    lat = AnalyticLattice(K, 256)
+    f = build_g_a(K, 3)
+    rng = random.Random(19)
+    samples = [K.element(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
+    f.evaluate(lat, samples[0])
+    for z in samples[1:]:
+        before = set(lat._memo)
+        f.evaluate(lat, z)
+        added = [key[0] for key in set(lat._memo) - before]
+        assert added.count("sigma") <= len(f.lifts) and added.count("phase") == 1
+        assert len(added) == added.count("sigma") + 1

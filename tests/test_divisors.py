@@ -418,8 +418,8 @@ def test_sample_points_deterministic_and_avoiding():
     assert a == b
     assert len(a) == 5
     with lat.context():
-        for rs in a:
-            z = embed(lat, *map(Fraction, rs))
+        for w in a:
+            z = embed(lat, w.x, w.y)
             for P in avoid:
                 # distance to the nearest point of P + lattice, over the
                 # lattice points around the offset
@@ -529,11 +529,11 @@ def _without_legendre_phase():
     constants = EllFunction._constants
 
     def patched(self):
-        zeta, xi, h, den = constants(self)
+        *exponent, h, den = constants(self)
         # the phase pi (r0 ly - s0 lx), r0 = R0/e, is 2 e (R0 ly - S0 lx) over den
         (R0, S0, _m), (lx, ly) = self.lifts[0], self.lam
-        return zeta, xi, h - 2 * self.den * (R0 * ly - S0 * lx), den
-    return "_constants", patched
+        return (*exponent, h - 2 * self.den * (R0 * ly - S0 * lx), den)
+    return EllFunction, "_constants", patched
 
 
 def _lam_squared_cancelling_numerically():
@@ -552,13 +552,22 @@ def _lam_squared_cancelling_numerically():
                     + frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
                     + frac(ly * ly) * lat.eta_omega * lat.tau) / 2
             return out * mp.exp(copy) * mp.exp(-norm)
-    return "_product", patched
+    return EllFunction, "_product", patched
+
+
+def _power_short_of_guard_bits():
+    # the integer power of s_P's ratio (scale 1000) at 64 bits less than
+    # its working precision: its roundings, amplified by the squarings,
+    # reach the last bits of the result
+    power = divisors._power
+    return divisors, "_power", lambda g, m, bits: power(g, m, bits - 64)
 
 
 @pytest.mark.parametrize("fault", (_without_legendre_phase,
-                                   _lam_squared_cancelling_numerically))
+                                   _lam_squared_cancelling_numerically,
+                                   _power_short_of_guard_bits))
 def test_accuracy_fault_controls(fault, monkeypatch):
-    monkeypatch.setattr(EllFunction, *fault())
+    monkeypatch.setattr(*fault())
     assert _accuracy_failures(256)
 
 

@@ -245,8 +245,9 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
 
 
 def _all_units_and_kernel_runs(monkeypatch, tmp_path):
-    """(conjugating_units calls, kernel runs as (lattice, X, Y, D)) of one
-    in-process `cmk2 all`."""
+    """(conjugating_units calls, kernel runs as (lattice, X, Y, D, R, S, E))
+    of one in-process `cmk2 all`: sigma at z - u, z = (X + Y*omega)/D and
+    u = (R + S*omega)/E."""
     calls = []
     units = relations.conjugating_units
     monkeypatch.setattr(relations, "conjugating_units",
@@ -262,7 +263,9 @@ def _all_units_and_kernel_runs(monkeypatch, tmp_path):
 
 
 def _distinct_offsets(runs):
-    return {(lat, Fraction(X, D), Fraction(Y, D)) for lat, X, Y, D in runs}
+    """The distinct (lattice, z - u) of the runs, z - u in lowest terms."""
+    return {(lat, Fraction(X, D) - Fraction(R, E), Fraction(Y, D) - Fraction(S, E))
+            for lat, X, Y, D, R, S, E in runs}
 
 
 def test_all_computes_conjugating_units_once_per_relation(monkeypatch, tmp_path):
