@@ -22,7 +22,6 @@ from .qfield import (
     QuadIdeal,
     enumerate_L_R,
     factor_ideal,
-    is_rational_prime,
     split_rational_prime,
 )
 
@@ -159,16 +158,13 @@ def _hecke_check(ctx: Context, opts: dict) -> dict:
     args, chi = ctx.args, ctx.chi
     if 4 * args.curve_a ** 3 + 27 * args.curve_b ** 2 == 0:
         raise ConfigError(f"{CURVE}: the curve is singular")
-    splits = {p: split_rational_prime(ctx.field, p) for p in range(3, args.bound + 1)
-              if is_rational_prime(p) and chi.conductor.norm % p != 0}
-    primes = [p for p, split in splits.items() if split[0] == "split"]
-    if not primes:
-        raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
     # a value the conductor cannot normalize and bad reduction at a counted
     # prime are rejected, each naming its flag
-    traces = {p: _checked("--conductor", chi.a_p, p, splits[p]) for p in primes}
+    traces = _checked("--conductor", chi.split_traces, args.bound)
+    if not traces:
+        raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
     rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b,
-                     traces[p]) for p in primes]
+                     a_p) for p, a_p in traces.items()]
     return {
         "bound": args.bound,
         "curve": [args.curve_a, args.curve_b],
@@ -299,7 +295,7 @@ COMMANDS = {
         "list admissible primes and their products up to the norm bound"),
     "hecke-check": Command(
         _hecke_check, (),
-        "compare character traces against exhaustive point counts for split "
+        "compare character traces against exact point counts for split "
         "primes up to the bound"),
     "build-alpha": Command(
         _build_alpha, ("system",),

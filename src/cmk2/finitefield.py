@@ -1,31 +1,45 @@
-"""Finite-field oracle: exhaustive point counts and Frobenius-vs-CM checks.
+"""Finite-field oracle: exact point counts and Frobenius-vs-CM checks.
 
-Everything here is deliberately naive (x-scans, square tables, repeated
-addition) so it stays independent of the analytic and character layers
-it cross-checks.  Desk-scale primes only.
+Everything here uses the curve alone (its group law, Hasse's bound,
+exhaustive scans), so it stays independent of the analytic and character
+layers it cross-checks.  Desk-scale primes only.
 
-Orbits.  Three scans walk the orbits of an automorphism of the curve
-instead of every x or every point, and stay exhaustive: each orbit is
-counted or compared whole.  The arguments use the curve's automorphism
-only, never the character the oracle checks; every other (p, A, B)
-keeps the full scan.
+Point counts.  Let E: y^2 = f(x) = x^3 + A x + B over F_p, d the least
+quadratic nonresidue mod p, and E': y^2 = x^3 + A d^2 x + B d^3 the
+quadratic twist.  The right side of E' at d x is (d x)^3 + A d^3 x +
+B d^3 = d^3 f(x), and (d^3 f(x) / p) = -(f(x) / p), so the
+1 + (f(x) / p) points of E above x and the 1 - (f(x) / p) points of E'
+above d x add up to 2 for every x, and #E + #E' = 2p + 2.  Hasse puts both counts in I = [p + 1 - w, p + 1 + w],
+w = floor(2 sqrt(p)), which is symmetric about p + 1.
 
-- Point counts, B = 0 mod p and p = 1 mod 4.  f(x) = x^3 + Ax is odd, so
-  f(-x) = -f(x), and -1 is a square mod p, so v and -v have equally many
-  square roots.  Hence x and -x count alike: the scan counts x = 0 once
-  and each x in 1..(p-1)/2 twice.
-- Point counts, A = 0 mod p and p = 1 mod 3.  f(x) = x^3 + B depends on
-  x^3 only.  x -> x^3 is 3-to-1 from F_p^* onto its (p-1)/3 cubes, the
-  powers of g^3 for a primitive root g, since 3 divides the order of the
-  cyclic group F_p^*.  So the nonzero x contribute three times the square
-  counts of c + B summed over the cubes c; x = 0 adds its own.
-- Frobenius at d = -4 (B = 0).  [i](x, y) = (-x, i y) with i in F_p, so
-  Frobenius, which fixes F_p, commutes with [i]; and [pi] = [a] + [b][i]
-  commutes with [i] for every a + b i.  So Frob(P) = [pi]P implies
-  Frob([i]^k P) = [i]^k Frob(P) = [i]^k [pi] P = [pi][i]^k P: one point of
-  each <[i]>-orbit decides the orbit.  The comparison runs at each
-  orbit's least point under tuple order; the point counts still come from
-  the full enumeration.
+- An x with f(x) a nonzero square gives the point (x, sqrt(f(x))) of E;
+  one with f(x) a nonsquare gives (d x, sqrt(d^3 f(x))) on E'.
+- Baby-step giant-step finds a multiple of the point's order among the
+  group orders still possible, and factoring it gives the order itself.
+- A point's order divides the order of its group.  So with L_E and L_T
+  the lcm of the orders found on E and on E', #E is one of the N in I
+  with L_E | N and L_T | 2p + 2 - N.  When that leaves one N, it is #E:
+  a proof, not a sample.  Uniqueness is the test, not L_E > 2w: at
+  p = 457 on y^2 = x^3 + 16, L_E = 78 < 84 = 2w, yet 468 is the only
+  multiple of 78 in [416, 500].
+- CM groups often have a small exponent (at p = 1201 on y^2 = x^3 - x,
+  E(F_p) has exponent 48, with three multiples in I), so E alone may
+  never decide; the twist does.  For p > 229, E or E' always has a
+  point whose order has one multiple in I (Cremona and Sutherland, "On
+  a theorem of Mestre and Schoof", J. Theor. Nombres Bordeaux 22, 2010).
+- Where _PIN_TRIES points leave more than one N (at some small p),
+  `scan_count` counts every x against a table of square counts; that
+  exhaustive scan is also the tests' reference.
+
+Frobenius orbits.  At d = -4 (B = 0), [i](x, y) = (-x, i y) with i in
+F_p, so Frobenius, which fixes F_p, commutes with [i]; and [pi] =
+[a] + [b][i] commutes with [i] for every a + b i.  So Frob(P) = [pi]P
+implies Frob([i]^k P) = [i]^k Frob(P) = [i]^k [pi] P = [pi][i]^k P: one
+point of each <[i]>-orbit decides the orbit.  The comparison runs at each
+orbit's least point under tuple order and stays exhaustive, since each
+orbit is compared whole; the point counts still come from the full
+enumeration.  The argument uses the curve's automorphism only, never the
+character the oracle checks.
 
 The Frobenius comparison runs over E(F_{p^2}), not E(F_p).  On E(F_p)
 Frobenius is the identity, so the candidate that is Frobenius matches
@@ -41,51 +55,191 @@ pi - pi-bar = 2bi, which has 4b^2 < 4p points, while #E(F_{p^2}) >=
 
 from __future__ import annotations
 
+from math import gcd, isqrt, lcm
+
 from .qfield import QuadElement, factor_int, is_rational_prime
+
+# points tried on E and E' before count_points falls back to the x-scan
+_PIN_TRIES = 12
 
 
 def count_points(p: int, a: int, b: int) -> int:
-    """#E(F_p) for y^2 = x^3 + a x + b by exhaustive x-scan, over the
-    orbits of x -> -x or x -> zeta_3 x where the curve has them."""
-    if not is_rational_prime(p):
-        raise ValueError(f"{p} is not prime")
-    # the discriminant is -16 (4a^3 + 27b^2): every such model is singular at 2
-    if p == 2 or (4 * a ** 3 + 27 * b ** 2) % p == 0:
-        raise ValueError(f"bad reduction at {p}")
+    """#E(F_p) for y^2 = x^3 + a x + b: the one candidate in the Hasse
+    interval that the orders of points on E and its twist leave, or the
+    x-scan where they leave more than one (see the module docstring)."""
+    _check_good_reduction(p, a, b)
+    pinned = _pinned_count(p, a, b)
+    return scan_count(p, a, b) if pinned is None else pinned
+
+
+def scan_count(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a x + b by exhaustive x-scan."""
+    _check_good_reduction(p, a, b)
     # counts[v] = #{y : y^2 = v}; y and -y are distinct for y != 0
     counts = [0] * p
     counts[0] = 1
     for y in range(1, (p + 1) // 2):
         counts[y * y % p] = 2
-    if b % p == 0 and p % 4 == 1:
-        return 1 + counts[0] + 2 * sum([counts[(x * x + a) * x % p]
-                                        for x in range(1, (p + 1) // 2)])
-    if a % p == 0 and p % 3 == 1:
-        g3 = pow(_primitive_root(p), 3, p)
-        over_cubes, c = 0, 1
-        for _ in range((p - 1) // 3):
-            over_cubes += counts[(c + b) % p]
-            c = c * g3 % p
-        return 1 + counts[b % p] + 3 * over_cubes
     return 1 + sum([counts[((x * x + a) * x + b) % p] for x in range(p)])
 
 
-def _primitive_root(p: int) -> int:
-    """The least generator of F_p^*, for an odd prime p."""
-    quotients = [(p - 1) // q for q, _ in factor_int(p - 1)]
-    g = 2
-    while any(pow(g, e, p) == 1 for e in quotients):
-        g += 1
-    return g
+def _check_good_reduction(p: int, a: int, b: int) -> None:
+    if not is_rational_prime(p):
+        raise ValueError(f"{p} is not prime")
+    # the discriminant is -16 (4a^3 + 27b^2): every such model is singular at 2
+    if p == 2 or (4 * a ** 3 + 27 * b ** 2) % p == 0:
+        raise ValueError(f"bad reduction at {p}")
+
+
+def _hasse_interval(p: int) -> tuple[int, int]:
+    w = isqrt(4 * p)  # floor(2 sqrt(p))
+    return p + 1 - w, p + 1 + w
+
+
+def _candidates(lo: int, hi: int, total: int, l_e: int, l_t: int) -> range:
+    """The N in [lo, hi] with l_e | N and l_t | total - N, an arithmetic
+    progression with step lcm(l_e, l_t) (by the Chinese remainder theorem)."""
+    g = gcd(l_e, l_t)
+    if total % g:
+        return range(0)
+    mod = l_t // g
+    # N = l_e k with (l_e / g) k = total / g mod l_t / g
+    n = l_e * (total // g * pow(l_e // g, -1, mod) % mod)
+    step = l_e * mod
+    return range(lo + (n - lo) % step, hi + 1, step)
+
+
+def _pinned_count(p: int, a: int, b: int):
+    """#E(F_p) pinned by point orders on E and its twist, or None when
+    _PIN_TRIES points leave more than one candidate."""
+    lo, hi = _hasse_interval(p)
+    total = 2 * p + 2  # #E + #E'
+    d = _least_nonresidue(p)
+    twist_a, d3 = a * d * d % p, d * d * d % p
+    l_e = l_t = 1
+    cands = range(lo, hi + 1)
+    tries = 0
+    for x in range(p):
+        f = ((x * x + a) * x + b) % p
+        if f == 0:
+            continue  # a point of order 2 says little
+        if pow(f, (p - 1) // 2, p) == 1:
+            P = (x, sqrt_mod_p(f, p))
+            e = _multiple_of_order(P, cands, a, p)
+            l_e = lcm(l_e, _order(P, e, a, p))
+        else:
+            P = (d * x % p, sqrt_mod_p(d3 * f, p))
+            orders = range(total - cands[-1], total - cands[0] + 1, cands.step)
+            e = _multiple_of_order(P, orders, twist_a, p)
+            l_t = lcm(l_t, _order(P, e, twist_a, p))
+        cands = _candidates(lo, hi, total, l_e, l_t)
+        if len(cands) == 1:
+            return cands[0]
+        if not cands:
+            raise ArithmeticError(f"no group order at {p} fits the point orders "
+                                  f"{l_e} on the curve and {l_t} on its twist")
+        tries += 1
+        if tries == _PIN_TRIES:
+            return None
+    return None
+
+
+def _multiple_of_order(P, orders: range, a: int, p: int) -> int:
+    """Some e > 0 with [e]P = O, by baby-step giant-step over the candidate
+    group orders `orders`, one of which is the order of P's group."""
+    step = orders.step
+    R = _mul(step, P, a, p)
+    m = isqrt(len(orders) // 2) + 1
+    baby = {}  # x of [j]R -> (j, y) for 1 <= j <= m
+    B = None
+    for j in range(1, m + 1):
+        B = _add(B, R, a, p)
+        if B is None:  # [j]R = O
+            return j * step
+        if B[0] in baby:  # [j]R = +-[i]R, so [j -+ i]R = O
+            i, y = baby[B[0]]
+            return (j - i if y == B[1] else j + i) * step
+        baby[B[0]] = (j, B[1])
+    stride = _add(_add(B, B, a, p), R, a, p)  # [2m + 1]R
+    # T = [orders[c]]P at the centre c of the block of indices c - m .. c + m
+    T = _mul(orders.start + m * step, P, a, p)
+    for c in range(m, len(orders) + m, 2 * m + 1):
+        if T is None:
+            return orders.start + c * step
+        hit = baby.get(T[0])
+        if hit is not None:  # T = +-[j]R
+            j, y = hit
+            return orders.start + (c - j if y == T[1] else c + j) * step
+        T = _add(T, stride, a, p)
+    raise ArithmeticError(f"no candidate group order kills {P} mod {p}")
+
+
+def _order(P, e: int, a: int, p: int) -> int:
+    """The order of P, given a multiple e of it."""
+    for q, _ in factor_int(e):
+        while e % q == 0 and _mul(e // q, P, a, p) is None:
+            e //= q
+    return e
+
+
+def _add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p, affine, None the identity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _mul(k: int, P, a: int, p: int):
+    """[k]P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = _add(P, P, a, p)
+    return R
+
+
+def _least_nonresidue(p: int) -> int:
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    return z
 
 
 def sqrt_mod_p(a: int, p: int):
-    """A square root of a mod p, or None. Brute scan; p is desk-scale."""
+    """A square root of a mod a prime p, or None: Tonelli-Shanks."""
     a %= p
-    for r in range((p + 1) // 2 + 1):
-        if r * r % p == a:
-            return r
-    return None
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    # p - 1 = q 2^s with q odd; r^2 = a t throughout, and step k leaves t of
+    # order dividing 2^(k-1), so t = 1 at the end
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    b = pow(_least_nonresidue(p), q, p)  # of order 2^s
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    for k in range(s - 1, 0, -1):
+        # b has order 2^(k+1); where t has order exactly 2^k, so has b^2
+        if pow(t, 1 << (k - 1), p) != 1:
+            r, t = r * b % p, t * b * b % p
+        b = b * b % p
+    return r
 
 
 class Fp2:
@@ -95,10 +249,7 @@ class Fp2:
         if p == 2 or not is_rational_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         self.p = p
-        nr = 2
-        while pow(nr, (p - 1) // 2, p) == 1:
-            nr += 1
-        self.nr = nr
+        self.nr = _least_nonresidue(p)
 
     def make(self, a: int, b: int = 0):
         return (a % self.p, b % self.p)

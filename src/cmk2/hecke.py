@@ -15,8 +15,10 @@ from .qfield import (
     QuadField,
     QuadIdeal,
     is_rational_prime,
+    norm_form_solution,
     ray_one_generator,
     split_rational_prime,
+    splitting_kind,
 )
 
 
@@ -41,6 +43,9 @@ class HeckeCharacter:
             raise ValueError("ideal belongs to a different field")
         if not ideal.is_coprime(self.conductor):
             raise ValueError(f"{ideal} is not coprime to the conductor {self.conductor}")
+        return self._ray_one(ideal)
+
+    def _ray_one(self, ideal: QuadIdeal) -> QuadElement:
         g = ray_one_generator(ideal, self.conductor)
         if g is None:
             raise ValueError(
@@ -65,14 +70,9 @@ class HeckeCharacter:
             return primes[1], primes[0]
         raise AssertionError("split prime with real character value")
 
-    def a_p(self, p: int, split: tuple | None = None) -> int:
-        """Trace of the character at p: phi(p-above) + conjugate, or 0 inert.
-
-        `split` is split_rational_prime(field, p) when the caller has it.
-        """
-        if not is_rational_prime(p):
-            raise ValueError(f"{p} is not prime")
-        kind, primes = split or split_rational_prime(self.field, p)
+    def a_p(self, p: int) -> int:
+        """Trace of the character at p: phi(p-above) + conjugate, or 0 inert."""
+        kind, primes = split_rational_prime(self.field, p)
         if kind == "ramified":
             raise ValueError(f"{p} ramifies; no clean trace here")
         if kind == "inert":
@@ -82,10 +82,25 @@ class HeckeCharacter:
         v = self.evaluate(primes[0])
         return v.trace()
 
+    def split_traces(self, bound: int) -> dict[int, int]:
+        """{p: a_p} for the split primes 3 <= p <= bound not dividing N(f),
+        in increasing order: the trace of the ray-normalized norm-form
+        solution above p.  A prime of norm p is coprime to the conductor
+        when p does not divide N(f), so no gcd is taken."""
+        field, traces = self.field, {}
+        for p in range(3, bound + 1, 2):
+            # the one-power splitting test turns most composites away before
+            # the trial division that decides primality
+            if (self.conductor.norm % p and splitting_kind(field, p) == "split"
+                    and is_rational_prime(p)):
+                pi = QuadIdeal(norm_form_solution(field, p))
+                traces[p] = self._ray_one(pi).trace()
+        return traces
+
 
 def point_count_check(chi: HeckeCharacter, p: int, curve_a: int, curve_b: int,
                       a_char: int | None = None) -> dict:
-    """Compare a_p from the character against exhaustive point counting;
+    """Compare a_p from the character against the exact point count;
     `a_char` is chi.a_p(p) when the caller has it."""
     count = count_points(p, curve_a, curve_b)
     a_count = p + 1 - count

@@ -606,16 +606,10 @@ def split_rational_prime(field: QuadField, p: int):
     """Return (kind, primes-above-p) with kind in split/inert/ramified."""
     if not is_rational_prime(p):
         raise ValueError(f"{p} is not prime")
-    d = field.d
-    if d % p == 0 or (p == 2 and d % 4 == 0):
-        kind = "ramified"
-    elif p == 2:
-        kind = "split" if d % 8 == 1 else "inert"
-    else:
-        kind = "split" if pow(d % p, (p - 1) // 2, p) == 1 else "inert"
+    kind = splitting_kind(field, p)
     if kind == "inert":
         return kind, [QuadIdeal(field.element(p))]
-    pi = _norm_form_solution(field, p)
+    pi = norm_form_solution(field, p)
     if kind == "ramified":
         return kind, [QuadIdeal(pi)]
     pibar = QuadIdeal(pi.conjugate())
@@ -625,7 +619,18 @@ def split_rational_prime(field: QuadField, p: int):
     return kind, [first, pibar]
 
 
-def _norm_form_solution(field: QuadField, p: int) -> QuadElement:
+def splitting_kind(field: QuadField, p: int) -> str:
+    """How a rational prime p splits: "split", "inert" or "ramified".
+    The answer means nothing unless p is prime; the caller checks that."""
+    d = field.d
+    if d % p == 0 or (p == 2 and d % 4 == 0):
+        return "ramified"
+    if p == 2:
+        return "split" if d % 8 == 1 else "inert"
+    return "split" if pow(d % p, (p - 1) // 2, p) == 1 else "inert"
+
+
+def norm_form_solution(field: QuadField, p: int) -> QuadElement:
     """Solve x^2 + t x y + n y^2 = p; exists for split/ramified p when h=1."""
     t, n = field.trace_omega, field.norm_omega
     ymax = 1

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from cmk2.finitefield import (
     cm_i_value,
     count_points,
     frobenius_equals_cm,
+    scan_count,
     sqrt_mod_p,
 )
 from cmk2.hecke import HeckeCharacter
@@ -221,15 +223,29 @@ def _direct_count(p, a, b):
                    if (y * y - x ** 3 - a * x - b) % p == 0)
 
 
-def _count_mismatches(count):
-    return [(p, a, b) for p in range(3, 200) if is_rational_prime(p)
-            for a, b in ORACLE_CURVES
-            if (4 * a ** 3 + 27 * b ** 2) % p
-            and count(p, a, b) != _direct_count(p, a, b)]
+def _count_mismatches(count, reference=_direct_count, below=200):
+    """(p, a, b) on ORACLE_CURVES, 3 <= p < below, where count differs from
+    reference; a count that raises ArithmeticError (no candidate fits the
+    point orders) counts as a mismatch."""
+    bad = []
+    for p in range(3, below):
+        if not is_rational_prime(p):
+            continue
+        for a, b in ORACLE_CURVES:
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                continue
+            try:
+                n = count(p, a, b)
+            except ArithmeticError:
+                n = None
+            if n != reference(p, a, b):
+                bad.append((p, a, b))
+    return bad
 
 
 def test_count_points_matches_direct_count():
     assert _count_mismatches(count_points) == []
+    assert _count_mismatches(scan_count) == []
 
 
 def test_count_oracle_fails_without_two_torsion():
@@ -240,20 +256,106 @@ def test_count_oracle_fails_without_two_torsion():
     assert _count_mismatches(without_y0)
 
 
-def test_count_oracle_fails_with_one_x_per_orbit():
-    # fault control: the orbit scans counting each orbit of x once, not by
-    # its size, must fail both branches
-    def one_per_orbit(p, a, b):
-        n = count_points(p, a, b)
-        if b % p == 0 and p % 4 == 1:  # infinity, x = 0, then pairs {x, -x}
-            return 2 + (n - 2) // 2
-        if a % p == 0 and p % 3 == 1:  # infinity, x = 0, then cube-root triples
-            fixed = 1 + (1 + pow(b, (p - 1) // 2, p)) % p
-            return fixed + (n - fixed) // 3
-        return n
+# the x-scan is exhaustive (checked above against every (x, y) pair below
+# 200), so it is the reference for the pinned counts up to 3000
+_scanned = functools.cache(scan_count)
 
-    bad = _count_mismatches(one_per_orbit)
-    assert {(a, b) for _p, a, b in bad} >= {(-1, 0), (0, 1), (0, 16)}
+
+def _pinned_mismatches():
+    return _count_mismatches(count_points, _scanned, 3000)
+
+
+def test_count_points_matches_scan_below_3000(monkeypatch):
+    fallbacks = []
+
+    def scanned(p, a, b):
+        fallbacks.append(p)
+        return scan_count(p, a, b)
+
+    monkeypatch.setattr(finitefield, "scan_count", scanned)
+    assert _pinned_mismatches() == []
+    # above 229, E or its twist has a point that pins the count
+    # (Cremona-Sutherland), and the points tried find one at each prime
+    assert fallbacks and max(fallbacks) <= 229
+
+
+def test_pin_oracle_fails_accepting_first_candidate(monkeypatch):
+    # fault control: return the least candidate left, unique or not
+    candidates = finitefield._candidates
+    monkeypatch.setattr(finitefield, "_candidates", lambda *args: candidates(*args)[:1])
+    assert _pinned_mismatches()
+
+
+def test_pin_oracle_fails_with_twist_count_for_its_complement(monkeypatch):
+    # fault control: l_t divides #E' = 2p + 2 - N, not N; a total of 0
+    # makes the candidates obey l_t | N
+    candidates = finitefield._candidates
+    monkeypatch.setattr(finitefield, "_candidates",
+                        lambda lo, hi, total, l_e, l_t: candidates(lo, hi, 0, l_e, l_t))
+    assert _pinned_mismatches()
+
+
+def test_pin_oracle_fails_with_narrowed_hasse_interval(monkeypatch):
+    # fault control: counts at either end of the Hasse interval occur
+    interval = finitefield._hasse_interval
+
+    def narrowed(p):
+        lo, hi = interval(p)
+        return lo + 1, hi - 1
+
+    monkeypatch.setattr(finitefield, "_hasse_interval", narrowed)
+    assert _pinned_mismatches()
+
+
+def _sqrt_mismatches(sqrt):
+    """(a, p) for primes p < 500 and every a mod p where sqrt(a, p) is not
+    one of exactly two roots r, p - r of a square (one at 0), or is not
+    None for a nonsquare."""
+    bad = []
+    for p in range(2, 500):
+        if not is_rational_prime(p):
+            continue
+        roots: dict = {}
+        for r in range(p):
+            roots.setdefault(r * r % p, set()).add(r)
+        for a in range(p):
+            r, want = sqrt(a, p), roots.get(a)
+            if (want is None and r is not None
+                    or want is not None and (r is None or {r, -r % p} != want)):
+                bad.append((a, p))
+    return bad
+
+
+def test_sqrt_mod_p_every_residue():
+    assert _sqrt_mismatches(sqrt_mod_p) == []
+
+
+def _tonelli_shanks_one_step_short(a, p):
+    """sqrt_mod_p with its last step, k = 1, left out."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    b = pow(finitefield._least_nonresidue(p), q, p)
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    for k in range(s - 1, 1, -1):
+        if pow(t, 1 << (k - 1), p) != 1:
+            r, t = r * b % p, t * b * b % p
+        b = b * b % p
+    return r
+
+
+def test_sqrt_oracle_fails_one_step_short():
+    # fault control: p = 3 mod 4 takes no step, so only p = 1 mod 4 can
+    # fail; some failures need 8 | p - 1, where the steps are several
+    failing = {p for _a, p in _sqrt_mismatches(_tonelli_shanks_one_step_short)}
+    assert failing and {p % 4 for p in failing} == {1}
+    assert any(p % 8 == 1 for p in failing)
 
 
 def _fp2_points(C):
@@ -320,6 +422,21 @@ def _smul_mismatches(curve, count=40):
 @pytest.mark.parametrize("a, b", ((-1, 0), (2, 3)))
 def test_smul_matches_repeated_addition(p, a, b):
     assert _smul_mismatches(CurveOverFp2(p, a, b)) == []
+
+
+@pytest.mark.parametrize("p", (13, 29))
+@pytest.mark.parametrize("a, b", ((-1, 0), (2, 3)))
+def test_fp_group_law_matches_fp2_on_prime_field(p, a, b):
+    # the affine F_p law that pins point counts, against CurveOverFp2 on
+    # E(F_p), whose coordinates it writes as pairs (u, 0)
+    C = CurveOverFp2(p, a, b)
+    lift = (lambda P: None if P is None else ((P[0], 0), (P[1], 0)))
+    pts = [None if P is None else (P[0][0], P[1][0]) for P in C.points_prime()]
+    for P in pts:
+        for Q in pts:
+            assert lift(finitefield._add(P, Q, a, p)) == C.add(lift(P), lift(Q))
+        for k in range(12):
+            assert lift(finitefield._mul(k, P, a, p)) == C.smul(k, lift(P))
 
 
 class _BrokenDoubling(CurveOverFp2):

@@ -1,7 +1,7 @@
 import pytest
 
 from cmk2.hecke import HeckeCharacter, point_count_check
-from cmk2.qfield import QuadField, enumerate_L_R, split_rational_prime
+from cmk2.qfield import QuadField, enumerate_L_R, is_rational_prime, split_rational_prime
 
 GAUSS = QuadField(-4)
 F_PHI = GAUSS.ideal("(1+i)^3")
@@ -82,6 +82,25 @@ def test_a_p_frozen(chi):
     assert chi.a_p(29) == -10
     with pytest.raises(ValueError):
         chi.a_p(2)  # ramified
+
+
+@pytest.mark.parametrize("d, conductor", ((-4, "(1+i)^3"), (-4, "2+i"), (-3, "3")))
+def test_split_traces_match_a_p(d, conductor):
+    # one norm-form solution per prime gives the traces a_p computes through
+    # split_rational_prime and the ideal's coprimality test
+    K = QuadField(d)
+    chi = HeckeCharacter(K, K.ideal(conductor))
+    want = {p: chi.a_p(p) for p in range(3, 600)
+            if is_rational_prime(p) and chi.conductor.norm % p
+            and split_rational_prime(K, p)[0] == "split"}
+    assert want and chi.split_traces(600) == want
+    assert list(chi.split_traces(600)) == sorted(want)
+
+
+def test_split_traces_reject_unnormalizable_values():
+    K = QuadField(-7)
+    with pytest.raises(ValueError, match="no generator congruent to 1"):
+        HeckeCharacter(K, K.ideal("7")).split_traces(30)
 
 
 def test_point_count_check(chi):
