@@ -31,15 +31,37 @@ w = floor(2 sqrt(p)), which is symmetric about p + 1.
   `scan_count` counts every x against a table of square counts; that
   exhaustive scan is also the tests' reference.
 
-Frobenius orbits.  At d = -4 (B = 0), [i](x, y) = (-x, i y) with i in
-F_p, so Frobenius, which fixes F_p, commutes with [i]; and [pi] =
-[a] + [b][i] commutes with [i] for every a + b i.  So Frob(P) = [pi]P
-implies Frob([i]^k P) = [i]^k Frob(P) = [i]^k [pi] P = [pi][i]^k P: one
-point of each <[i]>-orbit decides the orbit.  The comparison runs at each
-orbit's least point under tuple order and stays exhaustive, since each
-orbit is compared whole; the point counts still come from the full
-enumeration.  The argument uses the curve's automorphism only, never the
-character the oracle checks.
+Frobenius from one generator.  At d = -4 (B = 0), [i](x, y) = (-x, i y)
+with i in F_p, so Frobenius, which fixes F_p, commutes with [i], and so
+do [pi] and [pi-bar]: all three are O-linear maps of E(F_{p^2}).  The
+comparison therefore needs one point P with O P = E(F_{p^2}).  The
+counts come from `count_points` alone: N_1 = #E(F_p), t = p + 1 - N_1 and
+N_2 = #E(F_{p^2}) = (p + 1)^2 - t^2.
+
+- Certificate.  For m in O with N(m) = N_2, suppose [m]P = O and
+  [m/q]P != O for each prime q of (m).  Then ann_O(P) = (m): it contains
+  (m), and an ideal strictly larger would divide some (m/q).  So
+  O P = O/(m) has N_2 points, and O P is all of E(F_{p^2}).
+- Candidates.  Over F_{p^2} Frobenius is phi^2, with phi = u pi or u pi-bar
+  for a unit u (phi has norm p), so #E(F_{p^2}) = N(phi^2 - 1).  The m
+  tried are the distinct ideals (c^2 - 1), c = u pi and u pi-bar, of norm
+  N_2.  The unit associates cover the quartic twists, such as
+  y^2 = x^3 + 2x, whose Frobenius is neither pi nor pi-bar.  E(F_{p^2}) is
+  a cyclic O-module (Lenstra, "Complex multiplication structure of
+  elliptic curves", J. Number Theory 56, 1996), so some candidate has a
+  generator.  The share of generators among the points is the product of
+  1 - 1/N(q) over the primes q of (m), at most 1/2 since 2 divides m.
+  The check does not rely on Lenstra's theorem: it proves its own
+  generator.
+- Comparison.  An O-linear map that agrees with Frobenius at P agrees on
+  O P, so [pi] (or [pi-bar]) is Frobenius on all of E(F_{p^2}) exactly
+  when it is at P.  The argument uses the curve alone, never the
+  character the oracle checks.
+- Points are drawn from a generator seeded by p, so reports are
+  deterministic.  Square roots in F_{p^2} come from one in F_p (`Fp2.sqrt`).
+  Where _GEN_TRIES points per candidate certify nothing, the comparison
+  runs exhaustively over every point of E(F_{p^2}); that exhaustive
+  comparison is also the tests' reference.
 
 The Frobenius comparison runs over E(F_{p^2}), not E(F_p).  On E(F_p)
 Frobenius is the identity, so the candidate that is Frobenius matches
@@ -55,12 +77,16 @@ pi - pi-bar = 2bi, which has 4b^2 < 4p points, while #E(F_{p^2}) >=
 
 from __future__ import annotations
 
+import random
 from math import gcd, isqrt, lcm
 
-from .qfield import QuadElement, factor_int, is_rational_prime
+from .qfield import QuadElement, QuadIdeal, factor_ideal, factor_int, is_rational_prime
 
 # points tried on E and E' before count_points falls back to the x-scan
 _PIN_TRIES = 12
+# points tried per candidate annihilator before frobenius_equals_cm falls
+# back to the exhaustive comparison
+_GEN_TRIES = 64
 
 
 def count_points(p: int, a: int, b: int) -> int:
@@ -279,6 +305,29 @@ class Fp2:
         # x -> x^p; s^p = -s since nr^((p-1)/2) = -1
         return (x[0], -x[1] % self.p)
 
+    def sqrt(self, x):
+        """A square root of x = u + v s, or None.  For v != 0 a root X + Y s
+        has X^2 + nr Y^2 = u and 2 X Y = v, so X^2 and nr Y^2 are the roots
+        (u +- r)/2 of T^2 - u T + nr v^2/4, with r^2 = u^2 - nr v^2 the norm
+        of x; their product nr v^2/4 is a nonsquare, so exactly one of them
+        is a square, and that one is X^2."""
+        p, nr = self.p, self.nr
+        u, v = x
+        if v == 0:
+            r = sqrt_mod_p(u, p)
+            if r is not None:
+                return (r, 0)
+            # a nonsquare u is nr times a square w^2, and (w s)^2 = nr w^2
+            return (0, sqrt_mod_p(u * pow(nr, -1, p), p))
+        r = sqrt_mod_p(u * u - nr * v * v, p)
+        if r is None:
+            return None  # x is a square exactly when its norm is
+        half = (p + 1) // 2
+        X = sqrt_mod_p((u + r) * half, p)
+        if X is None:
+            X = sqrt_mod_p((u - r) * half, p)
+        return (X, v * pow(2 * X, -1, p) % p)
+
     def elements(self):
         for a in range(self.p):
             for b in range(self.p):
@@ -379,6 +428,16 @@ class CurveOverFp2:
             return None
         return (self.F.frobenius(P[0]), self.F.frobenius(P[1]))
 
+    def random_point(self, rng: random.Random):
+        """A point of E(F_p^2) above an x drawn from `rng`, redrawn until
+        x^3 + A x + B is a square."""
+        F = self.F
+        while True:
+            x = (rng.randrange(F.p), rng.randrange(F.p))
+            y = F.sqrt(F.add(F.mul(F.add(F.mul(x, x), self.a), x), self.b))
+            if y is not None:
+                return (x, y)
+
 
 def cm_i_value(p: int) -> int:
     """The canonical square root of -1 mod p (the smaller of the two)."""
@@ -413,17 +472,10 @@ def cm_apply(pi: QuadElement, P, curve: CurveOverFp2, i_val: int):
     return curve.add(curve.smul(pi.x, P), curve.smul(pi.y, iP))
 
 
-def _least_in_orbit(P, p: int) -> bool:
-    """Whether P is the least, under tuple order, of its <[i]>-orbit
-    (x, y), (-x, i y), (x, -y), (-x, -i y) on a curve with B = 0.  For
-    x != 0 that is x < -x and y <= -y; x = 0 forces y = 0, a fixed point."""
-    x, y = P
-    return x <= (-x[0] % p, -x[1] % p) and y <= (-y[0] % p, -y[1] % p)
-
-
 def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
-    """Exhaustively compare Frobenius with [pi] and [pi-bar] on E(F_p^2),
-    at one point of each <[i]>-orbit (see the module docstring).
+    """Compare Frobenius with [pi] and [pi-bar] on all of E(F_p^2), at one
+    certified O-module generator (see the module docstring), or
+    exhaustively where no generator is certified.
 
     Returns a report naming which endomorphism matched.  Exactly one of
     the two must match on the full extension group; over F_p alone both
@@ -432,17 +484,73 @@ def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
     curve = CurveOverFp2(p, a, b)
     i_val = cm_i_value(p)
     _check_cm(pi, curve, i_val)
+    prime_count = count_points(p, a, b)
+    t = p + 1 - prime_count
+    ext_count = (p + 1) ** 2 - t * t
+    P = _certified_generator(curve, i_val, pi, ext_count)
+    if P is None:
+        return _frobenius_exhaustive(p, a, b, pi)
+    frob = curve.frobenius(P)
+    return _report(p, i_val, ext_count, prime_count, pi,
+                   lambda cand: frob == cm_apply(cand, P, curve, i_val))
+
+
+def _certified_generator(curve: CurveOverFp2, i_val: int, pi: QuadElement,
+                         ext_count: int):
+    """A point P with ann_O(P) = (c^2 - 1) of norm ext_count, c a unit
+    times pi or pi-bar, or None when _GEN_TRIES points per candidate
+    certify none."""
+    rng = random.Random(curve.F.p)
+    tried = set()
+    for c in (u * s for s in (pi, pi.conjugate()) for u in pi.field.units()):
+        m = c * c - 1
+        ideal = QuadIdeal(m)
+        if m.norm() != ext_count or ideal in tried:
+            continue
+        tried.add(ideal)
+        primes = None
+        for _ in range(_GEN_TRIES):
+            P = curve.random_point(rng)
+            if cm_apply(m, P, curve, i_val) is not None:
+                break  # a generator's annihilator kills every point
+            if primes is None:
+                primes = [q.gen for q, _ in factor_ideal(ideal)]
+            if _certifies(curve, i_val, P, m, primes):
+                return P
+    return None
+
+
+def _certifies(curve: CurveOverFp2, i_val: int, P, m: QuadElement, primes) -> bool:
+    """Whether ann_O(P) = (m), given the generators of the primes of (m):
+    [m]P = O and [m/q]P != O for each prime q."""
+    return (cm_apply(m, P, curve, i_val) is None
+            and all(cm_apply(m.exact_div(q), P, curve, i_val) is not None
+                    for q in primes))
+
+
+def _frobenius_exhaustive(p: int, a: int, b: int, pi: QuadElement) -> dict:
+    """frobenius_equals_cm's report from every point of E(F_p^2)."""
+    curve = CurveOverFp2(p, a, b)
+    i_val = cm_i_value(p)
+    _check_cm(pi, curve, i_val)
     pts = curve.points_ext()
+    return _report(p, i_val, len(pts), len(curve.points_prime(pts)), pi,
+                   lambda cand: all(curve.frobenius(P) == cm_apply(cand, P, curve, i_val)
+                                    for P in pts))
+
+
+def _report(p: int, i_val: int, ext_count: int, prime_count: int,
+            pi: QuadElement, matches) -> dict:
+    """The Frobenius report, with matches(cand) deciding whether [cand] is
+    Frobenius on E(F_p^2)."""
     report = {
         "p": p,
         "i_mod_p": i_val,
-        "ext_count": len(pts),
-        "prime_count": len(curve.points_prime(pts)),
+        "ext_count": ext_count,
+        "prime_count": prime_count,
     }
     for tag, cand in (("pi", pi), ("pi_bar", pi.conjugate())):
-        report[tag + "_matches"] = all(
-            curve.frobenius(P) == cm_apply(cand, P, curve, i_val)
-            for P in pts if P is not None and _least_in_orbit(P, p))
+        report[tag + "_matches"] = matches(cand)
     report["exactly_one"] = report["pi_matches"] != report["pi_bar_matches"]
     if report["pi_matches"]:
         matched = pi

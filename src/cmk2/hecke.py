@@ -43,13 +43,13 @@ class HeckeCharacter:
             raise ValueError("ideal belongs to a different field")
         if not ideal.is_coprime(self.conductor):
             raise ValueError(f"{ideal} is not coprime to the conductor {self.conductor}")
-        return self._ray_one(ideal)
+        return self._ray_one(ideal.gen)
 
-    def _ray_one(self, ideal: QuadIdeal) -> QuadElement:
-        g = ray_one_generator(ideal, self.conductor)
+    def _ray_one(self, gen: QuadElement) -> QuadElement:
+        g = ray_one_generator(gen, self.conductor)
         if g is None:
             raise ValueError(
-                f"{ideal} has no generator congruent to 1 mod {self.conductor}; "
+                f"{QuadIdeal(gen)} has no generator congruent to 1 mod {self.conductor}; "
                 "it is not admissible at this conductor"
             )
         return g
@@ -84,17 +84,17 @@ class HeckeCharacter:
 
     def split_traces(self, bound: int) -> dict[int, int]:
         """{p: a_p} for the split primes 3 <= p <= bound not dividing N(f),
-        in increasing order: the trace of the ray-normalized norm-form
-        solution above p.  A prime of norm p is coprime to the conductor
-        when p does not divide N(f), so no gcd is taken."""
+        in increasing order: the trace of the ray-normalized associate of
+        the norm-form solution above p, found in one pass over the units.
+        A prime of norm p is coprime to the conductor when p does not
+        divide N(f), so no gcd is taken."""
         field, traces = self.field, {}
         for p in range(3, bound + 1, 2):
             # the one-power splitting test turns most composites away before
             # the trial division that decides primality
             if (self.conductor.norm % p and splitting_kind(field, p) == "split"
                     and is_rational_prime(p)):
-                pi = QuadIdeal(norm_form_solution(field, p))
-                traces[p] = self._ray_one(pi).trace()
+                traces[p] = self._ray_one(norm_form_solution(field, p)).trace()
         return traces
 
 

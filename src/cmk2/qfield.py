@@ -729,19 +729,20 @@ def bezout(alpha: QuadElement, beta: QuadElement):
 # --- the prime pool L and the ideal pool R ----------------------------------
 
 
-def ray_one_generator(ideal: QuadIdeal, f_phi: QuadIdeal):
-    """The associate of the generator congruent to 1 mod f_phi, or None.
+def ray_one_generator(gen: QuadElement, f_phi: QuadIdeal):
+    """The associate of gen congruent to 1 mod f_phi, or None; gen may be
+    any generator of its ideal.
 
     Unique when the roots of unity inject into (O_K/f_phi)^*, which the
     Hecke layer enforces before this is trusted.
     """
-    one = ideal.field.one()
-    hits = [v for v in (u * ideal.gen for u in ideal.field.units())
+    one = gen.field.one()
+    hits = [v for v in (u * gen for u in gen.field.units())
             if f_phi.contains(v - one)]
     if not hits:
         return None
     if len(hits) != 1:
-        raise ArithmeticError(f"ray-normalized generator not unique for {ideal}")
+        raise ArithmeticError(f"ray-normalized generator not unique for {QuadIdeal(gen)}")
     return hits[0]
 
 
@@ -770,7 +771,7 @@ def enumerate_L_R(field: QuadField, bound: int, f_phi: QuadIdeal,
                 continue
             if not pr.is_coprime(forbidden):
                 continue
-            if ray_one_generator(pr, f_phi) is None:
+            if ray_one_generator(pr.gen, f_phi) is None:
                 continue
             L.append(pr)
     L.sort(key=lambda I: (I.norm, I.gen.x, I.gen.y))

@@ -70,6 +70,15 @@ def test_frobenius_check_ray_normalized_generator():
     assert rec["report"]["norm_of_pi_minus_1"] == 8
 
 
+def test_frobenius_check_at_a_six_digit_prime():
+    # one certified generator stands in for the 10^10 points of E(F_{p^2})
+    code, out, _ = run("frobenius-check", "--p", "100049")
+    assert code == 0
+    (rec,) = records(out)
+    assert rec["pass"] is True
+    assert rec["report"]["ext_count"] == 10009817600
+
+
 def test_build_alpha_annotations():
     code, out, _ = run("build-alpha", "--m", "2-i", "--p", "13")
     assert code == 0

@@ -1,5 +1,8 @@
 import functools
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,11 @@ from cmk2.finitefield import (
     sqrt_mod_p,
 )
 from cmk2.hecke import HeckeCharacter
-from cmk2.qfield import QuadField, is_rational_prime
+from cmk2.qfield import QuadField, QuadIdeal, factor_ideal, is_rational_prime
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import FROBENIUS_PRIMES  # noqa: E402
 
 GAUSS = QuadField(-4)
 CHI = HeckeCharacter(GAUSS, GAUSS.ideal(GAUSS.parse("(1+i)^3")))
@@ -133,20 +140,6 @@ def test_frobenius_equals_cm_exactly_one():
         assert rep["norm_of_pi_minus_1"] == count_points(p, -1, 0)
 
 
-def test_frobenius_check_enumerates_once(monkeypatch):
-    calls = []
-    enumerate_ext = CurveOverFp2.points_ext
-
-    def counted(self):
-        calls.append(self.F.p)
-        return enumerate_ext(self)
-
-    monkeypatch.setattr(CurveOverFp2, "points_ext", counted)
-    rep = frobenius_equals_cm(13, -1, 0, GAUSS.parse("3+2*i"))
-    assert calls == [13]
-    assert rep["prime_count"] == count_points(13, -1, 0)
-
-
 def test_frobenius_restricted_to_prime_field_is_trivial():
     # Frobenius fixes every point of E(F_p), so there a candidate matches
     # exactly when it fixes E(F_p) too (see the fault control below)
@@ -161,41 +154,124 @@ def _pi(p):
     return CHI.evaluate(CHI.split_primes_above(p)[0])
 
 
+def _refuse_enumeration(self):
+    raise AssertionError(f"E(F_{self.F.p}^2) enumerated")
+
+
+# the exhaustive comparison over every point of E(F_p^2), the reference
+_exhaustive = functools.cache(finitefield._frobenius_exhaustive)
+
+
+@pytest.mark.parametrize("tries", (pytest.param(finitefield._GEN_TRIES, id="generator"),
+                                   pytest.param(0, id="fallback")))
 @pytest.mark.parametrize("a", (-1, 2))
-def test_orbit_frobenius_matches_per_point_check(a, monkeypatch):
+def test_frobenius_report_matches_exhaustive(a, tries, monkeypatch):
     # y^2 = x^3 - x, whose Frobenius is [pi] or [pi-bar], and its quartic
-    # twist y^2 = x^3 + 2x, whose Frobenius is neither at most of these p
+    # twist y^2 = x^3 + 2x, whose Frobenius is neither at most of these p;
+    # with no point tried, every call takes the exhaustive fallback
+    monkeypatch.setattr(finitefield, "_GEN_TRIES", tries)
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return _exhaustive(*args)
+
+    monkeypatch.setattr(finitefield, "_frobenius_exhaustive", counted)
     cands = [(p, pi) for p in SPLIT_BELOW_120 for pi in (_pi(p), _pi(p).conjugate())]
-    orbit = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
-    # every point the least of its own orbit: the per-point comparison
-    monkeypatch.setattr(finitefield, "_least_in_orbit", lambda P, p: True)
-    per_point = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
-    assert orbit == per_point
-    assert all(rep["exactly_one"] for rep in orbit) == (a == -1)
+    reports = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
+    assert reports == [_exhaustive(p, a, 0, pi) for p, pi in cands]
+    assert len(fallbacks) == (len(cands) if tries == 0 else 0)
+    assert all(rep["exactly_one"] for rep in reports) == (a == -1)
 
 
-@pytest.mark.parametrize("p", (5, 13, 29, 113))
-def test_one_representative_per_orbit(p):
-    # each <[i]>-orbit of E(F_p^2) has exactly one point the comparison runs at
+def test_frobenius_certifies_without_enumerating(monkeypatch):
+    # every prime the frobenius-check workload draws is decided at a
+    # certified generator, never by listing E(F_p^2)
+    monkeypatch.setattr(CurveOverFp2, "points_ext", _refuse_enumeration)
+    for p in FROBENIUS_PRIMES:
+        rep = frobenius_equals_cm(p, -1, 0, _pi(p))
+        assert rep["exactly_one"], rep
+        assert rep["prime_count"] == count_points(p, -1, 0)
+
+
+def test_frobenius_every_split_prime_below_10000(monkeypatch):
+    monkeypatch.setattr(CurveOverFp2, "points_ext", _refuse_enumeration)
+    traces = CHI.split_traces(10 ** 4)
+    assert len(traces) == 609
+    for p, a_p in traces.items():
+        rep = frobenius_equals_cm(p, -1, 0, _pi(p))
+        assert rep["exactly_one"], rep
+        assert rep["matched_trace"] == a_p
+        assert rep["prime_count"] == count_points(p, -1, 0)
+
+
+def _drawing(monkeypatch, points):
+    """Make CurveOverFp2.random_point cycle through `points`, and every
+    fallback to the exhaustive comparison return "fallback"."""
+    draws = itertools.cycle(points)
+    monkeypatch.setattr(CurveOverFp2, "random_point", lambda self, rng: next(draws))
+    monkeypatch.setattr(finitefield, "_frobenius_exhaustive", lambda *args: "fallback")
+
+
+def test_prime_field_point_does_not_separate(monkeypatch):
+    # no point of E(F_p) generates E(F_p^2), so the certifier accepts none
+    p = 113
+    _drawing(monkeypatch, CurveOverFp2(p, -1, 0).points_prime()[1:])
+    assert frobenius_equals_cm(p, -1, 0, _pi(p)) == "fallback"
+    # fault control: compared at a point of E(F_p) accepted as a generator,
+    # both candidates match at p = 113
+    monkeypatch.setattr(finitefield, "_certifies", lambda *args: True)
+    rep = frobenius_equals_cm(p, -1, 0, _pi(p))
+    assert rep["pi_matches"] and rep["pi_bar_matches"] and not rep["exactly_one"]
+
+
+def test_certifier_rejects_two_torsion(monkeypatch):
+    p = 113
     C, i_val = CurveOverFp2(p, -1, 0), cm_i_value(p)
-    for P in C.points_ext()[1:]:
-        orbit, Q = set(), P
-        for _ in range(4):
-            orbit.add(Q)
-            Q = cm_apply(GAUSS.omega(), Q, C, i_val)
-        assert Q == P
-        assert sum(finitefield._least_in_orbit(R, p) for R in orbit) == 1
+    rep = _exhaustive(p, -1, 0, _pi(p))
+    frob = _pi(p) if rep["pi_matches"] else _pi(p).conjugate()
+    m = frob * frob - 1  # the annihilator of E(F_p^2)
+    assert m.norm() == rep["ext_count"]
+    primes = [q.gen for q, _ in factor_ideal(QuadIdeal(m))]
+    T = ((0, 0), (0, 0))  # (0, 0) on y^2 = x^3 - x, of order 2
+    assert cm_apply(m, T, C, i_val) is None
+    assert not finitefield._certifies(C, i_val, T, m, primes)
+    # fault control: without the maximality check the certifier accepts
+    # T, and the comparison at T matches both candidates
+    assert finitefield._certifies(C, i_val, T, m, [])
+    _drawing(monkeypatch, [T])
+    assert frobenius_equals_cm(p, -1, 0, _pi(p)) == "fallback"
+    monkeypatch.setattr(finitefield, "factor_ideal", lambda ideal: [])
+    rep = frobenius_equals_cm(p, -1, 0, _pi(p))
+    assert rep["pi_matches"] and rep["pi_bar_matches"] and not rep["exactly_one"]
 
 
 def test_frobenius_on_prime_field_does_not_separate(monkeypatch):
-    # fault control: restricted to E(F_p), the comparison matches both
-    # candidates at some primes, so the extension group is needed
+    # fault control: restricted to E(F_p), the exhaustive comparison
+    # matches both candidates at some primes, so the extension group is
+    # needed
     ext = CurveOverFp2.points_ext
     monkeypatch.setattr(CurveOverFp2, "points_ext",
                         lambda self: self.points_prime(ext(self)))
     both = [p for p in SPLIT_BELOW_120
-            if not frobenius_equals_cm(p, -1, 0, _pi(p))["exactly_one"]]
+            if not finitefield._frobenius_exhaustive(p, -1, 0, _pi(p))["exactly_one"]]
     assert both == [5, 13, 17, 41, 61, 113]
+
+
+@pytest.mark.parametrize("p", (3, 5, 13, 29))
+def test_fp2_sqrt_every_element(p):
+    F = Fp2(p)
+    roots: dict = {}
+    for e in F.elements():
+        roots.setdefault(F.mul(e, e), set()).add(e)
+    for x in F.elements():
+        r = F.sqrt(x)
+        assert (r is None) if x not in roots else (r in roots[x]), (x, r)
+    for a, b in ORACLE_CURVES:
+        if (4 * a ** 3 + 27 * b ** 2) % p:
+            C = CurveOverFp2(p, a, b)
+            rng = random.Random(p)
+            assert all(on_curve(C, C.random_point(rng)) for _ in range(20))
 
 
 def test_fp2_field_axioms():

@@ -387,12 +387,12 @@ PBAR = GAUSS.ideal("3-2*i")
 
 def test_ray_one_generator():
     # -3 = 1 + (-4), and (2+2i) | 4, so (3) has the ray-normalized generator -3
-    g = ray_one_generator(GAUSS.ideal(3), F_PHI)
+    g = ray_one_generator(GAUSS.element(3), F_PHI)
     assert g == GAUSS.element(-3)
-    g = ray_one_generator(GAUSS.ideal("2+i"), F_PHI)
+    g = ray_one_generator(GAUSS.parse("2+i"), F_PHI)
     assert g == GAUSS.parse("-1+2*i")
     # (1+i) divides the modulus: no unit makes it coprime, residue 1 impossible
-    assert ray_one_generator(GAUSS.ideal("1+i"), F_PHI) is None
+    assert ray_one_generator(GAUSS.parse("1+i"), F_PHI) is None
 
 
 def test_enumerate_L_30_frozen():

@@ -167,7 +167,7 @@ def test_exactness_checks_survive_python_O():
         torsion.torsion_subgroup = lambda ell: [O] * ell.norm
         expect_raise("additive", torsion.galois_conjugates, P_TOWER, ELL, "additive")
         qfield.QuadIdeal.contains = lambda self, elem: True
-        expect_raise("ray", qfield.ray_one_generator, ELL, ELL)
+        expect_raise("ray", qfield.ray_one_generator, ELL.gen, ELL)
         qfield.QuadElement.is_canonical = lambda self: True
         expect_raise("sector", qfield.canonical_generator, F4.parse("2-i"))
         finitefield.cm_i_value = lambda p: 2  # 2^2 + 1 = 5, not 0 mod 13
