@@ -88,7 +88,8 @@ zeta, p and p' raise PoleError there.
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
 that precision.  Nothing here mutates global mpmath state outside a
-workprec block.
+workprec block.  It also holds the run's tolerance `lat.tol`, and
+`within(residual)`, residual < tol, is every numeric check's acceptance.
 """
 
 from __future__ import annotations
@@ -151,13 +152,14 @@ def _canonical(X: int, Y: int, D: int):
 
 
 class AnalyticLattice:
-    """C/O_K at a fixed binary precision."""
+    """C/O_K at a fixed binary precision, with the run's tolerance."""
 
-    def __init__(self, field: QuadField, prec: int = 256):
+    def __init__(self, field: QuadField, prec: int = 256, tol=DEFAULT_TOL):
         if prec < MIN_PREC:
             raise ValueError(f"precision below {MIN_PREC} bits is not supported")
         self.field = field
         self.prec = prec
+        self.tol = tol
         self._t, self._n = field.trace_omega, field.norm_omega
         self._memo: dict = {}
         self._init_constants()
@@ -171,6 +173,10 @@ class AnalyticLattice:
         except KeyError:
             out = self._memo[key] = compute()
             return out
+
+    def within(self, residual) -> bool:
+        """The acceptance rule of every numeric check: residual < tol."""
+        return bool(residual < self.tol)
 
     def context(self):
         """Working-precision context; combining returned values must happen

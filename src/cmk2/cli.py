@@ -110,8 +110,8 @@ class Context:
             from .analytic import AnalyticLattice
 
             # the lattice rejects a precision below its floor
-            self.lattice = _checked("--prec", AnalyticLattice, self.field, args.prec)
-            self.tol = _tol(args)
+            self.lattice = _checked("--prec", AnalyticLattice, self.field, args.prec,
+                                    _tol(args))
 
     def ideal(self, text: str, flag: str, prime: bool = False) -> QuadIdeal:
         gen = _checked(flag, self.field.parse, text)
@@ -163,8 +163,8 @@ def _hecke_check(ctx: Context, opts: dict) -> dict:
     traces = _checked("--conductor", chi.split_traces, args.bound)
     if not traces:
         raise ConfigError(f"--bound: no split prime up to {args.bound} to check")
-    rows = [_checked(CURVE, point_count_check, chi, p, args.curve_a, args.curve_b,
-                     a_p) for p, a_p in traces.items()]
+    rows = [_checked(CURVE, point_count_check, p, args.curve_a, args.curve_b, a_p)
+            for p, a_p in traces.items()]
     return {
         "bound": args.bound,
         "curve": [args.curve_a, args.curve_b],
@@ -220,7 +220,7 @@ def _certify_tame(ctx: Context, opts: dict) -> dict:
     m = ctx.ideal(opts["m"], "--m")
     sym = _checked("construction rejected", build_alpha_prime, ctx.system, m,
                    ctx.args.a)
-    cert = certify_tame_kernel(sym, ctx.lattice, tol=ctx.tol)
+    cert = certify_tame_kernel(sym, ctx.lattice)
     return {
         "m": str(m),
         "a": ctx.args.a,
@@ -263,7 +263,7 @@ def _verify_e1(ctx: Context, opts: dict) -> dict:
         raise ConfigError("--l: the plain norm relation needs the prime "
                           "to divide the level")
     rep = verify_E1(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    tol=ctx.tol, seed=args.seed)
+                    seed=args.seed)
     return _relation_record(ctx, m, ell, rep)
 
 
@@ -278,7 +278,7 @@ def _verify_e2(ctx: Context, opts: dict) -> dict:
     if not ell.is_coprime(ctx.system.f_level):
         raise ConfigError("--l: the prime must be coprime to the fixed level")
     rep = verify_E2(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    tol=ctx.tol, seed=args.seed)
+                    seed=args.seed)
     return _relation_record(ctx, m, ell, rep)
 
 

@@ -56,7 +56,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import DEFAULT_TOL, GUARD_BITS, AnalyticLattice, PoleError
+from .analytic import GUARD_BITS, AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import TorsionPoint, preimage_set, torsion_subgroup
 
@@ -523,15 +523,15 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
 
 
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
-                         seed: int = 20240801, tol=DEFAULT_TOL,
-                         require_modulus_one=False):
+                         seed: int = 20240801):
     """Ratio-constancy scan of two evaluators at seeded sample points,
     each handed to both evaluators as the exact field element
     sample_points made.
 
     Returns a report dict with the mean constant, the relative spread,
-    and pass/fail under tol.  Raises ValueError for fewer than two
-    samples: a single ratio cannot show that the ratio is constant.
+    the deviation of the constant's modulus from one, and pass/fail of
+    both under the lattice's tolerance.  Raises ValueError for fewer than
+    two samples: a single ratio cannot show that the ratio is constant.
     """
     if samples < 2:
         raise ValueError("a constancy scan needs at least two sample points")
@@ -545,19 +545,17 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
             ratios.append(fv / gv)
         mean = sum(ratios) / len(ratios)
         spread = max(abs(r - mean) for r in ratios) / abs(mean)
-        report = {
+        dev = abs(abs(mean) - 1)
+        spread_ok, dev_ok = lat.within(spread), lat.within(dev)
+        return {
             "samples": len(points),
             "seed": seed,
             "constant": mean,
             "spread": spread,
-            "tolerance": tol,
-            "pass": bool(spread < tol),
+            "modulus_deviation": dev,
+            "tolerance": lat.tol,
+            "pass": spread_ok and dev_ok,
         }
-        if require_modulus_one:
-            dev = abs(abs(mean) - 1)
-            report["modulus_deviation"] = dev
-            report["pass"] = bool(report["pass"] and dev < tol)
-        return report
 
 
 def evaluator(fn: EllFunction, lat: AnalyticLattice):

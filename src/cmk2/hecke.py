@@ -98,13 +98,10 @@ class HeckeCharacter:
         return traces
 
 
-def point_count_check(chi: HeckeCharacter, p: int, curve_a: int, curve_b: int,
-                      a_char: int | None = None) -> dict:
-    """Compare a_p from the character against the exact point count;
-    `a_char` is chi.a_p(p) when the caller has it."""
+def point_count_check(p: int, curve_a: int, curve_b: int, a_char: int) -> dict:
+    """Compare the character's trace a_char at p with the exact point count."""
     count = count_points(p, curve_a, curve_b)
     a_count = p + 1 - count
-    a_char = chi.a_p(p) if a_char is None else a_char
     return {
         "p": p,
         "a_p_character": a_char,

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import mpmath as mp
 
-from .analytic import DEFAULT_TOL, AnalyticLattice
+from .analytic import AnalyticLattice
 from .divisors import (
     ConstAtom,
     build_g_a,
@@ -104,8 +104,7 @@ def _norm_sum(sym: SymbolSum, units: list[QuadElement]) -> SymbolSum:
 
 def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
                                relation: str, lat: AnalyticLattice, *, a: int = 2,
-                               samples: int = 20, tol=DEFAULT_TOL,
-                               seed: int = 20240801) -> dict:
+                               samples: int = 20, seed: int = 20240801) -> dict:
     """Divisor-exact and numerically-constant form of the norm identity.
 
     At the common scale k = N(m ell f) the conjugate product of the
@@ -116,7 +115,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     orbit are not computed again.
     """
     with lat.context():
-        r = _run(lat, relation, sys, m, ell, a, samples, tol, seed)
+        r = _run(lat, relation, sys, m, ell, a, samples, seed)
         k = r.k
         lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit)]
         if relation == "E2":
@@ -133,7 +132,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         rhs = lambda z: s_m.evaluate(lat, r.phi_ell * z) * g_l.evaluate(lat, z) ** k
         avoid = set(lhs_div.support()) | set(rhs_div.support())
         scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
-                                    seed=seed, tol=tol, require_modulus_one=True)
+                                    seed=seed)
         return {
             "identity": relation,
             "scale": k,
@@ -148,7 +147,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
 #
 # A stage reads one _Run and the lattice and returns its payload with a
 # "pass" flag.  The run, and the two stages that depend only on (phi_ell,
-# ell, a, samples, tol, seed), not the level, sit in the lattice memo:
+# ell, a, samples, seed), not the level, sit in the lattice memo:
 # both relations run those stages with the same inputs.  Their reports
 # are shared between callers and must not be mutated.
 
@@ -157,9 +156,9 @@ class _Run:
     """One verification's configuration and the exact data its stages read
     (conjugating units, orbit, fiber); no lattice, so the memo keeps it."""
 
-    def __init__(self, relation, sys, m, ell, a, samples, tol, seed):
+    def __init__(self, relation, sys, m, ell, a, samples, seed):
         self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
-        self.samples, self.tol, self.seed = samples, tol, seed
+        self.samples, self.seed = samples, seed
         self.ml = m * ell
         self.k = (self.ml * sys.f_level).norm
         self.phi_ell = sys.chi.evaluate(ell)
@@ -203,7 +202,7 @@ def _twist_point_level(r: _Run, lat: AnalyticLattice) -> dict:
 
 def _twisted_element(r: _Run, lat: AnalyticLattice) -> dict:
     twisted = build_alpha_prime(r.sys, r.m, r.a, y_point=r.twist, scale=r.k)
-    cert = certify_tame_kernel(twisted, lat, tol=r.tol)
+    cert = certify_tame_kernel(twisted, lat)
     return {"certificate": cert, "pass": cert["pass"]}
 
 
@@ -213,7 +212,7 @@ def _without(report: dict, *keys) -> dict:
 
 def _function_identity(r: _Run, lat: AnalyticLattice) -> dict:
     rep = verify_function_identities(r.sys, r.m, r.ell, r.relation, lat, a=r.a,
-                                     samples=r.samples, tol=r.tol, seed=r.seed)
+                                     samples=r.samples, seed=r.seed)
     return _without(rep, "identity", "conjugates")
 
 
@@ -227,14 +226,13 @@ def _twisted_function_identity(r: _Run, lat: AnalyticLattice) -> dict:
     push_scan = equal_up_to_constant(
         s_n.pushforward_evaluator(lat, r.phi_ell), evaluator(s_m, lat), lat,
         avoid=set(s_m.divisor.support()) | set(s_n.divisor.support()),
-        samples=max(4, r.samples // 2), seed=r.seed + 2, tol=r.tol,
-        require_modulus_one=True)
+        samples=max(4, r.samples // 2), seed=r.seed + 2)
     return {**rep, "push_divisor_match": bool(push_ok), "push_scan": push_scan,
             "pass": rep["pass"] and push_ok and push_scan["pass"]}
 
 
 def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
-                        samples: int, tol, seed: int) -> dict:
+                        samples: int, seed: int) -> dict:
     """The level-independent part of [phi_ell]_* g_a = g_a: exact divisor
     transport, the constant scan of the fiber product, and the projection
     step against the canonical image build."""
@@ -243,12 +241,11 @@ def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
         push = g.pushforward_evaluator(lat, phi_ell)
         scan = equal_up_to_constant(push, evaluator(g, lat), lat,
                                     avoid=g.divisor.support(), samples=samples,
-                                    seed=seed, tol=tol, require_modulus_one=True)
+                                    seed=seed)
         image = g.pushforward_function(phi_ell)
         proj = equal_up_to_constant(push, evaluator(image, lat), lat,
                                     avoid=image.divisor.support(),
-                                    samples=max(4, samples // 2), seed=seed + 1,
-                                    tol=tol, require_modulus_one=True)
+                                    samples=max(4, samples // 2), seed=seed + 1)
         return {"push_divisor_fixed": g.divisor.pushforward(phi_ell) == g.divisor,
                 "scan": scan, "projection": proj}
 
@@ -256,18 +253,18 @@ def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
 def _distribution(r: _Run, lat: AnalyticLattice) -> dict:
     """The distribution relation, with the scanned constant showing up at
     the level point as the product of g over its fiber."""
-    args = (r.phi_ell, r.a, r.samples, r.tol, r.seed)
+    args = (r.phi_ell, r.a, r.samples, r.seed)
     shared = lat.memo((_distribution_scans, *args),
                       lambda: _distribution_scans(lat, *args))
     g = build_g_a(r.sys.field, r.a)
     prod = g.pushforward_evaluator(lat, r.phi_ell)(r.y_m)
     point_dev = abs(prod / g.evaluate(lat, r.y_m) - shared["scan"]["constant"])
-    ok = (shared["push_divisor_fixed"] and shared["scan"]["pass"]
-          and shared["projection"]["pass"] and point_dev < r.tol)
+    ok = (lat.within(point_dev) and shared["push_divisor_fixed"]
+          and shared["scan"]["pass"] and shared["projection"]["pass"])
     return {**shared, "point_constant_deviation": point_dev, "pass": ok}
 
 
-def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
+def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int) -> dict:
     """[-1]-symmetry and the unit-pair comparison.
 
     Checks: the a-division function is [-1]-stable structurally and up to
@@ -290,7 +287,7 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
             t_neg = build_t_gamma(field, a, -gm)
             t_ok = t_ok and t.pullback(neg) == t_neg
             r = t.evaluate(lat, -z) / t_neg.evaluate(lat, z)
-            t_ok = t_ok and abs(abs(r) - 1) < tol
+            t_ok = lat.within(abs(abs(r) - 1)) and t_ok
         A = build_pair_A(field, a, ell)
         B = build_pair_B(field, a, ell)
         k_u = ell.norm
@@ -303,11 +300,11 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
             tB = tame_symbol_at(B, lat, P)
             dev = abs(abs(mp.mpc(tA) / mp.mpc(tB)) - 1)
             rows.append({"point": str(P), "modulus_ratio_deviation": dev})
-            moduli_ok = moduli_ok and dev < tol
+            moduli_ok = lat.within(dev) and moduli_ok
         invariant = (normal_form_signature(diff)
                      == normal_form_signature(diff.map_points(lambda P: -P)))
-        diff_cert = certify_tame_kernel(diff, lat, tol=tol)
-        ok = bool(structural and sign_dev < tol and t_ok and moduli_ok
+        diff_cert = certify_tame_kernel(diff, lat)
+        ok = bool(lat.within(sign_dev) and structural and t_ok and moduli_ok
                   and invariant and diff_cert["pass"])
         return {"division_function_symmetric": bool(structural),
                 "parity_sign_deviation": sign_dev,
@@ -320,7 +317,7 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int, tol) -> dict:
 
 
 def _parity(r: _Run, lat: AnalyticLattice) -> dict:
-    args = (r.ell, r.a, r.tol)
+    args = (r.ell, r.a)
     return lat.memo((_parity_checks, *args), lambda: _parity_checks(lat, *args))
 
 
@@ -332,9 +329,8 @@ def _distribution_parity(r: _Run, lat: AnalyticLattice) -> dict:
 
 def _tame_certificates(r: _Run, lat: AnalyticLattice) -> dict:
     cert_norm = certify_tame_kernel(_norm_sum(build_alpha_prime(r.sys, r.ml, r.a), r.units),
-                                    lat, tol=r.tol)
-    cert_base = certify_tame_kernel(build_alpha_prime(r.sys, r.m, r.a, scale=r.k),
-                                    lat, tol=r.tol)
+                                    lat)
+    cert_base = certify_tame_kernel(build_alpha_prime(r.sys, r.m, r.a, scale=r.k), lat)
     return {"norm_sum_certificate": cert_norm, "base_certificate": cert_base,
             "pass": cert_norm["pass"] and cert_base["pass"]}
 
@@ -402,14 +398,14 @@ def _verify(lat: AnalyticLattice, *args) -> dict:
             "identity": run.relation,
             "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
                        "scale": run.k, "prec": lat.prec, "samples": run.samples,
-                       "tolerance": run.tol, "conjugation": run.kind},
+                       "tolerance": lat.tol, "conjugation": run.kind},
             "stages": stages,
             "pass": all(s["pass"] for s in stages),
         }
 
 
 def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
-              lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
+              lat: AnalyticLattice, *, samples: int = 20,
               seed: int = 20240801) -> dict:
     """Norm compatibility one level down when ell already divides the level.
 
@@ -418,11 +414,11 @@ def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     tame certificates of the transported sums, and the definitional
     packaging branch, which always runs at the distinguished prime ell.
     """
-    return _verify(lat, "E1", sys, m, ell, a, samples, tol, seed)
+    return _verify(lat, "E1", sys, m, ell, a, samples, seed)
 
 
 def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
-              lat: AnalyticLattice, *, samples: int = 20, tol=DEFAULT_TOL,
+              lat: AnalyticLattice, *, samples: int = 20,
               seed: int = 20240801) -> dict:
     """Twisted norm compatibility when ell is new to the level.
 
@@ -431,7 +427,7 @@ def verify_E2(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
     its tame certificate, the function identity with the extra factor and
     the pushforward of the twist function, then distribution/parity.
     """
-    return _verify(lat, "E2", sys, m, ell, a, samples, tol, seed)
+    return _verify(lat, "E2", sys, m, ell, a, samples, seed)
 
 
 def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
@@ -455,7 +451,7 @@ def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
 
 
 def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
-                               lat: AnalyticLattice, *, tol=DEFAULT_TOL) -> dict:
+                               lat: AnalyticLattice) -> dict:
     """Rebuild the level element under allowed alternative choices and
     check the difference is carried entirely by constant entries, with
     the tame certificate values literally unchanged.  A deliberately
@@ -465,7 +461,7 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
         base = build_alpha_prime(sys, m, a)
         points = base.support_points()
         base_vals = [mp.mpc(tame_symbol_at(base, lat, P)) for P in points]
-        base_cert = certify_tame_kernel(base, lat, tol=tol)
+        base_cert = certify_tame_kernel(base, lat)
         hint = TorsionPoint(field, 1, 2, 7)
 
         k = (m * sys.f_level).norm
@@ -486,7 +482,7 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
             for P, v0 in zip(points, base_vals):
                 v1 = mp.mpc(tame_symbol_at(pert, lat, P))
                 max_dev = max(max_dev, abs(v1 - v0))
-            ok = const_only and max_dev < tol
+            ok = lat.within(max_dev) and const_only
             all_ok = all_ok and ok
             rows.append({"perturbation": name, "difference_constant": bool(const_only),
                          "surviving_terms": len(leftover),
@@ -507,7 +503,7 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
 
         return {
             "identity": "choice-independence",
-            "config": {"m": str(m), "a": a, "prec": lat.prec, "tolerance": tol},
+            "config": {"m": str(m), "a": a, "prec": lat.prec, "tolerance": lat.tol},
             "base_certificate": base_cert,
             "perturbations": rows,
             "fault_detected": bool(fault_detected),

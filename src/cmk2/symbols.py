@@ -14,9 +14,9 @@ the tame value is (-1)^(m n) lead(left)^n lead(right)^(-m); order-(0,0)
 pairs contribute the exact integer 1 without touching numerics.  For
 the assembled Euler-system sums every tame value must be a root of
 unity, so a certificate passes only when every non-exact value has
-modulus one within tolerance and a root-of-unity order k <= lcm(24, w_K),
-found with |value^k - 1| < tolerance, the same threshold: a value 1e-14
-away from a root of unity is not one.
+modulus one within the lattice's tolerance and a root-of-unity order
+k <= lcm(24, w_K), found with |value^k - 1| below the same tolerance:
+a value 1e-14 away from a root of unity is not one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import lcm
 
 import mpmath as mp
 
-from .analytic import DEFAULT_TOL, AnalyticLattice
+from .analytic import AnalyticLattice
 from .divisors import (
     ConstAtom,
     Divisor,
@@ -192,28 +192,28 @@ def tame_symbol_at(sym: SymbolSum, lat: AnalyticLattice, P: TorsionPoint):
         return out
 
 
-def unity_order(value, bound: int, tol) -> int | None:
-    """Smallest k <= bound with value^k close to 1, else None."""
+def unity_order(value, bound: int, lat: AnalyticLattice) -> int | None:
+    """Smallest k <= bound with value^k within tolerance of 1, else None."""
     if value == 1:
         return 1
     v = mp.mpc(value)
     acc = mp.mpc(1)
     for k in range(1, bound + 1):
         acc = acc * v
-        if abs(acc - 1) < tol:
+        if lat.within(abs(acc - 1)):
             return k
     return None
 
 
-def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -> dict:
+def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice) -> dict:
     """Check that every tame value of the sum is a root of unity.
 
     A point is exact when every term has orders (0, 0) there, whatever
-    value the numerics would give.  Each non-exact value must satisfy
-    |abs(value) - 1| < tol and have a unity order, the least
-    k <= lcm(24, unit group) with |value^k - 1| < tol; a value of
-    modulus one that is not a root of unity of bounded order, or is one
-    only to a precision coarser than tol, fails the certificate.
+    value the numerics would give.  Each non-exact value must be within
+    the lattice's tolerance of the unit circle and have a unity order,
+    the least k <= lcm(24, unit group) with |value^k - 1| within it too;
+    a value of modulus one that is not a root of unity of bounded order,
+    or is one only to a precision coarser than the tolerance, fails.
     """
     with lat.context():
         bound = lcm(24, sym.field.unit_order)
@@ -228,8 +228,8 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -
             # a computed value that happens to equal 1 is still numeric
             v = mp.mpc(tame_symbol_at(sym, lat, P))
             dev = abs(abs(v) - 1)
-            order = unity_order(v, bound, tol)
-            ok = ok and dev < tol and order is not None
+            order = unity_order(v, bound, lat)
+            ok = lat.within(dev) and order is not None and ok
             rows.append({
                 "point": str(P),
                 "exact": False,
@@ -237,7 +237,7 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice, tol=DEFAULT_TOL) -
                 "modulus_deviation": dev,
                 "unity_order": order,
             })
-        return {"kind": "tame-kernel", "points": rows, "tolerance": tol,
+        return {"kind": "tame-kernel", "points": rows, "tolerance": lat.tol,
                 "unity_bound": bound, "pass": bool(ok)}
 
 

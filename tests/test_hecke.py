@@ -105,9 +105,9 @@ def test_split_traces_reject_unnormalizable_values():
 
 def test_point_count_check(chi):
     for p in (3, 5, 13, 17, 29, 37, 41):
-        rep = point_count_check(chi, p, -1, 0)
+        rep = point_count_check(p, -1, 0, chi.a_p(p))
         assert rep["match"], rep
-    rep = point_count_check(chi, 5, -1, 0)
+    rep = point_count_check(5, -1, 0, chi.a_p(5))
     assert rep["a_p_character"] == -2 and rep["curve_points"] == 8
 
 
@@ -121,5 +121,5 @@ def test_point_count_agreement_sweep(chi):
             continue
         if kind == "ramified":
             continue
-        rep = point_count_check(chi, p, -1, 0)
+        rep = point_count_check(p, -1, 0, chi.a_p(p))
         assert rep["match"], rep

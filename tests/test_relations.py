@@ -38,7 +38,7 @@ ELL = F4.ideal(F4.parse("2+i"))
 M_TOWER = F4.ideal(F4.parse("(2+i)^2"))
 M_NEW = F4.ideal(F4.parse("2-i"))
 TOL = mp.mpf(10) ** -20
-LAT = AnalyticLattice(F4, 160)
+LAT = AnalyticLattice(F4, 160, TOL)
 
 
 def test_conjugating_units_additive():
@@ -226,13 +226,14 @@ def test_shared_stages_run_once_across_relations(monkeypatch):
 
     def run_pair(lat_e1, lat_e2):
         calls.clear()
-        e1 = verify_E1(SYS, M_TOWER, ELL, 2, lat_e1, samples=4, tol=TOL)
-        e2 = verify_E2(SYS, M_NEW, ELL, 2, lat_e2, samples=4, tol=TOL)
+        e1 = verify_E1(SYS, M_TOWER, ELL, 2, lat_e1, samples=4)
+        e2 = verify_E2(SYS, M_NEW, ELL, 2, lat_e2, samples=4)
         assert e1["pass"] and e2["pass"]
         return len(calls), e1["stages"], e2["stages"]
 
-    cold, _, cold_e2 = run_pair(AnalyticLattice(F4, 128), AnalyticLattice(F4, 128))
-    lat = AnalyticLattice(F4, 128)
+    cold, _, cold_e2 = run_pair(AnalyticLattice(F4, 128, TOL),
+                                AnalyticLattice(F4, 128, TOL))
+    lat = AnalyticLattice(F4, 128, TOL)
     shared, e1, e2 = run_pair(lat, lat)
     assert shared == cold - 2
     dist, par, e25 = e1[2], e1[3], e2[4]
@@ -289,12 +290,12 @@ def test_all_kernel_runs_fault_control(monkeypatch, tmp_path):
 
 def test_function_identity_reports():
     rep = verify_function_identities(SYS, M_TOWER, ELL, "E1", LAT,
-                                     samples=4, tol=TOL)
+                                     samples=4)
     assert rep["pass"] and rep["divisors_match"]
     assert len(rep["conjugates"]) == 5
     assert rep["scale"] == (M_TOWER * ELL * SYS.f_level).norm
     rep2 = verify_function_identities(SYS, M_NEW, ELL, "E2", LAT,
-                                      samples=4, tol=TOL)
+                                      samples=4)
     assert rep2["pass"] and rep2["divisors_match"]
     assert len(rep2["conjugates"]) == 4
     with LAT.context():
@@ -302,7 +303,7 @@ def test_function_identity_reports():
 
 
 def test_verify_E1_all_stages():
-    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL)
+    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4)
     ids = [s["id"] for s in rep["stages"]]
     assert ids == ["E1.1-set-identity", "E1.2-function-identity",
                    "E1.3-distribution", "E1.4-parity",
@@ -314,14 +315,14 @@ def test_verify_E1_all_stages():
 def test_verify_E1_wrong_configuration_fails_cleanly():
     # a level the prime does not divide makes the conjugation
     # multiplicative; the set-identity stage must fail without crashing
-    rep = verify_E1(SYS, M_NEW, ELL, 2, LAT, samples=4, tol=TOL)
+    rep = verify_E1(SYS, M_NEW, ELL, 2, LAT, samples=4)
     assert not rep["pass"]
     s1 = rep["stages"][0]
     assert not s1["pass"] and s1["kind"] == "multiplicative"
 
 
 def test_verify_E2_all_stages():
-    rep = verify_E2(SYS, M_NEW, ELL, 2, LAT, samples=4, tol=TOL)
+    rep = verify_E2(SYS, M_NEW, ELL, 2, LAT, samples=4)
     ids = [s["id"] for s in rep["stages"]]
     assert ids == ["E2.1-set-identity", "E2.2-twist-point-level",
                    "E2.3-twisted-element", "E2.4-function-identity",
@@ -335,21 +336,22 @@ def test_verify_E2_all_stages():
 def test_verify_E2_on_dividing_prime_rejected():
     # the twist inverse does not exist when ell already divides the level
     with pytest.raises(ValueError):
-        verify_E2(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=TOL)
+        verify_E2(SYS, M_TOWER, ELL, 2, LAT, samples=4)
 
 
 def test_verify_E2_a3():
-    rep = verify_E2(SYS, M_NEW, ELL, 3, LAT, samples=4, tol=TOL)
+    rep = verify_E2(SYS, M_NEW, ELL, 3, LAT, samples=4)
     assert rep["pass"]
 
 
 def test_impossible_tolerance_fails():
-    rep = verify_E1(SYS, M_TOWER, ELL, 2, LAT, samples=4, tol=mp.mpf(10) ** -200)
+    lat = AnalyticLattice(F4, 160, mp.mpf(10) ** -200)
+    rep = verify_E1(SYS, M_TOWER, ELL, 2, lat, samples=4)
     assert not rep["pass"]
 
 
 def test_choice_independence():
-    rep = verify_choice_independence(SYS, M_NEW, 2, LAT, tol=TOL)
+    rep = verify_choice_independence(SYS, M_NEW, 2, LAT)
     assert rep["pass"]
     assert len(rep["perturbations"]) == 3
     names = {r["perturbation"] for r in rep["perturbations"]}
@@ -362,11 +364,11 @@ def test_choice_independence():
 
 def test_precision_scaling_shrinks_scan_spread():
     lo = verify_function_identities(SYS, M_NEW, ELL, "E2",
-                                    AnalyticLattice(F4, 128),
-                                    samples=4, tol=mp.mpf(10) ** -15)
+                                    AnalyticLattice(F4, 128, mp.mpf(10) ** -15),
+                                    samples=4)
     hi = verify_function_identities(SYS, M_NEW, ELL, "E2",
-                                    AnalyticLattice(F4, 320),
-                                    samples=4, tol=mp.mpf(10) ** -15)
+                                    AnalyticLattice(F4, 320, mp.mpf(10) ** -15),
+                                    samples=4)
     with mp.workprec(400):
         assert lo["scan"]["spread"] > 0
         assert hi["scan"]["spread"] < lo["scan"]["spread"] * mp.mpf(10) ** -20

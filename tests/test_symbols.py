@@ -119,9 +119,9 @@ def test_alpha_prime_degenerate_configurations_rejected():
 
 @pytest.mark.parametrize("m,a", [(M_SPLIT, 2), (M_SPLIT, 3), (M_COMP, 2)])
 def test_tame_certificate_passes_for_alpha_prime(m, a):
-    lat = AnalyticLattice(F4, 160)
+    lat = AnalyticLattice(F4, 160, mp.mpf(10) ** -30)
     sym = build_alpha_prime(SYS, m, a)
-    rep = certify_tame_kernel(sym, lat, tol=mp.mpf(10) ** -30)
+    rep = certify_tame_kernel(sym, lat)
     assert rep["pass"]
     assert len(rep["points"]) == 2 + a * a - 1
     with lat.context():
@@ -136,24 +136,24 @@ def test_tame_certificate_passes_for_alpha_prime(m, a):
 
 
 def test_tame_certificate_fault_controls_fail():
-    lat = AnalyticLattice(F4, 128)
+    lat = AnalyticLattice(F4, 128, mp.mpf(10) ** -25)
     sym = build_alpha_prime(SYS, M_SPLIT, 2)
     # dropping the correction terms leaves a bare symbol whose tame values
     # are no longer units
     bare = SymbolSum(F4, sym.terms[:1], sym.meta)
-    rep = certify_tame_kernel(bare, lat, tol=mp.mpf(10) ** -25)
+    rep = certify_tame_kernel(bare, lat)
     assert not rep["pass"]
     # flipping one coefficient must also fail
     c0, L0, R0 = sym.terms[1]
     tampered = SymbolSum(F4, [sym.terms[0], (-c0, L0, R0)] + list(sym.terms[2:]),
                          sym.meta)
-    rep2 = certify_tame_kernel(tampered, lat, tol=mp.mpf(10) ** -25)
+    rep2 = certify_tame_kernel(tampered, lat)
     assert not rep2["pass"]
     # adding {e^i, s_m} keeps every modulus at one, but e^(ik) is no root
     # of unity: the unity order, not the modulus, must fail it
     e_i = ConstAtom(evaluator=lambda lat: mp.exp(mp.mpc(0, 1)), tag="e^i")
     drift = SymbolSum(F4, [(1, e_i, s_m(M_SPLIT))])
-    rep3 = certify_tame_kernel(sym + drift, lat, tol=mp.mpf(10) ** -25)
+    rep3 = certify_tame_kernel(sym + drift, lat)
     assert not rep3["pass"]
     with lat.context():
         assert all(r["modulus_deviation"] < mp.mpf(10) ** -25 for r in rep3["points"])
@@ -166,15 +166,14 @@ def test_unity_order_uses_the_tolerance_not_its_square_root(prec):
     # g_2 has a simple pole.  With 1/c = i exp(i delta) exactly on the unit
     # circle, delta = 1e-14 is no root of unity at tol 1e-25, though it is
     # one within sqrt(tol) = 3.2e-13; delta = 1e-60 is the passing control
-    lat = AnalyticLattice(F4, prec)
+    lat = AnalyticLattice(F4, prec, mp.mpf(10) ** -25)
     g2 = build_g_a(F4, 2)
     gamma = str(TorsionPoint(F4, 1, 0, 2))
 
     def certificate(delta):
         c = ConstAtom(evaluator=lambda lat: mp.expj(-mp.pi / 2 - delta),
                       tag=f"i-rotated-by-{delta}")
-        return certify_tame_kernel(SymbolSum(F4, [(1, c, g2)]), lat,
-                                   tol=mp.mpf(10) ** -25)
+        return certify_tame_kernel(SymbolSum(F4, [(1, c, g2)]), lat)
 
     with lat.context():
         near_miss = certificate(mp.mpf(10) ** -14)
@@ -189,9 +188,9 @@ def test_unity_order_uses_the_tolerance_not_its_square_root(prec):
 
 
 def test_tame_certificate_reports_unity_orders():
-    lat = AnalyticLattice(F4, 160)
+    lat = AnalyticLattice(F4, 160, mp.mpf(10) ** -30)
     sym = build_alpha_prime(SYS, M_SPLIT, 2)
-    rep = certify_tame_kernel(sym, lat, tol=mp.mpf(10) ** -30)
+    rep = certify_tame_kernel(sym, lat)
     assert rep["unity_bound"] == 24
     for row in rep["points"]:
         assert "unity_order" in row
@@ -283,8 +282,8 @@ def test_map_points_negation_fixes_symmetric_data():
     # level point moves to its negative
     assert {str(P) for P in neg.support_points()} == \
         {str(-P) for P in sym.support_points()}
-    lat = AnalyticLattice(F4, 160)
-    rep = certify_tame_kernel(neg, lat, tol=mp.mpf(10) ** -30)
+    lat = AnalyticLattice(F4, 160, mp.mpf(10) ** -30)
+    rep = certify_tame_kernel(neg, lat)
     assert rep["pass"]
 
 
