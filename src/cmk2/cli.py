@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .finitefield import frobenius_equals_cm
@@ -44,10 +43,6 @@ def _render(x):
     mp = sys.modules.get("mpmath")
     if mp is not None and isinstance(x, (mp.mpf, mp.mpc)):
         return mp.nstr(x, DIGITS)
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, dict):
         return {str(k): _render(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):

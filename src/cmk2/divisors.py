@@ -38,9 +38,10 @@ the power's to 2 bitlen|m| bits more, as each squaring doubles the
 relative error before it.  It is rounded once, to an mpc at the
 lattice's working precision; the extra constants multiply that.
 
-Evaluation points are exact: a TorsionPoint, or a field element with
-rational coordinates (53-bit float samples are dyadic rationals) that
-`_coords` puts over one denominator.  From there, lifts, constants,
+Evaluation points are exact: a TorsionPoint, or a triple (X, Y, D) of
+ints with D > 0 for the point (X + Y*omega)/D, in lowest terms or not
+(53-bit float samples are dyadic, see dyadic_point; times scales a
+point by a field element over the same D).  So lifts, constants,
 offsets z - u and exp_eta's exponent are integers over a common
 denominator, and each offset keys the memo in lowest terms; on a miss
 the kernel takes z and the lift u apart, sigma(z, u) = sigma(z - u), so
@@ -65,16 +66,32 @@ SAMPLE_MARGIN = 1e-3
 
 
 def _coords(z) -> tuple:
-    """(X, Y, D) with z = (X + Y*omega)/D in lowest terms, for an evaluation
-    point z: a TorsionPoint, at its canonical lift, or a field element."""
+    """(X, Y, D) with z = (X + Y*omega)/D, for an evaluation point z: a
+    TorsionPoint, at its canonical lift, or such a triple of ints, D > 0."""
     if isinstance(z, TorsionPoint):
         return z.X, z.Y, z.D
-    if not isinstance(z, QuadElement):
-        raise TypeError("evaluation points are TorsionPoint or QuadElement, "
-                        f"not {type(z).__name__}")
-    x, y = z.x, z.y
-    D = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
+    if type(z) is tuple and len(z) == 3:
+        X, Y, D = z
+        if type(X) is type(Y) is type(D) is int and D > 0:
+            return z
+    raise TypeError(f"evaluation points are TorsionPoint or (X, Y, D) with int "
+                    f"entries and D > 0, not {z!r}")
+
+
+def dyadic_point(x: float, y: float) -> tuple:
+    """The exact point x + y*omega of two floats, as (X, Y, D)."""
+    (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
+    D = math.lcm(b, e)
+    return a * (D // b), c * (D // e), D
+
+
+def times(alpha: QuadElement, z) -> tuple:
+    """alpha z for an evaluation point z, over z's denominator.  Not reduced
+    mod O_K: an evaluation runs at this lift, and its last bits may depend
+    on the lift."""
+    X, Y, D = _coords(z)
+    p = alpha * alpha.field.element(X, Y)
+    return p.x, p.y, D
 
 
 # --- complex fixed point: (re, im, e) is (re + i im) 2^e, re and im integers ---
@@ -139,16 +156,17 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.points.values())
 
-    def weighted_sum(self) -> QuadElement:
-        """Sum of mult * (canonical lift) as an exact field element, its
+    def weighted_sum(self) -> tuple:
+        """Sum of mult * (canonical lift) as (X, Y, D) in lowest terms, the
         integer numerators summed over one denominator."""
         D = math.lcm(*(P.D for P in self.points))
         X = sum(m * P.X * (D // P.D) for P, m in self.points.items())
         Y = sum(m * P.Y * (D // P.D) for P, m in self.points.items())
-        return self.field.element(Fraction(X, D), Fraction(Y, D))
+        g = math.gcd(X, Y, D)
+        return X // g, Y // g, D // g
 
     def is_principal(self) -> bool:
-        return self.degree == 0 and self.weighted_sum().is_integral()
+        return self.degree == 0 and self.weighted_sum()[2] == 1
 
     def support(self) -> list[TorsionPoint]:
         return sorted(self.points)
@@ -310,7 +328,7 @@ class EllFunction:
         lx, ly = sum(R * m for R, _S, m in lifts), sum(S * m for _R, S, m in lifts)
         if D.degree != 0 or lx % den or ly % den:
             raise ValueError(f"divisor is not principal: degree {D.degree}, "
-                             f"weighted sum {D.weighted_sum()}")
+                             f"weighted sum (X, Y, D) = {D.weighted_sum()}")
         return cls(D, lifts, den, (lx // den, ly // den), extra)
 
     # --- structural ----------------------------------------------------------
@@ -419,7 +437,7 @@ class EllFunction:
         return value
 
     def evaluate(self, lat: AnalyticLattice, z):
-        """Value at an exact point z (TorsionPoint or QuadElement)."""
+        """Value at an exact point z (TorsionPoint or (X, Y, D))."""
         return self._product(lat, z, poles=True)
 
     def leading_at(self, lat: AnalyticLattice, P):
@@ -494,23 +512,22 @@ def build_s_point(point: TorsionPoint, scale: int) -> EllFunction:
 
 
 def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
-    """Deterministic sample points with 53-bit coordinates, as exact field
-    elements, rejection-resampled away from the avoided set.  The
-    coordinate stream is precision-independent, so reruns at other
-    precisions test the same geometric points."""
+    """Deterministic sample points with 53-bit coordinates, as exact
+    (X, Y, D) from dyadic_point, rejection-resampled away from the avoided
+    set.  The coordinate stream is precision-independent, so reruns at
+    other precisions test the same geometric points."""
     rng = random.Random(seed)
     avoided = [_coords(P) for P in avoid]
-    bound = (Fraction(SAMPLE_MARGIN) ** 2).as_integer_ratio()
+    bound = [v * v for v in SAMPLE_MARGIN.as_integer_ratio()]
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
         if tries > 200 * count:
             raise RuntimeError("cannot find enough sample points away from supports")
-        z = lat.field.element(Fraction(rng.random()), Fraction(rng.random()))
+        z = X, Y, D = dyadic_point(rng.random(), rng.random())
         # a geometric separation, tested exactly: each offset z - P, reduced
         # by the kernel's rounding, has a norm of at least SAMPLE_MARGIN^2
-        X, Y, D = _coords(z)
         for R, S, q in avoided:
             E = math.lcm(D, q)
             x0, y0, L, _m, _n = lat.reduce(X * (E // D) - R * (E // q),
@@ -525,8 +542,8 @@ def sample_points(lat: AnalyticLattice, seed: int, count: int, avoid):
 def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20,
                          seed: int = 20240801):
     """Ratio-constancy scan of two evaluators at seeded sample points,
-    each handed to both evaluators as the exact field element
-    sample_points made.
+    each handed to both evaluators as the exact (X, Y, D) sample_points
+    made.
 
     Returns a report dict with the mean constant, the relative spread,
     the deviation of the constant's modulus from one, and pass/fail of

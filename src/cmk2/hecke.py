@@ -68,7 +68,7 @@ class HeckeCharacter:
             return primes[0], primes[1]
         if v0.y < 0:
             return primes[1], primes[0]
-        raise AssertionError("split prime with real character value")
+        raise ArithmeticError("split prime with real character value")
 
     def a_p(self, p: int) -> int:
         """Trace of the character at p: phi(p-above) + conjugate, or 0 inert."""

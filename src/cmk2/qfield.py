@@ -6,27 +6,23 @@ Every ideal of the maximal order is principal here, so ideals are stored
 by a canonical generator: the unique associate whose complex argument
 lies in [0, 2*pi/w_K), ties broken toward the positive real axis.
 
-Coordinates are ints, or Fractions for non-integral field elements
-(sample points, exact quotients).  Nothing in this module touches
-floating point.
+Coordinates are ints: an element is an element of O_K, so every
+operation here, divisibility and exact quotients included, is integer
+arithmetic.  Points of K outside O_K are integers over one denominator,
+kept by the torsion and divisor layers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
 def _as_coord(v):
-    if type(v) is int:  # the common case; a bool takes the checks below
+    if type(v) is int or isinstance(v, int):  # type() first: the fast path
         return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
-    if isinstance(v, int):
-        return v
-    raise TypeError(f"coordinate must be int or Fraction, got {type(v).__name__}")
+    raise TypeError(f"coordinate must be int, got {type(v).__name__}")
 
 
 def is_rational_prime(n: int) -> bool:
@@ -129,7 +125,7 @@ class QuadField:
 
 
 class QuadElement:
-    """x + y*w with exact coordinates."""
+    """x + y*w with integer coordinates: an element of O_K."""
 
     __slots__ = ("field", "x", "y")
 
@@ -145,7 +141,7 @@ class QuadElement:
             if other.field.d != self.field.d:
                 raise ValueError("field mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return QuadElement(self.field, other, 0)
         return NotImplemented
 
@@ -183,17 +179,6 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        """Exact division in the field (coordinates may become Fractions)."""
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        nrm = o.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero element")
-        num = self * o.conjugate()
-        return QuadElement(self.field, Fraction(num.x, 1) / nrm, Fraction(num.y, 1) / nrm)
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers leave the ring; divide explicitly")
@@ -218,9 +203,6 @@ class QuadElement:
 
     def trace(self):
         return 2 * self.x + self.field.trace_omega * self.y
-
-    def is_integral(self) -> bool:
-        return isinstance(self.x, int) and isinstance(self.y, int)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -254,7 +236,7 @@ class QuadElement:
         return self.x > 0 and self.y >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.y == 0 and self.x == other
         return (
             isinstance(other, QuadElement)
@@ -290,8 +272,6 @@ class QuadElement:
 
 def canonical_generator(alpha: QuadElement) -> QuadElement:
     """The unique associate of alpha with argument in [0, 2*pi/w_K)."""
-    if not alpha.is_integral():
-        raise ValueError("canonical generator is defined for integral elements")
     if alpha.is_zero():
         return alpha
     hits = [v for v in (u * alpha for u in alpha.field.units()) if v.is_canonical()]
@@ -514,8 +494,6 @@ class QuadIdeal:
     __slots__ = ("gen", "field")
 
     def __init__(self, gen: QuadElement):
-        if not gen.is_integral():
-            raise ValueError("ideal generator must be integral")
         if gen.is_zero():
             raise ValueError("zero ideal is not supported")
         self.gen = canonical_generator(gen)
@@ -540,8 +518,6 @@ class QuadIdeal:
         return self.gen.divides(other.gen)
 
     def contains(self, elem: QuadElement) -> bool:
-        if not elem.is_integral():
-            return False
         return self.gen.divides(elem)
 
     def gcd(self, other: "QuadIdeal") -> "QuadIdeal":
@@ -574,8 +550,6 @@ class QuadIdeal:
 
     def reduce(self, elem: QuadElement) -> QuadElement:
         """Canonical representative of elem modulo the ideal (idempotent)."""
-        if not elem.is_integral():
-            raise ValueError("residue reduction expects an integral element")
         A, B, C = self.lattice_hnf()
         y1 = elem.y % C
         k2 = (elem.y - y1) // C
@@ -615,7 +589,7 @@ def split_rational_prime(field: QuadField, p: int):
     pibar = QuadIdeal(pi.conjugate())
     first = QuadIdeal(pi)
     if first == pibar:
-        raise AssertionError(f"split prime {p} produced equal factors")
+        raise ArithmeticError(f"split prime {p} produced equal factors")
     return kind, [first, pibar]
 
 
@@ -631,7 +605,8 @@ def splitting_kind(field: QuadField, p: int) -> str:
 
 
 def norm_form_solution(field: QuadField, p: int) -> QuadElement:
-    """Solve x^2 + t x y + n y^2 = p; exists for split/ramified p when h=1."""
+    """Solve x^2 + t x y + n y^2 = p; exists for split/ramified p when h=1.
+    Raises ValueError when no element has norm p, as for an inert p."""
     t, n = field.trace_omega, field.norm_omega
     ymax = 1
     while n * ymax * ymax <= 4 * p:
@@ -649,7 +624,8 @@ def norm_form_solution(field: QuadField, p: int) -> QuadElement:
                 el = field.element(num // 2, y)
                 if el.norm() == p:
                     return el
-    raise AssertionError(f"no norm-form solution for p={p}; splitting logic is wrong")
+    raise ValueError(f"no element of norm {p} in {field}: p={p} is not a split "
+                     f"or ramified prime")
 
 
 def valuation(ideal: QuadIdeal, prime: QuadIdeal) -> tuple[int, QuadIdeal]:
@@ -697,8 +673,6 @@ def euler_phi_ideal(ideal: QuadIdeal) -> int:
 
 def residue_invert(alpha: QuadElement, modulus: QuadIdeal) -> QuadElement:
     """beta with alpha*beta = 1 mod modulus; requires coprimality."""
-    if not alpha.is_integral():
-        raise ValueError("residue inversion expects an integral element")
     if modulus.is_one():
         return modulus.field.one()
     if alpha.is_zero() or gcd_elements(alpha, modulus.gen).norm() != 1:
@@ -719,11 +693,10 @@ def residue_invert(alpha: QuadElement, modulus: QuadIdeal) -> QuadElement:
 def bezout(alpha: QuadElement, beta: QuadElement):
     """(u, v) with u*alpha + v*beta = 1 for coprime alpha, beta."""
     u = residue_invert(alpha, QuadIdeal(beta))
-    # u*alpha + v*beta = 1 holds by construction; v must be integral
-    v = (alpha.field.one() - u * alpha) / beta
-    if not v.is_integral():
+    rest = alpha.field.one() - u * alpha
+    if not beta.divides(rest):
         raise ArithmeticError(f"{u} is not an inverse of {alpha} modulo {beta}")
-    return u, v
+    return u, rest.exact_div(beta)
 
 
 # --- the prime pool L and the ideal pool R ----------------------------------

@@ -13,7 +13,6 @@ integers.  The same multipliers transport whole symbol sums.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
@@ -25,8 +24,10 @@ from .divisors import (
     build_g_l,
     build_s_point,
     build_t_gamma,
+    dyadic_point,
     equal_up_to_constant,
     evaluator,
+    times,
     wp_route_evaluator,
 )
 from .qfield import QuadElement, QuadIdeal, bezout, valuation
@@ -129,7 +130,7 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         divisors_match = lhs_div == rhs_div
 
         lhs = lambda z: mp.fprod(fn.evaluate(lat, z) for fn in lhs_fns)
-        rhs = lambda z: s_m.evaluate(lat, r.phi_ell * z) * g_l.evaluate(lat, z) ** k
+        rhs = lambda z: s_m.evaluate(lat, times(r.phi_ell, z)) * g_l.evaluate(lat, z) ** k
         avoid = set(lhs_div.support()) | set(rhs_div.support())
         scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
                                     seed=seed)
@@ -277,8 +278,8 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int) -> dict:
         g = build_g_a(field, a)
         neg = field.element(-1)
         structural = g.pullback(neg) == g
-        z = field.element(Fraction(0.3271), Fraction(0.1618))
-        ratio = g.evaluate(lat, -z) / g.evaluate(lat, z)
+        z = dyadic_point(0.3271, 0.1618)
+        ratio = g.evaluate(lat, times(neg, z)) / g.evaluate(lat, z)
         sign_dev = min(abs(ratio - 1), abs(ratio + 1))
         gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
         t_ok = True
@@ -286,7 +287,7 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int) -> dict:
             t = build_t_gamma(field, a, gm)
             t_neg = build_t_gamma(field, a, -gm)
             t_ok = t_ok and t.pullback(neg) == t_neg
-            r = t.evaluate(lat, -z) / t_neg.evaluate(lat, z)
+            r = t.evaluate(lat, times(neg, z)) / t_neg.evaluate(lat, z)
             t_ok = lat.within(abs(abs(r) - 1)) and t_ok
         A = build_pair_A(field, a, ell)
         B = build_pair_B(field, a, ell)

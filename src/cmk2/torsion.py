@@ -61,11 +61,9 @@ class TorsionPoint:
         return TorsionPoint(self.field, -self.X, -self.Y, self.D)
 
     def act(self, alpha) -> "TorsionPoint":
-        """The point alpha * P for an integral field element (or integer)."""
+        """The point alpha * P for a field element or an integer."""
         if isinstance(alpha, int):
             return TorsionPoint(self.field, alpha * self.X, alpha * self.Y, self.D)
-        if not alpha.is_integral():
-            raise ValueError("only integral elements act on torsion")
         p = self.field.element(self.X, self.Y) * alpha
         return TorsionPoint(self.field, p.x, p.y, self.D)
 

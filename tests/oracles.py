@@ -1,9 +1,9 @@
 """Lattice arithmetic in mpmath, kept as test oracles for the fixed-point
 kernel: the embedding of exact coordinates, the R-linear quasi-period map
 and sigma's translation factor, each evaluated the direct way; and the
-kernel's rounding rule in Fraction arithmetic, with the conversions
-between int/Fraction coordinates and the kernel's integers over one
-denominator; and a torsion point's lift and order, read in Fractions."""
+kernel's rounding rule in Fraction arithmetic, with the conversion of
+int/Fraction plane coordinates to the (X, Y, D) every evaluation point
+is; and a torsion point's lift, read in Fractions."""
 
 import math
 from fractions import Fraction
@@ -43,20 +43,15 @@ def translation_factor(lat, m: int, n: int, z):
 
 def coords(x, y):
     """(X, Y, D) with x + y*omega = (X + Y*omega)/D in lowest terms, for
-    int/Fraction x and y: the point as the kernel takes it."""
+    int/Fraction x and y: the point as the kernel and evaluate take it."""
     x, y = Fraction(x), Fraction(y)
     D = math.lcm(x.denominator, y.denominator)
     return x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D
 
 
 def lift(P):
-    """The canonical lift (X + Y*omega)/D of a torsion point, as a field
-    element with Fraction coordinates."""
-    return P.field.element(Fraction(P.X, P.D), Fraction(P.Y, P.D))
-
-
-def point_key(P):
-    """The reference order of torsion points: (X/D, Y/D) lexicographically."""
+    """The plane coordinates (X/D, Y/D) of a torsion point's canonical lift,
+    as Fractions; as a sort key, the reference order of torsion points."""
     return Fraction(P.X, P.D), Fraction(P.Y, P.D)
 
 

@@ -109,8 +109,8 @@ def test_criterion_3_analytic_core():
         while tested < 100:
             u, v = Fraction(rng.random()), Fraction(rng.random())
             # skip points within 0.05 of the lattice point u + v*omega rounds to
-            u0, v0, _m, _n = reduced(lat, u, v)
-            if lat.field.element(u0, v0).norm() < Fraction(0.05) ** 2:
+            U0, V0, L = coords(*reduced(lat, u, v)[:2])
+            if lat.field.element(U0, V0).norm() < Fraction(0.05) ** 2 * L * L:
                 continue
             wp, wpp = lat.wp(*coords(u, v)), lat.wp_prime(*coords(u, v))
             resid = abs(wpp ** 2 - 4 * wp ** 3 + g2 * wp + g3)
@@ -134,10 +134,10 @@ def test_criterion_3_analytic_core():
 
 def _check_elliptic(fn, lat, tol):
     with lat.context():
-        z = fn.field.element(Fraction(0.2718281828), Fraction(0.3141592653))
-        base = fn.evaluate(lat, z)
+        x, y = Fraction(0.2718281828), Fraction(0.3141592653)
+        base = fn.evaluate(lat, coords(x, y))
         for m, n in ((1, 0), (0, 1)):
-            shifted = fn.evaluate(lat, z + fn.field.element(m, n))
+            shifted = fn.evaluate(lat, coords(x + m, y + n))
             assert abs(shifted / base - 1) < tol, fn.divisor.signature()
 
 
@@ -147,7 +147,8 @@ def _check_orders(fn, lat, tol):
         for P in fn.divisor.support():
             m = fn.order_at(P)
             lead = fn.leading_at(lat, P)
-            val = fn.evaluate(lat, lift(P) + Fraction(1, 10 ** (lat.prec // 8)))
+            x, y = lift(P)
+            val = fn.evaluate(lat, coords(x + Fraction(1, 10 ** (lat.prec // 8)), y))
             resid = abs(val / (lead * h ** m) - 1)
             assert resid < tol, (str(P), m, resid)
 

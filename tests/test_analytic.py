@@ -9,7 +9,7 @@ import pytest
 
 from cmk2 import analytic
 from cmk2.analytic import AnalyticLattice
-from cmk2.divisors import build_g_a
+from cmk2.divisors import build_g_a, times
 from cmk2.qfield import QuadField
 from oracles import (coords, embed, eta_linear, reduce_reference, reduced,
                      translation_factor, translation_sign)
@@ -29,8 +29,8 @@ def rand_z(lat, rng, margin=0.05):
     # from the lattice
     while True:
         x, y = Fraction(rng.random()), Fraction(rng.random())
-        x0, y0, _m, _n = reduced(lat, x, y)
-        if lat.field.element(x0, y0).norm() > Fraction(margin) ** 2:
+        X0, Y0, L = coords(*reduced(lat, x, y)[:2])
+        if lat.field.element(X0, Y0).norm() > Fraction(margin) ** 2 * L * L:
             return x, y
 
 
@@ -132,9 +132,9 @@ def test_cm_rotation():
         with L.context():
             u = L.tau  # omega itself is a unit here
             for _ in range(4):
-                z = field.element(*rand_z(L, rng))
-                uz = field.omega() * z
-                assert abs(u * u * L.wp(*coords(uz.x, uz.y)) - L.wp(*coords(z.x, z.y))) < mp.mpf(10) ** -45
+                z = coords(*rand_z(L, rng))
+                uz = times(field.omega(), z)
+                assert abs(u * u * L.wp(*uz) - L.wp(*z)) < mp.mpf(10) ** -45
 
 
 def test_half_period_theta_constant_crosscheck(lat):
@@ -575,7 +575,7 @@ def test_fresh_sample_adds_one_phase_entry():
     lat = AnalyticLattice(K, 256)
     f = build_g_a(K, 3)
     rng = random.Random(19)
-    samples = [K.element(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
+    samples = [coords(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
     f.evaluate(lat, samples[0])
     for z in samples[1:]:
         before = set(lat._memo)

@@ -202,7 +202,7 @@ def test_exact_commands_import_no_analytic_code(tmp_path):
                      ["frobenius-check", "--prec", "8"]):
             assert cli.main([*argv, "--out", {str(tmp_path / "out.jsonl")!r}]) == 0
         analytic = ("mpmath", "cmk2.analytic", "cmk2.divisors", "cmk2.symbols",
-                    "cmk2.relations")
+                    "cmk2.relations", "fractions")
         print(" ".join(m for m in analytic if m in sys.modules))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

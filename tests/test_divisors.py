@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmk2 import divisors
+from cmk2 import cli, divisors
 from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import (
     ConstAtom,
@@ -29,9 +29,11 @@ from cmk2.divisors import (
     build_g_l,
     build_s_point,
     build_t_gamma,
+    dyadic_point,
     equal_up_to_constant,
     evaluator,
     sample_points,
+    times,
     wp_route_evaluator,
 )
 from cmk2.hecke import HeckeCharacter
@@ -76,7 +78,7 @@ def test_divisor_algebra_and_weighted_sum():
     Q = TorsionPoint(F4, 0, 1, 2)
     D = Divisor(F4, {P: 2, Q: -2})
     assert D.degree == 0
-    assert D.weighted_sum() == F4.element(1, -1)
+    assert D.weighted_sum() == coords(1, -1)
     assert D.is_principal()
     assert (D - D).points == {}
     assert (D + D).multiplicity(P) == 4
@@ -93,7 +95,7 @@ def test_g2_divisor_matches_hand_computation():
     assert len(D.support()) == 4  # merged origin plus three halves
     assert D.multiplicity(O()) == 3
     # weighted sum of 4(0) - E[2] is -(1 + i)
-    assert D.weighted_sum() == F4.element(-1, -1)
+    assert D.weighted_sum() == coords(-1, -1)
     assert D.is_principal()
 
 
@@ -117,8 +119,8 @@ def test_g2_lift_adjustment_frozen():
     )
     assert g2.lam == (-1, -1)
     assert sum(e for r, s, e in fraction_lifts(g2)) == 0
-    assert F4.element(sum(e * r for r, s, e in fraction_lifts(g2)),
-                      sum(e * s for r, s, e in fraction_lifts(g2))) == F4.element(*g2.lam)
+    assert (sum(e * r for r, s, e in fraction_lifts(g2)),
+            sum(e * s for r, s, e in fraction_lifts(g2))) == g2.lam
 
 
 def test_norm_constant_g2_is_exp_minus_half_pi():
@@ -129,13 +131,12 @@ def test_norm_constant_g2_is_exp_minus_half_pi():
     g2 = build_g_a(F4, 2)
     halves = ((Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
     with lat.context():
-        for z in (F4.element(Fraction(0.231), Fraction(0.377)),
-                  F4.element(Fraction(-1.61), Fraction(2.118))):
-            copy = (mp.exp(-mp.pi / 2) * lat.sigma(*coords(z.x - 1, z.y - 1))
-                    * lat.sigma(*coords(z.x, z.y)) ** 2)
+        for x, y in ((Fraction(0.231), Fraction(0.377)), (Fraction(-1.61), Fraction(2.118))):
+            copy = (mp.exp(-mp.pi / 2) * lat.sigma(*coords(x - 1, y - 1))
+                    * lat.sigma(*coords(x, y)) ** 2)
             for r, s in halves:
-                copy = copy / lat.sigma(*coords(z.x - r, z.y - s))
-            assert abs(g2.evaluate(lat, z) / copy - 1) < mp.mpf(10) ** -50
+                copy = copy / lat.sigma(*coords(x - r, y - s))
+            assert abs(g2.evaluate(lat, coords(x, y)) / copy - 1) < mp.mpf(10) ** -50
 
 
 @pytest.mark.parametrize("builder", [
@@ -149,10 +150,10 @@ def test_ellipticity(builder):
     lat = AnalyticLattice(F4, 160)
     with lat.context():
         for zr, zs in [(0.231, 0.377), (0.61, 0.118)]:
-            z = F4.element(Fraction(zr), Fraction(zs))
-            base = fn.evaluate(lat, z)
+            x, y = Fraction(zr), Fraction(zs)
+            base = fn.evaluate(lat, coords(x, y))
             for m, n in [(1, 0), (0, 1), (-1, 1)]:
-                shifted = fn.evaluate(lat, z + F4.element(m, n))
+                shifted = fn.evaluate(lat, coords(x + m, y + n))
                 assert abs(shifted / base - 1) < mp.mpf(10) ** -40
 
 
@@ -161,10 +162,10 @@ def test_ellipticity_in_odd_discriminant_field():
     fn = build_g_a(F3, 2)
     lat = AnalyticLattice(F3, 160)
     with lat.context():
-        z = F3.element(Fraction(0.313), Fraction(0.209))
-        base = fn.evaluate(lat, z)
+        x, y = Fraction(0.313), Fraction(0.209)
+        base = fn.evaluate(lat, coords(x, y))
         for m, n in [(1, 0), (0, 1)]:
-            shifted = fn.evaluate(lat, z + F3.element(m, n))
+            shifted = fn.evaluate(lat, coords(x + m, y + n))
             assert abs(shifted / base - 1) < mp.mpf(10) ** -40
 
 
@@ -187,7 +188,8 @@ def test_order_and_leading_coefficient(fn):
         for P in fn.divisor.support():
             m = fn.order_at(P)
             lead = fn.leading_at(lat, P)
-            val = fn.evaluate(lat, lift(P) + Fraction(1, 10**30))
+            x, y = lift(P)
+            val = fn.evaluate(lat, coords(x + Fraction(1, 10**30), y))
             assert abs(val / (lead * h ** m) - 1) < mp.mpf(10) ** -25
 
 
@@ -198,7 +200,8 @@ def test_leading_wrong_order_would_fail():
     P = O()
     with lat.context():
         h = mp.mpf(10) ** -20
-        val = fn.evaluate(lat, lift(P) + Fraction(1, 10**20))
+        x, y = lift(P)
+        val = fn.evaluate(lat, coords(x + Fraction(1, 10**20), y))
         lead = fn.leading_at(lat, P)
         wrong = val / (lead * h ** (fn.order_at(P) + 1))
         assert abs(wrong - 1) > 1
@@ -241,7 +244,7 @@ def test_pullback_matches_substitution():
     assert pulled.divisor.degree == 0
     assert pulled.divisor == g2.divisor.pullback(PHI_ELL)
     with lat.context():
-        subst = lambda z: g2.evaluate(lat, PHI_ELL * z)
+        subst = lambda z: g2.evaluate(lat, times(PHI_ELL, z))
         rep = equal_up_to_constant(subst, evaluator(pulled, lat), lat,
                                    avoid=pulled.divisor.support(),
                                    samples=8)
@@ -266,22 +269,22 @@ def test_parity():
     # structural: the divisor is symmetric, so the [-1]-pullback is the
     # identical object
     assert g2.pullback(F4.element(-1)) == g2
+    x, y = Fraction(0.321), Fraction(0.177)
+    z, minus_z = coords(x, y), coords(-x, -y)
     with lat.context():
-        z = F4.element(Fraction(0.321), Fraction(0.177))
-        ratio = g2.evaluate(lat, -z) / g2.evaluate(lat, z)
+        ratio = g2.evaluate(lat, minus_z) / g2.evaluate(lat, z)
         # the parity constant is an exact sign; for the 2-division product
         # on this lattice it lands on -1
         assert abs(ratio + 1) < mp.mpf(10) ** -40
         g3 = build_g_a(F4, 3)
-        ratio3 = g3.evaluate(lat, -z) / g3.evaluate(lat, z)
+        ratio3 = g3.evaluate(lat, minus_z) / g3.evaluate(lat, z)
         assert min(abs(ratio3 - 1), abs(ratio3 + 1)) < mp.mpf(10) ** -40
     gamma = TorsionPoint(F4, 0, 1, 3)
     t = build_t_gamma(F4, 3, gamma)
     t_neg = build_t_gamma(F4, 3, -gamma)
     assert t.pullback(F4.element(-1)) == t_neg
     with lat.context():
-        z = F4.element(Fraction(0.321), Fraction(0.177))
-        ratio = t.evaluate(lat, -z) / t_neg.evaluate(lat, z)
+        ratio = t.evaluate(lat, minus_z) / t_neg.evaluate(lat, z)
         assert abs(abs(ratio) - 1) < mp.mpf(10) ** -40
 
 
@@ -346,14 +349,14 @@ def test_pole_errors():
     with pytest.raises(PoleError):
         g2.evaluate(lat, TorsionPoint(F4, 1, 0, 2))
     with pytest.raises(PoleError):
-        g2.evaluate(lat, F4.element(Fraction(1, 2), 0))
+        g2.evaluate(lat, coords(Fraction(1, 2), 0))
     # a lift of the pole 1/2 outside the unit square is a pole too
     with pytest.raises(PoleError):
-        g2.evaluate(lat, F4.element(Fraction(3, 2), -1))
+        g2.evaluate(lat, coords(Fraction(3, 2), -1))
     # a neighboring torsion point, and a point 1e-40 off the pole, evaluate fine
     val = g2.evaluate(lat, TorsionPoint(F4, 1, 0, 3))
     assert val != 0
-    near = g2.evaluate(lat, F4.element(Fraction(1, 2) + Fraction(1, 10**40), 0))
+    near = g2.evaluate(lat, coords(Fraction(1, 2) + Fraction(1, 10**40), 0))
     assert mp.isfinite(near) and near != 0
 
 
@@ -366,19 +369,23 @@ def test_lattice_points_are_poles_of_zeta_and_wp():
                 fn(x, y, 1)
     route = wp_route_evaluator(F4, 2, lat)
     with pytest.raises(PoleError, match=re.escape(str(F4.element(2, 1)))):
-        route(F4.element(2, 1))
+        route(coords(2, 1))
     # sigma has a zero there, and returns its leading coefficient
     assert lat.sigma(1, 0, 1) != 0
 
 
 def test_complex_points_are_rejected():
+    # an evaluation point is a TorsionPoint or (X, Y, D) of ints, D > 0:
+    # not a complex number, and not a field element either
     lat = AnalyticLattice(F4, 128)
     g2 = build_g_a(F4, 2)
     with lat.context():
         z = embed(lat, Fraction(0.27), Fraction(0.66))
-    for method in (g2.evaluate, g2.leading_at):
-        with pytest.raises(TypeError, match="TorsionPoint or QuadElement"):
-            method(lat, z)
+    for z in (z, (1, 2, 0), (1, 2, -3), (1, 2, 3.0), (Fraction(1, 2), 0, 1), (True, 0, 3),
+              (1, 2), [1, 2, 3], F4.element(1, 2)):
+        for method in (g2.evaluate, g2.leading_at):
+            with pytest.raises(TypeError, match=re.escape("TorsionPoint or (X, Y, D)")):
+                method(lat, z)
 
 
 def test_lazy_const_atoms():
@@ -400,10 +407,30 @@ def test_lazy_const_atoms():
     assert scaled != g2
     assert scaled.order_at(P) == 0
     with lat.context():
-        z = F4.element(Fraction(0.27), Fraction(0.66))
+        z = coords(Fraction(0.27), Fraction(0.66))
         # the constant multiplies after the normalized product, bit for bit
         assert scaled.evaluate(lat, z) == g2.evaluate(lat, z) * v
         assert scaled.leading_at(lat, O()) == g2.leading_at(lat, O()) * v
+
+
+@pytest.mark.parametrize("d", (-4, -3, -163))
+def test_points_off_lowest_terms_evaluate_bit_identically(d):
+    # times returns alpha z over z's denominator, not in lowest terms:
+    # evaluate and leading_at at (kX, kY, kD) must give the bits of (X, Y, D)
+    K = QuadField(d)
+    lat = AnalyticLattice(K, 256)
+    P = TorsionPoint(K, 1, 2, 5)
+    fns = (build_g_a(K, 2), build_s_point(P, 5))
+    rng = random.Random(d)
+    points = [dyadic_point(rng.random(), rng.random()), (-7, 3, 11)]
+    for f in fns:
+        for X, Y, D in points:
+            want = f.evaluate(lat, (X, Y, D))._mpc_
+            assert all(f.evaluate(lat, (k * X, k * Y, k * D))._mpc_ == want for k in (2, 3))
+        for Q in (P, O(K)):
+            want = f.leading_at(lat, Q)._mpc_
+            assert all(f.leading_at(lat, (k * Q.X, k * Q.Y, k * Q.D))._mpc_ == want
+                       for k in (2, 3))
 
 
 def test_sample_points_deterministic_and_avoiding():
@@ -414,12 +441,12 @@ def test_sample_points_deterministic_and_avoiding():
     assert a == b
     assert len(a) == 5
     with lat.context():
-        for w in a:
-            z = embed(lat, w.x, w.y)
+        for X, Y, D in a:
+            z = embed(lat, Fraction(X, D), Fraction(Y, D))
             for P in avoid:
                 # distance to the nearest point of P + lattice, over the
                 # lattice points around the offset
-                offset = z - embed(lat, lift(P).x, lift(P).y)
+                offset = z - embed(lat, *lift(P))
                 assert min(abs(offset - (m + n * lat.tau))
                            for m in range(-2, 3) for n in range(-2, 3)) > 1e-3
 
@@ -430,8 +457,8 @@ def test_warm_evaluation_is_bit_identical(d):
     # constant; both rounds must match a fresh lattice to the bit
     K = QuadField(d)
     f = build_g_a(K, 2)
-    points = [K.element(Fraction(1, 3), Fraction(1, 7)),
-              K.element(Fraction(2, 5), Fraction(-1, 3)),
+    points = [coords(Fraction(1, 3), Fraction(1, 7)),
+              coords(Fraction(2, 5), Fraction(-1, 3)),
               TorsionPoint(K, 1, 0, 3)]
     warm = AnalyticLattice(K, 256)
     first = [f.evaluate(warm, z)._mpc_ for z in points]
@@ -470,12 +497,13 @@ def _accuracy_cases(K):
     }
 
 
-def _shifted_copy_product(f, lat, z):
+def _shifted_copy_product(f, lat, x, y):
     """The oracle: the sigma product whose lift sum is zero because one
     sigma copy of the first support point P0 (multiplicity m0, sign e) is
     moved by -e lam, times exp(-(1/2) sum_i e_i eta(u_i) u_i) over its
     lifts u_i.  At a lattice offset sigma gives its leading coefficient,
-    so this is also the leading coefficient at a support point."""
+    so this is also the leading coefficient at a support point.  x and y
+    are the plane coordinates of the point."""
     lifts = list(fraction_lifts(f))
     lx, ly = f.lam
     if (lx, ly) != (0, 0):
@@ -486,7 +514,7 @@ def _shifted_copy_product(f, lat, z):
         out = mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
                           for r, s, m in lifts) / 2)
         for r, s, m in lifts:
-            out = out * lat.sigma(*coords(z.x - r, z.y - s)) ** m
+            out = out * lat.sigma(*coords(x - r, y - s)) ** m
         return out
 
 
@@ -502,13 +530,12 @@ def _accuracy_failures(prec):
         K = QuadField(d)
         lat, ref = AnalyticLattice(K, prec), AnalyticLattice(K, 768)
         rng = random.Random(d)
-        points = [K.element(Fraction(rng.random()), Fraction(rng.random()))
-                  for _ in range(2)]
+        points = [(Fraction(rng.random()), Fraction(rng.random())) for _ in range(2)]
         for name, f in _accuracy_cases(K).items():
-            calls = ([("evaluate", z, z) for z in points]
+            calls = ([("evaluate", coords(*w), w) for w in points]
                      + [("leading_at", P, lift(P)) for P in f.divisor.support()[:3]])
             for call, z, w in calls:
-                got, want = getattr(f, call)(lat, z), _shifted_copy_product(f, ref, w)
+                got, want = getattr(f, call)(lat, z), _shifted_copy_product(f, ref, *w)
                 with ref.context():
                     err = abs(got - want) / abs(want)
                 if err > ACCURACY[prec]:
@@ -580,18 +607,16 @@ def _fraction_calls(run):
 
 
 def test_evaluation_path_builds_no_fraction():
-    # past the boundary, evaluate and leading_at run on integers: the only
-    # code of fractions.py they may run is the numerator and denominator
-    # properties that put a point over one denominator.  Constructors,
-    # _from_coprime_ints and the arithmetic all count, so this holds on
-    # every Python version
+    # an evaluation point is integers over one denominator, so evaluate
+    # and leading_at run no code of fractions.py at all: constructors,
+    # properties and arithmetic all count, on every Python version
     lat = AnalyticLattice(F4, 256)
     with lat.context():  # warm the lattice's fixed-point constants
-        build_g_a(F4, 2).evaluate(lat, F4.element(Fraction(0.3), Fraction(0.6)))
+        build_g_a(F4, 2).evaluate(lat, coords(Fraction(0.3), Fraction(0.6)))
     g3 = build_g_a(F4, 3)
     s = build_s_point(TorsionPoint(F4, 1, 2, 5), 5)
     rng = random.Random(41)
-    samples = [F4.element(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
+    samples = [coords(Fraction(rng.random()), Fraction(rng.random())) for _ in range(3)]
     calls = [(f, "evaluate", z) for f in (g3, s) for z in samples]
     calls += [(f, "leading_at", f.divisor.support()[1]) for f in (g3, s)]
 
@@ -599,7 +624,13 @@ def test_evaluation_path_builds_no_fraction():
         for f, method, z in calls:
             getattr(f, method)(lat, z)
 
-    assert set(_fraction_calls(run)) <= {"numerator", "denominator"}
+    assert _fraction_calls(run) == {}
+
+
+def test_default_grid_runs_no_fraction_code(tmp_path):
+    # the whole default grid, exact and numeric commands, in-process
+    out = str(tmp_path / "all.jsonl")
+    assert _fraction_calls(lambda: cli.main(["all", "--out", out])) == {}
 
 
 @pytest.mark.parametrize("d, conductor, ell", [(-4, "(1+i)^3", "2+i"), (-3, "3", "2+w")])
@@ -644,13 +675,13 @@ def _kernel_runs_and_offsets(monkeypatch):
     lat = AnalyticLattice(F4, 128)
     fns = (build_g_a(F4, 2), build_s_point(TorsionPoint(F4, 1, 2, 5), 5))
     assert [f.den for f in fns] == [2, 5]
-    points = (F4.element(Fraction(1, 3), Fraction(1, 7)), F4.element(Fraction(0.3), Fraction(0.6)))
+    points = ((Fraction(1, 3), Fraction(1, 7)), (Fraction(0.3), Fraction(0.6)))
     offsets = []
     with lat.context():
         for f in fns:
-            for z in points:
-                f.evaluate(lat, z)
-                offsets += [(z.x - r, z.y - s) for r, s, _m in fraction_lifts(f)]
+            for x, y in points:
+                f.evaluate(lat, coords(x, y))
+                offsets += [(x - r, y - s) for r, s, _m in fraction_lifts(f)]
     assert len(set(offsets)) < len(offsets)  # the offsets z - 0 are shared
     return runs, set(offsets)
 

@@ -15,6 +15,7 @@ from cmk2.qfield import (
     factor_ideal,
     gcd_elements,
     is_rational_prime,
+    norm_form_solution,
     parse_element,
     ray_one_generator,
     residue_invert,
@@ -70,25 +71,23 @@ def test_norm_multiplicative_and_conj():
             assert a.trace() == (a + a.conjugate()).x
 
 
-def test_division_is_exact_inverse_of_multiplication():
+def test_elements_are_integral_only():
+    # an element is an element of O_K: no rational or float coordinate,
+    # no rational summand and no division; exact_div is the one quotient
     for d in (-4, -3, -19, -163):
         K = QuadField(d)
         rng = random.Random(7 * d)
         for _ in range(60):
             a, b = rand_elem(K, rng), rand_elem(K, rng)
-            if b.is_zero():
-                continue
-            q = (a * b) / b
-            assert q == a
-    with pytest.raises(ZeroDivisionError):
-        GAUSS.one() / GAUSS.zero()
-
-
-def test_fractional_coordinates():
-    half = GAUSS.element(Fraction(1, 2), Fraction(3, 4))
-    assert not half.is_integral()
-    assert (half * 4).is_integral()
-    assert half + half == GAUSS.element(1, Fraction(3, 2))
+            if not b.is_zero():
+                assert (a * b).exact_div(b) == a
+    for x, y in ((Fraction(1, 2), 0), (0, Fraction(3, 4)), (Fraction(2), 1), (0.5, 0)):
+        with pytest.raises(TypeError):
+            GAUSS.element(x, y)
+    with pytest.raises(TypeError):
+        GAUSS.one() + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        GAUSS.element(4, 2) / GAUSS.element(2)
 
 
 def test_unit_groups():
@@ -357,6 +356,15 @@ def test_phi_matches_unit_count_oracle():
                 continue
             ideal = QuadIdeal(g)
             assert len(ideal.residue_units()) == euler_phi_ideal(ideal)
+
+
+def test_norm_form_solution_rejects_a_p_without_solution():
+    # an inert prime and a composite that is no norm are a caller's error,
+    # named in a ValueError; a split prime has its solution
+    for p in (3, 15):
+        with pytest.raises(ValueError, match=f"p={p} "):
+            norm_form_solution(GAUSS, p)
+    assert norm_form_solution(GAUSS, 13).norm() == 13
 
 
 def test_residue_invert_and_bezout():
