@@ -71,23 +71,30 @@ def test_norm_multiplicative_and_conj():
             assert a.trace() == (a + a.conjugate()).x
 
 
-def test_elements_are_integral_only():
-    # an element is an element of O_K: no rational or float coordinate,
-    # no rational summand and no division; exact_div is the one quotient
+def test_division_is_exact_inverse_of_multiplication():
+    # exact_div is the one quotient in O_K; there is no `/`
     for d in (-4, -3, -19, -163):
         K = QuadField(d)
         rng = random.Random(7 * d)
         for _ in range(60):
             a, b = rand_elem(K, rng), rand_elem(K, rng)
-            if not b.is_zero():
-                assert (a * b).exact_div(b) == a
+            if b.is_zero():
+                continue
+            assert (a * b).exact_div(b) == a
+    with pytest.raises(ValueError):
+        GAUSS.one().exact_div(GAUSS.element(2))
+    with pytest.raises(TypeError):
+        GAUSS.element(4, 2) / GAUSS.element(2)
+
+
+def test_fractional_coordinates():
+    # an element is an element of O_K: no rational or float coordinate
+    # and no rational summand
     for x, y in ((Fraction(1, 2), 0), (0, Fraction(3, 4)), (Fraction(2), 1), (0.5, 0)):
         with pytest.raises(TypeError):
             GAUSS.element(x, y)
     with pytest.raises(TypeError):
         GAUSS.one() + Fraction(1, 2)
-    with pytest.raises(TypeError):
-        GAUSS.element(4, 2) / GAUSS.element(2)
 
 
 def test_unit_groups():
