@@ -31,9 +31,15 @@ lattice.
   exactly real sigma.  It returns integers (re, im, e), the value
   (re + i im) 2^e, for callers that go on in fixed point.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
-  c_n k^j (d/dv)^j sin(k v) at v = pi z0, k = 2n+1, summed in integer
-  fixed point from the powers of u = exp(i pi Re z0) and
-  r = exp(pi Im z0).  sigma(X, Y, D, R, S, E) is sigma at z - u for
+  c_n k^j (d/dv)^j sin(k v) at v = pi z0 = a + i b, k = 2n+1, summed in
+  integer fixed point.  The series head, (cos, sin)(a) and exp(+-b),
+  gives 2 sin v and 2 cos v in four products, and the odd multiples T_k,
+  2 sin(k v) or 2 cos(k v), follow from the three-term recurrence
+  T_(k+2) = C T_k - T_(k-2), C = 2 cos 2v = (2 cos v)^2 - 2, started at
+  T_(-1) = -T_1 for the sine and +T_1 for the cosine.  A term costs one
+  complex product at the working width and c_n T_k; the cosine runs
+  only for a derivative (zeta, p and p'), and nothing is formed past
+  the last table term.  sigma(X, Y, D, R, S, E) is sigma at z - u for
   z = (X + Y*omega)/D and u = (R + S*omega)/E (u = 0 by default, as for
   zeta, p and p').  With z_c and u_c their canonical points in [0, 1)^2,
   z0 = z_c - u_c - mu' for an exact mu' = m' + n'*omega, n' in
@@ -46,7 +52,9 @@ lattice.
   q^(1/4) cancels in every quotient (sigma divides by
   theta_1'(0) / (2 q^(1/4)) = sum k c_n), so no branch of it is chosen,
   and eta1 = (pi^2/3) sum k^3 c_n / sum k c_n.
-  A real z0 has r = 1 exactly, so its sine sums are exactly real.
+  A real z0 has exp(+-b) = 1 exactly, so 2 sin v, 2 cos v and C are
+  real, and the plain four-product complex multiply keeps every T_k and
+  its sums exactly real (a three-product form would not).
 - Invariants: with the moments d_j = sum k^j c_n, the sine series is
   z - a z^3 + b z^5 - c z^7 + ..., a = eta1/2, b = pi^4 d5 / (120 d1),
   c = pi^6 d7 / (5040 d1).  Times exp(a z^2) it is sigma's Laurent
@@ -57,7 +65,8 @@ lattice.
   (2n+1)^3 exp(-nu (n^2 - 1/2)); the series stops once the next term
   falls below 2^-(prec + GUARD_BITS).  The fixed point runs at
   bits = prec + GUARD_BITS + g, g covering the largest term exp(nu/2)
-  and the rounding of N+1 weighted terms.  Each c_n keeps that many
+  and the rounding of N+1 weighted terms, the recurrence's included
+  (see the error budget).  Each c_n keeps that many
   significant bits whatever its size, and an offset within 2^-b of 0,
   read off the exact norm of z0, gets b more bits, so sigma keeps its
   relative precision near its zero.  The phases run at
@@ -73,7 +82,21 @@ lattice.
   product costs at most 2 ulp at pb bits, times e^nu from the small
   factors, a relative error the pb rule keeps below 2^-(bits + 16); the
   series head then costs one ulp more, its `>>` to bits, so it stays
-  within 2 ulp of the one-point head.
+  within 2 ulp of the one-point head; each of its four integers is
+  within 1.5 ulp of exact.  So 2 sin v and 2 cos v are within
+  10 e^|b| ulp, and C within 42 e^(2|b|) ulp.  Each recurrence step
+  costs one ulp a component, and C's error dC adds |dC| |T_(k-2)|, at
+  most 86 e^(k|b|) ulp in all; an error injected at step j reaches
+  T_(j+2m) times U_m(cos 2v), the Chebyshev polynomial of the second
+  kind, with |U_m| <= (m+1) e^(2m|b|), a bound it nears at b = 0 with
+  Re z0 near 0 or 1/2.  Summed over the steps, T_k (k = 2n+1) is within
+  43 (n+1)^2 e^(k|b|) ulp, and derivative j's sum within
+  sum_n k^j (1 + 43 (n+1)^2 |c_n| e^(k|b|)) ulp a component, the 1 from
+  the `>>` of c_n T_k.  g still covers that: |c_n| e^(k|b|) is at most
+  exp(-nu (n^2 - 1/2)), (n+1)^2 e^(-nu n^2) < 0.27 for n >= 1 at every
+  field (nu >= 2.72), and sum_n k^3 <= 0.52 (N+1)(2N+1)^3 with N >= 1,
+  so the bound is below 8 e^(nu/2) (N+1)(2N+1)^3 ulp, inside g's
+  factor 16.
 
 Exact points: every entry point, exp_eta too, takes integers over one
 positive denominator, and scaling them all by one factor changes no
@@ -359,31 +382,43 @@ class AnalyticLattice:
         integer pairs.
 
         The sum over the table of c_n k^j (d/dv)^j sin(k v) at
-        v = pi z0 = a + i b, k = 2n+1, from the powers of u = exp(i a) and
-        r = exp(b): sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b).
+        v = pi z0 = a + i b, k = 2n+1.  The head gives
+        2 sin v = sin a (2 cosh b) + i cos a (2 sinh b) and
+        2 cos v = cos a (2 cosh b) - i sin a (2 sinh b), and the odd
+        multiples T_k, 2 sin(k v) or 2 cos(k v), follow from
+        T_(k+2) = C T_k - T_(k-2), C = 2 cos 2v = (2 cos v)^2 - 2, started at
+        T_(-1) = -T_1 for the sine and +T_1 for the cosine: one complex
+        product a term, and the cosine only once a derivative needs it.
         """
         bits, uc, us, rp, rm = self._head(z, u, reduced)
-        uc2, us2 = (uc * uc - us * us) >> bits, (2 * uc * us) >> bits
-        rp2, rm2 = (rp * rp) >> bits, (rm * rm) >> bits
+        ch, sh = rp + rm, rp - rm  # 2 cosh b, 2 sinh b
+        sr, si = us * ch >> bits, uc * sh >> bits  # 2 sin v
+        cr, ci = uc * ch >> bits, -(us * sh >> bits)  # 2 cos v
+        Cr, Ci = (cr * cr - ci * ci >> bits) - (2 << bits), cr * ci >> bits - 1
+        sr0, si0, cr0, ci0 = -sr, -si, cr, ci  # T_(-1)
         sums = [[0, 0] for _ in range(derivs + 1)]
-        for k, c, shift in self._table:
-            shift += bits
-            ch, sh = rp + rm, rp - rm  # 2 cosh(k b), 2 sinh(k b)
-            # 2 c_n sin(k v), and 2 c_n cos(k v) once a derivative needs it;
-            # derivative j takes (-1)^(j//2) k^j times the sine (even j) or
-            # the cosine (odd j)
-            trig = [(c * (us * ch) >> shift, c * (uc * sh) >> shift)]
+        for n, (k, c, shift) in enumerate(self._table):
+            if n:  # T_k from T_(k-2) and T_(k-4), over 2^bits
+                sr, si, sr0, si0 = ((Cr * sr - Ci * si >> bits) - sr0,
+                                    (Cr * si + Ci * sr >> bits) - si0, sr, si)
+                if derivs:
+                    cr, ci, cr0, ci0 = ((Cr * cr - Ci * ci >> bits) - cr0,
+                                        (Cr * ci + Ci * cr >> bits) - ci0, cr, ci)
+            # 2 c_n sin(k v) goes to the sums of the even derivatives and
+            # 2 c_n cos(k v) to the odd ones, derivative j with the weight
+            # (-1)^(j//2) k^j
+            sine = c * sr >> shift, c * si >> shift
+            sums[0][0] += sine[0]
+            sums[0][1] += sine[1]
             if derivs:
-                trig.append((c * (uc * ch) >> shift, -(c * (us * sh) >> shift)))
-            w = 1
-            for j in range(derivs + 1):
-                re, im = trig[j % 2]
-                sign = -w if j & 2 else w
-                sums[j][0] += sign * re
-                sums[j][1] += sign * im
-                w *= k
-            uc, us = (uc * uc2 - us * us2) >> bits, (uc * us2 + us * uc2) >> bits
-            rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
+                trig = sine, (c * cr >> shift, c * ci >> shift)
+                w = 1
+                for j in range(1, derivs + 1):
+                    w *= k
+                    re, im = trig[j % 2]
+                    sign = -w if j & 2 else w
+                    sums[j][0] += sign * re
+                    sums[j][1] += sign * im
         return sums, -bits - 1
 
     def sigma(self, X, Y, D, R=0, S=0, E=1):

@@ -1,7 +1,8 @@
 """Lattice arithmetic in mpmath, kept as test oracles for the fixed-point
 kernel: the embedding of exact coordinates, the R-linear quasi-period map
-and sigma's translation factor, each evaluated the direct way; and the
-kernel's rounding rule in Fraction arithmetic, with the conversion of
+and sigma's translation factor, each evaluated the direct way; the
+kernel's series summed the direct way, from powers; and the kernel's
+rounding rule in Fraction arithmetic, with the conversion of
 int/Fraction plane coordinates to the (X, Y, D) every evaluation point
 is; and a torsion point's lift, read in Fractions."""
 
@@ -39,6 +40,36 @@ def translation_factor(lat, m: int, n: int, z):
     with lat.context():
         mu = m + n * lat.tau
         return translation_sign(m, n) * mp.exp(eta_linear(lat, m, n) * (z + mu / 2))
+
+
+def power_sums(lat, head, derivs, guard):
+    """The kernel's series sums, _series' (sums, e), the direct way: from
+    the head (bits, uc, us, rp, rm), taken as exact, at bits + guard, with
+    u = exp(i a) and r = exp(b) raised to each power k = 2n+1 and
+    sin(k v) = sin(k a) cosh(k b) + i cos(k a) sinh(k b) at v = a + i b."""
+    bits, uc, us, rp, rm = head
+    bits += guard
+    uc, us, rp, rm = (v << guard for v in (uc, us, rp, rm))
+    uc2, us2 = (uc * uc - us * us) >> bits, (2 * uc * us) >> bits
+    rp2, rm2 = (rp * rp) >> bits, (rm * rm) >> bits
+    sums = [[0, 0] for _ in range(derivs + 1)]
+    for k, c, shift in lat._table:
+        shift += bits
+        ch, sh = rp + rm, rp - rm  # 2 cosh(k b), 2 sinh(k b)
+        # 2 c_n sin(k v) and 2 c_n cos(k v); derivative j takes
+        # (-1)^(j//2) k^j times the sine (even j) or the cosine (odd j)
+        trig = ((c * (us * ch) >> shift, c * (uc * sh) >> shift),
+                (c * (uc * ch) >> shift, -(c * (us * sh) >> shift)))
+        w = 1
+        for j in range(derivs + 1):
+            re, im = trig[j % 2]
+            sign = -w if j & 2 else w
+            sums[j][0] += sign * re
+            sums[j][1] += sign * im
+            w *= k
+        uc, us = (uc * uc2 - us * us2) >> bits, (uc * us2 + us * uc2) >> bits
+        rp, rm = (rp * rp2) >> bits, (rm * rm2) >> bits
+    return sums, -bits - 1
 
 
 def coords(x, y):

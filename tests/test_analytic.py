@@ -1,6 +1,9 @@
 import functools
+import inspect
 import math
 import random
+import textwrap
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +14,7 @@ from cmk2 import analytic
 from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import build_g_a, times
 from cmk2.qfield import QuadField
-from oracles import (coords, embed, eta_linear, reduce_reference, reduced,
+from oracles import (coords, embed, eta_linear, power_sums, reduce_reference, reduced,
                      translation_factor, translation_sign)
 
 GAUSS = QuadField(-4)
@@ -281,11 +284,11 @@ def test_eta_linear_matches_lattice_values(lat):
 
 
 def _theta_formula(field, prec):
-    """(sigma, zeta, wp) by mp.jtheta at the nome of the field's lattice,
-    evaluated at `prec` bits; the kernel's reference.  At a lattice point
-    mu = m + n*omega: (sigma's leading coefficient
-    eps(mu) exp(eta(mu) mu / 2), None, None), since zeta and wp have a
-    pole there."""
+    """(sigma, zeta, wp, wp') by mp.jtheta at the nome of the field's
+    lattice, evaluated at `prec` bits; the kernel's reference.  At a
+    lattice point mu = m + n*omega: (sigma's leading coefficient
+    eps(mu) exp(eta(mu) mu / 2), None, None, None), since zeta, wp and wp'
+    have a pole there."""
     with mp.workprec(prec):
         tau = (field.trace_omega + mp.mpc(0, 1) * mp.sqrt(-field.d)) / 2
         q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
@@ -297,11 +300,12 @@ def _theta_formula(field, prec):
             z = _mpf(x) + _mpf(y) * tau
             if isinstance(x, int) and isinstance(y, int):
                 eta_mu = x * eta1 + y * (eta1 * tau - 2 * mp.pi * mp.mpc(0, 1))
-                return translation_sign(x, y) * mp.exp(eta_mu * z / 2), None, None
-            t0, t1, t2 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(3))
+                return translation_sign(x, y) * mp.exp(eta_mu * z / 2), None, None, None
+            t0, t1, t2, t3 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(4))
             return (mp.exp(eta1 * z * z / 2) * t0 / (mp.pi * th1p),
                     eta1 * z + mp.pi * t1 / t0,
-                    -eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0))
+                    -eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0),
+                    -mp.pi ** 3 * (t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3) / t0 ** 3)
 
     return at
 
@@ -350,11 +354,11 @@ def _agreement_data(d, prec):
 
 
 def _worst_log2_errors(lat, points, wants):
-    """log2 of the largest relative error of sigma, zeta and wp, each;
+    """log2 of the largest relative error of sigma, zeta, wp and wp', each;
     a function is called only where its reference is not None."""
-    worst = [mp.mpf(0)] * 3
+    worst = [mp.mpf(0)] * 4
     for (x, y), want in zip(points, wants):
-        for j, (fn, w) in enumerate(zip((lat.sigma, lat.zeta, lat.wp), want)):
+        for j, (fn, w) in enumerate(zip((lat.sigma, lat.zeta, lat.wp, lat.wp_prime), want)):
             if w is not None:
                 got = fn(*coords(x, y))
                 with mp.workprec(lat.prec + 256):
@@ -383,8 +387,8 @@ def test_kernel_agreement_fails_without_last_term():
 def test_kernel_agreement_fails_without_reduction():
     # fault control: with the reduction skipped (m = n = 0) the series
     # runs at the unreduced far points, beyond the range its table
-    # covers; sigma, zeta and wp must each fail, so none of them reduces
-    # by a rule of its own
+    # covers; sigma, zeta, wp and wp' must each fail, so none of them
+    # reduces by a rule of its own
     for d in DISCRIMINANTS:
         lat = AnalyticLattice(QuadField(d), 256)
         lat.reduce = lambda X, Y, D: (X, Y, D, 0, 0)
@@ -415,10 +419,90 @@ def test_kernel_agreement_fails_with_phase_mod_1(monkeypatch):
         assert _worst_log2_errors(lat, points[LATTICE], wants[LATTICE])[0] >= -256, d
 
 
+# --- the series recurrence against the direct power sums ------------------------
+
+# the analytic docstring's error budget: T_k, k = 2n+1, is within
+# 43 (n+1)^2 e^(k|b|) ulp, and each c_n T_k costs one ulp more
+RECURRENCE_ULP = 43
+
+
+def _recurrence_points(d, prec):
+    """Seeded offsets (x, y) for the recurrence: 20 in the cell, 4 on its
+    edge Im z0 = Im(tau)/2, where e^|b| is largest, 4 within 2^-60 of 0,
+    which take extra bits, and real offsets with Re z0 near 0 and near
+    1/2, where U_m(cos 2v) grows like m + 1."""
+    rng = random.Random(31 * -d + prec)
+
+    def cell():
+        return Fraction(rng.uniform(-0.5, 0.5))
+
+    half = Fraction(1, 2)
+    points = [(cell(), cell()) for _ in range(20)]
+    points += [(cell(), half) for _ in range(4)]
+    points += [(cell() / 2 ** 60, cell() / 2 ** 60) for _ in range(4)]
+    for e in (Fraction(1, 2 ** 40), Fraction(1, 1000), Fraction(1, 10)):
+        points += [(e, 0), (half - e, 0), (e - half, 0)]
+    return points + [(half, 0)]
+
+
+def _series_excess(lat, points):
+    """The largest ratio, over the points, derivatives 0..3 and both
+    components, of |_series - power_sums| to the docstring's bound
+    sum_n k^j (1 + 43 (n+1)^2 |c_n| e^(k|b|)), in ulp of the sums; the
+    power sums run from the same head with 64 guard bits, so their own
+    rounding does not count."""
+    guard, worst = 64, 0.0
+    for x, y in points:
+        z = coords(x, y)
+        reduced_z = lat.reduce(*z)
+        head = lat._head(z, (0, 0, 1), reduced_z)
+        got, _ = lat._series(z, (0, 0, 1), reduced_z, 3)
+        want, _ = power_sums(lat, head, 3, guard)
+        bits, rp, rm = head[0], head[3], head[4]
+        log_s = math.log(max(rp, rm)) - bits * math.log(2)  # |b|
+        for j in range(4):
+            bound = sum(k ** j * (1 + RECURRENCE_ULP * (n + 1) ** 2 *
+                                  math.exp(math.log(abs(c)) - shift * math.log(2) + k * log_s))
+                        for n, (k, c, shift) in enumerate(lat._table))
+            for g, w in zip(got[j], want[j]):
+                worst = max(worst, abs((g << guard) - w) / 2 ** guard / bound)
+    return worst
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_series_recurrence_within_its_bound(prec):
+    for d in DISCRIMINANTS:
+        lat = AnalyticLattice(QuadField(d), prec)
+        assert _series_excess(lat, _recurrence_points(d, prec)) <= 1, d
+
+
+def _with_series_text(lat, old, new):
+    """lat with the text old of _series' source replaced by new."""
+    source = textwrap.dedent(inspect.getsource(AnalyticLattice._series))
+    assert source.count(old) == 1
+    scope = {}
+    exec(source.replace(old, new), vars(analytic), scope)
+    lat._series = types.MethodType(scope["_series"], lat)
+    return lat
+
+
+def test_kernel_agreement_fails_with_sine_started_at_plus_t1():
+    # fault control: the sine's recurrence started at T_(-1) = +T_1 gives
+    # 2 sin(3v) - 2 T_1 for T_3; sigma misses 2^-prec at every field, and
+    # the sums leave the recurrence's bound
+    for d in DISCRIMINANTS:
+        lat = _with_series_text(AnalyticLattice(QuadField(d), 256),
+                                "= -sr, -si, cr, ci", "= sr, si, cr, ci")
+        points, wants = _agreement_data(d, 256)
+        assert _worst_log2_errors(lat, points[FAR], wants[FAR])[0] >= -256, d
+        assert _series_excess(lat, _recurrence_points(d, 256)[:4]) > 1, d
+
+
 def test_real_argument_gives_real_values(lat):
     with lat.context():
         for x in (Fraction("0.3"), Fraction("-0.45"), Fraction("3.3")):
-            for value in (lat.sigma(*coords(x, 0)), lat.zeta(*coords(x, 0)), lat.wp(*coords(x, 0))):
+            z = coords(x, 0)
+            for value in (lat.sigma(*z), lat.zeta(*z), lat.wp(*z), lat.wp_prime(*z)):
                 assert mp.im(value) == 0
 
 
