@@ -660,43 +660,31 @@ def factor_ideal(ideal: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
     return out
 
 
-def euler_phi_ideal(ideal: QuadIdeal) -> int:
-    """Order of (O_K/ideal)^* by the multiplicative formula."""
-    if ideal.is_one():
-        return 1
-    phi = 1
-    for pr, v in factor_ideal(ideal):
-        np = pr.norm
-        phi *= np ** (v - 1) * (np - 1)
-    return phi
-
-
 def residue_invert(alpha: QuadElement, modulus: QuadIdeal) -> QuadElement:
-    """beta with alpha*beta = 1 mod modulus; requires coprimality."""
+    """beta with alpha*beta = 1 mod modulus, by 1/a = conj(a)/N(a); requires
+    coprimality.
+
+    a runs over alpha, alpha + g, alpha + 2g, ... (g the modulus's
+    generator, so each a is in alpha's class) until N(a) is prime to
+    N(modulus), which lies in the modulus; beta is the canonical
+    representative of conj(a) * (N(a)^-1 mod N(modulus)).  The loop ends:
+    a prime of norm p that divides N(modulus) but not the modulus contains
+    alpha + k g for exactly one k mod p, and no prime of the modulus
+    contains any of them, as alpha is coprime to it; so by CRT some k
+    works.  The coprimality test guarantees this, so it runs first.
+    """
     if modulus.is_one():
         return modulus.field.one()
-    if alpha.is_zero() or gcd_elements(alpha, modulus.gen).norm() != 1:
+    g, n = modulus.gen, modulus.norm
+    if alpha.is_zero() or gcd_elements(alpha, g).norm() != 1:
         raise ValueError(f"{alpha} is not invertible modulo {modulus}")
-    e = euler_phi_ideal(modulus) - 1
-    out = modulus.field.one()
-    base = modulus.reduce(alpha)
-    while e:
-        if e & 1:
-            out = modulus.reduce(out * base)
-        base = modulus.reduce(base * base)
-        e >>= 1
+    a = alpha
+    while math.gcd(a.norm(), n) != 1:
+        a = a + g
+    out = modulus.reduce(a.conjugate() * pow(a.norm(), -1, n))
     if not modulus.contains(alpha * out - modulus.field.one()):
         raise ArithmeticError(f"{out} is not an inverse of {alpha} modulo {modulus}")
     return out
-
-
-def bezout(alpha: QuadElement, beta: QuadElement):
-    """(u, v) with u*alpha + v*beta = 1 for coprime alpha, beta."""
-    u = residue_invert(alpha, QuadIdeal(beta))
-    rest = alpha.field.one() - u * alpha
-    if not beta.divides(rest):
-        raise ArithmeticError(f"{u} is not an inverse of {alpha} modulo {beta}")
-    return u, rest.exact_div(beta)
 
 
 # --- the prime pool L and the ideal pool R ----------------------------------

@@ -30,7 +30,7 @@ from .divisors import (
     times,
     wp_route_evaluator,
 )
-from .qfield import QuadElement, QuadIdeal, bezout, valuation
+from .qfield import QuadElement, QuadIdeal, residue_invert, valuation
 from .symbols import (
     SymbolSum,
     build_alpha,
@@ -69,7 +69,7 @@ def conjugating_units(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     q = ell.gen
     ell_part = ell ** v
     # co_other = 1 mod ell-part, 0 mod other; co_ell = the complement
-    u_ell, _v_other = bezout(ell_part.gen, other.gen)
+    u_ell = residue_invert(ell_part.gen, other)
     co_ell = u_ell * ell_part.gen          # 1 mod other, 0 mod ell-part
     co_other = field.one() - co_ell        # 1 mod ell-part, 0 mod other
     kind = "additive" if v >= 2 else "multiplicative"
@@ -492,11 +492,8 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
         # fault control: replacing the two-point function by one at a
         # different point is not a constant move and must be caught
         other = sys.y(m) + TorsionPoint(field, 0, 1, 2)
-        fault_scale = None
-        for cand in (k, 2 * k, 4 * k):
-            if other.act(cand).is_zero():
-                fault_scale = cand
-                break
+        # k = N(m f) lies in (m f), which kills y(m), so 2k kills other
+        fault_scale = k if other.act(k).is_zero() else 2 * k
         fault = build_alpha_prime(sys, m, a,
                                   s_fn=build_s_point(other, fault_scale))
         fault_const, _ = difference_is_constant(fault, base)

@@ -134,7 +134,7 @@ def crt_split(P: TorsionPoint, ell: QuadIdeal) -> tuple[TorsionPoint, TorsionPoi
     if v == 0:
         return TorsionPoint(P.field, 0, 0), P
     lpart_gen = ell.gen ** v
-    u = residue_invert(lpart_gen, rest) if not rest.is_one() else P.field.one()
+    u = residue_invert(lpart_gen, rest)
     # u*l^v + (1 - u*l^v) = 1 with the second summand divisible by rest
     co = P.field.one() - u * lpart_gen
     P_l = P.act(co)          # killed by ell^v

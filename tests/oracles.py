@@ -4,12 +4,17 @@ and sigma's translation factor, each evaluated the direct way; the
 kernel's series summed the direct way, from powers; and the kernel's
 rounding rule in Fraction arithmetic, with the conversion of
 int/Fraction plane coordinates to the (X, Y, D) every evaluation point
-is; and a torsion point's lift, read in Fractions."""
+is; a torsion point's lift, read in Fractions; the Jacobi theta
+function theta_1 and its first three derivatives, summed in one pass;
+and the residue inverse by Euler's theorem, with phi by the
+multiplicative formula."""
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from cmk2.qfield import factor_ideal, gcd_elements
 
 
 def frac(v):
@@ -100,3 +105,60 @@ def reduce_reference(t, x, y):
     n = round(y)
     m = round(x + (y - n) * Fraction(t, 2))
     return x - m, y - n, m, n
+
+
+def theta1_derivatives(z, q):
+    """(theta_1, theta_1', theta_1'', theta_1''') at z for the nome q, at
+    the current precision, in one pass over the series
+    theta_1(z) = 2 q^(1/4) sum_n (-1)^n q^(n(n+1)) sin(k z), k = 2n+1,
+    with 2i sin(k z) = u^k - u^-k and 2 cos(k z) = u^k + u^-k, u = e^(iz),
+    and derivative j taking (-1)^(j//2) k^j times the sine (even j) or the
+    cosine (odd j).  The terms' logs are concave in n, so the sum stops at
+    the first term past the largest that falls below 2^-prec of it."""
+    up, um = mp.expj(z), mp.expj(-z)  # u^k, u^-k
+    u2, v2, q2 = up * up, um * um, q * q
+    a, step = mp.mpc(1), q2  # (-1)^n q^(n(n+1)), q^(2n+2)
+    sums = [0, 0, 0, 0]
+    eps, largest, k = mp.ldexp(1, -mp.mp.prec), 0, 1
+    while True:
+        s, c = a * up, a * um
+        s, c = s - c, s + c
+        sums[0] += s
+        sums[1] += k * c
+        sums[2] -= k * k * s
+        sums[3] -= k ** 3 * c
+        size = k ** 3 * (abs(s) + abs(c))
+        if size > largest:
+            largest = size
+        elif size < eps * largest:
+            break
+        a, step = -a * step, step * q2
+        up, um, k = up * u2, um * v2, k + 2
+    q4 = mp.root(q, 4)
+    return (-1j * q4 * sums[0], q4 * sums[1], -1j * q4 * sums[2], q4 * sums[3])
+
+
+def euler_phi(ideal):
+    """Order of (O_K/ideal)^* by the multiplicative formula over the
+    prime factorization: the product of N(P)^(v-1) (N(P) - 1)."""
+    phi = 1
+    for prime, v in factor_ideal(ideal):
+        phi *= prime.norm ** (v - 1) * (prime.norm - 1)
+    return phi
+
+
+def euler_inverse(alpha, modulus):
+    """The canonical representative of alpha^(phi(modulus) - 1) modulo
+    modulus, alpha's inverse by Euler's theorem; 1 modulo the unit ideal,
+    and ValueError where alpha is no unit modulo the modulus."""
+    if modulus.is_one():
+        return modulus.field.one()
+    if alpha.is_zero() or gcd_elements(alpha, modulus.gen).norm() != 1:
+        raise ValueError(f"{alpha} is not invertible modulo {modulus}")
+    e, out, base = euler_phi(modulus) - 1, modulus.field.one(), modulus.reduce(alpha)
+    while e:
+        if e & 1:
+            out = modulus.reduce(out * base)
+        base = modulus.reduce(base * base)
+        e >>= 1
+    return out

@@ -14,8 +14,8 @@ from cmk2 import analytic
 from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import build_g_a, times
 from cmk2.qfield import QuadField
-from oracles import (coords, embed, eta_linear, power_sums, reduce_reference, reduced,
-                     translation_factor, translation_sign)
+from oracles import (coords, embed, eta_linear, frac, power_sums, reduce_reference,
+                     reduced, theta1_derivatives, translation_factor, translation_sign)
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
@@ -283,25 +283,31 @@ def test_eta_linear_matches_lattice_values(lat):
 # --- the fixed-nome kernel against the theta formula ---------------------------
 
 
+def _nome(field):
+    """tau = omega's embedding and the nome q = e^(i pi tau), at the
+    current precision."""
+    tau = (field.trace_omega + mp.mpc(0, 1) * mp.sqrt(-field.d)) / 2
+    return tau, mp.exp(mp.mpc(0, 1) * mp.pi * tau)
+
+
 def _theta_formula(field, prec):
-    """(sigma, zeta, wp, wp') by mp.jtheta at the nome of the field's
-    lattice, evaluated at `prec` bits; the kernel's reference.  At a
-    lattice point mu = m + n*omega: (sigma's leading coefficient
-    eps(mu) exp(eta(mu) mu / 2), None, None, None), since zeta, wp and wp'
-    have a pole there."""
+    """(sigma, zeta, wp, wp') by theta_1 (the oracle's one-pass series) at
+    the nome of the field's lattice, evaluated at `prec` bits; the
+    kernel's reference.  At a lattice point mu = m + n*omega: (sigma's
+    leading coefficient eps(mu) exp(eta(mu) mu / 2), None, None, None),
+    since zeta, wp and wp' have a pole there."""
     with mp.workprec(prec):
-        tau = (field.trace_omega + mp.mpc(0, 1) * mp.sqrt(-field.d)) / 2
-        q = mp.exp(mp.mpc(0, 1) * mp.pi * tau)
-        th1p = mp.jtheta(1, 0, q, 1)
-        eta1 = -(mp.pi ** 2 / 3) * mp.jtheta(1, 0, q, 3) / th1p
+        tau, q = _nome(field)
+        _, th1p, _, th1ppp = theta1_derivatives(mp.mpc(0), q)
+        eta1 = -(mp.pi ** 2 / 3) * th1ppp / th1p
 
     def at(x, y):
         with mp.workprec(prec):
-            z = _mpf(x) + _mpf(y) * tau
+            z = frac(x) + frac(y) * tau
             if isinstance(x, int) and isinstance(y, int):
                 eta_mu = x * eta1 + y * (eta1 * tau - 2 * mp.pi * mp.mpc(0, 1))
                 return translation_sign(x, y) * mp.exp(eta_mu * z / 2), None, None, None
-            t0, t1, t2, t3 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(4))
+            t0, t1, t2, t3 = theta1_derivatives(mp.pi * z, q)
             return (mp.exp(eta1 * z * z / 2) * t0 / (mp.pi * th1p),
                     eta1 * z + mp.pi * t1 / t0,
                     -eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0),
@@ -310,8 +316,24 @@ def _theta_formula(field, prec):
     return at
 
 
-def _mpf(v):
-    return mp.mpf(v.numerator) / v.denominator
+THETA_TIE_BITS = 320
+
+
+def test_theta_oracle_agrees_with_jtheta():
+    # the one-pass theta_1 series against mp.jtheta at 0 (the derivatives
+    # 1 and 3 that eta1 and sigma's normalization take; jtheta's even
+    # ones are rounding noise there), in the cell and 7 units out
+    points = ((0, 0), (Fraction(1, 3), Fraction(2, 7)), (Fraction(-20, 3), Fraction(45, 7)))
+    for d in DISCRIMINANTS:
+        with mp.workprec(THETA_TIE_BITS):
+            tau, q = _nome(QuadField(d))
+            for x, y in points:
+                z = mp.pi * (frac(x) + frac(y) * tau)
+                got = theta1_derivatives(z, q)
+                for j in ((1, 3) if x == 0 else range(4)):
+                    want = mp.jtheta(1, z, q, j)
+                    assert abs(got[j] - want) < mp.ldexp(abs(want), 16 - THETA_TIE_BITS), \
+                        (d, x, y, j)
 
 
 # where _agreement_data puts its kinds of points

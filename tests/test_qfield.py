@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from cmk2 import qfield
 from cmk2.qfield import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
     QuadField,
     QuadIdeal,
-    bezout,
     canonical_generator,
     enumerate_L_R,
-    euler_phi_ideal,
     factor_ideal,
     gcd_elements,
     is_rational_prime,
@@ -22,6 +21,7 @@ from cmk2.qfield import (
     split_rational_prime,
     valuation,
 )
+from oracles import euler_inverse, euler_phi
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
@@ -345,12 +345,12 @@ def test_factor_ideal_and_phi():
         (GAUSS.parse("1+i"), 3),
         (GAUSS.parse("2+i"), 1),
     ]
-    # phi multiplicative: N=8 part gives 4, N=5 part gives 4
-    assert euler_phi_ideal(I) == 16
-    assert euler_phi_ideal(GAUSS.ideal("1+i")) == 1
-    assert euler_phi_ideal(GAUSS.ideal(1)) == 1
-    assert euler_phi_ideal(GAUSS.ideal(3)) == 8  # inert: N - 1 = 8
-    assert euler_phi_ideal(GAUSS.ideal(5)) == 16  # split: 4 * 4
+    # the residue units, frozen, are phi by the multiplicative formula:
+    # the N=8 part gives 4 and the N=5 part 4; inert 3 gives N - 1 = 8,
+    # split 5 gives 4 * 4
+    for gen, count in (("(1+i)^3*(2+i)", 16), ("1+i", 1), ("3", 8), ("5", 16)):
+        ideal = GAUSS.ideal(gen)
+        assert len(ideal.residue_units()) == count == euler_phi(ideal), gen
 
 
 def test_phi_matches_unit_count_oracle():
@@ -362,7 +362,7 @@ def test_phi_matches_unit_count_oracle():
             if g.is_zero() or g.norm() == 1:
                 continue
             ideal = QuadIdeal(g)
-            assert len(ideal.residue_units()) == euler_phi_ideal(ideal)
+            assert len(ideal.residue_units()) == euler_phi(ideal)
 
 
 def test_norm_form_solution_rejects_a_p_without_solution():
@@ -386,12 +386,57 @@ def test_residue_invert_and_bezout():
             with pytest.raises(ValueError):
                 residue_invert(a, M)
             continue
-        inv = residue_invert(a, M)
-        assert M.contains(a * inv - K.one())
-        u, v = bezout(a, m)
+        u = residue_invert(a, M)
+        assert M.contains(a * u - K.one())
+        # Bezout through the inverse: v = (1 - u a)/m is exact
+        v = (K.one() - u * a).exact_div(m)
         assert u * a + v * m == K.one()
     with pytest.raises(ValueError):
         residue_invert(GAUSS.parse("1+i"), GAUSS.ideal(2))
+
+
+def test_residue_invert_matches_euler_reference():
+    # the inverse by the norm is the Euler-power inverse, the same
+    # canonical representative, on seeded pairs over all nine fields;
+    # ValueError on the same non-units, and the norm shift runs where
+    # N(alpha) shares a factor with N(modulus)
+    pairs = shifted = rejected = 0
+    for d in CLASS_NUMBER_ONE_DISCRIMINANTS:
+        K = QuadField(d)
+        rng = random.Random(25 * -d)
+        for _ in range(250):
+            a, m = rand_elem(K, rng, 12), rand_elem(K, rng, 6)
+            if m.is_zero():
+                continue
+            M = QuadIdeal(m)
+            pairs += 1
+            try:
+                want = euler_inverse(a, M)
+            except ValueError:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    residue_invert(a, M)
+                continue
+            shifted += math.gcd(a.norm(), M.norm) != 1
+            assert residue_invert(a, M) == want, (d, a, M)
+    assert pairs >= 2000 and shifted >= 100 and rejected >= 100, (pairs, shifted, rejected)
+    # 2-i is prime to (2+i)^2 but shares the norm 5 with it: one shift,
+    # to 5+3i of norm 34, gives conj(5+3i) * 34^-1 = 14 mod (2+i)^2
+    assert residue_invert(GAUSS.parse("2-i"), GAUSS.ideal("(2+i)^2")) == 14
+
+
+def test_residue_invert_does_not_factor(monkeypatch):
+    # no factoring and no prime splitting, also where the norm shift runs
+    cases = [(GAUSS.parse("2-i"), GAUSS.ideal("(1+i)^3*(2+i)^2*3")),
+             (EISEN.parse("3-w"), EISEN.ideal("(2+w)^2"))]
+    wants = [euler_inverse(a, M) for a, M in cases]
+
+    def refuse(*args):
+        raise AssertionError("residue_invert factors its modulus")
+
+    monkeypatch.setattr(qfield, "factor_ideal", refuse)
+    monkeypatch.setattr(qfield, "split_rational_prime", refuse)
+    assert [residue_invert(a, M) for a, M in cases] == wants
 
 
 # --- the admissible pools L and R ---------------------------------------------
