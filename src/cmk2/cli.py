@@ -233,6 +233,9 @@ def _relation_levels(ctx: Context, opts: dict):
 
     m = ctx.ideal(opts["m"], "--m")
     ell = ctx.ideal(opts["l"], "--l", prime=True)
+    if ell.norm == 2:
+        raise ConfigError("--l: a prime of norm 2 has E[l] = {0, P}, whose sum P "
+                          "is not 0, so g_l has no principal divisor")
     if not ell.is_coprime(ctx.field.ideal(ctx.args.a)):
         raise ConfigError("--a: the prime divides a, so no conjugating unit "
                           "fixes the a-torsion")

@@ -46,22 +46,32 @@ N_2 = #E(F_{p^2}) = (p + 1)^2 - t^2.
   for a unit u (phi has norm p), so #E(F_{p^2}) = N(phi^2 - 1).  The m
   tried are the distinct ideals (c^2 - 1), c = u pi and u pi-bar, of norm
   N_2.  The unit associates cover the quartic twists, such as
-  y^2 = x^3 + 2x, whose Frobenius is neither pi nor pi-bar.  E(F_{p^2}) is
-  a cyclic O-module (Lenstra, "Complex multiplication structure of
-  elliptic curves", J. Number Theory 56, 1996), so some candidate has a
-  generator.  The share of generators among the points is the product of
-  1 - 1/N(q) over the primes q of (m), at most 1/2 since 2 divides m.
-  The check does not rely on Lenstra's theorem: it proves its own
-  generator.
+  y^2 = x^3 + 2x, whose Frobenius is neither pi nor pi-bar.
+- Search.  Points are drawn for each candidate in turn until one is not
+  killed by m, which rules the candidate out, or one certifies.  This
+  ends: E(F_{p^2}) = O/(phi^2 - 1) (Lenstra, "Complex multiplication
+  structure of elliptic curves", J. Number Theory 56, 1996), so one
+  candidate is the annihilator (m*).  A candidate (m) != (m*) of the same
+  norm kills only the points of O/(m*) that form O/gcd(m, m*), at most
+  half of them, so each draw rules it out with probability at least 1/2.
+  On (m*) the generators have density the product of 1 - 1/N(q) over
+  the primes q of (m*), which is positive.  Lenstra's theorem is needed
+  only for the search to end; the comparison does not rely on it, since
+  it proves its own generator.
+- A wrong count.  The candidates are (+-c^2 - 1), c = pi or pi-bar, and
+  none is a proper multiple of another: two with the same c differ by 2,
+  two conjugate ones have one norm, and (c^2 - 1) | (-c-bar^2 - 1) would
+  make p^2 + 1 - T divide 2T, T = tr(c^2) = tr(c)^2 - 2p < 2p.  That
+  needs T = 0, where the norms are equal, or p^2 + 1 <= 3T < 6p, so
+  p = 5 and T = 9, which is no tr(c)^2 - 10.  So where count_points is
+  wrong and N_2 is not N(m*), the draws rule out every candidate of
+  norm N_2, and the search raises.
 - Comparison.  An O-linear map that agrees with Frobenius at P agrees on
   O P, so [pi] (or [pi-bar]) is Frobenius on all of E(F_{p^2}) exactly
   when it is at P.  The argument uses the curve alone, never the
   character the oracle checks.
 - Points are drawn from a generator seeded by p, so reports are
   deterministic.  Square roots in F_{p^2} come from one in F_p (`Fp2.sqrt`).
-  Where _GEN_TRIES points per candidate certify nothing, the comparison
-  runs exhaustively over every point of E(F_{p^2}); that exhaustive
-  comparison is also the tests' reference.
 
 The Frobenius comparison runs over E(F_{p^2}), not E(F_p).  On E(F_p)
 Frobenius is the identity, so the candidate that is Frobenius matches
@@ -84,9 +94,6 @@ from .qfield import QuadElement, QuadIdeal, factor_ideal, factor_int, is_rationa
 
 # points tried on E and E' before count_points falls back to the x-scan
 _PIN_TRIES = 12
-# points tried per candidate annihilator before frobenius_equals_cm falls
-# back to the exhaustive comparison
-_GEN_TRIES = 64
 
 
 def count_points(p: int, a: int, b: int) -> int:
@@ -293,14 +300,6 @@ class Fp2:
             (x[0] * y[1] + x[1] * y[0]) % self.p,
         )
 
-    def inv(self, x):
-        # conjugate over F_p: norm = a^2 - nr b^2
-        n = (x[0] * x[0] - self.nr * x[1] * x[1]) % self.p
-        if n == 0:
-            raise ZeroDivisionError("inverting zero in F_p^2")
-        ninv = pow(n, self.p - 2, self.p)
-        return (x[0] * ninv % self.p, -x[1] * ninv % self.p)
-
     def frobenius(self, x):
         # x -> x^p; s^p = -s since nr^((p-1)/2) = -1
         return (x[0], -x[1] % self.p)
@@ -328,16 +327,9 @@ class Fp2:
             X = sqrt_mod_p((u - r) * half, p)
         return (X, v * pow(2 * X, -1, p) % p)
 
-    def elements(self):
-        for a in range(self.p):
-            for b in range(self.p):
-                yield (a, b)
-
 
 class CurveOverFp2:
     """y^2 = x^3 + A x + B with A, B in the prime subfield; group law over F_p^2."""
-
-    INF = None
 
     def __init__(self, p: int, a: int, b: int):
         if (4 * a ** 3 + 27 * b ** 2) % p == 0:
@@ -396,33 +388,6 @@ class CurveOverFp2:
                 return R
             Q = self.add(Q, Q)
 
-    def points_ext(self):
-        """All points of E(F_p^2), exhaustively, on coordinate pairs
-        (u, v) = u + v*s; points with the same x keep the order of their y."""
-        p, nr, a, b = self.F.p, self.F.nr, self.a[0], self.b[0]
-        sq: dict = {}
-        for u in range(p):
-            for v in range(p):
-                sq.setdefault(((u * u + nr * v * v) % p, 2 * u * v % p),
-                              []).append((u, v))
-        pts = [None]
-        for u in range(p):
-            for v in range(p):
-                # x^2 = uu + vv s, then x^3 + A x + B with A, B in F_p
-                uu, vv = u * u + nr * v * v, 2 * u * v
-                rhs = ((uu * u + nr * vv * v + a * u + b) % p,
-                       (uu * v + vv * u + a * v) % p)
-                for y in sq.get(rhs, ()):
-                    pts.append(((u, v), y))
-        return pts
-
-    def points_prime(self, pts=None):
-        """E(F_p) as the Frobenius-fixed subgroup (b-coordinates zero) of
-        `pts`, an enumeration of E(F_p^2); by default a fresh points_ext()."""
-        if pts is None:
-            pts = self.points_ext()
-        return [P for P in pts if P is None or (P[0][1] == 0 and P[1][1] == 0)]
-
     def frobenius(self, P):
         if P is None:
             return None
@@ -474,8 +439,7 @@ def cm_apply(pi: QuadElement, P, curve: CurveOverFp2, i_val: int):
 
 def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
     """Compare Frobenius with [pi] and [pi-bar] on all of E(F_p^2), at one
-    certified O-module generator (see the module docstring), or
-    exhaustively where no generator is certified.
+    certified O-module generator (see the module docstring).
 
     Returns a report naming which endomorphism matched.  Exactly one of
     the two must match on the full extension group; over F_p alone both
@@ -488,8 +452,6 @@ def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
     t = p + 1 - prime_count
     ext_count = (p + 1) ** 2 - t * t
     P = _certified_generator(curve, i_val, pi, ext_count)
-    if P is None:
-        return _frobenius_exhaustive(p, a, b, pi)
     frob = curve.frobenius(P)
     return _report(p, i_val, ext_count, prime_count, pi,
                    lambda cand: frob == cm_apply(cand, P, curve, i_val))
@@ -498,8 +460,9 @@ def frobenius_equals_cm(p: int, a: int, b: int, pi: QuadElement) -> dict:
 def _certified_generator(curve: CurveOverFp2, i_val: int, pi: QuadElement,
                          ext_count: int):
     """A point P with ann_O(P) = (c^2 - 1) of norm ext_count, c a unit
-    times pi or pi-bar, or None when _GEN_TRIES points per candidate
-    certify none."""
+    times pi or pi-bar; ArithmeticError where no candidate has one.  Each
+    candidate gets points until one is not killed by c^2 - 1 or one
+    certifies; the module docstring shows that this ends."""
     rng = random.Random(curve.F.p)
     tried = set()
     for c in (u * s for s in (pi, pi.conjugate()) for u in pi.field.units()):
@@ -509,7 +472,7 @@ def _certified_generator(curve: CurveOverFp2, i_val: int, pi: QuadElement,
             continue
         tried.add(ideal)
         primes = None
-        for _ in range(_GEN_TRIES):
+        while True:
             P = curve.random_point(rng)
             if cm_apply(m, P, curve, i_val) is not None:
                 break  # a generator's annihilator kills every point
@@ -517,7 +480,8 @@ def _certified_generator(curve: CurveOverFp2, i_val: int, pi: QuadElement,
                 primes = [q.gen for q, _ in factor_ideal(ideal)]
             if _certifies(curve, i_val, P, m, primes):
                 return P
-    return None
+    raise ArithmeticError(f"no candidate annihilator of norm {ext_count} "
+                          f"has a generator at p = {curve.F.p}")
 
 
 def _certifies(curve: CurveOverFp2, i_val: int, P, m: QuadElement, primes) -> bool:
@@ -526,17 +490,6 @@ def _certifies(curve: CurveOverFp2, i_val: int, P, m: QuadElement, primes) -> bo
     return (cm_apply(m, P, curve, i_val) is None
             and all(cm_apply(m.exact_div(q), P, curve, i_val) is not None
                     for q in primes))
-
-
-def _frobenius_exhaustive(p: int, a: int, b: int, pi: QuadElement) -> dict:
-    """frobenius_equals_cm's report from every point of E(F_p^2)."""
-    curve = CurveOverFp2(p, a, b)
-    i_val = cm_i_value(p)
-    _check_cm(pi, curve, i_val)
-    pts = curve.points_ext()
-    return _report(p, i_val, len(pts), len(curve.points_prime(pts)), pi,
-                   lambda cand: all(curve.frobenius(P) == cm_apply(cand, P, curve, i_val)
-                                    for P in pts))
 
 
 def _report(p: int, i_val: int, ext_count: int, prime_count: int,

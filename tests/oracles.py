@@ -6,14 +6,16 @@ rounding rule in Fraction arithmetic, with the conversion of
 int/Fraction plane coordinates to the (X, Y, D) every evaluation point
 is; a torsion point's lift, read in Fractions; the Jacobi theta
 function theta_1 and its first three derivatives, summed in one pass;
-and the residue inverse by Euler's theorem, with phi by the
-multiplicative formula."""
+the residue inverse by Euler's theorem, with phi by the multiplicative
+formula; and E(F_p^2) and F_p^2 enumerated, with the Frobenius report
+from every point of E(F_p^2)."""
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
+from cmk2.finitefield import CurveOverFp2, _check_cm, _report, cm_apply, cm_i_value
 from cmk2.qfield import factor_ideal, gcd_elements
 
 
@@ -162,3 +164,60 @@ def euler_inverse(alpha, modulus):
         base = modulus.reduce(base * base)
         e >>= 1
     return out
+
+
+def fp2_elements(F):
+    """Every element of the Fp2 field F, as coordinate pairs (a, b)."""
+    for a in range(F.p):
+        for b in range(F.p):
+            yield (a, b)
+
+
+def fp2_inv(F, x):
+    """x^-1 in the Fp2 field F, through the conjugate over F_p: the norm
+    is a^2 - nr b^2."""
+    n = (x[0] * x[0] - F.nr * x[1] * x[1]) % F.p
+    if n == 0:
+        raise ZeroDivisionError("inverting zero in F_p^2")
+    ninv = pow(n, F.p - 2, F.p)
+    return (x[0] * ninv % F.p, -x[1] * ninv % F.p)
+
+
+def points_ext(curve):
+    """All points of E(F_p^2) on a CurveOverFp2, exhaustively, on
+    coordinate pairs (u, v) = u + v*s; points with the same x keep the
+    order of their y."""
+    p, nr, a, b = curve.F.p, curve.F.nr, curve.a[0], curve.b[0]
+    sq: dict = {}
+    for u in range(p):
+        for v in range(p):
+            sq.setdefault(((u * u + nr * v * v) % p, 2 * u * v % p), []).append((u, v))
+    pts = [None]
+    for u in range(p):
+        for v in range(p):
+            # x^2 = uu + vv s, then x^3 + A x + B with A, B in F_p
+            uu, vv = u * u + nr * v * v, 2 * u * v
+            rhs = ((uu * u + nr * vv * v + a * u + b) % p,
+                   (uu * v + vv * u + a * v) % p)
+            for y in sq.get(rhs, ()):
+                pts.append(((u, v), y))
+    return pts
+
+
+def points_prime(curve, pts=None):
+    """E(F_p) as the Frobenius-fixed subgroup (b-coordinates zero) of
+    `pts`, an enumeration of E(F_p^2); by default a fresh points_ext."""
+    if pts is None:
+        pts = points_ext(curve)
+    return [P for P in pts if P is None or (P[0][1] == 0 and P[1][1] == 0)]
+
+
+def frobenius_exhaustive(p, a, b, pi):
+    """frobenius_equals_cm's report from every point of E(F_p^2)."""
+    curve = CurveOverFp2(p, a, b)
+    i_val = cm_i_value(p)
+    _check_cm(pi, curve, i_val)
+    pts = points_ext(curve)
+    return _report(p, i_val, len(pts), len(points_prime(curve, pts)), pi,
+                   lambda cand: all(curve.frobenius(P) == cm_apply(cand, P, curve, i_val)
+                                    for P in pts))

@@ -23,13 +23,13 @@ from cmk2.divisors import (
     equal_up_to_constant,
     evaluator,
 )
-from cmk2.finitefield import _frobenius_exhaustive, frobenius_equals_cm
+from cmk2.finitefield import frobenius_equals_cm
 from cmk2.hecke import HeckeCharacter, point_count_check
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
 from cmk2.relations import verify_E1, verify_E2, verify_choice_independence
 from cmk2.symbols import SymbolSum, build_alpha_prime, certify_tame_kernel
 from cmk2.torsion import TorsionSystem, torsion_subgroup
-from oracles import coords, lift, reduced
+from oracles import coords, frobenius_exhaustive, lift, reduced
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -89,7 +89,7 @@ def test_criterion_2_frobenius_equals_cm():
         pi = CHI.evaluate(CHI.split_primes_above(p)[0])
         # the criterion compares at every point of E(F_p^2); the shipped
         # check, which compares at one certified generator, reports the same
-        rep = _frobenius_exhaustive(p, -1, 0, pi)
+        rep = frobenius_exhaustive(p, -1, 0, pi)
         assert rep == frobenius_equals_cm(p, -1, 0, pi)
         assert rep["exactly_one"], f"p={p}: {rep}"
         assert rep["matched_trace"] == CHI.a_p(p)

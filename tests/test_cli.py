@@ -145,6 +145,12 @@ def test_config_errors_exit_2(tmp_path):
         ("enumerate", "--p", "9"): "error: --p: 9 is not prime",
         ("frobenius-check", "--p", "7"): "error: --p: 7 is not split",
     }
+    # l = (w) at d = -7 has norm 2: E[l] = {0, P} sums to P, so g_l has no
+    # principal divisor
+    norm_2 = [("verify-e2", "--d", "-7", "--conductor", "1+w", "--m", "1", "--l=-w",
+               "--a", "3"),
+              ("verify-e1", "--d", "-7", "--conductor", "1+w", "--m", "(w)^2", "--l=w",
+               "--a", "3")]
     # an --out that cannot be opened: a missing directory, and a directory
     unwritable = [("enumerate", "--out", str(tmp_path / "missing" / "x.jsonl")),
                   ("enumerate", "--out", str(tmp_path))]
@@ -176,6 +182,7 @@ def test_config_errors_exit_2(tmp_path):
         ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
         conductor,
         *messages,
+        *norm_2,
         *unwritable,
     ]
     errors = {}
@@ -187,6 +194,8 @@ def test_config_errors_exit_2(tmp_path):
     assert errors[conductor].startswith("error: --conductor:"), errors[conductor]
     for argv, message in messages.items():
         assert errors[argv].startswith(message), errors[argv]
+    for argv in norm_2:
+        assert errors[argv].startswith("error: --l: a prime of norm 2"), errors[argv]
     for argv in unwritable:
         assert errors[argv].startswith("error: --out:"), errors[argv]
 

@@ -1,7 +1,7 @@
 import functools
-import itertools
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,8 @@ from cmk2.finitefield import (
 )
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, QuadIdeal, factor_ideal, is_rational_prime
+import oracles
+from oracles import fp2_elements, fp2_inv, frobenius_exhaustive, points_ext, points_prime
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -76,7 +78,7 @@ def on_curve(C, P) -> bool:
 
 def test_group_law_axioms():
     C = CurveOverFp2(13, -1, 0)
-    pts = C.points_ext()
+    pts = points_ext(C)
     rng = random.Random(4)
     for _ in range(30):
         P, Q, R = (rng.choice(pts) for _ in range(3))
@@ -92,16 +94,16 @@ def test_ext_counts_match_norm_formula():
     cases = {5: GAUSS.parse("-1+2*i"), 13: GAUSS.parse("3+2*i")}
     for p, pi in cases.items():
         C = CurveOverFp2(p, -1, 0)
-        n1 = len(C.points_prime())
-        n2 = len(C.points_ext())
+        n1 = len(points_prime(C))
+        n2 = len(points_ext(C))
         assert n1 == (pi - 1).norm()
         assert n2 == (pi * pi - 1).norm()
-    assert len(CurveOverFp2(5, -1, 0).points_ext()) == 32
+    assert len(points_ext(CurveOverFp2(5, -1, 0))) == 32
 
 
 def test_cm_apply_endomorphism():
     C = CurveOverFp2(13, -1, 0)
-    pts = C.points_ext()
+    pts = points_ext(C)
     rng = random.Random(9)
     i_val = cm_i_value(13)
     pi = GAUSS.parse("3+2*i")
@@ -145,7 +147,7 @@ def test_frobenius_restricted_to_prime_field_is_trivial():
     # exactly when it fixes E(F_p) too (see the fault control below)
     for p in (5, 13, 17):
         C = CurveOverFp2(p, -1, 0)
-        for P in C.points_prime():
+        for P in points_prime(C):
             assert C.frobenius(P) == P
 
 
@@ -154,48 +156,32 @@ def _pi(p):
     return CHI.evaluate(CHI.split_primes_above(p)[0])
 
 
-def _refuse_enumeration(self):
-    raise AssertionError(f"E(F_{self.F.p}^2) enumerated")
-
-
 # the exhaustive comparison over every point of E(F_p^2), the reference
-_exhaustive = functools.cache(finitefield._frobenius_exhaustive)
+_exhaustive = functools.cache(frobenius_exhaustive)
 
 
-@pytest.mark.parametrize("tries", (pytest.param(finitefield._GEN_TRIES, id="generator"),
-                                   pytest.param(0, id="fallback")))
-@pytest.mark.parametrize("a", (-1, 2))
-def test_frobenius_report_matches_exhaustive(a, tries, monkeypatch):
+# the ids name the path compared with the reference: the certified generator
+@pytest.mark.parametrize("a", (pytest.param(-1, id="-1-generator"),
+                               pytest.param(2, id="2-generator")))
+def test_frobenius_report_matches_exhaustive(a):
     # y^2 = x^3 - x, whose Frobenius is [pi] or [pi-bar], and its quartic
-    # twist y^2 = x^3 + 2x, whose Frobenius is neither at most of these p;
-    # with no point tried, every call takes the exhaustive fallback
-    monkeypatch.setattr(finitefield, "_GEN_TRIES", tries)
-    fallbacks = []
-
-    def counted(*args):
-        fallbacks.append(args)
-        return _exhaustive(*args)
-
-    monkeypatch.setattr(finitefield, "_frobenius_exhaustive", counted)
+    # twist y^2 = x^3 + 2x, whose Frobenius is neither at most of these p
     cands = [(p, pi) for p in SPLIT_BELOW_120 for pi in (_pi(p), _pi(p).conjugate())]
     reports = [frobenius_equals_cm(p, a, 0, pi) for p, pi in cands]
     assert reports == [_exhaustive(p, a, 0, pi) for p, pi in cands]
-    assert len(fallbacks) == (len(cands) if tries == 0 else 0)
     assert all(rep["exactly_one"] for rep in reports) == (a == -1)
 
 
-def test_frobenius_certifies_without_enumerating(monkeypatch):
+def test_frobenius_certifies_without_enumerating():
     # every prime the frobenius-check workload draws is decided at a
-    # certified generator, never by listing E(F_p^2)
-    monkeypatch.setattr(CurveOverFp2, "points_ext", _refuse_enumeration)
+    # certified generator; nothing in cmk2 lists E(F_p^2)
     for p in FROBENIUS_PRIMES:
         rep = frobenius_equals_cm(p, -1, 0, _pi(p))
         assert rep["exactly_one"], rep
         assert rep["prime_count"] == count_points(p, -1, 0)
 
 
-def test_frobenius_every_split_prime_below_10000(monkeypatch):
-    monkeypatch.setattr(CurveOverFp2, "points_ext", _refuse_enumeration)
+def test_frobenius_every_split_prime_below_10000():
     traces = CHI.split_traces(10 ** 4)
     assert len(traces) == 609
     for p, a_p in traces.items():
@@ -205,21 +191,46 @@ def test_frobenius_every_split_prime_below_10000(monkeypatch):
         assert rep["prime_count"] == count_points(p, -1, 0)
 
 
+def test_wrong_point_count_fails_fast(monkeypatch):
+    # fault control: a count off by 2 implies a norm no candidate
+    # annihilator of E(F_p^2) can certify, so the check raises at once
+    count = finitefield.count_points
+    monkeypatch.setattr(finitefield, "count_points", lambda p, a, b: count(p, a, b) + 2)
+    for p in (113, 1009):
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=f"p = {p}"):
+            frobenius_equals_cm(p, -1, 0, _pi(p))
+        assert time.perf_counter() - t0 < 1.0, p
+
+
+class _OutOfPoints(Exception):
+    """The points a test serves to random_point ran out."""
+
+
 def _drawing(monkeypatch, points):
-    """Make CurveOverFp2.random_point cycle through `points`, and every
-    fallback to the exhaustive comparison return "fallback"."""
-    draws = itertools.cycle(points)
-    monkeypatch.setattr(CurveOverFp2, "random_point", lambda self, rng: next(draws))
-    monkeypatch.setattr(finitefield, "_frobenius_exhaustive", lambda *args: "fallback")
+    """Make CurveOverFp2.random_point serve `points` in turn, then raise
+    _OutOfPoints: the search draws until a point certifies."""
+    draws = iter(points)
+
+    def draw(self, rng):
+        try:
+            return next(draws)
+        except StopIteration:
+            raise _OutOfPoints from None
+
+    monkeypatch.setattr(CurveOverFp2, "random_point", draw)
 
 
 def test_prime_field_point_does_not_separate(monkeypatch):
     # no point of E(F_p) generates E(F_p^2), so the certifier accepts none
     p = 113
-    _drawing(monkeypatch, CurveOverFp2(p, -1, 0).points_prime()[1:])
-    assert frobenius_equals_cm(p, -1, 0, _pi(p)) == "fallback"
+    prime_points = points_prime(CurveOverFp2(p, -1, 0))[1:]
+    _drawing(monkeypatch, prime_points)
+    with pytest.raises(_OutOfPoints):
+        frobenius_equals_cm(p, -1, 0, _pi(p))
     # fault control: compared at a point of E(F_p) accepted as a generator,
     # both candidates match at p = 113
+    _drawing(monkeypatch, prime_points)
     monkeypatch.setattr(finitefield, "_certifies", lambda *args: True)
     rep = frobenius_equals_cm(p, -1, 0, _pi(p))
     assert rep["pi_matches"] and rep["pi_bar_matches"] and not rep["exactly_one"]
@@ -240,7 +251,9 @@ def test_certifier_rejects_two_torsion(monkeypatch):
     # T, and the comparison at T matches both candidates
     assert finitefield._certifies(C, i_val, T, m, [])
     _drawing(monkeypatch, [T])
-    assert frobenius_equals_cm(p, -1, 0, _pi(p)) == "fallback"
+    with pytest.raises(_OutOfPoints):
+        frobenius_equals_cm(p, -1, 0, _pi(p))
+    _drawing(monkeypatch, [T])
     monkeypatch.setattr(finitefield, "factor_ideal", lambda ideal: [])
     rep = frobenius_equals_cm(p, -1, 0, _pi(p))
     assert rep["pi_matches"] and rep["pi_bar_matches"] and not rep["exactly_one"]
@@ -250,11 +263,10 @@ def test_frobenius_on_prime_field_does_not_separate(monkeypatch):
     # fault control: restricted to E(F_p), the exhaustive comparison
     # matches both candidates at some primes, so the extension group is
     # needed
-    ext = CurveOverFp2.points_ext
-    monkeypatch.setattr(CurveOverFp2, "points_ext",
-                        lambda self: self.points_prime(ext(self)))
+    monkeypatch.setattr(oracles, "points_ext",
+                        lambda curve: points_prime(curve, points_ext(curve)))
     both = [p for p in SPLIT_BELOW_120
-            if not finitefield._frobenius_exhaustive(p, -1, 0, _pi(p))["exactly_one"]]
+            if not frobenius_exhaustive(p, -1, 0, _pi(p))["exactly_one"]]
     assert both == [5, 13, 17, 41, 61, 113]
 
 
@@ -262,9 +274,9 @@ def test_frobenius_on_prime_field_does_not_separate(monkeypatch):
 def test_fp2_sqrt_every_element(p):
     F = Fp2(p)
     roots: dict = {}
-    for e in F.elements():
+    for e in fp2_elements(F):
         roots.setdefault(F.mul(e, e), set()).add(e)
-    for x in F.elements():
+    for x in fp2_elements(F):
         r = F.sqrt(x)
         assert (r is None) if x not in roots else (r in roots[x]), (x, r)
     for a, b in ORACLE_CURVES:
@@ -282,7 +294,7 @@ def test_fp2_field_axioms():
         y = F.make(rng.randrange(13), rng.randrange(13))
         assert F.mul(x, y) == F.mul(y, x)
         if x != F.make(0):
-            assert F.mul(x, F.inv(x)) == F.make(1)
+            assert F.mul(x, fp2_inv(F, x)) == F.make(1)
         # frobenius is a field automorphism of order 2
         assert F.frobenius(F.frobenius(x)) == x
         assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
@@ -439,10 +451,10 @@ def _fp2_points(C):
     Fp2 field operations, in points_ext's order."""
     F = C.F
     roots: dict = {}
-    for e in F.elements():
+    for e in fp2_elements(F):
         roots.setdefault(F.mul(e, e), []).append(e)
     pts = [None]
-    for x in F.elements():
+    for x in fp2_elements(F):
         pts += [(x, y) for y in roots.get(_rhs(C, x), [])]
     return pts
 
@@ -454,7 +466,7 @@ def test_points_ext_matches_fp2_enumeration():
         for a, b in ORACLE_CURVES:
             if (4 * a ** 3 + 27 * b ** 2) % p:
                 C = CurveOverFp2(p, a, b)
-                assert C.points_ext() == _fp2_points(C), (p, a, b)
+                assert points_ext(C) == _fp2_points(C), (p, a, b)
 
 
 def _textbook_add(F, A, P, Q):
@@ -471,7 +483,7 @@ def _textbook_add(F, A, P, Q):
         den = F.mul(F.make(2), y1)
     else:
         num, den = F.add(y2, F.neg(y1)), F.add(x2, F.neg(x1))
-    lam = F.mul(num, F.inv(den))
+    lam = F.mul(num, fp2_inv(F, den))
     x3 = F.add(F.mul(lam, lam), F.neg(F.add(x1, x2)))
     return (x3, F.add(F.mul(lam, F.add(x1, F.neg(x3))), F.neg(y1)))
 
@@ -479,7 +491,7 @@ def _textbook_add(F, A, P, Q):
 def _smul_mismatches(curve, count=40):
     """(k, P) where smul(k, P) differs from |k| textbook additions of P
     (negated for k < 0), over the 2-torsion and a seeded point sample."""
-    pts = curve.points_ext()
+    pts = points_ext(curve)
     sample = [P for P in pts if P is not None and P[1] == (0, 0)]
     sample += random.Random(curve.F.p).sample(pts, count)
     bad = []
@@ -507,7 +519,7 @@ def test_fp_group_law_matches_fp2_on_prime_field(p, a, b):
     # E(F_p), whose coordinates it writes as pairs (u, 0)
     C = CurveOverFp2(p, a, b)
     lift = (lambda P: None if P is None else ((P[0], 0), (P[1], 0)))
-    pts = [None if P is None else (P[0][0], P[1][0]) for P in C.points_prime()]
+    pts = [None if P is None else (P[0][0], P[1][0]) for P in points_prime(C)]
     for P in pts:
         for Q in pts:
             assert lift(finitefield._add(P, Q, a, p)) == C.add(lift(P), lift(Q))
