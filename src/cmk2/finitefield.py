@@ -27,9 +27,10 @@ w = floor(2 sqrt(p)), which is symmetric about p + 1.
   never decide; the twist does.  For p > 229, E or E' always has a
   point whose order has one multiple in I (Cremona and Sutherland, "On
   a theorem of Mestre and Schoof", J. Theor. Nombres Bordeaux 22, 2010).
-- Where _PIN_TRIES points leave more than one N (at some small p),
-  `scan_count` counts every x against a table of square counts; that
-  exhaustive scan is also the tests' reference.
+- The points come from x = 0, 1, ..., p - 1 in turn, and E has
+  1 + (f(x) / p) points above x.  So where no x leaves one N, the end of
+  the loop is the x-scan #E = p + 1 + sum of (f(x) / p).  Cremona and
+  Sutherland bound how soon the loop returns, not its correctness.
 
 Frobenius from one generator.  At d = -4 (B = 0), [i](x, y) = (-x, i y)
 with i in F_p, so Frobenius, which fixes F_p, commutes with [i], and so
@@ -92,28 +93,41 @@ from math import gcd, isqrt, lcm
 
 from .qfield import QuadElement, QuadIdeal, factor_ideal, factor_int, is_rational_prime
 
-# points tried on E and E' before count_points falls back to the x-scan
-_PIN_TRIES = 12
-
 
 def count_points(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + a x + b: the one candidate in the Hasse
     interval that the orders of points on E and its twist leave, or the
-    x-scan where they leave more than one (see the module docstring)."""
+    x-scan p + 1 + sum of (f(x) / p) (see the module docstring)."""
     _check_good_reduction(p, a, b)
-    pinned = _pinned_count(p, a, b)
-    return scan_count(p, a, b) if pinned is None else pinned
-
-
-def scan_count(p: int, a: int, b: int) -> int:
-    """#E(F_p) for y^2 = x^3 + a x + b by exhaustive x-scan."""
-    _check_good_reduction(p, a, b)
-    # counts[v] = #{y : y^2 = v}; y and -y are distinct for y != 0
-    counts = [0] * p
-    counts[0] = 1
-    for y in range(1, (p + 1) // 2):
-        counts[y * y % p] = 2
-    return 1 + sum([counts[((x * x + a) * x + b) % p] for x in range(p)])
+    lo, hi = _hasse_interval(p)
+    total = 2 * p + 2  # #E + #E'
+    d = _least_nonresidue(p)
+    twist_a, d3 = a * d * d % p, d * d * d % p
+    l_e = l_t = 1
+    cands = range(lo, hi + 1)
+    legendre = 0  # sum of (f(x) / p) over the x so far
+    for x in range(p):
+        f = ((x * x + a) * x + b) % p
+        if f == 0:
+            continue  # a point of order 2 says little
+        if pow(f, (p - 1) // 2, p) == 1:
+            legendre += 1
+            P = (x, sqrt_mod_p(f, p))
+            e = _multiple_of_order(P, cands, a, p)
+            l_e = lcm(l_e, _order(P, e, a, p))
+        else:
+            legendre -= 1
+            P = (d * x % p, sqrt_mod_p(d3 * f, p))
+            orders = range(total - cands[-1], total - cands[0] + 1, cands.step)
+            e = _multiple_of_order(P, orders, twist_a, p)
+            l_t = lcm(l_t, _order(P, e, twist_a, p))
+        cands = _candidates(lo, hi, total, l_e, l_t)
+        if len(cands) == 1:
+            return cands[0]
+        if not cands:
+            raise ArithmeticError(f"no group order at {p} fits the point orders "
+                                  f"{l_e} on the curve and {l_t} on its twist")
+    return p + 1 + legendre
 
 
 def _check_good_reduction(p: int, a: int, b: int) -> None:
@@ -140,41 +154,6 @@ def _candidates(lo: int, hi: int, total: int, l_e: int, l_t: int) -> range:
     n = l_e * (total // g * pow(l_e // g, -1, mod) % mod)
     step = l_e * mod
     return range(lo + (n - lo) % step, hi + 1, step)
-
-
-def _pinned_count(p: int, a: int, b: int):
-    """#E(F_p) pinned by point orders on E and its twist, or None when
-    _PIN_TRIES points leave more than one candidate."""
-    lo, hi = _hasse_interval(p)
-    total = 2 * p + 2  # #E + #E'
-    d = _least_nonresidue(p)
-    twist_a, d3 = a * d * d % p, d * d * d % p
-    l_e = l_t = 1
-    cands = range(lo, hi + 1)
-    tries = 0
-    for x in range(p):
-        f = ((x * x + a) * x + b) % p
-        if f == 0:
-            continue  # a point of order 2 says little
-        if pow(f, (p - 1) // 2, p) == 1:
-            P = (x, sqrt_mod_p(f, p))
-            e = _multiple_of_order(P, cands, a, p)
-            l_e = lcm(l_e, _order(P, e, a, p))
-        else:
-            P = (d * x % p, sqrt_mod_p(d3 * f, p))
-            orders = range(total - cands[-1], total - cands[0] + 1, cands.step)
-            e = _multiple_of_order(P, orders, twist_a, p)
-            l_t = lcm(l_t, _order(P, e, twist_a, p))
-        cands = _candidates(lo, hi, total, l_e, l_t)
-        if len(cands) == 1:
-            return cands[0]
-        if not cands:
-            raise ArithmeticError(f"no group order at {p} fits the point orders "
-                                  f"{l_e} on the curve and {l_t} on its twist")
-        tries += 1
-        if tries == _PIN_TRIES:
-            return None
-    return None
 
 
 def _multiple_of_order(P, orders: range, a: int, p: int) -> int:

@@ -7,15 +7,16 @@ int/Fraction plane coordinates to the (X, Y, D) every evaluation point
 is; a torsion point's lift, read in Fractions; the Jacobi theta
 function theta_1 and its first three derivatives, summed in one pass;
 the residue inverse by Euler's theorem, with phi by the multiplicative
-formula; and E(F_p^2) and F_p^2 enumerated, with the Frobenius report
-from every point of E(F_p^2)."""
+formula; #E(F_p) by the x-scan; and E(F_p^2) and F_p^2 enumerated, with
+the Frobenius report from every point of E(F_p^2)."""
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from cmk2.finitefield import CurveOverFp2, _check_cm, _report, cm_apply, cm_i_value
+from cmk2.finitefield import (CurveOverFp2, _check_cm, _check_good_reduction, _report,
+                              cm_apply, cm_i_value)
 from cmk2.qfield import factor_ideal, gcd_elements
 
 
@@ -164,6 +165,17 @@ def euler_inverse(alpha, modulus):
         base = modulus.reduce(base * base)
         e >>= 1
     return out
+
+
+def scan_count(p, a, b):
+    """#E(F_p) for y^2 = x^3 + a x + b by exhaustive x-scan."""
+    _check_good_reduction(p, a, b)
+    # counts[v] = #{y : y^2 = v}; y and -y are distinct for y != 0
+    counts = [0] * p
+    counts[0] = 1
+    for y in range(1, (p + 1) // 2):
+        counts[y * y % p] = 2
+    return 1 + sum([counts[((x * x + a) * x + b) % p] for x in range(p)])
 
 
 def fp2_elements(F):

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import random
 import sys
 import time
@@ -14,13 +15,13 @@ from cmk2.finitefield import (
     cm_i_value,
     count_points,
     frobenius_equals_cm,
-    scan_count,
     sqrt_mod_p,
 )
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, QuadIdeal, factor_ideal, is_rational_prime
 import oracles
-from oracles import fp2_elements, fp2_inv, frobenius_exhaustive, points_ext, points_prime
+from oracles import (fp2_elements, fp2_inv, frobenius_exhaustive, points_ext, points_prime,
+                     scan_count)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -353,18 +354,62 @@ def _pinned_mismatches():
     return _count_mismatches(count_points, _scanned, 3000)
 
 
+def _recording_ends(monkeypatch):
+    """count_points, and the list of primes at which it returned from the
+    loop's end (no _candidates call left one candidate) rather than a
+    pinned candidate."""
+    last, ends = [], []
+    candidates = finitefield._candidates
+
+    def recorded(*args):
+        last.append(candidates(*args))
+        return last[-1]
+
+    def count(p, a, b):
+        last.clear()
+        n = count_points(p, a, b)
+        if not last or len(last[-1]) != 1:
+            ends.append(p)
+        return n
+
+    monkeypatch.setattr(finitefield, "_candidates", recorded)
+    return count, ends
+
+
 def test_count_points_matches_scan_below_3000(monkeypatch):
-    fallbacks = []
-
-    def scanned(p, a, b):
-        fallbacks.append(p)
-        return scan_count(p, a, b)
-
-    monkeypatch.setattr(finitefield, "scan_count", scanned)
-    assert _pinned_mismatches() == []
+    count, ends = _recording_ends(monkeypatch)
+    assert _count_mismatches(count, _scanned, 3000) == []
     # above 229, E or its twist has a point that pins the count
-    # (Cremona-Sutherland), and the points tried find one at each prime
-    assert fallbacks and max(fallbacks) <= 229
+    # (Cremona-Sutherland), and the loop reaches one at each prime
+    assert ends and max(ends) <= 229
+
+
+@pytest.mark.parametrize("p", (13729, 87649))
+def test_count_points_pins_past_twelve_points(monkeypatch, p):
+    # y^2 = x^3 - x needs 15 points on E and its twist at these primes
+    count, ends = _recording_ends(monkeypatch)
+    assert count(p, -1, 0) == scan_count(p, -1, 0)
+    assert ends == []
+
+
+def _unpinned(monkeypatch):
+    # no point orders ever leave one candidate, so every count is the loop's end
+    monkeypatch.setattr(finitefield, "_candidates", lambda lo, hi, *rest: range(lo, hi + 1))
+
+
+def test_count_points_loop_end_matches_scan(monkeypatch):
+    _unpinned(monkeypatch)
+    assert _count_mismatches(count_points, _scanned) == []
+
+
+def test_loop_end_oracle_fails_without_nonsquares(monkeypatch):
+    # fault control: count_points with the nonsquare x left out of the sum
+    _unpinned(monkeypatch)
+    source = inspect.getsource(count_points)
+    assert source.count("legendre -= 1") == 1
+    namespace = dict(vars(finitefield))
+    exec(source.replace("legendre -= 1", "pass"), namespace)
+    assert _count_mismatches(namespace["count_points"], _scanned)
 
 
 def test_pin_oracle_fails_accepting_first_candidate(monkeypatch):
