@@ -3,9 +3,9 @@
 The lattice is always normalized to Z + Z*tau, tau = omega_hat the
 complex embedding of the integral basis generator, which is exactly the
 ring of integers for the nine class-number-one fields.  Quantities
-provided: Weierstrass sigma, p, p', zeta, the quasi-periods eta(1) and
-eta(omega), the invariants g2 and g3, and exp_eta, the exponential of
-the quasi-period map at exact points.
+provided: Weierstrass sigma (in product form, see fold), p, p', zeta,
+the quasi-periods eta(1) and eta(omega), the invariants g2 and g3, and
+exp_eta, the exponential of the quasi-period map at exact points.
 
 One theta kernel serves sigma, zeta, p, p', eta(1), g2 and g3.  Each
 lattice computes, once, a table of c_n = (-1)^n q^(n(n+1)), n = 0..N, at
@@ -29,7 +29,16 @@ lattice.
   rational and is reduced exactly, mod 2, with its quarter turns taken
   out as powers of i.  So eps(mu) is an exact sign and a real z gives an
   exactly real sigma.  It returns integers (re, im, e), the value
-  (re + i im) 2^e, for callers that go on in fixed point.
+  (re + i im) 2^e, for callers that go on in fixed point.  sigma does not
+  call it: it returns sigma in product form, the exact exponent of its
+  exponential as exp_eta's integers and its series in fixed point, and
+  `fold` turns a product of such factors into one number.  It sums the
+  exponents times their powers over one denominator and calls exp_eta
+  once, and takes one power of the series per distinct |power|.  A
+  summed zeta is at most sum |m| |w|^2/2 and a summed xi at most
+  sum |m| |n| |w - mu/2| over the factors sigma(w)^m; for an elliptic
+  function's value the zeta parts cancel exactly (see divisors), and xi
+  is about 2^14 at the scale-5000 powers of `verify-e1 --m "(2+i)^3"`.
 - Series: theta_1^(j)(pi z0) / (2 q^(1/4)) is the sum of
   c_n k^j (d/dv)^j sin(k v) at v = pi z0 = a + i b, k = 2n+1, summed in
   integer fixed point.  The series head, (cos, sin)(a) and exp(+-b),
@@ -78,12 +87,18 @@ lattice.
   2^bits, and each `>>` or `//` costs one ulp, 2^-bits; a rational
   multiplier k scales a constant's rounding to |k| ulp.  So exp_eta's
   exponent is off by about |zeta| + 2|xi| + 3 ulp, its value by that
-  relative error, and its pi*rational phase is exact.  Each phase
-  product costs at most 2 ulp at pb bits, times e^nu from the small
-  factors, a relative error the pb rule keeps below 2^-(bits + 16); the
-  series head then costs one ulp more, its `>>` to bits, so it stays
-  within 2 ulp of the one-point head; each of its four integers is
-  within 1.5 ulp of exact.  So 2 sin v and 2 cos v are within
+  relative error, and its pi*rational phase is exact.  A summed
+  exponent costs log2(|zeta| + 2|xi|) of the g + GUARD_BITS bits between
+  the working width and the returned precision: 14 bits for |xi| near
+  2^14 and 30 at the scale k = 163^3 * 164 of `certify-tame --d -163
+  --m "(1-2*w)^3"`, both inside them.  sigma rounds its series to
+  nearest at prec + GUARD_BITS bits, and fold each product to
+  2 bitlen|k| bits more; a power k multiplies its base's relative error
+  by k.  Each phase product costs at most 2 ulp at pb bits, times e^nu
+  from the small factors, a relative error the pb rule keeps below
+  2^-(bits + 16); the series head then costs one ulp more, its `>>` to
+  bits, so it stays within 2 ulp of the one-point head; each of its four
+  integers is within 1.5 ulp of exact.  So 2 sin v and 2 cos v are within
   10 e^|b| ulp, and C within 42 e^(2|b|) ulp.  Each recurrence step
   costs one ulp a component, and C's error dC adds |dC| |T_(k-2)|, at
   most 86 e^(k|b|) ulp in all; an error injected at step j reaches
@@ -104,9 +119,10 @@ value, so callers may use any common denominator.  `memo(key, compute)`
 keeps each value a run computes at a lattice (fixed-point constants,
 point phases, sigma at exact offsets, lazy constants, shared stages) as
 long as the lattice lives; `sigma` is the kernel, which runs its series
-and the exponential once per call.  At a lattice point sigma
-returns its leading coefficient eps(mu) exp(eta1 mu^2/2 - pi i n mu);
-zeta, p and p' raise PoleError there.
+once per call and returns it with its exponential's exact exponent.  At
+a lattice point sigma has no series: its exponential alone is its
+leading coefficient eps(mu) exp(eta1 mu^2/2 - pi i n mu); zeta, p and
+p' raise PoleError there.
 
 Precision contract: an instance is pinned to a binary precision; every
 method computes under a guarded working precision and returns values at
@@ -163,6 +179,51 @@ def _cos_sin(angle: int, q: int, bits: int, pi: int):
     two integers over 2^bits; angle 0 gives exactly i^q."""
     c, s = cos_sin_fixed(angle, bits, pi >> 1) if angle else (1 << bits, 0)
     return _turn(c, s, q)
+
+
+# --- complex fixed point: (re, im, e) is (re + i im) 2^e, re and im integers ---
+
+
+def _trim(re: int, im: int, e: int, bits: int) -> tuple:
+    """(re, im, e) with the larger mantissa rounded to `bits` bits, to
+    nearest (half an ulp)."""
+    s = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+    if s <= 0:
+        return re, im, e
+    half = 1 << (s - 1)
+    return (re + half) >> s, (im + half) >> s, e + s
+
+
+def _mul(a: tuple, b: tuple, bits: int) -> tuple:
+    (ar, ai, ae), (br, bi, be) = a, b
+    return _trim(ar * br - ai * bi, ar * bi + ai * br, ae + be, bits)
+
+
+def _ratio(a: tuple, b: tuple, bits: int) -> tuple:
+    """a / b = a conj(b) / |b|^2, its quotient to `bits` bits."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    n2 = br * br + bi * bi
+    re, im = ar * br + ai * bi, ai * br - ar * bi
+    k = max(0, bits + n2.bit_length() - max(abs(re).bit_length(), abs(im).bit_length()))
+    return (re << k) // n2, (im << k) // n2, ae - be - k
+
+
+def _product(values: list, bits: int) -> tuple:
+    """The product of the values, 1 for none."""
+    out = values[0] if values else (1, 0, 0)
+    for v in values[1:]:
+        out = _mul(out, v, bits)
+    return out
+
+
+def _power(g: tuple, m: int, bits: int) -> tuple:
+    """g^m for m >= 1 by left-to-right square-and-multiply."""
+    out = g
+    for bit in bin(m)[3:]:
+        out = _mul(out, out, bits)
+        if bit == "1":
+            out = _mul(out, g, bits)
+    return out
 
 
 def _canonical(X: int, Y: int, D: int):
@@ -423,24 +484,55 @@ class AnalyticLattice:
 
     def sigma(self, X, Y, D, R=0, S=0, E=1):
         """Weierstrass sigma at w = z - u, z = (X + Y*omega)/D and
-        u = (R + S*omega)/E: the reduced series times one exponential
-        eps(mu) exp(eta1 w^2/2 - 2 pi i n (w - mu/2)), mu = m + n*omega the
-        lattice point reduce takes from w.  At a lattice point the series
-        factor is 1: the value is sigma's leading coefficient there."""
+        u = (R + S*omega)/E, in product form (exponent, series): the
+        exact exponent of eps(mu) exp(eta1 w^2/2 - 2 pi i n (w - mu/2)),
+        mu = m + n*omega the lattice point reduce takes from w, as
+        exp_eta's integers (zx, zy, xx, xy, h, den), and the reduced series
+        times 1/(pi d1) as (re, im, e), rounded to prec + GUARD_BITS bits.
+        At a lattice point the series is None: the exponential alone is sigma's
+        leading coefficient there.  `fold` turns products into numbers."""
         F = math.lcm(D, E)
         reduced = self.reduce(X * (F // D) - R * (F // E), Y * (F // D) - S * (F // E), F)
         X0, Y0, L, m, n = reduced
         Xw, Yw, den = X0 + m * L, Y0 + n * L, 2 * L * L
         # zeta = w^2/2 and xi = n (w - mu/2), both over 2 L^2; omega^2 = t omega - n
-        a, b, e = self.exp_eta(Xw * Xw - self._n * Yw * Yw, (2 * Xw + self._t * Yw) * Yw,
-                               n * L * (2 * Xw - m * L), n * L * (2 * Yw - n * L),
-                               (m + n + m * n) % 2 * den, den)
+        exponent = (Xw * Xw - self._n * Yw * Yw, (2 * Xw + self._t * Yw) * Yw,
+                    n * L * (2 * Xw - m * L), n * L * (2 * Yw - n * L),
+                    (m + n + m * n) % 2 * den, den)
         if not (X0 or Y0):
-            return self.to_mpc(a, b, e)
-        ((c, s),), e0 = self._series((X, Y, D), (R, S, E), reduced, 0)
-        # times the series and 1/(pi d1), rounded once
+            return exponent, None
+        ((c, s),), e = self._series((X, Y, D), (R, S, E), reduced, 0)
         inv = self._fixed(self._wbits)[5]
-        return self.to_mpc((a * c - b * s) * inv, (a * s + b * c) * inv, e + e0 - self._wbits)
+        return exponent, _trim(c * inv, s * inv, e - self._wbits, self.prec + GUARD_BITS)
+
+    def fold(self, terms):
+        """prod p^k over the pairs (p, k) of terms, p a product (exponent,
+        series) as sigma returns it, as one mpc.  The exponents times k are
+        summed exactly over one denominator and taken by one exp_eta; the
+        series are grouped by |k|, and each group's quotient, k > 0 over
+        k < 0, is raised to |k| once, in complex fixed point cut to
+        prec + GUARD_BITS + 2 bitlen|k| bits, as each squaring doubles the
+        relative error before it.  It is rounded once."""
+        acc, den, groups = [0] * 5, 1, {}
+        for (exponent, series), k in terms:
+            if not k:
+                continue
+            *num, d = exponent
+            common = math.lcm(den, d)
+            a, b = common // den, k * (common // d)
+            acc = [x * a + y * b for x, y in zip(acc, num)]
+            den = common
+            if series is not None:
+                groups.setdefault(abs(k), ([], []))[k < 0].append(series)
+        acc[4] %= 2 * den
+        out = self.exp_eta(*acc, den) if any(acc) else (1, 0, 0)
+        for k, (up, down) in groups.items():
+            bits = self.prec + GUARD_BITS + 2 * k.bit_length()
+            g = _product(up, bits)
+            if down:
+                g = _ratio(g, _product(down, bits), bits)
+            out = _mul(out, _power(g, k, bits), bits)
+        return self.to_mpc(*out)
 
     def zeta(self, X, Y, D):
         """Weierstrass zeta: eta1 z - 2 pi i n plus the series quotient."""

@@ -22,21 +22,24 @@ normalization against it exactly, leaving
     C' = eps(lam) exp(pi i (r0 lam_y - s0 lam_x)) exp(-(1/2) sum_P m_P eta(p) p),
 
 p0 = r0 + s0*omega.  With eta(u) = eta1 u - 2 pi i u_y (u_y the omega
-coordinate of u), C' exp(eta(lam) z) is one exp_eta(zeta, xi, h) of the
-lattice: zeta and xi are exact in K, and the sign and the Legendre phase
-are one exact rational h; the parts that do not depend on z are computed
-once per function.  Since sum m_P = 0, the product is taken as
-prod over P != R of (sigma(z - p) / sigma(z - r))^(m_P), R the point of
-largest |m_P|, grouped by multiplicity: one power per distinct exponent,
-so a two-point function takes one power and g_a and g_ell take none.
+coordinate of u), C' exp(eta(lam) z) is one exponent (zeta, xi, h) of
+the lattice's exp_eta: zeta and xi are exact in K, and the sign and the
+Legendre phase are one exact rational h; the parts that do not depend on
+z are computed once per function.
 
-The product is one computation in complex fixed point, (re + i im) 2^e
-with integer re and im: exp_eta's integers, each sigma's mantissas
-(read exactly off its mpc), one division per group ratio and its power
-by square-and-multiply, every product cut to prec + GUARD_BITS bits and
-the power's to 2 bitlen|m| bits more, as each squaring doubles the
-relative error before it.  It is rounded once, to an mpc at the
-lattice's working precision; the extra constants multiply that.
+A value is folded (AnalyticLattice.fold): the kernel gives each
+sigma(z - p) as the exact exponent of its quasi-period exponential and
+its series, and the exponents of C' exp(eta(lam) z) and of every sigma
+factor, times its multiplicity, are summed exactly and taken by one
+exp_eta.  The eta1 terms cancel exactly: sum_P m_P (z - p)^2 / 2 is
+sum_P m_P p^2 / 2 - lam z, as sum m_P = 0 and sum m_P p = lam, and that
+is C' exp(eta(lam) z)'s zeta negated.  What is left is the Legendre
+phase and the -2 pi i n (w - mu/2) of each offset's reduction.  The
+series take one power per distinct multiplicity, in complex fixed
+point, and the value is rounded once; the extra constants multiply it.
+A product of several values (`product`: a fiber product, a side of the
+function identity; a tame value) hands `into` to evaluate or leading_at,
+so its functions' terms, powers applied, go to one fold and one exp_eta.
 
 Evaluation points are exact: a TorsionPoint, or a triple (X, Y, D) of
 ints with D > 0 for the point (X + Y*omega)/D, in lowest terms or not
@@ -57,7 +60,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .analytic import GUARD_BITS, AnalyticLattice, PoleError
+from .analytic import AnalyticLattice, PoleError
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import TorsionPoint, preimage_set, torsion_subgroup
 
@@ -94,45 +97,13 @@ def times(alpha: QuadElement, z) -> tuple:
     return p.x, p.y, D
 
 
-# --- complex fixed point: (re, im, e) is (re + i im) 2^e, re and im integers ---
-
-
-def _parts(v) -> tuple:
-    """An mpc v as (re, im, e), exactly."""
-    (rs, rm, rx, _), (js, jm, jx, _) = v._mpc_
+def _scalar(value) -> tuple:
+    """A number as a product for AnalyticLattice.fold: no exponent, and its
+    mpc mantissas, read exactly, as the series."""
+    (rs, rm, rx, _), (js, jm, jx, _) = mp.mpc(value)._mpc_
     e = min(rx if rm else jx, jx if jm else rx)
-    return ((-rm if rs else rm) << (rx - e) if rm else 0,
-            (-jm if js else jm) << (jx - e) if jm else 0, e)
-
-
-def _trim(re: int, im: int, e: int, bits: int) -> tuple:
-    """(re, im, e) with the larger mantissa cut to `bits` bits (one ulp)."""
-    s = max(abs(re).bit_length(), abs(im).bit_length()) - bits
-    return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
-
-
-def _mul(a: tuple, b: tuple, bits: int) -> tuple:
-    (ar, ai, ae), (br, bi, be) = a, b
-    return _trim(ar * br - ai * bi, ar * bi + ai * br, ae + be, bits)
-
-
-def _ratio(a: tuple, b: tuple, bits: int) -> tuple:
-    """a / b = a conj(b) / |b|^2, its quotient to `bits` bits."""
-    (ar, ai, ae), (br, bi, be) = a, b
-    n2 = br * br + bi * bi
-    re, im = ar * br + ai * bi, ai * br - ar * bi
-    k = max(0, bits + n2.bit_length() - max(abs(re).bit_length(), abs(im).bit_length()))
-    return (re << k) // n2, (im << k) // n2, ae - be - k
-
-
-def _power(g: tuple, m: int, bits: int) -> tuple:
-    """g^m for m >= 1 by left-to-right square-and-multiply."""
-    out = g
-    for bit in bin(m)[3:]:
-        out = _mul(out, out, bits)
-        if bit == "1":
-            out = _mul(out, g, bits)
-    return out
+    return (0, 0, 0, 0, 0, 1), ((-rm if rs else rm) << (rx - e) if rm else 0,
+                                (-jm if js else jm) << (jx - e) if jm else 0, e)
 
 
 class Divisor:
@@ -260,16 +231,24 @@ class ConstAtom:
                     return mp.mpf(self.exact.numerator) / self.exact.denominator
                 if self.evaluator is not None:
                     return self.evaluator(lat)
-                return self.fn.evaluate(lat, self.point) ** self.exponent
+                return self.fn.evaluate(lat, self.point, self.exponent)
         return lat.memo(self, compute)
 
     def order_at(self, P: TorsionPoint) -> int:
         """A constant has no zero or pole."""
         return 0
 
-    def leading_at(self, lat: AnalyticLattice, P):
-        """A constant is its own leading coefficient at every point."""
-        return self.evaluate(lat)
+    def leading_at(self, lat: AnalyticLattice, P, k: int = 1, into: list | None = None):
+        """A constant is its own leading coefficient at every point; this
+        is its k-th power, `into` as for EllFunction.evaluate.  An evaluated
+        atom's fold terms are its function's at its point, any other's its
+        value."""
+        terms = [] if into is None else into
+        if self.fn is not None:
+            self.fn.evaluate(lat, self.point, k * self.exponent, terms)
+        else:
+            terms.append((_scalar(self.evaluate(lat)), k))
+        return lat.fold(terms) if into is None else None
 
     def signature(self) -> tuple:
         if self.exact is not None:
@@ -298,8 +277,8 @@ class EllFunction:
     lifts: one (R, S, m) per support point, in support order: its
     canonical lift (R + S*omega)/den and its multiplicity; lam: the
     integral lift sum.  extra: the ConstAtom factors of a scaled function
-    (see scaled_by), multiplied in order after the normalized product;
-    the canonical build has none.
+    (see scaled_by), multiplied in order after the normalized product, or
+    folded with it into a caller's list; the canonical build has none.
     """
 
     def __init__(self, divisor: Divisor, lifts: tuple, den: int, lam: tuple,
@@ -311,14 +290,6 @@ class EllFunction:
         self.lam = lam
         self.extra = extra
         self._exponent = None  # see _constants
-        # the reference lift R: largest |m|, the first in support order on
-        # a tie; the others are grouped by multiplicity, one power each
-        self._ref = max(range(len(lifts)), key=lambda i: abs(lifts[i][2]), default=None)
-        groups: dict = {}
-        for i, (_R, _S, m) in enumerate(lifts):
-            if i != self._ref:
-                groups.setdefault(m, []).append(i)
-        self._groups = tuple((m, tuple(ix)) for m, ix in groups.items())
 
     @classmethod
     def from_divisor(cls, D: Divisor, extra: tuple = ()) -> "EllFunction":
@@ -390,15 +361,15 @@ class EllFunction:
             self._exponent = (zx, zy, xx, xy, h % (4 * e * e), 2 * e * e)
         return self._exponent
 
-    def _product(self, lat: AnalyticLattice, z, poles: bool):
-        """The normalized product at the exact point z:
-        C' exp(eta(lam) z) prod over the groups of
-        (prod_P sigma(z - P) / sigma(z - R))^m, the first two factors as
-        one exp_eta, in complex fixed point with one rounding, the extra
-        constants multiplied last.  sigma runs once per lattice and offset
-        z - u in lowest terms, through the lattice memo.  A lattice-point
-        offset mu puts z in the support: with `poles` it raises PoleError,
-        else sigma gives its leading coefficient at mu."""
+    def _fold(self, lat: AnalyticLattice, z, k: int, into: list | None, poles: bool):
+        """The normalized product to the power k at the exact point z, as
+        fold terms: C' exp(eta(lam) z) as an exponent alone, then each
+        sigma(z - p) with the power k m_P.  sigma runs once per lattice and
+        offset z - p in lowest terms, through the lattice memo.  A
+        lattice-point offset mu puts z in the support: with `poles` it
+        raises PoleError, else sigma gives its leading coefficient at mu.
+        The terms go to `into`, the extra constants' with them; without
+        it, they are folded and the extra constants multiplied after."""
         X, Y, D = _coords(z)
         E = math.lcm(D, self.den)
         a, b = E // D, E // self.den
@@ -416,53 +387,57 @@ class EllFunction:
             zx = zx * D + (lx * X - n * ly * Y) * den
             zy = zy * D + (lx * Y + ly * X + t * ly * Y) * den
             xx, xy, h, den = xx * D + ly * X * den, xy * D + ly * Y * den, h * D, den * D
-        out = lat.exp_eta(zx, zy, xx, xy, h, den)
-        if self._groups:
-            sigma = [_parts(lat.memo(("sigma", *k),
-                                     lambda R=R, S=S: lat.sigma(X, Y, D, R, S, self.den)))
-                     for k, (R, S, _m) in zip(keys, self.lifts)]
-            ref = sigma[self._ref]
-            for m, ix in self._groups:
-                bits = lat.prec + GUARD_BITS + 2 * abs(m).bit_length()
-                num = sigma[ix[0]]
-                for i in ix[1:]:
-                    num = _mul(num, sigma[i], bits)
-                ref_power = _power(ref, len(ix), bits)
-                g = _ratio(num, ref_power, bits) if m > 0 else _ratio(ref_power, num, bits)
-                out = _mul(out, _power(g, abs(m), bits), bits)
-        value = lat.to_mpc(*out)
+        terms = [] if into is None else into
+        terms.append((((zx, zy, xx, xy, h, den), None), k))
+        for key, (R, S, m) in zip(keys, self.lifts):
+            sigma = lat.memo(("sigma", *key), lambda R=R, S=S: lat.sigma(X, Y, D, R, S, self.den))
+            terms.append((sigma, k * m))
+        if into is not None:
+            for atom in self.extra:
+                atom.leading_at(lat, z, k, into)
+            return None
+        value = lat.fold(terms)
         with lat.context():
             for atom in self.extra:
-                value = value * atom.evaluate(lat)
+                value = value * atom.leading_at(lat, z, k)
         return value
 
-    def evaluate(self, lat: AnalyticLattice, z):
-        """Value at an exact point z (TorsionPoint or (X, Y, D))."""
-        return self._product(lat, z, poles=True)
+    def evaluate(self, lat: AnalyticLattice, z, k: int = 1, into: list | None = None):
+        """f(z)^k at an exact point z (TorsionPoint or (X, Y, D)).  With a
+        list `into`, its fold terms are appended there for the caller's one
+        AnalyticLattice.fold, as a product of several values takes, and
+        nothing is returned."""
+        return self._fold(lat, z, k, into, poles=True)
 
-    def leading_at(self, lat: AnalyticLattice, P):
-        """Leading Laurent coefficient at the exact point P against the
-        local parameter (z - P): exact-order zero/pole factors are
-        cancelled symbolically, never numerically."""
-        return self._product(lat, P, poles=False)
+    def leading_at(self, lat: AnalyticLattice, P, k: int = 1, into: list | None = None):
+        """The k-th power of the leading Laurent coefficient at the exact
+        point P against the local parameter (z - P): exact-order zero/pole
+        factors are cancelled symbolically, never numerically.  `into` as
+        for evaluate."""
+        return self._fold(lat, P, k, into, poles=False)
 
     def pushforward_evaluator(self, lat: AnalyticLattice, alpha: QuadElement):
         """z -> product of f over the fiber of multiplication by alpha
-        above the exact point z."""
+        above the exact point z, folded once."""
 
         def ev(z):
-            Q = TorsionPoint(self.field, *_coords(z))
-            with lat.context():
-                out = mp.mpc(1)
-                for u in preimage_set(Q, alpha):
-                    out = out * self.evaluate(lat, u)
-                return out
+            fiber = preimage_set(TorsionPoint(self.field, *_coords(z)), alpha)
+            return product(lat, [(self, u, 1) for u in fiber])
 
         return ev
 
     def __repr__(self):
         extra = f" x{len(self.extra)}const" if self.extra else ""
         return f"EllFn[{self.divisor!r}{extra}]"
+
+
+def product(lat: AnalyticLattice, factors):
+    """prod f(z)^k over the (f, z, k) of factors, elliptic functions at
+    exact points, as one fold: one exp_eta for all their sigma factors."""
+    terms = []
+    for f, z, k in factors:
+        f.evaluate(lat, z, k, terms)
+    return lat.fold(terms)
 
 
 # --- named builders -----------------------------------------------------------

@@ -27,6 +27,7 @@ from .divisors import (
     dyadic_point,
     equal_up_to_constant,
     evaluator,
+    product,
     times,
     wp_route_evaluator,
 )
@@ -129,8 +130,8 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
         rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
         divisors_match = lhs_div == rhs_div
 
-        lhs = lambda z: mp.fprod(fn.evaluate(lat, z) for fn in lhs_fns)
-        rhs = lambda z: s_m.evaluate(lat, times(r.phi_ell, z)) * g_l.evaluate(lat, z) ** k
+        lhs = lambda z: product(lat, [(fn, z, 1) for fn in lhs_fns])
+        rhs = lambda z: product(lat, [(s_m, times(r.phi_ell, z), 1), (g_l, z, k)])
         avoid = set(lhs_div.support()) | set(rhs_div.support())
         scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
                                     seed=seed)
@@ -446,7 +447,7 @@ def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
             alt = wp_route_evaluator(field, a, lat)
             if a % 2 == 1:
                 return 1 / (g.evaluate(lat, P) * alt(P))
-            return 1 / mp.sqrt(g.evaluate(lat, P) ** 2 * alt(P))
+            return 1 / mp.sqrt(g.evaluate(lat, P, 2) * alt(P))
 
     return ConstAtom(evaluator=ev, tag=f"x-route(a={a}, at {P})")
 

@@ -10,8 +10,10 @@ orients each atomic pair by a canonical key using antisymmetry, and
 merges coefficients, which is what structural comparisons run on.
 
 Tame certificates: for a function pair with vanishing orders m, n at P
-the tame value is (-1)^(m n) lead(left)^n lead(right)^(-m); order-(0,0)
-pairs contribute the exact integer 1 without touching numerics.  For
+the tame value is (-1)^(m n) lead(left)^n lead(right)^(-m), raised to
+the term's coefficient and computed as one fold of both sides' sigma
+factors (AnalyticLattice.fold); order-(0,0) pairs contribute the exact
+integer 1 without touching numerics.  For
 the assembled Euler-system sums every tame value must be a root of
 unity, so a certificate passes only when every non-exact value has
 modulus one within the lattice's tolerance and a root-of-unity order
@@ -165,30 +167,29 @@ def difference_is_constant(sym_a: SymbolSum, sym_b: SymbolSum) -> tuple[bool, li
 # --- tame symbols -----------------------------------------------------------------
 
 
-def term_tame(lat: AnalyticLattice, P: TorsionPoint, L, R):
-    """Tame value of one symbol at P; exact integer 1 when both orders vanish."""
+def term_tame(lat: AnalyticLattice, P: TorsionPoint, L, R, c: int = 1):
+    """Tame value of one symbol at P to the power c, one fold of
+    lead(L)^(n c), lead(R)^(-m c) and the sign (-1)^(m n c); exact integer
+    1 when both orders vanish."""
     m = L.order_at(P)
     n = R.order_at(P)
     if m == 0 and n == 0:
         return 1
-    with lat.context():
-        sign = -1 if (m * n) % 2 else 1
-        val = mp.mpc(sign)
-        if n != 0:
-            val = val * L.leading_at(lat, P) ** n
-        if m != 0:
-            val = val * R.leading_at(lat, P) ** (-m)
-        return val
+    terms = []
+    if n != 0:
+        L.leading_at(lat, P, n * c, terms)
+    if m != 0:
+        R.leading_at(lat, P, -m * c, terms)
+    if m * n * c % 2:  # the sign as exp(pi i)
+        terms.append((((0, 0, 0, 0, 1, 1), None), 1))
+    return lat.fold(terms)
 
 
 def tame_symbol_at(sym: SymbolSum, lat: AnalyticLattice, P: TorsionPoint):
     with lat.context():
         out = 1
         for c, L, R in sym.terms:
-            t = term_tame(lat, P, L, R)
-            if t == 1:
-                continue
-            out = out * t ** c
+            out = out * term_tame(lat, P, L, R, c)
         return out
 
 

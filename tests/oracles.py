@@ -38,6 +38,12 @@ def eta_linear(lat, r, s):
         return frac(r) * lat.eta1 + frac(s) * lat.eta_omega
 
 
+def sigma_value(lat, *args):
+    """sigma at the kernel's arguments as a number: its product form
+    through the lattice's one conversion, fold."""
+    return lat.fold([(lat.sigma(*args), 1)])
+
+
 def translation_sign(m: int, n: int) -> int:
     """eps(m + n*omega) = (-1)^(m + n + m*n); sigma's sign under translation."""
     return -1 if (m + n + m * n) % 2 else 1

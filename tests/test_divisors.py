@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmk2 import cli, divisors
+from cmk2 import analytic, cli, divisors
 from cmk2.analytic import AnalyticLattice
 from cmk2.divisors import (
     ConstAtom,
@@ -38,6 +38,7 @@ from cmk2.divisors import (
 )
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField, is_rational_prime, split_rational_prime
+from cmk2.symbols import term_tame
 from cmk2.torsion import (
     TorsionPoint,
     TorsionSystem,
@@ -47,7 +48,7 @@ from cmk2.torsion import (
     preimage_set,
     torsion_subgroup,
 )
-from oracles import coords, embed, eta_linear, frac, lift
+from oracles import coords, embed, eta_linear, frac, lift, sigma_value, translation_sign
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -132,10 +133,10 @@ def test_norm_constant_g2_is_exp_minus_half_pi():
     halves = ((Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
     with lat.context():
         for x, y in ((Fraction(0.231), Fraction(0.377)), (Fraction(-1.61), Fraction(2.118))):
-            copy = (mp.exp(-mp.pi / 2) * lat.sigma(*coords(x - 1, y - 1))
-                    * lat.sigma(*coords(x, y)) ** 2)
+            copy = (mp.exp(-mp.pi / 2) * sigma_value(lat, *coords(x - 1, y - 1))
+                    * sigma_value(lat, *coords(x, y)) ** 2)
             for r, s in halves:
-                copy = copy / lat.sigma(*coords(x - r, y - s))
+                copy = copy / sigma_value(lat, *coords(x - r, y - s))
             assert abs(g2.evaluate(lat, coords(x, y)) / copy - 1) < mp.mpf(10) ** -50
 
 
@@ -371,7 +372,7 @@ def test_lattice_points_are_poles_of_zeta_and_wp():
     with pytest.raises(PoleError, match=re.escape(str(F4.element(2, 1)))):
         route(coords(2, 1))
     # sigma has a zero there, and returns its leading coefficient
-    assert lat.sigma(1, 0, 1) != 0
+    assert sigma_value(lat, 1, 0, 1) != 0
 
 
 def test_complex_points_are_rejected():
@@ -514,7 +515,7 @@ def _shifted_copy_product(f, lat, x, y):
         out = mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
                           for r, s, m in lifts) / 2)
         for r, s, m in lifts:
-            out = out * lat.sigma(*coords(x - r, y - s)) ** m
+            out = out * sigma_value(lat, *coords(x - r, y - s)) ** m
         return out
 
 
@@ -564,10 +565,10 @@ def _lam_squared_cancelling_numerically():
     # normalization, from the quadratic form of the lifts, and
     # exp(+eta(lam) lam / 2) in the copy's quasi-period factor; rounded
     # apart, they cancel only numerically
-    product = EllFunction._product
+    fold = EllFunction._fold
 
-    def patched(self, lat, z, poles):
-        out = product(self, lat, z, poles)
+    def patched(self, lat, z, k, into, poles):
+        out = fold(self, lat, z, k, into, poles)
         lx, ly = self.lam
         with lat.context():
             copy = eta_linear(lat, lx, ly) * embed(lat, lx, ly) / 2
@@ -575,15 +576,15 @@ def _lam_squared_cancelling_numerically():
                     + frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
                     + frac(ly * ly) * lat.eta_omega * lat.tau) / 2
             return out * mp.exp(copy) * mp.exp(-norm)
-    return EllFunction, "_product", patched
+    return EllFunction, "_fold", patched
 
 
 def _power_short_of_guard_bits():
     # the integer power of s_P's ratio (scale 1000) at 64 bits less than
     # its working precision: its roundings, amplified by the squarings,
     # reach the last bits of the result
-    power = divisors._power
-    return divisors, "_power", lambda g, m, bits: power(g, m, bits - 64)
+    power = analytic._power
+    return analytic, "_power", lambda g, m, bits: power(g, m, bits - 64)
 
 
 @pytest.mark.parametrize("fault", (_without_legendre_phase,
@@ -592,6 +593,120 @@ def _power_short_of_guard_bits():
 def test_accuracy_fault_controls(fault, monkeypatch):
     monkeypatch.setattr(*fault())
     assert _accuracy_failures(256)
+
+
+# --- one fold per value against the per-factor product ---------------------------
+
+
+def _per_factor(lat, f, z):
+    """C' exp(eta(lam) z) prod_P value(sigma(z - p))^(m_P) at the exact
+    point z: C' and eta(lam) by the mpmath formulas of the divisors
+    docstring, each sigma a number of its own (a one-point kernel call at
+    z - p), all multiplied at prec + 64 bits.  At a support point the
+    lattice-point factor is sigma's leading coefficient, so this is the
+    leading coefficient there."""
+    X, Y, D = (z.X, z.Y, z.D) if isinstance(z, TorsionPoint) else z
+    x, y = Fraction(X, D), Fraction(Y, D)
+    lifts = fraction_lifts(f)
+    (r0, s0, _m0), (lx, ly) = lifts[0], f.lam
+    with mp.workprec(lat.prec + 64):
+        out = translation_sign(lx, ly) * mp.expjpi(frac(r0 * ly - s0 * lx))
+        out *= mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
+                           for r, s, m in lifts) / 2)
+        out *= mp.exp(eta_linear(lat, lx, ly) * embed(lat, x, y))
+        for r, s, m in lifts:
+            out *= sigma_value(lat, *coords(x - r, y - s)) ** m
+        return out
+
+
+def _fold_failures(prec):
+    """(d, value, point, relative error) for every folded value further
+    than 2^-prec from its per-factor product: evaluate at a seeded point
+    and leading_at at two support points of each accuracy case, the fiber
+    product of g_2 over multiplication by a split prime above that point,
+    and the tame value of {g_3, t_gamma} at gamma to the power 3, whose
+    orders -1 and 3 make its sign -1."""
+    bad = []
+
+    def check(d, name, z, got, want):
+        with mp.workprec(prec + 64):
+            err = abs(got - want) / abs(want)
+            if err >= mp.mpf(2) ** -prec:
+                bad.append((d, name, str(z), mp.nstr(err, 3)))
+
+    for d in DISCRIMINANTS:
+        K = QuadField(d)
+        lat = AnalyticLattice(K, prec)
+        rng = random.Random(d + prec)
+        z = dyadic_point(rng.random(), rng.random())
+        cases = _accuracy_cases(K)
+        for name, f in cases.items():
+            check(d, name, z, f.evaluate(lat, z), _per_factor(lat, f, z))
+            for P in f.divisor.support()[:2]:
+                check(d, name, P, f.leading_at(lat, P), _per_factor(lat, f, P))
+        g = cases["g_2"]
+        alpha = _odd_split_prime(K).gen
+        Q = TorsionPoint(K, *z)
+        with mp.workprec(prec + 64):
+            want = mp.fprod(_per_factor(lat, g, u) for u in preimage_set(Q, alpha))
+        check(d, "fiber", Q, g.pushforward_evaluator(lat, alpha)(z), want)
+        gamma = next(P for P in torsion_subgroup(K.ideal(3)) if not P.is_zero())
+        g3, t3 = build_g_a(K, 3), build_t_gamma(K, 3, gamma)
+        m, n = g3.order_at(gamma), t3.order_at(gamma)
+        with mp.workprec(prec + 64):
+            want = ((-1 if 3 * m * n % 2 else 1) * _per_factor(lat, g3, gamma) ** (3 * n)
+                    * _per_factor(lat, t3, gamma) ** (-3 * m))
+        check(d, "tame", gamma, term_tame(lat, gamma, g3, t3, 3), want)
+    return bad
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+def test_fold_matches_the_per_factor_product(prec):
+    assert _fold_failures(prec) == []
+
+
+def _fold_without_one_exponent():
+    # the last sigma factor's exponent left out of the sum
+    fold = AnalyticLattice.fold
+
+    def patched(lat, terms):
+        terms = list(terms)
+        i = max((j for j, ((_e, series), _k) in enumerate(terms) if series is not None),
+                default=None)
+        if i is not None:
+            (_e, series), k = terms[i]
+            terms[i] = (((0, 0, 0, 0, 0, 1), series), k)
+        return fold(lat, terms)
+    return AnalyticLattice, "fold", patched
+
+
+def _fold_without_multiplicity_on_exponents():
+    # each exponent summed once, whatever the power of its factor
+    fold = AnalyticLattice.fold
+
+    def patched(lat, terms):
+        return fold(lat, [t for (exponent, series), k in terms
+                          for t in (((exponent, None), 1),
+                                    (((0, 0, 0, 0, 0, 1), series), k))])
+    return AnalyticLattice, "fold", patched
+
+
+def _sigma_at_an_unreduced_lift():
+    # the kernel handed the lift u + 1, a lattice unit out, while C' keeps
+    # u; one-point calls (u = 0), the reference's, are left alone
+    kernel = AnalyticLattice.sigma
+
+    def patched(lat, X, Y, D, R=0, S=0, E=1):
+        return kernel(lat, X, Y, D, R + E if R or S else R, S, E)
+    return AnalyticLattice, "sigma", patched
+
+
+@pytest.mark.parametrize("fault", (_fold_without_one_exponent,
+                                   _fold_without_multiplicity_on_exponents,
+                                   _sigma_at_an_unreduced_lift))
+def test_fold_fault_controls(fault, monkeypatch):
+    monkeypatch.setattr(*fault())
+    assert _fold_failures(256)
 
 
 # --- one exact-point format from evaluate to the kernel --------------------------

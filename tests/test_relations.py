@@ -6,6 +6,7 @@ conjugation) and (2-i) -> (2-i)(2+i) for the twisted one (new prime,
 multiplicative conjugation plus a twist point).
 """
 
+import collections
 import gc
 import math
 import subprocess
@@ -18,7 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmk2 import cli, divisors, relations
+from cmk2 import cli, divisors, relations, symbols
 from cmk2.analytic import AnalyticLattice
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
@@ -281,6 +282,66 @@ def test_all_kernel_runs_fault_control(monkeypatch, tmp_path):
     monkeypatch.setattr(divisors, "math", types.SimpleNamespace(lcm=math.lcm, gcd=lambda *a: 1))
     _calls, runs = _all_units_and_kernel_runs(monkeypatch, tmp_path)
     assert len(runs) > len(_distinct_offsets(runs))
+
+
+HEX_E2 = ["verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
+          "--prec", "512"]
+
+
+def _kernel_and_exponential_calls(monkeypatch, tmp_path, argv):
+    """Counts of one in-process CLI run: "sigma" kernel runs, "exp_eta"
+    calls, and "tame pow", mpmath powers taken while a tame value is
+    computed."""
+    calls = collections.Counter()
+    for name in ("sigma", "exp_eta"):
+        method = getattr(AnalyticLattice, name)
+        monkeypatch.setattr(AnalyticLattice, name,
+                            lambda lat, *a, method=method, name=name:
+                            calls.update([name]) or method(lat, *a))
+    inside = []
+    term_tame = symbols.term_tame
+
+    def traced_term_tame(*args):
+        inside.append(True)
+        try:
+            return term_tame(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(symbols, "term_tame", traced_term_tame)
+    for cls in (mp.mpc, mp.mpf):
+        power = cls.__pow__
+        monkeypatch.setattr(cls, "__pow__", lambda x, y, power=power:
+                            (inside and calls.update(["tame pow"])) or power(x, y))
+    assert cli.main([*argv, "--out", str(tmp_path / "out.jsonl")]) == 0
+    return calls
+
+
+@pytest.mark.parametrize("argv, runs, exponentials",
+                         [(["all"], 1327, 400), (HEX_E2, 1533, 300)])
+def test_one_exponential_per_reported_value(monkeypatch, tmp_path, argv, runs,
+                                            exponentials):
+    # every value folds its sigma factors' exponents into one exp_eta, so
+    # the kernel runs as often as before and the exponential far less; no
+    # tame value raises a leading coefficient with mpmath's **
+    calls = _kernel_and_exponential_calls(monkeypatch, tmp_path, argv)
+    assert calls["sigma"] == runs
+    assert calls["exp_eta"] <= exponentials
+    assert calls["tame pow"] == 0
+
+
+def test_exponential_count_fault_control(monkeypatch, tmp_path):
+    # a per-factor exponential put back into the kernel
+    kernel = AnalyticLattice.sigma
+
+    def per_factor(lat, *args):
+        exponent, series = kernel(lat, *args)
+        lat.exp_eta(*exponent)
+        return exponent, series
+
+    monkeypatch.setattr(AnalyticLattice, "sigma", per_factor)
+    calls = _kernel_and_exponential_calls(monkeypatch, tmp_path, ["all"])
+    assert calls["sigma"] == 1327 and calls["exp_eta"] > 400
 
 
 def test_function_identity_reports():

@@ -58,8 +58,8 @@ class LaurentStub:
     def order_at(self, P):
         return self._order if P.is_zero() else 0
 
-    def leading_at(self, lat, P):
-        return mp.mpc(self._lead)
+    def leading_at(self, lat, P, k, into):
+        ConstAtom(exact=self._lead).leading_at(lat, P, k, into)
 
 
 def test_tame_value_of_wp_pair_is_four():
