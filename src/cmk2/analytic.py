@@ -249,9 +249,11 @@ class AnalyticLattice:
         self._init_constants()
 
     def memo(self, key, compute):
-        """compute() under key, once per lattice.  Keys and values hold no
-        lattice, so the memo makes no reference cycle.  Entries live as long
-        as the lattice: in library use, each fresh random point adds some."""
+        """compute() under key, once per lattice: kernel values, constants,
+        shared stage reports, and relation runs with their elements.  Keys
+        and values hold no lattice, so the memo makes no reference cycle.
+        Entries live as long as the lattice: in library use, each fresh
+        random point adds some."""
         try:
             return self._memo[key]
         except KeyError:

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .finitefield import frobenius_equals_cm
@@ -190,18 +191,19 @@ def _frobenius_check(ctx: Context, opts: dict) -> dict:
 
 
 def _build_alpha(ctx: Context, opts: dict) -> dict:
-    from .symbols import build_alpha
+    from .symbols import build_alpha_prime, corestriction
 
     m = ctx.ideal(opts["m"], "--m")
     p_ideal = ctx.split_pair()[0]
-    built = _checked("construction rejected", build_alpha, ctx.system, m,
-                     ctx.args.a, p_ideal)
-    inner = built["inner"]
+    inner = _checked("construction rejected", build_alpha_prime, ctx.system, m,
+                     ctx.args.a)
     return {
         "m": str(m),
         "a": ctx.args.a,
         "p": ctx.args.p,
-        "annotations": built["annotations"],
+        # the other prime above --p may meet the conductor
+        "annotations": _checked("construction rejected", corestriction, ctx.system,
+                                m, p_ideal),
         "term_count": inner.term_count(),
         "support": [str(P) for P in inner.support_points()],
         "meta": inner.meta,
@@ -226,58 +228,38 @@ def _certify_tame(ctx: Context, opts: dict) -> dict:
     }
 
 
-def _relation_levels(ctx: Context, opts: dict):
-    """The level --m and the prime --l of a norm relation, rejected unless
-    the level element can be built at m and at m*ell."""
-    from .symbols import build_alpha_prime
+def _verify_relation(ctx: Context, opts: dict, relation: str) -> dict:
+    """The record of the norm relation E1 or E2 at the level --m and the
+    prime --l.  After the flag checks the relation's run is built once,
+    which rejects a configuration its elements cannot be built at; the
+    verifier reads the same run from the lattice memo."""
+    from . import relations
 
+    args = ctx.args
     m = ctx.ideal(opts["m"], "--m")
     ell = ctx.ideal(opts["l"], "--l", prime=True)
     if ell.norm == 2:
         raise ConfigError("--l: a prime of norm 2 has E[l] = {0, P}, whose sum P "
                           "is not 0, so g_l has no principal divisor")
-    if not ell.is_coprime(ctx.field.ideal(ctx.args.a)):
+    if not ell.is_coprime(ctx.field.ideal(args.a)):
         raise ConfigError("--a: the prime divides a, so no conjugating unit "
                           "fixes the a-torsion")
-    for level in (m, m * ell):
-        _checked("construction rejected", build_alpha_prime, ctx.system, level,
-                 ctx.args.a)
-    return m, ell
-
-
-def _relation_record(ctx: Context, m, ell, rep: dict) -> dict:
-    args = ctx.args
+    if relation == "E1" and not ell.divides(m):
+        raise ConfigError("--l: the plain norm relation needs the prime "
+                          "to divide the level")
+    if relation == "E2" and not m.is_coprime(ell):
+        raise ConfigError("--l: the twisted relation needs a prime coprime "
+                          "to the level")
+    if relation == "E2" and not ell.is_coprime(ctx.system.f_level):
+        raise ConfigError("--l: the prime must be coprime to the fixed level")
+    config = (ctx.system, m, ell, args.a)
+    _checked("construction rejected", relations.relation_run, ctx.lattice, relation,
+             *config, args.samples, args.seed)
+    verify = relations.verify_E1 if relation == "E1" else relations.verify_E2
+    rep = verify(*config, ctx.lattice, samples=args.samples, seed=args.seed)
     return {"m": str(m), "l": str(ell), "a": args.a, "precision_bits": args.prec,
             "samples": args.samples, "seed": args.seed, "report": rep,
             "pass": rep["pass"]}
-
-
-def _verify_e1(ctx: Context, opts: dict) -> dict:
-    from .relations import verify_E1
-
-    args = ctx.args
-    m, ell = _relation_levels(ctx, opts)
-    if not ell.divides(m):
-        raise ConfigError("--l: the plain norm relation needs the prime "
-                          "to divide the level")
-    rep = verify_E1(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    seed=args.seed)
-    return _relation_record(ctx, m, ell, rep)
-
-
-def _verify_e2(ctx: Context, opts: dict) -> dict:
-    from .relations import verify_E2
-
-    args = ctx.args
-    m, ell = _relation_levels(ctx, opts)
-    if not m.is_coprime(ell):
-        raise ConfigError("--l: the twisted relation needs a prime coprime "
-                          "to the level")
-    if not ell.is_coprime(ctx.system.f_level):
-        raise ConfigError("--l: the prime must be coprime to the fixed level")
-    rep = verify_E2(ctx.system, m, ell, args.a, ctx.lattice, samples=args.samples,
-                    seed=args.seed)
-    return _relation_record(ctx, m, ell, rep)
 
 
 class Command(NamedTuple):
@@ -304,12 +286,12 @@ COMMANDS = {
         "certify that every tame value of the symbol sum is a root of unity",
         (("--m", str, "1", "level ideal"),)),
     "verify-e1": Command(
-        _verify_e1, ("system", "lattice"),
+        partial(_verify_relation, relation="E1"), ("system", "lattice"),
         "verify the plain norm relation one level down",
         (("--m", str, "(2+i)^2", "level ideal, divisible by the prime"),
          ("--l", str, "2+i", "prime ideal"))),
     "verify-e2": Command(
-        _verify_e2, ("system", "lattice"),
+        partial(_verify_relation, relation="E2"), ("system", "lattice"),
         "verify the twisted norm relation at a new prime",
         (("--m", str, "2-i", "level ideal, coprime to the prime"),
          ("--l", str, "2+i", "prime ideal"))),

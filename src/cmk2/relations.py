@@ -9,6 +9,11 @@ Galois conjugation is realized honestly: conjugates of the level point
 are produced by exact unit multipliers congruent to 1 at every lower
 level (including the auxiliary integer), built by CRT in the ring of
 integers.  The same multipliers transport whole symbol sums.
+
+A relation's run (relation_run) owns its elements: it builds the norm
+sum, the base element at the common scale and, for E2, the element at
+the twist point once, and rejects a configuration they cannot be built
+at; the stages only certify what the run holds.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from .divisors import (
 from .qfield import QuadElement, QuadIdeal, residue_invert, valuation
 from .symbols import (
     SymbolSum,
-    build_alpha,
     build_alpha_prime,
     build_pair_A,
     build_pair_B,
     certify_tame_kernel,
+    corestriction,
     difference_is_constant,
     normal_form_signature,
     tame_symbol_at,
@@ -113,11 +118,11 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     higher-level two-point functions (for E2: times the extra fiber
     factor) matches the lower-level function pulled through the isogeny
     times the kernel function to the k-th power.  Its run is the one the
-    relation's verifier uses (see _run), so the conjugating units and the
-    orbit are not computed again.
+    relation's verifier uses (see relation_run), so the conjugating units
+    and the orbit are not computed again.
     """
     with lat.context():
-        r = _run(lat, relation, sys, m, ell, a, samples, seed)
+        r = relation_run(lat, relation, sys, m, ell, a, samples, seed)
         k = r.k
         lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit)]
         if relation == "E2":
@@ -155,19 +160,30 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
 
 
 class _Run:
-    """One verification's configuration and the exact data its stages read
-    (conjugating units, orbit, fiber); no lattice, so the memo keeps it."""
+    """One relation's configuration and the exact data its stages read:
+    conjugating units, orbit, fiber, and the elements it owns, each built
+    once here: the norm sum of the element at m*ell over the units, the
+    element at m at the common scale k and, for E2, the one at the twist
+    point.  A configuration they cannot be built at raises ValueError
+    while the run is built, naming the level m before m*ell.  It holds no
+    lattice, so the memo keeps it."""
 
     def __init__(self, relation, sys, m, ell, a, samples, seed):
         self.relation, self.sys, self.m, self.ell, self.a = relation, sys, m, ell, a
         self.samples, self.seed = samples, seed
         self.ml = m * ell
         self.k = (self.ml * sys.f_level).norm
+        self.y_m = sys.y(m)
+        self.base = build_alpha_prime(sys, m, a, scale=self.k)
+        top = build_alpha_prime(sys, self.ml, a)
         self.phi_ell = sys.chi.evaluate(ell)
         self.kind, self.units = conjugating_units(sys, m, ell, a)
-        self.y_m, y_ml = sys.y(m), sys.y(self.ml)
+        self.norm_sum = _norm_sum(top, self.units)
+        y_ml = sys.y(self.ml)
         self.orbit = {y_ml} | {y_ml.act(u) for u in self.units}
         self.orbit_strs = [str(P) for P in sorted(self.orbit)]
+        if relation == "E2":
+            self.twisted = build_alpha_prime(sys, m, a, y_point=self.twist, scale=self.k)
 
     @cached_property
     def fiber(self) -> set:
@@ -179,8 +195,12 @@ class _Run:
         return self.sys.e2_point(self.m, self.ell)
 
 
-def _run(lat: AnalyticLattice, *args) -> _Run:
-    """The _Run of args, once per lattice: a verifier and its stages share it."""
+def relation_run(lat: AnalyticLattice, relation: str, sys: TorsionSystem,
+                 m: QuadIdeal, ell: QuadIdeal, a: int, samples: int,
+                 seed: int) -> _Run:
+    """The run of a relation, once per lattice: a caller that validates the
+    configuration, the verifier and its stages share it."""
+    args = (relation, sys, m, ell, a, samples, seed)
     return lat.memo((_Run, *args), lambda: _Run(*args))
 
 
@@ -203,8 +223,7 @@ def _twist_point_level(r: _Run, lat: AnalyticLattice) -> dict:
 
 
 def _twisted_element(r: _Run, lat: AnalyticLattice) -> dict:
-    twisted = build_alpha_prime(r.sys, r.m, r.a, y_point=r.twist, scale=r.k)
-    cert = certify_tame_kernel(twisted, lat)
+    cert = certify_tame_kernel(r.twisted, lat)
     return {"certificate": cert, "pass": cert["pass"]}
 
 
@@ -330,19 +349,17 @@ def _distribution_parity(r: _Run, lat: AnalyticLattice) -> dict:
 
 
 def _tame_certificates(r: _Run, lat: AnalyticLattice) -> dict:
-    cert_norm = certify_tame_kernel(_norm_sum(build_alpha_prime(r.sys, r.ml, r.a), r.units),
-                                    lat)
-    cert_base = certify_tame_kernel(build_alpha_prime(r.sys, r.m, r.a, scale=r.k), lat)
+    cert_norm = certify_tame_kernel(r.norm_sum, lat)
+    cert_base = certify_tame_kernel(r.base, lat)
     return {"norm_sum_certificate": cert_norm, "base_certificate": cert_base,
             "pass": cert_norm["pass"] and cert_base["pass"]}
 
 
 def _definitional_branch(r: _Run, lat: AnalyticLattice) -> dict:
-    rec_hi = build_alpha(r.sys, r.ml, r.a, r.ell)
-    rec_lo = build_alpha(r.sys, r.m, r.a, r.ell) if r.ell.divides(r.m) else None
-    return {"annotations": rec_hi["annotations"],
-            "lower_case": None if rec_lo is None else rec_lo["annotations"]["case"],
-            "pass": rec_hi["annotations"]["case"] == "p-divides-m"}
+    ann = corestriction(r.sys, r.ml, r.ell)
+    lower = corestriction(r.sys, r.m, r.ell)["case"] if r.ell.divides(r.m) else None
+    return {"annotations": ann, "lower_case": lower,
+            "pass": ann["case"] == "p-divides-m"}
 
 
 _TAME = ("transported norm sum and scaled base element have unit tame values",
@@ -389,7 +406,7 @@ STAGES = {
 def _verify(lat: AnalyticLattice, *args) -> dict:
     """The verifier body shared by both relations: run the stages of the
     run of args in order and wrap their verdicts in one report."""
-    run = _run(lat, *args)
+    run = relation_run(lat, *args)
     with lat.context():
         stages = []
         for sid, description, stage in STAGES[run.relation]:
@@ -462,8 +479,9 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
         field = sys.field
         base = build_alpha_prime(sys, m, a)
         points = base.support_points()
-        base_vals = [mp.mpc(tame_symbol_at(base, lat, P)) for P in points]
         base_cert = certify_tame_kernel(base, lat)
+        # the certificate's rows are the tame values in support order
+        base_vals = [mp.mpc(row["value"]) for row in base_cert["points"]]
         hint = TorsionPoint(field, 1, 2, 7)
 
         k = (m * sys.f_level).norm

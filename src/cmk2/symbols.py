@@ -281,19 +281,17 @@ def build_alpha_prime(sys: TorsionSystem, m: QuadIdeal, a: int, *,
     return SymbolSum(field, terms, meta)
 
 
-def build_alpha(sys: TorsionSystem, m: QuadIdeal, a: int,
-                p_ideal: QuadIdeal) -> dict:
-    """Package the level-m element with its corestriction bookkeeping.
+def corestriction(sys: TorsionSystem, m: QuadIdeal, p_ideal: QuadIdeal) -> dict:
+    """The corestriction bookkeeping of the level-m element.
 
     When the distinguished prime divides m the element is the plain
     corestriction of the level-m sum; otherwise one extra twisted-norm
-    layer from level m*p is recorded.  The inner sum is always the
-    level-m construction; annotations say which case applies and along
-    which map the pushforward runs.
+    layer from level m*p is recorded.  The annotations say which case
+    applies and along which map the pushforward runs; the element itself
+    is build_alpha_prime's.
     """
-    inner = build_alpha_prime(sys, m, a)
     divides = p_ideal.divides(m)
-    ann = {
+    return {
         "case": "p-divides-m" if divides else "p-coprime-to-m",
         "norm_from_level": str(m * sys.f_level),
         "norm_to_level": str(m * sys.f_level) if divides
@@ -301,7 +299,6 @@ def build_alpha(sys: TorsionSystem, m: QuadIdeal, a: int,
         "pushforward_by": str(sys.chi.evaluate(p_ideal)),
         "distinguished_prime": str(p_ideal),
     }
-    return {"inner": inner, "annotations": ann}
 
 
 def build_pair_A(field: QuadField, a: int, ell: QuadIdeal) -> SymbolSum:

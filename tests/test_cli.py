@@ -130,6 +130,15 @@ def test_verification_failure_exits_1():
     assert not rec["pass"]
 
 
+def test_build_alpha_rejects_a_distinguished_prime_at_the_conductor():
+    # split_pair normalizes only one prime above --p; the other, here the
+    # distinguished one, is the conductor, which its annotations reject
+    code, out, err = run("build-alpha", "--conductor", "2-i", "--p", "5", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: construction rejected: (1+2*w) is not coprime to "
+                          "the conductor"), err
+
+
 def test_config_errors_exit_2(tmp_path):
     # (1+2w) has no generator congruent to 1 mod (7): the character, not
     # the curve, rejects this conductor
@@ -144,6 +153,13 @@ def test_config_errors_exit_2(tmp_path):
             "error: --conductor: (w) has no generator congruent to 1 mod (7)",
         ("enumerate", "--p", "9"): "error: --p: 9 is not prime",
         ("frobenius-check", "--p", "7"): "error: --p: 7 is not split",
+        # the level meets the conductor: the run names the level --m, not m*l
+        ("verify-e1", "--m", "(1+i)*(2+i)^2", "--l", "2+i"):
+            "error: construction rejected: (7+w) is not coprime to the fixed level",
+        # degenerate: y_m lies in E[a]
+        ("verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
+         "--a", "3"):
+            "error: construction rejected: degenerate configuration: y_m = 1/3+0*w",
     }
     # l = (w) at d = -7 has norm 2: E[l] = {0, P} sums to P, so g_l has no
     # principal divisor
@@ -175,10 +191,6 @@ def test_config_errors_exit_2(tmp_path):
         ("frobenius-check", "--curve-b", "1"),    # needs B = 0
         # the level meets the conductor
         ("verify-e2", "--m", "1+i", "--l", "2+i"),
-        ("verify-e1", "--m", "(1+i)*(2+i)^2", "--l", "2+i"),
-        # degenerate: y_m lies in E[a]
-        ("verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
-         "--a", "3"),
         ("verify-e1", "--samples", "1"),          # one ratio shows no constancy
         conductor,
         *messages,

@@ -344,6 +344,88 @@ def test_exponential_count_fault_control(monkeypatch, tmp_path):
     assert calls["sigma"] == 1327 and calls["exp_eta"] > 400
 
 
+FAST_ALL = ["all", "--bound", "30", "--prec", "128", "--tol", "1e-12", "--samples", "4"]
+
+
+def _alpha_prime_builds(monkeypatch, tmp_path, argv) -> int:
+    """build_alpha_prime calls of one in-process CLI run, from any module."""
+    calls = []
+    build = symbols.build_alpha_prime
+    for module in (symbols, relations):
+        monkeypatch.setattr(module, "build_alpha_prime",
+                            lambda *a, **k: calls.append(a) or build(*a, **k))
+    assert cli.main([*argv, "--out", str(tmp_path / "out.jsonl")]) == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv, builds", [(FAST_ALL, 9), (HEX_E2, 3)])
+def test_each_element_built_once(monkeypatch, tmp_path, argv, builds):
+    # `all`: 3 for certify-tame, 1 for build-alpha, and one per element a
+    # relation's run owns: the norm sum's top element and the base for E1,
+    # and the twisted element too for E2; no stage and no CLI check
+    # builds another
+    assert _alpha_prime_builds(monkeypatch, tmp_path, argv) == builds
+
+
+def test_element_builds_fault_control_cli_validation(monkeypatch, tmp_path):
+    # the CLI's check put back: the element built at m and at m*ell and
+    # discarded before the run
+    checked = cli._checked
+
+    def validating(prefix, fn, *args):
+        if fn is relations.relation_run:
+            _lat, _relation, sys, m, ell, a = args[:6]
+            for level in (m, m * ell):
+                checked(prefix, symbols.build_alpha_prime, sys, level, a)
+        return checked(prefix, fn, *args)
+
+    monkeypatch.setattr(cli, "_checked", validating)
+    assert _alpha_prime_builds(monkeypatch, tmp_path, FAST_ALL) == 13
+
+
+def test_element_builds_fault_control_stage_rebuild(monkeypatch, tmp_path):
+    # E2.3 building its own twisted element instead of reading the run's
+    def rebuilt(r, lat):
+        twisted = symbols.build_alpha_prime(r.sys, r.m, r.a, y_point=r.twist, scale=r.k)
+        cert = symbols.certify_tame_kernel(twisted, lat)
+        return {"certificate": cert, "pass": cert["pass"]}
+
+    stages = tuple((sid, text, rebuilt if sid == "E2.3-twisted-element" else stage)
+                   for sid, text, stage in relations.STAGES["E2"])
+    monkeypatch.setitem(relations.STAGES, "E2", stages)
+    assert _alpha_prime_builds(monkeypatch, tmp_path, FAST_ALL) == 10
+
+
+def test_cli_validates_with_the_run_the_verifier_reads(monkeypatch, tmp_path):
+    # the CLI builds each relation's run once to validate it; the
+    # verifier's stages then read that same object from the lattice memo
+    returned, used = [], []
+    run = relations.relation_run
+    monkeypatch.setattr(relations, "relation_run",
+                        lambda *a: returned.append(run(*a)) or returned[-1])
+    for relation in ("E1", "E2"):
+        (sid, text, first), *rest = relations.STAGES[relation]
+        monkeypatch.setitem(relations.STAGES, relation, (
+            (sid, text, lambda r, lat, first=first: used.append(r) or first(r, lat)),
+            *rest))
+    calls, _runs = _all_units_and_kernel_runs(monkeypatch, tmp_path)
+    assert len(calls) == 2
+    assert [r.relation for r in used] == ["E1", "E2"]
+    assert returned[0] is used[0]   # the CLI asks first
+    assert {id(r) for r in returned} == {id(r) for r in used}
+
+
+def test_rejected_construction_runs_no_kernel(monkeypatch, tmp_path):
+    # y_m in E[a] is rejected while the run is built, before any stage
+    runs = []
+    kernel = AnalyticLattice.sigma
+    monkeypatch.setattr(AnalyticLattice, "sigma",
+                        lambda lat, *a: runs.append(a) or kernel(lat, *a))
+    argv = [*HEX_E2[:-2], "--a", "3", "--out", str(tmp_path / "out.jsonl")]
+    assert cli.main(argv) == 2
+    assert runs == []
+
+
 def test_function_identity_reports():
     rep = verify_function_identities(SYS, M_TOWER, ELL, "E1", LAT,
                                      samples=4)

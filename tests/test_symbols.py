@@ -23,11 +23,11 @@ from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
 from cmk2.symbols import (
     SymbolSum,
-    build_alpha,
     build_alpha_prime,
     build_pair_A,
     build_pair_B,
     certify_tame_kernel,
+    corestriction,
     difference_is_constant,
     normal_form,
     tame_symbol_at,
@@ -299,11 +299,10 @@ def test_pair_builders():
 
 def test_alpha_packaging_annotations():
     P13 = F4.ideal(F4.parse("3+2*i"))
-    rec = build_alpha(SYS, M_SPLIT, 2, P13)
-    ann = rec["annotations"]
+    ann = corestriction(SYS, M_SPLIT, P13)
     assert ann["case"] == "p-coprime-to-m"
     assert ann["pushforward_by"] == str(CHI.evaluate(P13))
-    assert rec["inner"].term_count() == 4
-    rec2 = build_alpha(SYS, M_SPLIT * P13, 2, P13)
-    assert rec2["annotations"]["case"] == "p-divides-m"
-    assert rec2["annotations"]["norm_from_level"] == rec2["annotations"]["norm_to_level"]
+    assert build_alpha_prime(SYS, M_SPLIT, 2).term_count() == 4
+    ann2 = corestriction(SYS, M_SPLIT * P13, P13)
+    assert ann2["case"] == "p-divides-m"
+    assert ann2["norm_from_level"] == ann2["norm_to_level"]
