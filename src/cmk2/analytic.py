@@ -18,7 +18,8 @@ lattice.
   n = round(Y/D) and m = round((2X + t(Y - nD))/(2D)), t the trace of
   omega, so the offset z0 = z - mu has |Re z0| <= 1/2 and
   |Im z0| <= Im(tau)/2 exactly.  z0 goes on over its least denominator,
-  z0 = (X0 + Y0*omega)/L; nothing is embedded as an mpf.  As eta(mu) = eta1 mu - 2 pi i n (Legendre),
+  z0 = (X0 + Y0*omega)/L; nothing is embedded as a float.  As
+  eta(mu) = eta1 mu - 2 pi i n (Legendre),
   sigma(z) = eps(mu) exp(eta1 z^2/2 - 2 pi i n (z - mu/2)) sigma(z0) and
   zeta(z) = eta1 z - 2 pi i n + pi theta_1'(pi z0) / theta_1(pi z0);
   p and p' are periodic.
@@ -124,29 +125,38 @@ a lattice point sigma has no series: its exponential alone is its
 leading coefficient eps(mu) exp(eta1 mu^2/2 - pi i n mu); zeta, p and
 p' raise PoleError there.
 
-Precision contract: an instance is pinned to a binary precision; every
-method computes under a guarded working precision and returns values at
-that precision.  Nothing here mutates global mpmath state outside a
-workprec block.  It also holds the run's tolerance `lat.tol`, and
-`within(residual)`, residual < tol, is every numeric check's acceptance.
+Constants: pi, ln 2, exp and cos/sin are `cmk2.dyadic`'s fixed-point
+functions, each within one ulp at the width asked for (that module
+states their error budget), and sqrt|d| is an integer square root, so
+every constant above is an integer over 2^bits.  The coefficient table's
+c_n = exp(-nu n(n+1)) is 2^-(j+1) exp(ln 2 - r) with
+nu n(n+1) = j ln 2 + r, from nu and ln 2 at W + 32 bits, W the table's
+significant bits: nu n(n+1) and j ln 2 are each off by under 2^11 ulp
+there, so c_n is within 2^-20 of its last bit.  `_fixed` computes at
+32 bits more than it returns, so each of its integers, e^-nu included
+(relative error e^nu ulp, as for any fixed-point value that small), is
+within one ulp of its truncation.
+
+Precision contract: an instance is pinned to a binary precision, and
+every value it returns is a Dyadic at prec + GUARD_BITS bits.  A Dyadic
+carries its own precision and each operation on it rounds there, so
+values combine anywhere, with no context to set.  The lattice also holds
+the run's tolerance `lat.tol`, and `within(residual)`, residual < tol,
+is every numeric check's acceptance.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
-
+from .dyadic import I, Dyadic, cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 from .qfield import QuadField
 
 GUARD_BITS = 48
 MIN_PREC = 64
 
-# the default numeric tolerance, held well past the 53-bit default context
-with mp.workprec(256):
-    DEFAULT_TOL = mp.mpf(10) ** -25
+# the default numeric tolerance, 10^-25 at 256 bits
+DEFAULT_TOL = Dyadic.ratio(1, 10 ** 25, 256)
 
 
 class PoleError(ArithmeticError):
@@ -174,10 +184,10 @@ def _turn(c: int, s: int, q: int):
     return c, s
 
 
-def _cos_sin(angle: int, q: int, bits: int, pi: int):
+def _cos_sin(angle: int, q: int, bits: int):
     """i^q (cos + i sin)(angle) for a fixed-point angle over 2^bits, as
     two integers over 2^bits; angle 0 gives exactly i^q."""
-    c, s = cos_sin_fixed(angle, bits, pi >> 1) if angle else (1 << bits, 0)
+    c, s = cos_sin_fixed(angle, bits) if angle else (1 << bits, 0)
     return _turn(c, s, q)
 
 
@@ -264,28 +274,32 @@ class AnalyticLattice:
         """The acceptance rule of every numeric check: residual < tol."""
         return bool(residual < self.tol)
 
-    def context(self):
-        """Working-precision context; combining returned values must happen
-        inside one of these or the global (53-bit) precision rounds them."""
-        return mp.workprec(self.prec + GUARD_BITS)
-
     # --- constants ---------------------------------------------------------
 
     def _init_constants(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            t = self._t
-            self.tau = (t + mp.mpc(0, 1) * mp.sqrt(-self.field.d)) / 2
-            self._init_table(t, self.tau.imag)
-            d1, d3, d5, d7 = (self._table_moment(j) for j in (1, 3, 5, 7))
-            self.eta1 = (mp.pi ** 2 / 3) * d3 / d1
-            self.eta_omega = self.eta1 * self.tau - 2 * mp.pi * mp.mpc(0, 1)
-            a = self.eta1 / 2
-            b = mp.pi ** 4 * d5 / (120 * d1)
-            c = mp.pi ** 6 * d7 / (5040 * d1)
-            self.g2 = 120 * a * a - 240 * b
-            self.g3 = 840 * (c - a * b) + 280 * a ** 3
+        """tau, eta1, eta(omega), g2 and g3 at prec + GUARD_BITS bits, and
+        `one`, the complex 1 there, which makes an int value a number."""
+        prec = self.prec + GUARD_BITS
+        self.one = Dyadic(1, 0, 0, prec, True)
+        self._init_table()
+        d1, d3, d5, d7 = (Dyadic(self._table_moment(j), 0, -self._top, prec, False)
+                          for j in (1, 3, 5, 7))
+        pi = self._pi = Dyadic(pi_fixed(prec + 16), 0, -prec - 16, prec, False)
+        pi2 = pi * pi
+        self.tau = (self._t + Dyadic(-self.field.d, 0, 0, prec, False).sqrt() * I) / 2
+        self.eta1 = pi2 / 3 * d3 / d1
+        self.eta_omega = self.eta1 * self.tau - 2 * pi * I
+        a = self.eta1 / 2
+        b = pi2 * pi2 * d5 / (120 * d1)
+        c = pi2 * pi2 * pi2 * d7 / (5040 * d1)
+        self.g2 = 120 * a * a - 240 * b
+        self.g3 = 840 * (c - a * b) + 280 * a * a * a
 
-    def _init_table(self, t: int, im_tau):
+    def _nu(self, bits: int) -> int:
+        """nu = pi Im(tau) = pi sqrt|d| / 2 over 2^bits, within 10 ulp."""
+        return pi_fixed(bits) * math.isqrt(-self.field.d << 2 * bits) >> (bits + 1)
+
+    def _init_table(self):
         """The table of (k, C_n, s_n), k = 2n+1, with c_n = C_n / 2^s_n.
 
         c_n = (-1)^(n + t n(n+1)/2) exp(-nu n(n+1)), nu = pi Im(tau), is
@@ -294,8 +308,8 @@ class AnalyticLattice:
         never meets an absolute rounding of c_n.  N and W follow the
         guard-bit rule of the module docstring.
         """
-        target = self.prec + GUARD_BITS
-        nu_bits = float(mp.pi * im_tau) / math.log(2)
+        target, t = self.prec + GUARD_BITS, self._t
+        nu_bits = self._nu(64) / (1 << 64) / math.log(2)
 
         def term_bits(n):  # -log2 of the bound on term n
             return nu_bits * (n * n - 0.5) - 3 * math.log2(2 * n + 1)
@@ -306,35 +320,38 @@ class AnalyticLattice:
         g = math.ceil(nu_bits / 2 + math.log2((top + 1) * (2 * top + 1) ** 3)) + 4
         self._wbits = target + g
         self._nu_bits = math.ceil(nu_bits)
+        # |c_n| = exp(-x), x = nu n(n+1), is 2^-(j+1) exp(ln 2 - r) with
+        # x = j ln 2 + r, 0 <= r < ln 2, from nu and ln 2 at 32 bits more
+        w = self._wbits + 32
+        nu, ln2 = self._nu(w), ln2_fixed(w)
         table = []
-        with mp.workprec(self._wbits + 16):
-            nu = mp.pi * im_tau
-            for n in range(top + 1):
-                e = math.floor(nu_bits * n * (n + 1))
-                mag = to_fixed(mp.exp(-nu * n * (n + 1))._mpf_, self._wbits + e)
-                sign = -1 if (n + t * n * (n + 1) // 2) % 2 else 1
-                table.append((2 * n + 1, sign * mag, self._wbits + e))
+        for n in range(top + 1):
+            e = math.floor(nu_bits * n * (n + 1))
+            j, r = divmod(nu * n * (n + 1), ln2)
+            mag = exp_fixed(ln2 - r, w) >> (w + j + 1 - self._wbits - e)
+            sign = -1 if (n + t * n * (n + 1) // 2) % 2 else 1
+            table.append((2 * n + 1, sign * mag, self._wbits + e))
         self._table = tuple(table)
+        self._top = max(shift for _k, _c, shift in table)
 
-    def _table_moment(self, j: int):
-        """sum over the table of (2n+1)^j c_n, exactly, as an mpf."""
-        top = max(shift for _k, _c, shift in self._table)
-        acc = sum(k ** j * c << (top - shift) for k, c, shift in self._table)
-        return mp.mpf((acc, -top))
+    def _table_moment(self, j: int) -> int:
+        """sum over the table of (2n+1)^j c_n, exactly, over 2^_top."""
+        return sum(k ** j * c << (self._top - shift) for k, c, shift in self._table)
 
     def _fixed(self, bits: int):
         """(pi, ln 2, nu, eta1, eta1 Im(tau), 1/(pi d1), e^nu, e^-nu) as
-        integers over 2^bits, nu = pi Im(tau); computed once per lattice and
-        bit count."""
+        integers over 2^bits, nu = pi Im(tau); computed at 32 bits more,
+        once per lattice and bit count."""
         def compute():
-            with mp.workprec(bits + 16):
-                im_tau = mp.sqrt(-self.field.d) / 2
-                d1 = self._table_moment(1)
-                eta1 = (mp.pi ** 2 / 3) * self._table_moment(3) / d1
-                nu = mp.pi * im_tau
-                return tuple(to_fixed(v._mpf_, bits) for v in
-                             (mp.pi, mp.ln2, nu, eta1, eta1 * im_tau, 1 / (mp.pi * d1),
-                              mp.exp(nu), mp.exp(-nu)))
+            w = bits + 32
+            pi, ln2, nu = pi_fixed(w), ln2_fixed(w), self._nu(w)
+            im_tau = math.isqrt(-self.field.d << 2 * w) // 2
+            d1, d3 = self._table_moment(1), self._table_moment(3)  # over 2^_top
+            eta1 = (pi * pi >> w) * d3 // (3 * d1)
+            k, r = divmod(nu, ln2)  # e^nu = 2^k exp(r), e^-nu = 2^-(k+1) exp(ln 2 - r)
+            return tuple(v >> 32 for v in (
+                pi, ln2, nu, eta1, eta1 * im_tau >> w, (1 << 2 * w + self._top) // (pi * d1),
+                exp_fixed(r, w) << k, exp_fixed(ln2 - r, w) >> (k + 1)))
         return self.memo(("fixed", bits), compute)
 
     # --- exact reduction ---------------------------------------------------------
@@ -350,26 +367,21 @@ class AnalyticLattice:
         return X0 // g, Y0 // g, D // g, m, n
 
     def _pole_free_series(self, X, Y, D, name: str, derivs: int):
-        """(_series at z0 as mpc, reduce's tuple) for a function with a pole
-        at every lattice point."""
+        """(_series at z0 as Dyadics, reduce's tuple) for a function with a
+        pole at every lattice point."""
         reduced = self.reduce(X, Y, D)
         if not (reduced[0] or reduced[1]):
             raise PoleError(f"{name} has a pole at the lattice point "
                             f"{self.field.element(*reduced[3:])}")
         sums, e = self._series((X, Y, D), (0, 0, 1), reduced, derivs)
-        return [self.to_mpc(re, im, e) for re, im in sums], reduced
+        prec = self.prec + GUARD_BITS
+        return [Dyadic(re, im, e, prec, True) for re, im in sums], reduced
 
     def _extra_bits(self, X: int, Y: int, L: int) -> int:
         """At least -log2|z0| for z0 = (X + Y*omega)/L, from the exact norm
         (X^2 + tXY + nY^2)/L^2; 0 once |z0| >= 1."""
         nrm = X * X + self._t * X * Y + self._n * Y * Y
         return max(0, (2 * L.bit_length() - nrm.bit_length() + 1) // 2)
-
-    def to_mpc(self, re: int, im: int, exp: int):
-        """(re + i im) 2^exp, rounded once to the working precision."""
-        prec = self.prec + GUARD_BITS
-        return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
-                            from_man_exp(im, exp, prec, round_nearest)))
 
     # --- the exponential of the quasi-period map --------------------------------
 
@@ -386,8 +398,8 @@ class AnalyticLattice:
         q, rest = _quarter_turns(hn - 2 * xx - t * xy, den)
         angle = (2 * eta1_im * zy + pi * rest) // (2 * den)
         k, r = divmod(re, ln2)  # exp(re) = 2^k exp(r), 0 <= r < ln 2
-        mag = exp_basecase(r, bits)
-        c, s = _cos_sin(angle, q, bits, pi)
+        mag = exp_fixed(r, bits)
+        c, s = _cos_sin(angle, q, bits)
         return mag * c, mag * s, k - 2 * bits
 
     # --- transcendental functions ----------------------------------------------
@@ -400,9 +412,9 @@ class AnalyticLattice:
         def compute():
             pi, ln2, nu = self._fixed(pb)[:3]
             q, rest = _quarter_turns(2 * X + self._t * Y, 2 * D)
-            c, s = _cos_sin(pi * rest // (4 * D), q, pb, pi)
+            c, s = _cos_sin(pi * rest // (4 * D), q, pb)
             e, b = divmod(nu * Y // D, ln2)  # exp(pi Im p) = 2^e exp(b)
-            rp = exp_basecase(b, pb) if Y else 1 << pb
+            rp = exp_fixed(b, pb) if Y else 1 << pb
             rp = rp << e if e >= 0 else rp >> -e
             return c, s, rp, (1 << 2 * pb) // rp
         return self.memo(("phase", X, Y, D, pb), compute)
@@ -509,12 +521,13 @@ class AnalyticLattice:
 
     def fold(self, terms):
         """prod p^k over the pairs (p, k) of terms, p a product (exponent,
-        series) as sigma returns it, as one mpc.  The exponents times k are
+        series) as sigma returns it, as one Dyadic.  The exponents times k are
         summed exactly over one denominator and taken by one exp_eta; the
         series are grouped by |k|, and each group's quotient, k > 0 over
         k < 0, is raised to |k| once, in complex fixed point cut to
         prec + GUARD_BITS + 2 bitlen|k| bits, as each squaring doubles the
-        relative error before it.  It is rounded once."""
+        relative error before it.  It is rounded once, to a complex Dyadic
+        at prec + GUARD_BITS bits."""
         acc, den, groups = [0] * 5, 1, {}
         for (exponent, series), k in terms:
             if not k:
@@ -534,7 +547,7 @@ class AnalyticLattice:
             if down:
                 g = _ratio(g, _product(down, bits), bits)
             out = _mul(out, _power(g, k, bits), bits)
-        return self.to_mpc(*out)
+        return Dyadic(*out, self.prec + GUARD_BITS, True)
 
     def zeta(self, X, Y, D):
         """Weierstrass zeta: eta1 z - 2 pi i n plus the series quotient."""
@@ -542,18 +555,15 @@ class AnalyticLattice:
         bits = self._wbits
         pi, _ln2, _nu, eta1, eta1_im = self._fixed(bits)[:5]
         Xz, Yz = X + m * L, Y + n * L
-        linear = self.to_mpc(eta1 * (2 * Xz + self._t * Yz) // (2 * L),
-                             eta1_im * Yz // L - 2 * pi * n, -bits)
-        with mp.workprec(self.prec + GUARD_BITS):
-            return linear + mp.pi * t1 / t0
+        linear = Dyadic(eta1 * (2 * Xz + self._t * Yz) // (2 * L),
+                        eta1_im * Yz // L - 2 * pi * n, -bits, self.prec + GUARD_BITS, True)
+        return linear + self._pi * t1 / t0
 
     def wp(self, X, Y, D):
         (t0, t1, t2), _ = self._pole_free_series(X, Y, D, "wp", 2)
-        with mp.workprec(self.prec + GUARD_BITS):
-            return -self.eta1 - mp.pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
+        return -self.eta1 - self._pi ** 2 * (t2 * t0 - t1 * t1) / (t0 * t0)
 
     def wp_prime(self, X, Y, D):
         (t0, t1, t2, t3), _ = self._pole_free_series(X, Y, D, "wp'", 3)
-        with mp.workprec(self.prec + GUARD_BITS):
-            num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
-            return -mp.pi ** 3 * num / t0 ** 3
+        num = t3 * t0 * t0 - 3 * t2 * t1 * t0 + 2 * t1 ** 3
+        return -self._pi ** 3 * num / t0 ** 3

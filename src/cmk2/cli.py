@@ -40,10 +40,10 @@ def _render(x):
         return x
     if isinstance(x, (int, str)):
         return x
-    # no mpmath number exists unless something has imported mpmath
-    mp = sys.modules.get("mpmath")
-    if mp is not None and isinstance(x, (mp.mpf, mp.mpc)):
-        return mp.nstr(x, DIGITS)
+    # no Dyadic exists unless an analytic command has imported its module
+    dyadic = sys.modules.get("cmk2.dyadic")
+    if dyadic is not None and isinstance(x, dyadic.Dyadic):
+        return x.nstr(DIGITS)
     if isinstance(x, dict):
         return {str(k): _render(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):
@@ -61,19 +61,40 @@ def _checked(prefix: str, fn, *args):
         raise ConfigError(f"{prefix}: {e}") from None
 
 
+def _rational(text: str) -> tuple:
+    """(num, den), den > 0, of the decimal or p/q literal `text` names, as
+    mpmath reads a number's string; ValueError for anything else."""
+    if "/" in text:
+        p, q = (int(part.rstrip("l")) for part in text.split("/"))
+        if not q:
+            raise ValueError(text)
+        return (p, q) if q > 0 else (-p, -q)
+    text = text.rstrip("l")
+    float(text)  # the syntax of a Python float literal
+    mantissa, _, exp = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    fraction = fraction.rstrip("0")
+    num, exp = int(whole + fraction), int(exp or 0) - len(fraction)
+    return (num * 10 ** exp, 1) if exp >= 0 else (num, 10 ** -exp)
+
+
 def _tol(args):
-    import mpmath as mp
-
+    """--tol as a Dyadic, rounded to nearest at the lattice's working
+    precision from the exact rational its literal names."""
     from .analytic import GUARD_BITS
+    from .dyadic import Dyadic
 
-    with mp.workprec(args.prec + GUARD_BITS):
-        try:
-            t = mp.mpf(args.tol)
-        except ValueError:
-            raise ConfigError(f"--tol: not a number: {args.tol!r}")
-        if not (0 < t < 1):
-            raise ConfigError("--tol: must lie strictly between 0 and 1")
-        return t
+    text = args.tol.lower().strip()
+    # an infinity or a nan is a number, just not one in range
+    if text in ("inf", "+inf", "-inf", "nan"):
+        raise ConfigError("--tol: must lie strictly between 0 and 1")
+    try:
+        num, den = _rational(text)
+    except ValueError:
+        raise ConfigError(f"--tol: not a number: {args.tol!r}") from None
+    if not 0 < num < den:
+        raise ConfigError("--tol: must lie strictly between 0 and 1")
+    return Dyadic.ratio(num, den, args.prec + GUARD_BITS)
 
 
 class Context:
@@ -82,7 +103,7 @@ class Context:
     analytic lattice with its tolerance when `needs` names them.  Only
     those two, and the commands that use them, import the torsion and
     analytic layers, so `enumerate`, `hecke-check` and `frobenius-check`
-    run without mpmath."""
+    run without them."""
 
     def __init__(self, args, needs):
         if args.samples < 2:

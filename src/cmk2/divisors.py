@@ -58,9 +58,8 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
-
-from .analytic import AnalyticLattice, PoleError
+from .analytic import GUARD_BITS, AnalyticLattice, PoleError
+from .dyadic import Dyadic
 from .qfield import QuadElement, QuadField, QuadIdeal
 from .torsion import TorsionPoint, preimage_set, torsion_subgroup
 
@@ -97,13 +96,10 @@ def times(alpha: QuadElement, z) -> tuple:
     return p.x, p.y, D
 
 
-def _scalar(value) -> tuple:
+def _scalar(value: Dyadic) -> tuple:
     """A number as a product for AnalyticLattice.fold: no exponent, and its
-    mpc mantissas, read exactly, as the series."""
-    (rs, rm, rx, _), (js, jm, jx, _) = mp.mpc(value)._mpc_
-    e = min(rx if rm else jx, jx if jm else rx)
-    return (0, 0, 0, 0, 0, 1), ((-rm if rs else rm) << (rx - e) if rm else 0,
-                                (-jm if js else jm) << (jx - e) if jm else 0, e)
+    mantissas as the series."""
+    return (0, 0, 0, 0, 0, 1), value.mantissas()
 
 
 class Divisor:
@@ -226,12 +222,12 @@ class ConstAtom:
     def evaluate(self, lat: AnalyticLattice):
         """The value at the lattice, computed once per lattice."""
         def compute():
-            with lat.context():
-                if self.exact is not None:
-                    return mp.mpf(self.exact.numerator) / self.exact.denominator
-                if self.evaluator is not None:
-                    return self.evaluator(lat)
-                return self.fn.evaluate(lat, self.point, self.exponent)
+            if self.exact is not None:
+                return Dyadic.ratio(self.exact.numerator, self.exact.denominator,
+                                    lat.prec + GUARD_BITS)
+            if self.evaluator is not None:
+                return self.evaluator(lat)
+            return self.fn.evaluate(lat, self.point, self.exponent)
         return lat.memo(self, compute)
 
     def order_at(self, P: TorsionPoint) -> int:
@@ -397,9 +393,8 @@ class EllFunction:
                 atom.leading_at(lat, z, k, into)
             return None
         value = lat.fold(terms)
-        with lat.context():
-            for atom in self.extra:
-                value = value * atom.leading_at(lat, z, k)
+        for atom in self.extra:
+            value = value * atom.leading_at(lat, z, k)
         return value
 
     def evaluate(self, lat: AnalyticLattice, z, k: int = 1, into: list | None = None):
@@ -527,27 +522,26 @@ def equal_up_to_constant(f, g, lat: AnalyticLattice, avoid=(), samples: int = 20
     """
     if samples < 2:
         raise ValueError("a constancy scan needs at least two sample points")
-    with lat.context():
-        points = sample_points(lat, seed, samples, avoid)
-        ratios = []
-        for z in points:
-            fv, gv = f(z), g(z)
-            if gv == 0:
-                raise PoleError("denominator vanished at a sample point")
-            ratios.append(fv / gv)
-        mean = sum(ratios) / len(ratios)
-        spread = max(abs(r - mean) for r in ratios) / abs(mean)
-        dev = abs(abs(mean) - 1)
-        spread_ok, dev_ok = lat.within(spread), lat.within(dev)
-        return {
-            "samples": len(points),
-            "seed": seed,
-            "constant": mean,
-            "spread": spread,
-            "modulus_deviation": dev,
-            "tolerance": lat.tol,
-            "pass": spread_ok and dev_ok,
-        }
+    points = sample_points(lat, seed, samples, avoid)
+    ratios = []
+    for z in points:
+        fv, gv = f(z), g(z)
+        if gv == 0:
+            raise PoleError("denominator vanished at a sample point")
+        ratios.append(fv / gv)
+    mean = sum(ratios) / len(ratios)
+    spread = max(abs(r - mean) for r in ratios) / abs(mean)
+    dev = abs(abs(mean) - 1)
+    spread_ok, dev_ok = lat.within(spread), lat.within(dev)
+    return {
+        "samples": len(points),
+        "seed": seed,
+        "constant": mean,
+        "spread": spread,
+        "modulus_deviation": dev,
+        "tolerance": lat.tol,
+        "pass": spread_ok and dev_ok,
+    }
 
 
 def evaluator(fn: EllFunction, lat: AnalyticLattice):
@@ -569,11 +563,10 @@ def wp_route_evaluator(field: QuadField, a: int, lat: AnalyticLattice):
         wp_reps.append(lat.wp(*_coords(gamma)))
 
     def ev(z):
-        with lat.context():
-            wp_z = lat.wp(*_coords(z))
-            out = mp.mpc(1)
-            for wp_gamma in wp_reps:
-                out = out * (wp_z - wp_gamma)
-            return out
+        wp_z = lat.wp(*_coords(z))
+        out = lat.one
+        for wp_gamma in wp_reps:
+            out = out * (wp_z - wp_gamma)
+        return out
 
     return ev

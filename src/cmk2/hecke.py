@@ -59,11 +59,14 @@ class HeckeCharacter:
 
         The designated one is the factor whose character value has a
         positive omega-coordinate; deterministic and conjugation-stable.
+        The character must have a value at both primes, so a conductor
+        that either of them divides raises ValueError.
         """
         kind, primes = split_rational_prime(self.field, p)
         if kind != "split":
             raise ValueError(f"{p} is not split")
         v0 = self.evaluate(primes[0])
+        self.evaluate(primes[1])  # raises where the conductor meets it
         if v0.y > 0:
             return primes[0], primes[1]
         if v0.y < 0:

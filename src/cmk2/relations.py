@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import mpmath as mp
-
 from .analytic import AnalyticLattice
 from .divisors import (
     ConstAtom,
@@ -121,33 +119,32 @@ def verify_function_identities(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal,
     relation's verifier uses (see relation_run), so the conjugating units
     and the orbit are not computed again.
     """
-    with lat.context():
-        r = relation_run(lat, relation, sys, m, ell, a, samples, seed)
-        k = r.k
-        lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit)]
-        if relation == "E2":
-            lhs_fns.append(build_s_point(r.twist, k))
-        s_m = build_s_point(r.y_m, k)
-        g_l = build_g_l(ell)
-        lhs_div = lhs_fns[0].divisor
-        for fn in lhs_fns[1:]:
-            lhs_div = lhs_div + fn.divisor
-        rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
-        divisors_match = lhs_div == rhs_div
+    r = relation_run(lat, relation, sys, m, ell, a, samples, seed)
+    k = r.k
+    lhs_fns = [build_s_point(P, k) for P in sorted(r.orbit)]
+    if relation == "E2":
+        lhs_fns.append(build_s_point(r.twist, k))
+    s_m = build_s_point(r.y_m, k)
+    g_l = build_g_l(ell)
+    lhs_div = lhs_fns[0].divisor
+    for fn in lhs_fns[1:]:
+        lhs_div = lhs_div + fn.divisor
+    rhs_div = s_m.divisor.pullback(r.phi_ell) + g_l.divisor.scale(k)
+    divisors_match = lhs_div == rhs_div
 
-        lhs = lambda z: product(lat, [(fn, z, 1) for fn in lhs_fns])
-        rhs = lambda z: product(lat, [(s_m, times(r.phi_ell, z), 1), (g_l, z, k)])
-        avoid = set(lhs_div.support()) | set(rhs_div.support())
-        scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
-                                    seed=seed)
-        return {
-            "identity": relation,
-            "scale": k,
-            "conjugates": r.orbit_strs,
-            "divisors_match": bool(divisors_match),
-            "scan": scan,
-            "pass": bool(divisors_match and scan["pass"]),
-        }
+    lhs = lambda z: product(lat, [(fn, z, 1) for fn in lhs_fns])
+    rhs = lambda z: product(lat, [(s_m, times(r.phi_ell, z), 1), (g_l, z, k)])
+    avoid = set(lhs_div.support()) | set(rhs_div.support())
+    scan = equal_up_to_constant(lhs, rhs, lat, avoid=avoid, samples=samples,
+                                seed=seed)
+    return {
+        "identity": relation,
+        "scale": k,
+        "conjugates": r.orbit_strs,
+        "divisors_match": bool(divisors_match),
+        "scan": scan,
+        "pass": bool(divisors_match and scan["pass"]),
+    }
 
 
 # --- stages -----------------------------------------------------------------
@@ -257,18 +254,17 @@ def _distribution_scans(lat: AnalyticLattice, phi_ell: QuadElement, a: int,
     """The level-independent part of [phi_ell]_* g_a = g_a: exact divisor
     transport, the constant scan of the fiber product, and the projection
     step against the canonical image build."""
-    with lat.context():
-        g = build_g_a(phi_ell.field, a)
-        push = g.pushforward_evaluator(lat, phi_ell)
-        scan = equal_up_to_constant(push, evaluator(g, lat), lat,
-                                    avoid=g.divisor.support(), samples=samples,
-                                    seed=seed)
-        image = g.pushforward_function(phi_ell)
-        proj = equal_up_to_constant(push, evaluator(image, lat), lat,
-                                    avoid=image.divisor.support(),
-                                    samples=max(4, samples // 2), seed=seed + 1)
-        return {"push_divisor_fixed": g.divisor.pushforward(phi_ell) == g.divisor,
-                "scan": scan, "projection": proj}
+    g = build_g_a(phi_ell.field, a)
+    push = g.pushforward_evaluator(lat, phi_ell)
+    scan = equal_up_to_constant(push, evaluator(g, lat), lat,
+                                avoid=g.divisor.support(), samples=samples,
+                                seed=seed)
+    image = g.pushforward_function(phi_ell)
+    proj = equal_up_to_constant(push, evaluator(image, lat), lat,
+                                avoid=image.divisor.support(),
+                                samples=max(4, samples // 2), seed=seed + 1)
+    return {"push_divisor_fixed": g.divisor.pushforward(phi_ell) == g.divisor,
+            "scan": scan, "projection": proj}
 
 
 def _distribution(r: _Run, lat: AnalyticLattice) -> dict:
@@ -293,48 +289,47 @@ def _parity_checks(lat: AnalyticLattice, ell: QuadIdeal, a: int) -> dict:
     negatives; the scaled pair sums A and B have matching tame moduli and
     an exactly [-1]-invariant difference, with A scaled by N(ell), the
     scale of B's two-point functions."""
-    with lat.context():
-        field = ell.field
-        g = build_g_a(field, a)
-        neg = field.element(-1)
-        structural = g.pullback(neg) == g
-        z = dyadic_point(0.3271, 0.1618)
-        ratio = g.evaluate(lat, times(neg, z)) / g.evaluate(lat, z)
-        sign_dev = min(abs(ratio - 1), abs(ratio + 1))
-        gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
-        t_ok = True
-        for gm in gammas[:2]:
-            t = build_t_gamma(field, a, gm)
-            t_neg = build_t_gamma(field, a, -gm)
-            t_ok = t_ok and t.pullback(neg) == t_neg
-            r = t.evaluate(lat, times(neg, z)) / t_neg.evaluate(lat, z)
-            t_ok = lat.within(abs(abs(r) - 1)) and t_ok
-        A = build_pair_A(field, a, ell)
-        B = build_pair_B(field, a, ell)
-        k_u = ell.norm
-        diff = A.scale(k_u) - B
-        points = sorted(set(A.support_points()) | set(B.support_points()))
-        moduli_ok = True
-        rows = []
-        for P in points:
-            tA = tame_symbol_at(A.scale(k_u), lat, P)
-            tB = tame_symbol_at(B, lat, P)
-            dev = abs(abs(mp.mpc(tA) / mp.mpc(tB)) - 1)
-            rows.append({"point": str(P), "modulus_ratio_deviation": dev})
-            moduli_ok = lat.within(dev) and moduli_ok
-        invariant = (normal_form_signature(diff)
-                     == normal_form_signature(diff.map_points(lambda P: -P)))
-        diff_cert = certify_tame_kernel(diff, lat)
-        ok = bool(lat.within(sign_dev) and structural and t_ok and moduli_ok
-                  and invariant and diff_cert["pass"])
-        return {"division_function_symmetric": bool(structural),
-                "parity_sign_deviation": sign_dev,
-                "translation_correctors_ok": bool(t_ok),
-                "pair_scale": k_u,
-                "pair_moduli": rows,
-                "pair_difference_invariant": bool(invariant),
-                "pair_difference_certificate": diff_cert,
-                "pass": ok}
+    field = ell.field
+    g = build_g_a(field, a)
+    neg = field.element(-1)
+    structural = g.pullback(neg) == g
+    z = dyadic_point(0.3271, 0.1618)
+    ratio = g.evaluate(lat, times(neg, z)) / g.evaluate(lat, z)
+    sign_dev = min(abs(ratio - 1), abs(ratio + 1))
+    gammas = [gm for gm in torsion_subgroup(field.ideal(a)) if not gm.is_zero()]
+    t_ok = True
+    for gm in gammas[:2]:
+        t = build_t_gamma(field, a, gm)
+        t_neg = build_t_gamma(field, a, -gm)
+        t_ok = t_ok and t.pullback(neg) == t_neg
+        r = t.evaluate(lat, times(neg, z)) / t_neg.evaluate(lat, z)
+        t_ok = lat.within(abs(abs(r) - 1)) and t_ok
+    A = build_pair_A(field, a, ell)
+    B = build_pair_B(field, a, ell)
+    k_u = ell.norm
+    diff = A.scale(k_u) - B
+    points = sorted(set(A.support_points()) | set(B.support_points()))
+    moduli_ok = True
+    rows = []
+    for P in points:
+        tA = tame_symbol_at(A.scale(k_u), lat, P)
+        tB = tame_symbol_at(B, lat, P)
+        dev = abs(abs(lat.one * tA / tB) - 1)
+        rows.append({"point": str(P), "modulus_ratio_deviation": dev})
+        moduli_ok = lat.within(dev) and moduli_ok
+    invariant = (normal_form_signature(diff)
+                 == normal_form_signature(diff.map_points(lambda P: -P)))
+    diff_cert = certify_tame_kernel(diff, lat)
+    ok = bool(lat.within(sign_dev) and structural and t_ok and moduli_ok
+              and invariant and diff_cert["pass"])
+    return {"division_function_symmetric": bool(structural),
+            "parity_sign_deviation": sign_dev,
+            "translation_correctors_ok": bool(t_ok),
+            "pair_scale": k_u,
+            "pair_moduli": rows,
+            "pair_difference_invariant": bool(invariant),
+            "pair_difference_certificate": diff_cert,
+            "pass": ok}
 
 
 def _parity(r: _Run, lat: AnalyticLattice) -> dict:
@@ -407,20 +402,19 @@ def _verify(lat: AnalyticLattice, *args) -> dict:
     """The verifier body shared by both relations: run the stages of the
     run of args in order and wrap their verdicts in one report."""
     run = relation_run(lat, *args)
-    with lat.context():
-        stages = []
-        for sid, description, stage in STAGES[run.relation]:
-            data = stage(run, lat)
-            stages.append({"id": sid, "description": description, **data,
-                           "pass": bool(data["pass"])})
-        return {
-            "identity": run.relation,
-            "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
-                       "scale": run.k, "prec": lat.prec, "samples": run.samples,
-                       "tolerance": lat.tol, "conjugation": run.kind},
-            "stages": stages,
-            "pass": all(s["pass"] for s in stages),
-        }
+    stages = []
+    for sid, description, stage in STAGES[run.relation]:
+        data = stage(run, lat)
+        stages.append({"id": sid, "description": description, **data,
+                       "pass": bool(data["pass"])})
+    return {
+        "identity": run.relation,
+        "config": {"m": str(run.m), "ell": str(run.ell), "a": run.a,
+                   "scale": run.k, "prec": lat.prec, "samples": run.samples,
+                   "tolerance": lat.tol, "conjugation": run.kind},
+        "stages": stages,
+        "pass": all(s["pass"] for s in stages),
+    }
 
 
 def verify_E1(sys: TorsionSystem, m: QuadIdeal, ell: QuadIdeal, a: int,
@@ -459,12 +453,11 @@ def _x_route_atom(field, a: int, lat_hint_point: TorsionPoint) -> ConstAtom:
     P = lat_hint_point
 
     def ev(lat):
-        with lat.context():
-            g = build_g_a(field, a)
-            alt = wp_route_evaluator(field, a, lat)
-            if a % 2 == 1:
-                return 1 / (g.evaluate(lat, P) * alt(P))
-            return 1 / mp.sqrt(g.evaluate(lat, P, 2) * alt(P))
+        g = build_g_a(field, a)
+        alt = wp_route_evaluator(field, a, lat)
+        if a % 2 == 1:
+            return 1 / (g.evaluate(lat, P) * alt(P))
+        return 1 / (g.evaluate(lat, P, 2) * alt(P)).sqrt()
 
     return ConstAtom(evaluator=ev, tag=f"x-route(a={a}, at {P})")
 
@@ -475,54 +468,51 @@ def verify_choice_independence(sys: TorsionSystem, m: QuadIdeal, a: int,
     check the difference is carried entirely by constant entries, with
     the tame certificate values literally unchanged.  A deliberately
     non-constant fault must be flagged."""
-    with lat.context():
-        field = sys.field
-        base = build_alpha_prime(sys, m, a)
-        points = base.support_points()
-        base_cert = certify_tame_kernel(base, lat)
-        # the certificate's rows are the tame values in support order
-        base_vals = [mp.mpc(row["value"]) for row in base_cert["points"]]
-        hint = TorsionPoint(field, 1, 2, 7)
+    field = sys.field
+    base = build_alpha_prime(sys, m, a)
+    points = base.support_points()
+    base_cert = certify_tame_kernel(base, lat)
+    # the certificate's rows are the tame values in support order
+    base_vals = [lat.one * row["value"] for row in base_cert["points"]]
+    hint = TorsionPoint(field, 1, 2, 7)
 
-        k = (m * sys.f_level).norm
-        perturbations = [
-            ("scaled-two-point", build_alpha_prime(
-                sys, m, a, s_fn=build_s_point(sys.y(m), k).scaled_by(ConstAtom(exact=7)))),
-            ("x-route-division-function", build_alpha_prime(
-                sys, m, a, g_fn=build_g_a(field, a).scaled_by(_x_route_atom(field, a, hint)))),
-            ("scaled-translation-correctors", build_alpha_prime(
-                sys, m, a, t_builder=lambda gm: build_t_gamma(field, a, gm)
-                .scaled_by(ConstAtom(exact=5)))),
-        ]
-        rows = []
-        all_ok = True
-        for name, pert in perturbations:
-            const_only, leftover = difference_is_constant(pert, base)
-            max_dev = mp.mpf(0)
-            for P, v0 in zip(points, base_vals):
-                v1 = mp.mpc(tame_symbol_at(pert, lat, P))
-                max_dev = max(max_dev, abs(v1 - v0))
-            ok = lat.within(max_dev) and const_only
-            all_ok = all_ok and ok
-            rows.append({"perturbation": name, "difference_constant": bool(const_only),
-                         "surviving_terms": len(leftover),
-                         "max_tame_deviation": max_dev, "pass": bool(ok)})
+    k = (m * sys.f_level).norm
+    perturbations = [
+        ("scaled-two-point", build_alpha_prime(
+            sys, m, a, s_fn=build_s_point(sys.y(m), k).scaled_by(ConstAtom(exact=7)))),
+        ("x-route-division-function", build_alpha_prime(
+            sys, m, a, g_fn=build_g_a(field, a).scaled_by(_x_route_atom(field, a, hint)))),
+        ("scaled-translation-correctors", build_alpha_prime(
+            sys, m, a, t_builder=lambda gm: build_t_gamma(field, a, gm)
+            .scaled_by(ConstAtom(exact=5)))),
+    ]
+    rows = []
+    all_ok = True
+    for name, pert in perturbations:
+        const_only, leftover = difference_is_constant(pert, base)
+        max_dev = max(abs(lat.one * tame_symbol_at(pert, lat, P) - v0)
+                      for P, v0 in zip(points, base_vals))
+        ok = lat.within(max_dev) and const_only
+        all_ok = all_ok and ok
+        rows.append({"perturbation": name, "difference_constant": bool(const_only),
+                     "surviving_terms": len(leftover),
+                     "max_tame_deviation": max_dev, "pass": bool(ok)})
 
-        # fault control: replacing the two-point function by one at a
-        # different point is not a constant move and must be caught
-        other = sys.y(m) + TorsionPoint(field, 0, 1, 2)
-        # k = N(m f) lies in (m f), which kills y(m), so 2k kills other
-        fault_scale = k if other.act(k).is_zero() else 2 * k
-        fault = build_alpha_prime(sys, m, a,
-                                  s_fn=build_s_point(other, fault_scale))
-        fault_const, _ = difference_is_constant(fault, base)
-        fault_detected = not fault_const
+    # fault control: replacing the two-point function by one at a
+    # different point is not a constant move and must be caught
+    other = sys.y(m) + TorsionPoint(field, 0, 1, 2)
+    # k = N(m f) lies in (m f), which kills y(m), so 2k kills other
+    fault_scale = k if other.act(k).is_zero() else 2 * k
+    fault = build_alpha_prime(sys, m, a,
+                              s_fn=build_s_point(other, fault_scale))
+    fault_const, _ = difference_is_constant(fault, base)
+    fault_detected = not fault_const
 
-        return {
-            "identity": "choice-independence",
-            "config": {"m": str(m), "a": a, "prec": lat.prec, "tolerance": lat.tol},
-            "base_certificate": base_cert,
-            "perturbations": rows,
-            "fault_detected": bool(fault_detected),
-            "pass": bool(all_ok and base_cert["pass"] and fault_detected),
-        }
+    return {
+        "identity": "choice-independence",
+        "config": {"m": str(m), "a": a, "prec": lat.prec, "tolerance": lat.tol},
+        "base_certificate": base_cert,
+        "perturbations": rows,
+        "fault_detected": bool(fault_detected),
+        "pass": bool(all_ok and base_cert["pass"] and fault_detected),
+    }

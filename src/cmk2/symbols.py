@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from math import lcm
 
-import mpmath as mp
-
 from .analytic import AnalyticLattice
 from .divisors import (
     ConstAtom,
@@ -186,21 +184,19 @@ def term_tame(lat: AnalyticLattice, P: TorsionPoint, L, R, c: int = 1):
 
 
 def tame_symbol_at(sym: SymbolSum, lat: AnalyticLattice, P: TorsionPoint):
-    with lat.context():
-        out = 1
-        for c, L, R in sym.terms:
-            out = out * term_tame(lat, P, L, R, c)
-        return out
+    out = 1
+    for c, L, R in sym.terms:
+        out = out * term_tame(lat, P, L, R, c)
+    return out
 
 
 def unity_order(value, bound: int, lat: AnalyticLattice) -> int | None:
     """Smallest k <= bound with value^k within tolerance of 1, else None."""
     if value == 1:
         return 1
-    v = mp.mpc(value)
-    acc = mp.mpc(1)
+    acc = lat.one
     for k in range(1, bound + 1):
-        acc = acc * v
+        acc = acc * value
         if lat.within(abs(acc - 1)):
             return k
     return None
@@ -216,30 +212,29 @@ def certify_tame_kernel(sym: SymbolSum, lat: AnalyticLattice) -> dict:
     a value of modulus one that is not a root of unity of bounded order,
     or is one only to a precision coarser than the tolerance, fails.
     """
-    with lat.context():
-        bound = lcm(24, sym.field.unit_order)
-        rows = []
-        ok = True
-        for P in sym.support_points():
-            if all(L.order_at(P) == 0 and R.order_at(P) == 0
-                   for _c, L, R in sym.terms):
-                rows.append({"point": str(P), "exact": True, "value": 1,
-                             "modulus_deviation": 0, "unity_order": 1})
-                continue
-            # a computed value that happens to equal 1 is still numeric
-            v = mp.mpc(tame_symbol_at(sym, lat, P))
-            dev = abs(abs(v) - 1)
-            order = unity_order(v, bound, lat)
-            ok = lat.within(dev) and order is not None and ok
-            rows.append({
-                "point": str(P),
-                "exact": False,
-                "value": v,
-                "modulus_deviation": dev,
-                "unity_order": order,
-            })
-        return {"kind": "tame-kernel", "points": rows, "tolerance": lat.tol,
-                "unity_bound": bound, "pass": bool(ok)}
+    bound = lcm(24, sym.field.unit_order)
+    rows = []
+    ok = True
+    for P in sym.support_points():
+        if all(L.order_at(P) == 0 and R.order_at(P) == 0
+               for _c, L, R in sym.terms):
+            rows.append({"point": str(P), "exact": True, "value": 1,
+                         "modulus_deviation": 0, "unity_order": 1})
+            continue
+        # a computed value that happens to equal 1 is still numeric
+        v = lat.one * tame_symbol_at(sym, lat, P)
+        dev = abs(abs(v) - 1)
+        order = unity_order(v, bound, lat)
+        ok = lat.within(dev) and order is not None and ok
+        rows.append({
+            "point": str(P),
+            "exact": False,
+            "value": v,
+            "modulus_deviation": dev,
+            "unity_order": order,
+        })
+    return {"kind": "tame-kernel", "points": rows, "tolerance": lat.tol,
+            "unity_bound": bound, "pass": bool(ok)}
 
 
 # --- builders ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Lattice arithmetic in mpmath, kept as test oracles for the fixed-point
-kernel: the embedding of exact coordinates, the R-linear quasi-period map
+kernel: mpmath's working precision at a lattice's, and an mpmath value
+read as the lattice's Dyadic; the embedding of exact coordinates, the R-linear quasi-period map
 and sigma's translation factor, each evaluated the direct way; the
 kernel's series summed the direct way, from powers; and the kernel's
 rounding rule in Fraction arithmetic, with the conversion of
@@ -15,9 +16,17 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from cmk2.analytic import GUARD_BITS
+from cmk2.dyadic import Dyadic
 from cmk2.finitefield import (CurveOverFp2, _check_cm, _check_good_reduction, _report,
                               cm_apply, cm_i_value)
 from cmk2.qfield import factor_ideal, gcd_elements
+
+
+def workprec(lat):
+    """mpmath's working precision at the lattice's, prec + GUARD_BITS: the
+    precision every lattice value carries, for oracle arithmetic on them."""
+    return mp.workprec(lat.prec + GUARD_BITS)
 
 
 def frac(v):
@@ -28,20 +37,30 @@ def frac(v):
 
 def embed(lat, r, s):
     """r + s*tau for int/Fraction plane coordinates."""
-    with lat.context():
-        return frac(r) + frac(s) * lat.tau
+    with workprec(lat):
+        return frac(r) + frac(s) * mp.mpmathify(lat.tau)
 
 
 def eta_linear(lat, r, s):
     """The R/Q-linear extension r*eta(1) + s*eta(omega) of the quasi-period map."""
-    with lat.context():
-        return frac(r) * lat.eta1 + frac(s) * lat.eta_omega
+    with workprec(lat):
+        return frac(r) * lat.eta1 + frac(s) * mp.mpmathify(lat.eta_omega)
 
 
 def sigma_value(lat, *args):
-    """sigma at the kernel's arguments as a number: its product form
-    through the lattice's one conversion, fold."""
-    return lat.fold([(lat.sigma(*args), 1)])
+    """sigma at the kernel's arguments as an mpmath number: its product
+    form through the lattice's one conversion, fold, read exactly."""
+    return mp.mpmathify(lat.fold([(lat.sigma(*args), 1)]))
+
+
+def lattice_number(lat, compute):
+    """compute(), an mpmath oracle value, at the lattice's precision and
+    as the lattice's number: a complex Dyadic, read exactly."""
+    with workprec(lat):
+        (rs, rm, rx, _), (js, jm, jx, _) = mp.mpc(compute())._mpc_
+    e = min(rx if rm else jx, jx if jm else rx)
+    return Dyadic((-rm if rs else rm) << (rx - e) if rm else 0,
+                  (-jm if js else jm) << (jx - e) if jm else 0, e, lat.prec + GUARD_BITS, True)
 
 
 def translation_sign(m: int, n: int) -> int:
@@ -51,8 +70,8 @@ def translation_sign(m: int, n: int) -> int:
 
 def translation_factor(lat, m: int, n: int, z):
     """Full factor: sigma(z + mu) = factor * sigma(z), mu = m + n*omega."""
-    with lat.context():
-        mu = m + n * lat.tau
+    with workprec(lat):
+        mu = m + n * mp.mpmathify(lat.tau)
         return translation_sign(m, n) * mp.exp(eta_linear(lat, m, n) * (z + mu / 2))
 
 

@@ -16,7 +16,7 @@ from cmk2.divisors import build_g_a, times
 from cmk2.qfield import QuadField
 from oracles import (coords, embed, eta_linear, frac, power_sums, reduce_reference,
                      reduced, sigma_value, theta1_derivatives, translation_factor,
-                     translation_sign)
+                     translation_sign, workprec)
 
 GAUSS = QuadField(-4)
 EISEN = QuadField(-3)
@@ -64,7 +64,7 @@ def test_g2_g3_against_direct_sums():
         L = AnalyticLattice(field, 128)
         g2_direct = 60 * _eisenstein_direct(field, 4, 220.0)
         g3_direct = 140 * _eisenstein_direct(field, 6, 220.0)
-        with L.context():
+        with workprec(L):
             assert abs(complex(L.g2) - g2_direct) < 0.05
             assert abs(complex(L.g3) - g3_direct) < 0.05
 
@@ -86,13 +86,13 @@ def test_sigma_against_direct_product(lat):
 
 
 def test_eta1_square_lattice_is_pi(lat):
-    with lat.context():
+    with workprec(lat):
         assert abs(lat.eta1 - mp.pi) < mp.mpf(10) ** -70
 
 
 def test_wp_laurent_normalization(lat):
     # z^2 * wp(z) -> 1 and z^3 * wp'(z) -> -2 pin the classical scaling
-    with lat.context():
+    with workprec(lat):
         x = Fraction(1, 10 ** 9)
         z = embed(lat, x, 0)
         assert abs(z * z * lat.wp(*coords(x, 0)) - 1) < 1e-15
@@ -105,7 +105,7 @@ def test_differential_equation_residual():
     rng = random.Random(17)
     for d in (-4, -3, -8, -19, -163):
         L = AnalyticLattice(QuadField(d), 256)
-        with L.context():
+        with workprec(L):
             for _ in range(5):
                 z = rand_z(L, rng)
                 wp, wpp = L.wp(*coords(*z)), L.wp_prime(*coords(*z))
@@ -115,7 +115,7 @@ def test_differential_equation_residual():
 
 def test_wp_even_wpprime_odd(lat):
     rng = random.Random(23)
-    with lat.context():
+    with workprec(lat):
         for _ in range(5):
             x, y = rand_z(lat, rng)
             assert abs(lat.wp(*coords(x, y)) - lat.wp(*coords(-x, -y))) < mp.mpf(10) ** -70
@@ -123,7 +123,7 @@ def test_wp_even_wpprime_odd(lat):
 
 
 def test_special_invariant_vanishing():
-    with AnalyticLattice(GAUSS, 256).context():
+    with workprec(AnalyticLattice(GAUSS, 256)):
         assert abs(AnalyticLattice(GAUSS, 256).g3) < mp.mpf(10) ** -70
         assert abs(AnalyticLattice(EISEN, 256).g2) < mp.mpf(10) ** -70
 
@@ -133,7 +133,7 @@ def test_cm_rotation():
     rng = random.Random(5)
     for field in (GAUSS, EISEN):
         L = AnalyticLattice(field, 192)
-        with L.context():
+        with workprec(L):
             u = L.tau  # omega itself is a unit here
             for _ in range(4):
                 z = coords(*rand_z(L, rng))
@@ -144,7 +144,7 @@ def test_cm_rotation():
 def test_half_period_theta_constant_crosscheck(lat):
     # e_i = wp at half periods: symmetric functions recover g2, g3
     half = Fraction(1, 2)
-    with lat.context():
+    with workprec(lat):
         e1 = lat.wp(*coords(half, 0))
         e2 = lat.wp(*coords(0, half))
         e3 = lat.wp(*coords(half, half))
@@ -156,7 +156,7 @@ def test_half_period_theta_constant_crosscheck(lat):
 
 
 def test_quasi_period_jumps(lat):
-    with lat.context():
+    with workprec(lat):
         x, y = Fraction(3, 7), Fraction(2, 5)
         tol = mp.mpf(10) ** -70
         assert abs(lat.zeta(*coords(x + 1, y)) - lat.zeta(*coords(x, y)) - lat.eta1) < tol
@@ -166,7 +166,7 @@ def test_quasi_period_jumps(lat):
 
 
 def test_sigma_translation_factor_exhaustive(lat):
-    with lat.context():
+    with workprec(lat):
         x, y = Fraction(1, 3), Fraction(2, 7)
         z = embed(lat, x, y)
         sz = sigma_value(lat, *coords(x, y))
@@ -196,15 +196,15 @@ def test_precision_scaling_of_residual():
     res = {}
     for prec in (128, 256):
         L = AnalyticLattice(GAUSS, prec)
-        with L.context():
+        with workprec(L):
             wp, wpp = L.wp(*coords(*z)), L.wp_prime(*coords(*z))
             res[prec] = abs(wpp ** 2 - (4 * wp ** 3 - L.g2 * wp - L.g3))
-    with AnalyticLattice(GAUSS, 256).context():
+    with workprec(AnalyticLattice(GAUSS, 256)):
         assert res[256] < res[128] * mp.mpf(10) ** -30
 
 
 def test_embed_and_reduce(lat):
-    with lat.context():
+    with workprec(lat):
         e = GAUSS.parse("3-2*i")
         z = embed(lat, e.x, e.y)
         assert abs(z - (3 - 2j)) < mp.mpf(10) ** -70
@@ -273,7 +273,7 @@ def test_integer_reduce_fault_control(monkeypatch):
 
 
 def test_eta_linear_matches_lattice_values(lat):
-    with lat.context():
+    with workprec(lat):
         assert abs(eta_linear(lat, 1, 0) - lat.eta1) == 0
         assert abs(eta_linear(lat, 0, 1) - lat.eta_omega) == 0
         got = eta_linear(lat, Fraction(1, 2), Fraction(-3, 4))
@@ -523,7 +523,7 @@ def test_kernel_agreement_fails_with_sine_started_at_plus_t1():
 
 
 def test_real_argument_gives_real_values(lat):
-    with lat.context():
+    with workprec(lat):
         for x in (Fraction("0.3"), Fraction("-0.45"), Fraction("3.3")):
             z = coords(x, 0)
             for value in (sigma_value(lat, *z), lat.zeta(*z), lat.wp(*z), lat.wp_prime(*z)):

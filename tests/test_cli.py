@@ -131,11 +131,11 @@ def test_verification_failure_exits_1():
 
 
 def test_build_alpha_rejects_a_distinguished_prime_at_the_conductor():
-    # split_pair normalizes only one prime above --p; the other, here the
-    # distinguished one, is the conductor, which its annotations reject
+    # the distinguished prime above --p is the conductor: the character has
+    # no value there, so split_pair rejects the conductor before any build
     code, out, err = run("build-alpha", "--conductor", "2-i", "--p", "5", "--m", "1")
     assert (code, out) == (2, "")
-    assert err.startswith("error: construction rejected: (1+2*w) is not coprime to "
+    assert err.startswith("error: --conductor: (1+2*w) is not coprime to "
                           "the conductor"), err
 
 
@@ -160,6 +160,12 @@ def test_config_errors_exit_2(tmp_path):
         ("verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w",
          "--a", "3"):
             "error: construction rejected: degenerate configuration: y_m = 1/3+0*w",
+        # the conductor is a prime above --p: the character has no value at
+        # it, so neither prime above p can be designated
+        ("frobenius-check", "--conductor", "2-i", "--p", "5"):
+            "error: --conductor: (1+2*w) is not coprime to the conductor (1+2*w)",
+        ("frobenius-check", "--conductor", "1+2*i", "--p", "5"):
+            "error: --conductor: (1+2*w) is not coprime to the conductor (1+2*w)",
     }
     # l = (w) at d = -7 has norm 2: E[l] = {0, P} sums to P, so g_l has no
     # principal divisor
@@ -230,6 +236,45 @@ def test_exact_commands_import_no_analytic_code(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_analytic_commands_import_no_mpmath(tmp_path):
+    # in a fresh process: the certificate path of every analytic command
+    # computes in Dyadics from the kernel to the rendered record, and the
+    # exact commands do not import that number type either
+    script = textwrap.dedent(f"""
+        import sys
+        from cmk2 import cli
+        out = {str(tmp_path / "out.jsonl")!r}
+        for argv in (["enumerate"], ["hecke-check", "--bound", "100"],
+                     ["frobenius-check", "--prec", "8"]):
+            assert cli.main([*argv, "--out", out]) == 0
+        print(" ".join(m for m in ("mpmath", "cmk2.dyadic") if m in sys.modules))
+        fast = ["--prec", "128", "--samples", "4"]
+        for argv in (["certify-tame"], ["verify-e1"], ["verify-e2"], ["all"]):
+            assert cli.main([*argv, *fast, "--out", out]) == 0
+        print(" ".join(m for m in ("mpmath",) if m in sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["", ""]
+
+
+def test_tol_contract():
+    # a value outside (0, 1), an infinity and a nan included, and text that
+    # names no number are rejected, each with its own message
+    for tol in ("nan", "inf", "0", "1", "-1e-25"):
+        code, _, err = run("certify-tame", f"--tol={tol}")
+        assert (code, err) == (2, "error: --tol: must lie strictly between 0 and 1\n"), tol
+    for tol in ("xyz", "1e-25x"):
+        code, _, err = run("certify-tame", f"--tol={tol}")
+        assert (code, err) == (2, f"error: --tol: not a number: {tol!r}\n"), tol
+    # the tolerance renders as the rounded rational the literal names
+    for tol, shown in (("1e-25", "1.0e-25"), ("0.3", "0.3")):
+        code, out, _ = run("certify-tame", "--prec", "64", "--samples", "2", "--tol", tol)
+        (rec,) = records(out)
+        assert code == 0 and rec["certificate"]["tolerance"] == shown
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

@@ -48,7 +48,8 @@ from cmk2.torsion import (
     preimage_set,
     torsion_subgroup,
 )
-from oracles import coords, embed, eta_linear, frac, lift, sigma_value, translation_sign
+from oracles import (coords, embed, eta_linear, frac, lift, sigma_value, translation_sign,
+                     workprec)
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -131,7 +132,7 @@ def test_norm_constant_g2_is_exp_minus_half_pi():
     lat = AnalyticLattice(F4, 192)
     g2 = build_g_a(F4, 2)
     halves = ((Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
-    with lat.context():
+    with workprec(lat):
         for x, y in ((Fraction(0.231), Fraction(0.377)), (Fraction(-1.61), Fraction(2.118))):
             copy = (mp.exp(-mp.pi / 2) * sigma_value(lat, *coords(x - 1, y - 1))
                     * sigma_value(lat, *coords(x, y)) ** 2)
@@ -149,7 +150,7 @@ def test_norm_constant_g2_is_exp_minus_half_pi():
 def test_ellipticity(builder):
     fn = builder()
     lat = AnalyticLattice(F4, 160)
-    with lat.context():
+    with workprec(lat):
         for zr, zs in [(0.231, 0.377), (0.61, 0.118)]:
             x, y = Fraction(zr), Fraction(zs)
             base = fn.evaluate(lat, coords(x, y))
@@ -162,7 +163,7 @@ def test_ellipticity_in_odd_discriminant_field():
     F3 = QuadField(-3)
     fn = build_g_a(F3, 2)
     lat = AnalyticLattice(F3, 160)
-    with lat.context():
+    with workprec(lat):
         x, y = Fraction(0.313), Fraction(0.209)
         base = fn.evaluate(lat, coords(x, y))
         for m, n in [(1, 0), (0, 1)]:
@@ -184,11 +185,11 @@ def orders_and_leading_cases():
 def test_order_and_leading_coefficient(fn):
     """f(P + h) / (lead * h^m) -> 1 with the frozen divisor order m."""
     lat = AnalyticLattice(F4, 256)
-    with lat.context():
+    with workprec(lat):
         h = mp.mpf(10) ** -30
         for P in fn.divisor.support():
             m = fn.order_at(P)
-            lead = fn.leading_at(lat, P)
+            lead = mp.mpmathify(fn.leading_at(lat, P))
             x, y = lift(P)
             val = fn.evaluate(lat, coords(x + Fraction(1, 10**30), y))
             assert abs(val / (lead * h ** m) - 1) < mp.mpf(10) ** -25
@@ -199,11 +200,11 @@ def test_leading_wrong_order_would_fail():
     lat = AnalyticLattice(F4, 192)
     fn = build_g_a(F4, 2)
     P = O()
-    with lat.context():
+    with workprec(lat):
         h = mp.mpf(10) ** -20
         x, y = lift(P)
         val = fn.evaluate(lat, coords(x + Fraction(1, 10**20), y))
-        lead = fn.leading_at(lat, P)
+        lead = mp.mpmathify(fn.leading_at(lat, P))
         wrong = val / (lead * h ** (fn.order_at(P) + 1))
         assert abs(wrong - 1) > 1
 
@@ -219,7 +220,7 @@ def test_distribution_pushforward_is_constant_one():
                                avoid=g2.divisor.support(),
                                samples=8)
     assert rep["pass"]
-    with lat.context():
+    with workprec(lat):
         assert abs(rep["constant"] - 1) < mp.mpf(10) ** -30
 
 
@@ -244,7 +245,7 @@ def test_pullback_matches_substitution():
     pulled = g2.pullback(PHI_ELL)
     assert pulled.divisor.degree == 0
     assert pulled.divisor == g2.divisor.pullback(PHI_ELL)
-    with lat.context():
+    with workprec(lat):
         subst = lambda z: g2.evaluate(lat, times(PHI_ELL, z))
         rep = equal_up_to_constant(subst, evaluator(pulled, lat), lat,
                                    avoid=pulled.divisor.support(),
@@ -272,7 +273,7 @@ def test_parity():
     assert g2.pullback(F4.element(-1)) == g2
     x, y = Fraction(0.321), Fraction(0.177)
     z, minus_z = coords(x, y), coords(-x, -y)
-    with lat.context():
+    with workprec(lat):
         ratio = g2.evaluate(lat, minus_z) / g2.evaluate(lat, z)
         # the parity constant is an exact sign; for the 2-division product
         # on this lattice it lands on -1
@@ -284,7 +285,7 @@ def test_parity():
     t = build_t_gamma(F4, 3, gamma)
     t_neg = build_t_gamma(F4, 3, -gamma)
     assert t.pullback(F4.element(-1)) == t_neg
-    with lat.context():
+    with workprec(lat):
         ratio = t.evaluate(lat, minus_z) / t_neg.evaluate(lat, z)
         assert abs(abs(ratio) - 1) < mp.mpf(10) ** -40
 
@@ -299,7 +300,7 @@ def test_route_agreement_with_x_coordinate_products():
     alt3 = wp_route_evaluator(F4, 3, lat)
     avoid = set(g3.divisor.support()) | set(torsion_subgroup(F4.ideal(3)))
     prod3 = lambda z: g3.evaluate(lat, z) * alt3(z)
-    one = lambda z: mp.mpc(1)
+    one = lambda z: lat.one
     rep = equal_up_to_constant(prod3, one, lat, avoid=avoid, samples=8)
     assert lat.within(rep["spread"]) and not rep["pass"]
 
@@ -380,7 +381,7 @@ def test_complex_points_are_rejected():
     # not a complex number, and not a field element either
     lat = AnalyticLattice(F4, 128)
     g2 = build_g_a(F4, 2)
-    with lat.context():
+    with workprec(lat):
         z = embed(lat, Fraction(0.27), Fraction(0.66))
     for z in (z, (1, 2, 0), (1, 2, -3), (1, 2, 3.0), (Fraction(1, 2), 0, 1), (True, 0, 3),
               (1, 2), [1, 2, 3], F4.element(1, 2)):
@@ -394,20 +395,20 @@ def test_lazy_const_atoms():
     g2 = build_g_a(F4, 2)
     P = TorsionPoint(F4, 1, 2, 5)
     atom = ConstAtom(fn=g2, point=P, exponent=-1)
-    with lat.context():
+    with workprec(lat):
         v = atom.evaluate(lat)
         assert abs(v * g2.evaluate(lat, P) - 1) < mp.mpf(10) ** -30
     exact = ConstAtom(exact=Fraction(-3, 7))
-    with lat.context():
+    with workprec(lat):
         assert exact.evaluate(lat) == mp.mpf(-3) / 7
     # a constant has order 0 everywhere and is its own leading coefficient
     assert atom.order_at(P) == exact.order_at(O()) == 0
-    with lat.context():
+    with workprec(lat):
         assert atom.leading_at(lat, O()) == v
     scaled = g2.scaled_by(atom)
     assert scaled != g2
     assert scaled.order_at(P) == 0
-    with lat.context():
+    with workprec(lat):
         z = coords(Fraction(0.27), Fraction(0.66))
         # the constant multiplies after the normalized product, bit for bit
         assert scaled.evaluate(lat, z) == g2.evaluate(lat, z) * v
@@ -441,7 +442,7 @@ def test_sample_points_deterministic_and_avoiding():
     b = sample_points(lat, 7, 5, avoid)
     assert a == b
     assert len(a) == 5
-    with lat.context():
+    with workprec(lat):
         for X, Y, D in a:
             z = embed(lat, Fraction(X, D), Fraction(Y, D))
             for P in avoid:
@@ -511,7 +512,7 @@ def _shifted_copy_product(f, lat, x, y):
         r0, s0, m0 = lifts[0]
         e = 1 if m0 > 0 else -1
         lifts[:1] = [(r0 - e * lx, s0 - e * ly, e)] + ([(r0, s0, m0 - e)] if m0 != e else [])
-    with lat.context():
+    with workprec(lat):
         out = mp.exp(-sum(m * eta_linear(lat, r, s) * embed(lat, r, s)
                           for r, s, m in lifts) / 2)
         for r, s, m in lifts:
@@ -537,7 +538,7 @@ def _accuracy_failures(prec):
                      + [("leading_at", P, lift(P)) for P in f.divisor.support()[:3]])
             for call, z, w in calls:
                 got, want = getattr(f, call)(lat, z), _shifted_copy_product(f, ref, *w)
-                with ref.context():
+                with workprec(ref):
                     err = abs(got - want) / abs(want)
                 if err > ACCURACY[prec]:
                     bad.append((d, name, call, str(z), mp.nstr(err, 3)))
@@ -570,11 +571,12 @@ def _lam_squared_cancelling_numerically():
     def patched(self, lat, z, k, into, poles):
         out = fold(self, lat, z, k, into, poles)
         lx, ly = self.lam
-        with lat.context():
+        with workprec(lat):
             copy = eta_linear(lat, lx, ly) * embed(lat, lx, ly) / 2
+            tau, eta_omega = mp.mpmathify(lat.tau), mp.mpmathify(lat.eta_omega)
             norm = (frac(lx * lx) * lat.eta1
-                    + frac(lx * ly) * (lat.eta1 * lat.tau + lat.eta_omega)
-                    + frac(ly * ly) * lat.eta_omega * lat.tau) / 2
+                    + frac(lx * ly) * (lat.eta1 * tau + eta_omega)
+                    + frac(ly * ly) * eta_omega * tau) / 2
             return out * mp.exp(copy) * mp.exp(-norm)
     return EllFunction, "_fold", patched
 
@@ -726,7 +728,7 @@ def test_evaluation_path_builds_no_fraction():
     # and leading_at run no code of fractions.py at all: constructors,
     # properties and arithmetic all count, on every Python version
     lat = AnalyticLattice(F4, 256)
-    with lat.context():  # warm the lattice's fixed-point constants
+    with workprec(lat):  # warm the lattice's fixed-point constants
         build_g_a(F4, 2).evaluate(lat, coords(Fraction(0.3), Fraction(0.6)))
     g3 = build_g_a(F4, 3)
     s = build_s_point(TorsionPoint(F4, 1, 2, 5), 5)
@@ -761,7 +763,7 @@ def test_torsion_layer_builds_no_fraction(d, conductor, ell):
     P, P2, Q = sys.y(m * l), sys.y(l * l), sys.y(m)
     lat = AnalyticLattice(K, 128)
     g = build_g_a(K, 2)
-    with lat.context():  # warm the lattice's fixed-point constants
+    with workprec(lat):  # warm the lattice's fixed-point constants
         g.evaluate(lat, P)
     fiber_product = g.pushforward_evaluator(lat, alpha)
 
@@ -792,7 +794,7 @@ def _kernel_runs_and_offsets(monkeypatch):
     assert [f.den for f in fns] == [2, 5]
     points = ((Fraction(1, 3), Fraction(1, 7)), (Fraction(0.3), Fraction(0.6)))
     offsets = []
-    with lat.context():
+    with workprec(lat):
         for f in fns:
             for x, y in points:
                 f.evaluate(lat, coords(x, y))

@@ -21,6 +21,7 @@ import pytest
 
 from cmk2 import cli, divisors, relations, symbols
 from cmk2.analytic import AnalyticLattice
+from cmk2.dyadic import Dyadic
 from cmk2.hecke import HeckeCharacter
 from cmk2.qfield import QuadField
 from cmk2.relations import (
@@ -31,6 +32,7 @@ from cmk2.relations import (
     verify_function_identities,
 )
 from cmk2.torsion import TorsionSystem, galois_conjugates
+from oracles import workprec
 
 F4 = QuadField(-4)
 CHI = HeckeCharacter(F4, F4.ideal(F4.parse("(1+i)^3")))
@@ -290,7 +292,7 @@ HEX_E2 = ["verify-e2", "--d", "-3", "--conductor", "3", "--m", "1", "--l", "2+w"
 
 def _kernel_and_exponential_calls(monkeypatch, tmp_path, argv):
     """Counts of one in-process CLI run: "sigma" kernel runs, "exp_eta"
-    calls, and "tame pow", mpmath powers taken while a tame value is
+    calls, and "tame pow", Dyadic powers taken while a tame value is
     computed."""
     calls = collections.Counter()
     for name in ("sigma", "exp_eta"):
@@ -309,10 +311,9 @@ def _kernel_and_exponential_calls(monkeypatch, tmp_path, argv):
             inside.pop()
 
     monkeypatch.setattr(symbols, "term_tame", traced_term_tame)
-    for cls in (mp.mpc, mp.mpf):
-        power = cls.__pow__
-        monkeypatch.setattr(cls, "__pow__", lambda x, y, power=power:
-                            (inside and calls.update(["tame pow"])) or power(x, y))
+    power = Dyadic.__pow__
+    monkeypatch.setattr(Dyadic, "__pow__", lambda x, y, power=power:
+                        (inside and calls.update(["tame pow"])) or power(x, y))
     assert cli.main([*argv, "--out", str(tmp_path / "out.jsonl")]) == 0
     return calls
 
@@ -323,7 +324,7 @@ def test_one_exponential_per_reported_value(monkeypatch, tmp_path, argv, runs,
                                             exponentials):
     # every value folds its sigma factors' exponents into one exp_eta, so
     # the kernel runs as often as before and the exponential far less; no
-    # tame value raises a leading coefficient with mpmath's **
+    # tame value raises a leading coefficient with Dyadic's **
     calls = _kernel_and_exponential_calls(monkeypatch, tmp_path, argv)
     assert calls["sigma"] == runs
     assert calls["exp_eta"] <= exponentials
@@ -436,7 +437,7 @@ def test_function_identity_reports():
                                       samples=4)
     assert rep2["pass"] and rep2["divisors_match"]
     assert len(rep2["conjugates"]) == 4
-    with LAT.context():
+    with workprec(LAT):
         assert abs(abs(rep2["scan"]["constant"]) - 1) < TOL
 
 
