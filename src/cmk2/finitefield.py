@@ -14,14 +14,34 @@ w = floor(2 sqrt(p)), which is symmetric about p + 1.
 
 - An x with f(x) a nonzero square gives the point (x, sqrt(f(x))) of E;
   one with f(x) a nonsquare gives (d x, sqrt(d^3 f(x))) on E'.
-- Baby-step giant-step finds a multiple of the point's order among the
-  group orders still possible, and factoring it gives the order itself.
-- A point's order divides the order of its group.  So with L_E and L_T
-  the lcm of the orders found on E and on E', #E is one of the N in I
-  with L_E | N and L_T | 2p + 2 - N.  When that leaves one N, it is #E:
-  a proof, not a sample.  Uniqueness is the test, not L_E > 2w: at
-  p = 457 on y^2 = x^3 + 16, L_E = 78 < 84 = 2w, yet 468 is the only
-  multiple of 78 in [416, 500].
+- Each point narrows the candidates, which start as all of I.  #E kills
+  every point of E, and #E' = 2p + 2 - #E every point of E', so a point
+  P of E keeps the N with [N]P = O, one of E' the N with
+  [2p + 2 - N]P = O, and #E survives every narrowing.  What is left is
+  the N in I with ord(P) | N for each point of E so far and
+  ord(P) | 2p + 2 - N for each of E'.  When that is one N, it is #E: a
+  proof, not a sample.  Uniqueness is the test, not the orders' size: at
+  p = 457 on y^2 = x^3 + 16, the orders on E have lcm 78 < 84 = 2w, yet
+  468 is the only multiple of 78 in [416, 500].
+- One point's survivors are one class modulo its order.  With the
+  candidates N_k = s + k t (k = 0 .. n - 1) and R = [t]P, [N_k]P = O
+  exactly when [k]R = -[s]P, and the k that solve this, if any, are one
+  class modulo r = ord(R).  So they form a progression of step r t.  (On
+  E', N_k - 2p - 2 takes the place of N_k.)
+- Baby-step giant-step finds that class.  The baby steps [j]R,
+  j = 1 .. m with m = floor(sqrt(n / 2)) + 1, are stored by x.  Every
+  index lies within m of a giant-step index c = m, 3m + 1, 5m + 2, ...,
+  and [N_c]P = [j]R or -[j]R leaves the index c - j or c + j.  The scan
+  goes on past the first survivor: the next one lies r indices later,
+  which gives r, and where the progression holds no second, the first is
+  the only one.
+- A repeat among the baby steps gives r exactly, not a multiple of it,
+  which would skip true candidates.  For 1 <= i < j, [j]R and [i]R share
+  an x exactly when j = +-i mod r.  Below r, j = i mod r is impossible
+  and j = -i mod r needs i + j = r.  So the first j with [j]R = O or an x
+  seen before is floor(r/2) + 1: [j]R = O with j = r when r <= 2, and
+  [j]R = -[r - j]R otherwise.  The steps before it hold every nonzero
+  multiple of R up to sign, so one look-up of [s]P finds the class.
 - CM groups often have a small exponent (at p = 1201 on y^2 = x^3 - x,
   E(F_p) has exponent 48, with three multiples in I), so E alone may
   never decide; the twist does.  For p > 229, E or E' always has a
@@ -89,21 +109,20 @@ pi - pi-bar = 2bi, which has 4b^2 < 4p points, while #E(F_{p^2}) >=
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt, lcm
+from math import isqrt
 
-from .qfield import QuadElement, QuadIdeal, factor_ideal, factor_int, is_rational_prime
+from .qfield import QuadElement, QuadIdeal, factor_ideal, is_rational_prime
 
 
 def count_points(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + a x + b: the one candidate in the Hasse
-    interval that the orders of points on E and its twist leave, or the
-    x-scan p + 1 + sum of (f(x) / p) (see the module docstring)."""
+    interval that the points on E and its twist leave, or the x-scan
+    p + 1 + sum of (f(x) / p) (see the module docstring)."""
     _check_good_reduction(p, a, b)
     lo, hi = _hasse_interval(p)
     total = 2 * p + 2  # #E + #E'
     d = _least_nonresidue(p)
     twist_a, d3 = a * d * d % p, d * d * d % p
-    l_e = l_t = 1
     cands = range(lo, hi + 1)
     legendre = 0  # sum of (f(x) / p) over the x so far
     for x in range(p):
@@ -112,21 +131,16 @@ def count_points(p: int, a: int, b: int) -> int:
             continue  # a point of order 2 says little
         if pow(f, (p - 1) // 2, p) == 1:
             legendre += 1
-            P = (x, sqrt_mod_p(f, p))
-            e = _multiple_of_order(P, cands, a, p)
-            l_e = lcm(l_e, _order(P, e, a, p))
+            cands = _narrow((x, sqrt_mod_p(f, p)), cands, a, p)
         else:
             legendre -= 1
             P = (d * x % p, sqrt_mod_p(d3 * f, p))
-            orders = range(total - cands[-1], total - cands[0] + 1, cands.step)
-            e = _multiple_of_order(P, orders, twist_a, p)
-            l_t = lcm(l_t, _order(P, e, twist_a, p))
-        cands = _candidates(lo, hi, total, l_e, l_t)
+            cands = _narrow(P, cands, twist_a, p, total)
         if len(cands) == 1:
             return cands[0]
         if not cands:
-            raise ArithmeticError(f"no group order at {p} fits the point orders "
-                                  f"{l_e} on the curve and {l_t} on its twist")
+            raise ArithmeticError(f"no group order at {p} kills the points "
+                                  f"so far on the curve and its twist")
     return p + 1 + legendre
 
 
@@ -143,55 +157,49 @@ def _hasse_interval(p: int) -> tuple[int, int]:
     return p + 1 - w, p + 1 + w
 
 
-def _candidates(lo: int, hi: int, total: int, l_e: int, l_t: int) -> range:
-    """The N in [lo, hi] with l_e | N and l_t | total - N, an arithmetic
-    progression with step lcm(l_e, l_t) (by the Chinese remainder theorem)."""
-    g = gcd(l_e, l_t)
-    if total % g:
-        return range(0)
-    mod = l_t // g
-    # N = l_e k with (l_e / g) k = total / g mod l_t / g
-    n = l_e * (total // g * pow(l_e // g, -1, mod) % mod)
-    step = l_e * mod
-    return range(lo + (n - lo) % step, hi + 1, step)
-
-
-def _multiple_of_order(P, orders: range, a: int, p: int) -> int:
-    """Some e > 0 with [e]P = O, by baby-step giant-step over the candidate
-    group orders `orders`, one of which is the order of P's group."""
-    step = orders.step
+def _narrow(P, cands: range, a: int, p: int, total: int = 0) -> range:
+    """The N in the progression `cands` with [total - N]P = O, themselves a
+    progression: with total 0 the N that kill P, a point of E; with total
+    2p + 2 those whose twist count 2p + 2 - N kills P, a point of E'.
+    Baby-step giant-step over all of `cands`, with R = [cands.step]P, up to
+    the second survivor or a repeat among the baby steps, either of which
+    gives R's order (see the module docstring)."""
+    start, step = cands.start - total, cands.step  # [N_k - total]P = [start]P + [k]R
     R = _mul(step, P, a, p)
-    m = isqrt(len(orders) // 2) + 1
-    baby = {}  # x of [j]R -> (j, y) for 1 <= j <= m
-    B = None
+    m = isqrt(len(cands) // 2) + 1
+    baby = {}  # x of [j]R -> (j, y) for 1 <= j <= m, no x twice
+    order = B = None
     for j in range(1, m + 1):
         B = _add(B, R, a, p)
-        if B is None:  # [j]R = O
-            return j * step
-        if B[0] in baby:  # [j]R = +-[i]R, so [j -+ i]R = O
-            i, y = baby[B[0]]
-            return (j - i if y == B[1] else j + i) * step
+        if B is None:  # [j]R = O, so R has order j <= 2
+            order = j
+            break
+        if B[0] in baby:  # the first repeat: [j]R = -[i]R, R has order j + i
+            order = j + baby[B[0]][0]
+            break
         baby[B[0]] = (j, B[1])
-    stride = _add(_add(B, B, a, p), R, a, p)  # [2m + 1]R
-    # T = [orders[c]]P at the centre c of the block of indices c - m .. c + m
-    T = _mul(orders.start + m * step, P, a, p)
-    for c in range(m, len(orders) + m, 2 * m + 1):
+
+    def survivors(c, T):
+        """The k with |k - c| <= m and [N_k - total]P = O, given T = [N_c - total]P."""
         if T is None:
-            return orders.start + c * step
-        hit = baby.get(T[0])
-        if hit is not None:  # T = +-[j]R
-            j, y = hit
-            return orders.start + (c - j if y == T[1] else c + j) * step
+            return [c]
+        if T[0] not in baby:
+            return []
+        j, y = baby[T[0]]  # T = [j]R leaves c - j, T = -[j]R leaves c + j
+        return [c - j, c + j] if y == 0 else [c - j if y == T[1] else c + j]
+
+    if order is not None:  # the baby steps hold every multiple of R up to sign
+        hits = survivors(0, _mul(start, P, a, p))
+        return cands[hits[0] % order::order] if hits else cands[:0]
+    stride = _add(_add(B, B, a, p), R, a, p)  # [2m + 1]R
+    T = _mul(start + m * step, P, a, p)
+    hits = []
+    for c in range(m, len(cands) + m, 2 * m + 1):
+        hits += survivors(c, T)
+        if len(hits) > 1:  # consecutive survivors lie R's order apart
+            return cands[hits[0]::hits[1] - hits[0]]
         T = _add(T, stride, a, p)
-    raise ArithmeticError(f"no candidate group order kills {P} mod {p}")
-
-
-def _order(P, e: int, a: int, p: int) -> int:
-    """The order of P, given a multiple e of it."""
-    for q, _ in factor_int(e):
-        while e % q == 0 and _mul(e // q, P, a, p) is None:
-            e //= q
-    return e
+    return cands[hits[0]:hits[0] + 1] if hits else cands[:0]
 
 
 def _add(P, Q, a: int, p: int):
@@ -213,7 +221,9 @@ def _add(P, Q, a: int, p: int):
 
 
 def _mul(k: int, P, a: int, p: int):
-    """[k]P for k >= 0 by double-and-add."""
+    """[k]P by double-and-add, as [-k](-P) for k < 0."""
+    if k < 0:
+        k, P = -k, P and (P[0], -P[1] % p)
     R = None
     while k:
         if k & 1:

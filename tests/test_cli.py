@@ -6,10 +6,14 @@ Certificates are JSON lines and byte-identical across reruns of the same
 configuration.
 """
 
+import gc
+import inspect
 import json
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 from cmk2 import cli
 
@@ -305,3 +309,85 @@ def test_all_sorted_and_green():
         "certify-tame", "verify-e1", "verify-e2"}
     assert sum(r["id"] == "certify-tame" for r in recs) == 3
     assert all(r["pass"] for r in recs)
+
+
+@pytest.mark.parametrize("code, argv", (
+    (0, ["frobenius-check", "--p", "13"]),
+    (1, ["hecke-check", "--bound", "300", "--curve-a", "2"]),
+    (2, ["frobenius-check", "--conductor", "2-i", "--p", "5"]),
+))
+def test_process_entry_writes_stdout_as_out(tmp_path, code, argv):
+    # fresh processes through `python -m cmk2`, the entry that freezes the
+    # heap before exit: stdout is flushed, the exit code kept
+    out = tmp_path / "out.jsonl"
+    plain = subprocess.run([sys.executable, "-m", "cmk2", *argv], capture_output=True)
+    filed = subprocess.run([sys.executable, "-m", "cmk2", *argv, "--out", str(out)],
+                           capture_output=True)
+    assert (plain.returncode, filed.returncode) == (code, code)
+    assert plain.stdout == out.read_bytes()
+    assert (plain.stderr, filed.stdout) == (filed.stderr, b"")
+    if code == 2:
+        assert plain.stdout == b""
+        assert plain.stderr.startswith(b"error: --conductor: "), plain.stderr
+    else:
+        assert plain.stdout.endswith(b"\n") and plain.stderr == b""
+
+
+def test_module_entry_freezes_and_runs_exit_handlers():
+    # `python -m cmk2` exits through run(): its heap is frozen, and the
+    # interpreter still shuts down normally, running atexit handlers
+    script = textwrap.dedent("""
+        import atexit, gc, runpy, sys
+        atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+        sys.argv = ["cmk2", "frobenius-check", "--p", "13"]
+        runpy.run_module("cmk2", run_name="__main__")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert records(proc.stdout)[0]["pass"]
+
+
+# run() with main returning 7: main, then the freeze, then exit code 7
+ENTRY = ["main", "freeze", 7]
+
+
+def _entry_events(monkeypatch, source=None):
+    """The calls run() makes to main and gc.freeze, in order, then the code
+    it exits with; `source` replaces run's source."""
+    events = []
+    monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or 7)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    run_ = cli.run
+    if source is not None:
+        namespace = dict(vars(cli))
+        exec(source, namespace)
+        run_ = namespace["run"]
+    with pytest.raises(SystemExit) as exit_:
+        run_()
+    return events + [exit_.value.code]
+
+
+def test_run_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    assert _entry_events(monkeypatch) == ENTRY
+
+
+@pytest.mark.parametrize("old, new", (
+    ("    code = main()\n    gc.freeze()\n", "    gc.freeze()\n    code = main()\n"),
+    ("SystemExit(code)", "SystemExit()"),
+), ids=("freeze-first", "code-dropped"))
+def test_entry_oracle_fails_a_mutated_run(monkeypatch, old, new):
+    # fault controls: freezing before main, and exiting without its code
+    source = inspect.getsource(cli.run)
+    assert source.count(old) == 1
+    assert _entry_events(monkeypatch, source.replace(old, new)) != ENTRY
+
+
+def test_main_never_freezes(monkeypatch, tmp_path):
+    # tests and the in-process benchmark call main() many times in one process
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    out = str(tmp_path / "out.jsonl")
+    assert cli.main(["frobenius-check", "--p", "13", "--out", out]) == 0
+    assert cli.main(["hecke-check", "--bound", "300", "--curve-a", "2", "--out", out]) == 1
+    assert cli.main(["frobenius-check", "--conductor", "2-i", "--p", "5"]) == 2
+    assert frozen == []

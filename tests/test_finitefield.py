@@ -3,6 +3,7 @@ import inspect
 import random
 import sys
 import time
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -356,13 +357,13 @@ def _pinned_mismatches():
 
 def _recording_ends(monkeypatch):
     """count_points, and the list of primes at which it returned from the
-    loop's end (no _candidates call left one candidate) rather than a
+    loop's end (no _narrow call left one candidate) rather than a
     pinned candidate."""
     last, ends = [], []
-    candidates = finitefield._candidates
+    narrow = finitefield._narrow
 
     def recorded(*args):
-        last.append(candidates(*args))
+        last.append(narrow(*args))
         return last[-1]
 
     def count(p, a, b):
@@ -372,7 +373,7 @@ def _recording_ends(monkeypatch):
             ends.append(p)
         return n
 
-    monkeypatch.setattr(finitefield, "_candidates", recorded)
+    monkeypatch.setattr(finitefield, "_narrow", recorded)
     return count, ends
 
 
@@ -393,8 +394,8 @@ def test_count_points_pins_past_twelve_points(monkeypatch, p):
 
 
 def _unpinned(monkeypatch):
-    # no point orders ever leave one candidate, so every count is the loop's end
-    monkeypatch.setattr(finitefield, "_candidates", lambda lo, hi, *rest: range(lo, hi + 1))
+    # no point ever narrows the candidates, so every count is the loop's end
+    monkeypatch.setattr(finitefield, "_narrow", lambda P, cands, *rest: cands)
 
 
 def test_count_points_loop_end_matches_scan(monkeypatch):
@@ -414,18 +415,68 @@ def test_loop_end_oracle_fails_without_nonsquares(monkeypatch):
 
 def test_pin_oracle_fails_accepting_first_candidate(monkeypatch):
     # fault control: return the least candidate left, unique or not
-    candidates = finitefield._candidates
-    monkeypatch.setattr(finitefield, "_candidates", lambda *args: candidates(*args)[:1])
+    narrow = finitefield._narrow
+    monkeypatch.setattr(finitefield, "_narrow", lambda *args: narrow(*args)[:1])
     assert _pinned_mismatches()
 
 
 def test_pin_oracle_fails_with_twist_count_for_its_complement(monkeypatch):
-    # fault control: l_t divides #E' = 2p + 2 - N, not N; a total of 0
-    # makes the candidates obey l_t | N
-    candidates = finitefield._candidates
-    monkeypatch.setattr(finitefield, "_candidates",
-                        lambda lo, hi, total, l_e, l_t: candidates(lo, hi, 0, l_e, l_t))
+    # fault control: a twist point's order divides #E' = 2p + 2 - N, not N;
+    # a total of 0 makes the twist points narrow N itself
+    narrow = finitefield._narrow
+    monkeypatch.setattr(finitefield, "_narrow",
+                        lambda P, cands, a, p, total=0: narrow(P, cands, a, p))
     assert _pinned_mismatches()
+
+
+def _narrow_cases():
+    """(P, order of P, cands, a, p, total) over every point of E(F_p) on
+    the oracle curves at p < 40: the Hasse interval and a range of 3p, each
+    in steps of 1, 2 and 6 from every offset, with total 0 and 2p + 2."""
+    for p in range(5, 40):
+        if not is_rational_prime(p):
+            continue
+        lo, hi = finitefield._hasse_interval(p)
+        for a, b in ORACLE_CURVES:
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                continue
+            C = CurveOverFp2(p, a, b)
+            for P in points_prime(C):
+                if P is None:
+                    continue
+                r = next(k for k in range(1, 2 * p + 2) if C.smul(k, P) is None)
+                P = (P[0][0], P[1][0])
+                for step in (1, 2, 6):
+                    for off in range(step):
+                        for total in (0, 2 * p + 2):
+                            yield P, r, range(lo + off, hi + 1, step), a, p, total
+                            yield P, r, range(1 + off, 3 * p, step), a, p, total
+
+
+def test_narrow_keeps_exactly_the_killing_candidates():
+    small = large = 0
+    for P, r, cands, a, p, total in _narrow_cases():
+        want = [N for N in cands if (total - N) % r == 0]
+        assert list(finitefield._narrow(P, cands, a, p, total)) == want, (P, cands, a, p, total)
+        # [step]P, of this order, repeats at baby step order // 2 + 1 of m
+        order = r // gcd(r, cands.step)
+        if order // 2 + 1 <= isqrt(len(cands) // 2) + 1:
+            small += 1
+        else:
+            large += 1
+    # both branches run: [step]P of small order, and the giant steps
+    assert small > 1000 and large > 1000, (small, large)
+
+
+def test_pin_oracle_fails_scanning_with_twice_the_order(monkeypatch):
+    # fault control: a multiple of [step]P's order drops true candidates
+    source = inspect.getsource(finitefield._narrow)
+    exact = "cands[hits[0] % order::order]"
+    assert source.count(exact) == 1
+    namespace = dict(vars(finitefield))
+    exec(source.replace(exact, "cands[hits[0] % order::2 * order]"), namespace)
+    monkeypatch.setattr(finitefield, "_narrow", namespace["_narrow"])
+    assert _count_mismatches(count_points, _scanned)
 
 
 def test_pin_oracle_fails_with_narrowed_hasse_interval(monkeypatch):
@@ -568,7 +619,7 @@ def test_fp_group_law_matches_fp2_on_prime_field(p, a, b):
     for P in pts:
         for Q in pts:
             assert lift(finitefield._add(P, Q, a, p)) == C.add(lift(P), lift(Q))
-        for k in range(12):
+        for k in range(-12, 12):
             assert lift(finitefield._mul(k, P, a, p)) == C.smul(k, lift(P))
 
 
